@@ -67,9 +67,13 @@ def validate(ch: Channel, atol: float = DEFAULT_ATOL) -> ChannelReport:
     """Completeness check: defect = ||sum E†E - 1||_F."""
     g = sum(dag(e) @ e for e in ch.kraus)
     defect = float(np.linalg.norm(g - np.eye(ch.dim_in)))
+    if defect <= atol:
+        # No eigen-solve needed for a trace-preserving channel:
+        # lambda_max((G+G†)/2) - 1 <= ||G - 1||_2 <= ||G - 1||_F = defect <= atol.
+        return ChannelReport(trace_preserving=True, trace_nonincreasing=True, defect=defect)
     top = float(np.linalg.eigvalsh((g + dag(g)) / 2).max())
     return ChannelReport(
-        trace_preserving=defect <= atol,
+        trace_preserving=False,
         trace_nonincreasing=top <= 1.0 + atol,
         defect=defect,
     )

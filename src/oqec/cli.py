@@ -95,8 +95,10 @@ def _meta(cfg: RunConfig) -> dict:
 
 
 def _load_pair(args):
-    dec = decomposition_from_json(load_json_file(args.decomposition), "decomposition")
-    ch = channel_from_json(load_json_file(args.channel), "channel")
+    dec = decomposition_from_json(
+        load_json_file(args.decomposition, "decomposition"), "decomposition"
+    )
+    ch = channel_from_json(load_json_file(args.channel, "channel"), "channel")
     if ch.dim_in != dec.dim_v or ch.dim_out != dec.dim_v:
         raise FormatError(
             "channel",
@@ -207,10 +209,12 @@ def cmd_factorize(args) -> int:
 
 def cmd_dpi(args) -> int:
     cfg = _config(args)
-    dec = decomposition_from_json(load_json_file(args.decomposition), "decomposition")
+    dec = decomposition_from_json(
+        load_json_file(args.decomposition, "decomposition"), "decomposition"
+    )
     chain = []
     for i, path in enumerate(args.channels):
-        ch = channel_from_json(load_json_file(path), f"channel[{i}]")
+        ch = channel_from_json(load_json_file(path, f"channel[{i}]"), f"channel[{i}]")
         chain.append(ch)
     values = dpi_trace(dec, chain, atol=cfg.tolerance)
     slack = 1e-9

@@ -8,13 +8,19 @@ Wire format:
 * decomposition: {"dim_a": int, "dim_b": int, "dim_c": int,
   "frame": matrix (optional)}.
 
-Python's json module emits shortest-round-trip decimals, so a dump/load
-cycle reproduces every float bit-exactly.
+Files are written compact (no whitespace). Python's json module emits
+shortest-round-trip decimals, so a dump/load cycle reproduces every float
+bit-exactly, including -0.0 and subnormals. Numbers must be finite: the
+reader rejects NaN/Infinity tokens and any value outside the float range,
+and every rejection is a FormatError naming the file or the field.
 """
 
 from __future__ import annotations
 
+import cmath
+import gc
 import json
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -41,33 +47,68 @@ def matrix_to_json(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim == 1:
         m = m.reshape(1, -1)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
-def _complex_from_json(obj: Any, field: str) -> complex:
+def _finite_matrix(obj: list) -> np.ndarray | None:
+    """obj as a complex matrix, or None unless obj is a list of equal-length
+    row lists of [re, im] pairs of finite plain floats or ints. The checks
+    run over whole levels at C speed; the exact type test rejects bools."""
+    def cells():
+        return chain.from_iterable(obj)
+
+    def numbers():
+        return chain.from_iterable(cells())
+
+    shape = (len(obj), len(obj[0]))
     if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
+        set(map(type, obj)) != {list}
+        or set(map(len, obj)) != {shape[1]}
+        or set(map(type, cells())) != {list}
+        or set(map(len, cells())) != {2}
+        or not set(map(type, numbers())) <= {float, int}
     ):
-        raise FormatError(field, f"expected a [re, im] pair, got {obj!r}")
-    return complex(obj[0], obj[1])
+        return None
+    try:
+        flat = np.fromiter(numbers(), np.float64, 2 * shape[0] * shape[1])
+    except OverflowError:  # an int beyond the float range
+        return None
+    if not np.isfinite(flat).all():
+        return None
+    return flat.view(np.complex128).reshape(shape)
+
+
+def _cell_problem(z: Any) -> str | None:
+    if type(z) is not list or len(z) != 2 or not {type(z[0]), type(z[1])} <= {float, int}:
+        return f"expected a [re, im] pair, got {z!r}"
+    try:
+        finite = cmath.isfinite(complex(z[0], z[1]))
+    except OverflowError:
+        finite = False
+    return None if finite else f"expected finite numbers, got {z!r}"
 
 
 def matrix_from_json(obj: Any, field: str = "matrix") -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
+    if type(obj) is list and obj and type(obj[0]) is list:
+        m = _finite_matrix(obj)
+        if m is not None:
+            return m
+    # Error path: walk the rows to name the first bad field, row-major.
+    if type(obj) is not list or not obj:
         raise FormatError(field, "expected a non-empty array of rows")
     width = None
-    rows = []
     for i, row in enumerate(obj):
-        if not isinstance(row, list) or not row:
+        if type(row) is not list or not row:
             raise FormatError(f"{field}[{i}]", "expected a non-empty row array")
         if width is None:
             width = len(row)
         elif len(row) != width:
             raise FormatError(f"{field}[{i}]", f"row length {len(row)} != {width}")
-        rows.append([_complex_from_json(z, f"{field}[{i}][{j}]") for j, z in enumerate(row)])
-    return np.array(rows, dtype=np.complex128)
+        for j, z in enumerate(row):
+            problem = _cell_problem(z)
+            if problem is not None:
+                raise FormatError(f"{field}[{i}][{j}]", problem)
+    raise FormatError(field, "expected a matrix of finite [re, im] pairs")
 
 
 def _int_field(obj: dict, key: str, minimum: int, field: str) -> int:
@@ -167,14 +208,32 @@ def condition_report_to_json(report: ConditionReport) -> dict:
 
 
 def load_json_file(path: str, field: str = "file") -> Any:
+    """Parse a JSON file; invalid JSON and NaN/Infinity tokens raise FormatError.
+
+    Cyclic GC is paused while parsing: the parser builds millions of small
+    lists, none of which can be part of a cycle, and rescanning them as they
+    pile up costs more than the parse itself.
+    """
+    where = f"{field}:{path}"
+
+    def reject_constant(token: str):
+        raise FormatError(where, f"non-finite number {token} is not allowed")
+
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"{field}:{path}", f"invalid JSON ({exc})") from exc
+        raise FormatError(where, f"invalid JSON ({exc})") from exc
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def dump_json_file(path: str, obj: Any) -> None:
+    """Write obj as compact JSON; json.dumps without indentation runs the C encoder."""
+    text = json.dumps(obj, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
+        fh.write(text)
         fh.write("\n")

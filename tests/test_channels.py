@@ -70,6 +70,22 @@ def test_require_valid_always_rejects_trace_increasing():
         require_valid(grow, allow_trace_decreasing=True)
 
 
+@pytest.mark.parametrize(
+    "scale, trace_preserving, trace_nonincreasing",
+    [
+        (1.0, True, True),
+        (1 + 1e-11, True, True),  # within atol: the trace-preserving shortcut
+        (np.sqrt(0.5), False, True),
+        (2.0, False, False),
+    ],
+)
+def test_validate_flags_scaled_identity(scale, trace_preserving, trace_nonincreasing):
+    rep = validate(Channel((scale * np.eye(4, dtype=complex),)))
+    assert rep.trace_preserving is trace_preserving
+    assert rep.trace_nonincreasing is trace_nonincreasing
+    assert rep.defect == pytest.approx(2 * abs(scale**2 - 1), abs=1e-15)
+
+
 def test_apply_matches_kraus_sum_loop():
     rng = _rng(3)
     ch = random_channel(3, 4, seed=12)

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from oqec.channels import Channel, depolarizing
+from oqec.channels import Channel, depolarizing, random_channel
 from oqec.cli import main
 from oqec.codes import get
-from oqec.linalg import kron
+from oqec.conditions import check_condition_b, check_condition_c, check_condition_d, purify
+from oqec.linalg import dag, haar_unitary, kron
 from oqec.recovery import verify_recovery
 from oqec.serialize import (
     channel_from_json,
@@ -185,3 +186,52 @@ def test_rejects_nonpositive_tolerance(exported, capsys):
     dec, chan = exported
     assert main(["check", dec, chan, "--tol", "-1"]) == 2
     assert "tolerance" in capsys.readouterr().err
+
+
+def _correctable_dim64(seed=7):
+    """dim_v = 64 instance: 1_A tensor N_B on the code block, identity on C,
+    conjugated by a random frame."""
+    rng = np.random.default_rng(seed)
+    dec = Decomposition(2, 4, 56, frame=haar_unitary(64, rng))
+    kraus = []
+    for m, nk in enumerate(random_channel(4, 3, seed=seed).kraus):
+        g = np.zeros((64, 64), dtype=np.complex128)
+        g[:8, :8] = kron(np.eye(2), nk)
+        if m == 0:
+            g[8:, 8:] = np.eye(56)
+        kraus.append(dec.frame @ g @ dag(dec.frame))
+    return dec, Channel(tuple(kraus))
+
+
+def test_check_round_trip_matches_library(tmp_path, capsys):
+    dec, ch = _correctable_dim64()
+    dec_path, chan_path = tmp_path / "dec.json", tmp_path / "chan.json"
+    dump_json_file(str(dec_path), decomposition_to_json(dec))
+    dump_json_file(str(chan_path), channel_to_json(ch))
+    for path in (dec_path, chan_path):
+        assert path.read_text().count("\n") == 1  # compact: only the final newline
+    assert main(["check", str(dec_path), str(chan_path), "--condition", "all", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    ps = purify(dec, ch)
+    expected = [check_condition_b(dec, ch), check_condition_c(ps), check_condition_d(ps)]
+    assert [c["condition"] for c in payload["conditions"]] == ["b", "c", "d"]
+    assert [c["residual"] for c in payload["conditions"]] == [r.residual for r in expected]
+    assert all(c["passed"] for c in payload["conditions"])
+
+
+@pytest.mark.parametrize(
+    "token, field",
+    [("NaN", "channel:"), ("1e999", "channel.kraus[0][0][0]")],
+    ids=["NaN token", "overflowing literal"],
+)
+def test_check_rejects_non_finite_channel(exported, tmp_path, capsys, token, field):
+    dec, chan = exported
+    obj = load_json_file(chan)
+    obj["kraus"][0][0][0] = ["RE", 0.0]
+    bad = tmp_path / "nonfinite.json"
+    dump_json_file(str(bad), obj)
+    bad.write_text(bad.read_text().replace('"RE"', token))
+    assert main(["check", dec, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
