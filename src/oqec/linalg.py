@@ -88,18 +88,14 @@ def _fix_phases(vecs: np.ndarray, cutoff: float = SPECTRUM_CUTOFF) -> np.ndarray
     return out
 
 
-def _lex_key(col: np.ndarray) -> tuple:
-    return tuple((round(float(z.real), 10), round(float(z.imag), 10)) for z in col)
-
-
 def eig_hermitian(m: np.ndarray, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix with deterministic output.
+    """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues, eigenvectors): eigenvalues descending, eigenvectors
-    as orthonormal columns with the phase convention above. Degenerate
-    clusters (adjacent eigenvalues within SPECTRUM_CUTOFF) are ordered
-    lexicographically by their phase-fixed entries, so repeated runs on the
-    same input agree.
+    as orthonormal columns with the phase convention above. Inside a
+    degenerate eigenspace the basis is whichever one LAPACK returns: the same
+    for the same input and build, but not canonical, so callers may rely only
+    on the subspace it spans.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -111,20 +107,7 @@ def eig_hermitian(m: np.ndarray, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray
         )
     w, v = np.linalg.eigh((m + dag(m)) / 2)
     order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = _fix_phases(v[:, order])
-    # deterministic order inside exactly degenerate clusters
-    i = 0
-    while i < len(w):
-        j = i
-        while j + 1 < len(w) and w[j] - w[j + 1] <= SPECTRUM_CUTOFF:
-            j += 1
-        if j > i:
-            cols = sorted(range(i, j + 1), key=lambda c: _lex_key(v[:, c]))
-            v[:, i : j + 1] = v[:, cols]
-            w[i : j + 1] = w[cols]
-        i = j + 1
-    return w, v
+    return w[order], _fix_phases(v[:, order])
 
 
 def schmidt(
@@ -187,34 +170,24 @@ def von_neumann_entropy(rho: np.ndarray, atol: float = DEFAULT_ATOL) -> float:
 
 
 def complete_basis(cols: Optional[np.ndarray], dim: int) -> np.ndarray:
-    """Orthonormal completion of a set of orthonormal columns.
+    """Orthonormal basis of the orthogonal complement of the columns' span.
 
-    Sweeps the canonical axes in index order, Gram-Schmidt-projecting each
-    against everything collected so far, which makes the result deterministic.
-    Returns only the new columns, shape (dim, dim - k).
+    The k input columns must be linearly independent but need not be
+    orthonormal. Returns the last dim - k columns of the complete QR factor
+    Q of cols, shape (dim, dim - k): the same for the same input, but not
+    canonical. Raises DimensionError when k > dim or when a diagonal entry of
+    R is at most 1e-7 in magnitude (dependent columns).
     """
     if cols is None:
         cols = np.zeros((dim, 0), dtype=np.complex128)
     cols = np.asarray(cols, dtype=np.complex128).reshape(dim, -1)
-    have = cols.copy()
-    added = []
-    for i in range(dim):
-        if have.shape[1] >= dim:
-            break
-        e = np.zeros(dim, dtype=np.complex128)
-        e[i] = 1.0
-        r = e - have @ (dag(have) @ e)
-        r = r - have @ (dag(have) @ r)
-        n = float(np.linalg.norm(r))
-        if n > 1e-7:
-            r /= n
-            have = np.hstack([have, r[:, None]])
-            added.append(r)
-    if have.shape[1] != dim:
-        raise DimensionError("could not complete basis; input columns not orthonormal?")
-    if not added:
-        return np.zeros((dim, 0), dtype=np.complex128)
-    return np.stack(added, axis=1)
+    k = cols.shape[1]
+    if k > dim:
+        raise DimensionError(f"cannot complete {k} columns in dimension {dim}")
+    q, r = np.linalg.qr(cols, mode="complete")
+    if k and np.abs(np.diagonal(r)).min() <= 1e-7:
+        raise DimensionError("could not complete basis; input columns are linearly dependent")
+    return q[:, k:]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

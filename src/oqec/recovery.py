@@ -11,7 +11,10 @@ Two independent constructions of a correcting channel:
   decode.
 
 Both emit trace-preserving Kraus channels on V that restore any state of the
-protected factor A, sending B to a fixed pure state.
+protected factor A, sending B to a fixed pure state: one Kraus operator per
+surviving eigenvalue (the Schmidt rank of the reference-environment marginal),
+plus, when those ranges leave part of V uncovered, the projector onto the
+rest, which leaves such states in place.
 """
 
 from __future__ import annotations
@@ -86,9 +89,17 @@ def _gate_condition_b(dec, ch, tol, atol, allow_trace_decreasing):
     return report
 
 
+def _completion(span: np.ndarray) -> list:
+    """The projector L L† onto the complement of span's columns, as a
+    one-element Kraus list, or an empty list when span fills the space."""
+    leftover = complete_basis(span, span.shape[0])
+    return [leftover @ dag(leftover)] if leftover.shape[1] else []
+
+
 def _schmidt_family(dec, ch, cutoff, atol, allow_trace_decreasing):
     """Eigen-split the reference-environment marginal and pull back the
-    corrupted code vectors e_jk; returns (weights q_k, vectors[j][k])."""
+    corrupted code vectors e_jk; returns (weights q_k, one dv x da block of
+    columns e_jk per surviving k, the purified state)."""
     ps = purify(dec, ch, allow_trace_decreasing=allow_trace_decreasing, atol=atol)
     da, db, dv, de = ps.dims
     q, vecs = eig_hermitian(ps.marginal((1, 3)), atol)
@@ -117,44 +128,26 @@ def synthesize_schmidt_recovery(
     Each surviving eigenvalue q_k of the reference-environment marginal
     labels one orthonormal family {e_jk}_j of corrupted code vectors; the
     recovery projects onto that family and rewrites e_jk as the code vector
-    for (j, b=0). Directions outside every family are sent to the (0, b=0)
-    code vector by one completion Kraus operator per direction.
+    for (j, b=0). One more Kraus operator, the projector onto the directions
+    outside every family, completes the channel and leaves those directions
+    in place.
 
     Raises NotCorrectableError when the algebraic test fails at tol.
     """
     gate = _gate_condition_b(dec, ch, tol, atol, allow_trace_decreasing)
     q, families, ps = _schmidt_family(dec, ch, cutoff, atol, allow_trace_decreasing)
     da, db, dv, _ = ps.dims
-    code = dec.code_vectors()
-    code_s = code[:, 0::db]  # columns (j, b=0)
-    kraus = [code_s @ dag(cols) for cols in families]
-    span = (
-        np.hstack(families) if families else np.zeros((dv, 0), dtype=np.complex128)
-    )
-    leftover = complete_basis(span, dv)
-    target = code_s[:, 0]
-    for i in range(leftover.shape[1]):
-        kraus.append(np.outer(target, leftover[:, i].conj()))
-    unitaries = []
-    for cols in families:
-        src_ext = complete_basis(cols, dv)
-        dst_ext = complete_basis(code_s, dv)
-        u_k = np.hstack([code_s, dst_ext]) @ dag(np.hstack([cols, src_ext]))
-        unitaries.append(u_k)
-    ortho_defect = (
-        float(np.linalg.norm(dag(span) @ span - np.eye(span.shape[1])))
-        if span.shape[1]
-        else 0.0
-    )
+    code_s = dec.code_vectors()[:, 0::db]  # columns (j, b=0)
+    span = np.hstack([np.zeros((dv, 0), dtype=np.complex128), *families])
+    kraus = [code_s @ dag(cols) for cols in families] + _completion(span)
     data = {
         "spectrum": q,
         "schmidt_vectors": {
             (j, k): families[k][:, j] for k in range(len(families)) for j in range(da)
         },
-        "projectors": [cols @ dag(cols) for cols in families],
-        "unitaries": unitaries,
-        "b_state": np.eye(db, dtype=np.complex128)[:, 0],
-        "orthonormality_defect": ortho_defect,
+        "orthonormality_defect": float(
+            np.linalg.norm(dag(span) @ span - np.eye(span.shape[1]))
+        ),
         "condition_b_residual": gate.residual,
     }
     return Recovery(channel=Channel(tuple(kraus)), method="schmidt", data=data)
@@ -175,7 +168,8 @@ def synthesize_universal_recovery(
     satisfy F_(j,s)† F_(k,t) = g_((j,s),(k,t)) 1_A when the noise is
     correctable. Diagonalizing g and mixing the family accordingly yields
     canonical errors with orthogonal ranges; their polar isometries W_m give
-    the recovery Kraus operators (embed at b=0) W_m†, plus completion.
+    the recovery Kraus operators (embed at b=0) W_m†, plus the projector onto
+    the complement of their ranges when that is not empty.
     """
     gate = _gate_condition_b(dec, ch, tol, atol, allow_trace_decreasing)
     da, db, dv = dec.dim_a, dec.dim_b, dec.dim_v
@@ -200,23 +194,11 @@ def synthesize_universal_recovery(
         g_m = sum(mix[i, m] * family[i] for i in range(n))
         u_s, _, v_h = np.linalg.svd(g_m, full_matrices=False)
         isometries.append(u_s @ v_h)
-    kraus = [embeds[0] @ dag(w) for w in isometries]
-    span = (
-        np.hstack(isometries)
-        if isometries
-        else np.zeros((dv, 0), dtype=np.complex128)
-    )
-    leftover = complete_basis(span, dv)
-    target = embeds[0][:, 0]
-    for i in range(leftover.shape[1]):
-        kraus.append(np.outer(target, leftover[:, i].conj()))
+    span = np.hstack([np.zeros((dv, 0), dtype=np.complex128), *isometries])
+    kraus = [embeds[0] @ dag(w) for w in isometries] + _completion(span)
     data = {
-        "gram": gram,
         "gram_spectrum": d,
-        "gram_mixing": mix,
         "gram_residual": float(np.sqrt(gram_residual_sq)),
-        "isometries": isometries,
-        "b_state": np.eye(db, dtype=np.complex128)[:, 0],
         "condition_b_residual": gate.residual,
     }
     return Recovery(channel=Channel(tuple(kraus)), method="universal", data=data)
@@ -306,7 +288,8 @@ def factorize_product(
     (1_A tensor n_b). Only defined for dim_c = 0.
 
     The unitary is assembled from the corrupted code vectors: W e_jk = |j, k>,
-    completed by orthonormal extension in index order on null directions.
+    completed by mapping an orthonormal basis of the remaining directions
+    (from complete_basis) onto the unused |j, k> with k >= the Schmidt rank.
     The residual is the Choi distance between ch and the rebuilt composite;
     the representation itself is not unique.
     """

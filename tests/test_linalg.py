@@ -239,6 +239,28 @@ def test_complete_basis_deterministic():
     np.testing.assert_array_equal(complete_basis(cols, 5), complete_basis(cols, 5))
 
 
+def test_complete_basis_of_non_orthonormal_columns():
+    """Independent but non-orthonormal input: the completion is still
+    orthonormal and orthogonal to every input column."""
+    rng = _rng(61)
+    for cols in (
+        np.array([[1.0], [1.0]]),
+        rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3)),
+    ):
+        dim, k = cols.shape
+        ext = complete_basis(cols, dim)
+        assert ext.shape == (dim, dim - k)
+        np.testing.assert_allclose(dag(ext) @ ext, np.eye(dim - k), atol=1e-12)
+        np.testing.assert_allclose(dag(ext) @ cols, 0.0, atol=1e-12)
+
+
+def test_complete_basis_rejects_dependent_or_too_many_columns():
+    with pytest.raises(DimensionError):
+        complete_basis(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]), 3)
+    with pytest.raises(DimensionError):
+        complete_basis(np.eye(2, 3), 2)
+
+
 def test_haar_unitary_is_unitary_and_seeded():
     u1 = haar_unitary(7, _rng(51))
     u2 = haar_unitary(7, _rng(51))

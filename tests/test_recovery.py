@@ -15,8 +15,17 @@ from oqec.channels import (
     validate,
 )
 from oqec.codes import catalog, get
+from oqec.conditions import purify
 from oqec.errors import DimensionError, NotCorrectableError
-from oqec.linalg import dag, haar_unitary, kron, partial_trace, random_density_matrix
+from oqec.linalg import (
+    SPECTRUM_CUTOFF,
+    dag,
+    eig_hermitian,
+    haar_unitary,
+    kron,
+    partial_trace,
+    random_density_matrix,
+)
 from oqec.recovery import (
     Recovery,
     extend_by_linearity,
@@ -40,6 +49,20 @@ def _product_channel(da, db, u0, n0):
     return Channel(tuple(u0 @ kron(np.eye(da), nk) for nk in n0.kraus))
 
 
+def _expected_kraus_count(entry):
+    """Schmidt rank of the reference-environment marginal, plus one
+    completion projector when the rank's families do not fill V."""
+    ps = purify(entry.dec, entry.noise)
+    q, _ = eig_hermitian(ps.marginal((1, 3)))
+    rank = int(np.sum(q > SPECTRUM_CUTOFF))
+    return rank + int(rank * entry.dec.dim_a < entry.dec.dim_v)
+
+
+@pytest.fixture(scope="module")
+def bacon_shor_9():
+    return get("bacon_shor_9")
+
+
 @pytest.mark.parametrize("name", CORRECTABLE)
 @pytest.mark.parametrize("synth", SYNTHESIZERS)
 def test_synthesized_recovery_corrects_fixture(name, synth):
@@ -59,6 +82,48 @@ def test_bit_flip_recovery_has_one_kraus_per_syndrome():
     rec = synthesize_schmidt_recovery(entry.dec, entry.noise)
     assert len(rec.channel.kraus) == 4
     np.testing.assert_allclose(rec.data["spectrum"], [0.7, 0.1, 0.1, 0.1], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, count",
+    [("bit_flip_3", 4), ("phase_flip_3", 4), ("dfs_2qubit_dephasing", 2), ("ns_3qubit_collective", 3)],
+)
+@pytest.mark.parametrize("synth", SYNTHESIZERS)
+def test_recovery_kraus_count_is_schmidt_rank_plus_completion(name, count, synth):
+    entry = get(name)
+    rec = synth(entry.dec, entry.noise)
+    assert _expected_kraus_count(entry) == count
+    assert len(rec.channel.kraus) == count
+
+
+@pytest.mark.parametrize("synth", SYNTHESIZERS)
+def test_bacon_shor_9_recovery_is_trace_preserving(bacon_shor_9, synth):
+    rec = synth(bacon_shor_9.dec, bacon_shor_9.noise)
+    assert _expected_kraus_count(bacon_shor_9) == 65
+    assert len(rec.channel.kraus) == 65
+    assert validate(rec.channel).trace_preserving
+
+
+def test_bacon_shor_9_schmidt_recovery_verifies(bacon_shor_9):
+    rec = synthesize_schmidt_recovery(bacon_shor_9.dec, bacon_shor_9.noise)
+    rep = verify_recovery(bacon_shor_9.dec, bacon_shor_9.noise, rec, trials=1, seed=1)
+    assert rep.max_infidelity < 1e-10
+    assert rep.b_marginal_drift < 1e-10
+    assert rep.support_leak < 1e-10
+
+
+@pytest.mark.parametrize("name", CORRECTABLE)
+@pytest.mark.parametrize("synth", SYNTHESIZERS)
+def test_recovery_invariant_under_kraus_remixing(name, synth):
+    """Mixing the noise Kraus list by a unitary gives the same channel, so it
+    must give the same recovery, whatever basis eig_hermitian returns inside
+    a degenerate eigenspace."""
+    entry = get(name)
+    u = haar_unitary(len(entry.noise.kraus), _rng(29))
+    remixed = Channel(tuple(np.einsum("ij,jab->iab", u, np.stack(entry.noise.kraus))))
+    r1 = synth(entry.dec, entry.noise)
+    r2 = synth(entry.dec, remixed)
+    assert choi_distance(r1.channel, r2.channel) <= 1e-10
 
 
 def test_schmidt_recovery_restores_code_vectors():
