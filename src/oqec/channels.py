@@ -1,13 +1,15 @@
 """Kraus-form quantum channels: validation, action, composition, Choi matrices.
 
 A channel is a finite list of dim_out x dim_in Kraus operators E_j acting as
-rho -> sum_j E_j rho E_j†. Trace preservation means sum_j E_j† E_j equals the
-identity; the Frobenius norm of the difference is the completeness defect.
+rho -> sum_j E_j rho E_j†, stored as one (k, dim_out, dim_in) array. Trace
+preservation means sum_j E_j† E_j equals the identity; the Frobenius norm of
+the difference is the completeness defect.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -23,37 +25,50 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 @dataclass(frozen=True)
 class Channel:
-    """Immutable Kraus-form channel."""
+    """Immutable Kraus-form channel.
 
-    kraus: tuple
+    Built from any non-empty sequence of equal-shape matrices (a tuple, a
+    list, or a (k, dim_out, dim_in) array); kraus holds a read-only copy as one
+    complex (k, dim_out, dim_in) array, so len, iteration and indexing give
+    the operators. Figures that depend only on the operators, such as the
+    completeness Gram matrix, are computed on first use and kept.
+    """
+
+    kraus: np.ndarray
 
     def __post_init__(self):
-        if not self.kraus:
+        ops = [np.asarray(op, dtype=np.complex128) for op in self.kraus]
+        if not ops:
             raise DimensionError("channel needs at least one Kraus operator")
-        ops = []
-        shape = None
-        for i, op in enumerate(self.kraus):
-            op = np.asarray(op, dtype=np.complex128)
+        for i, op in enumerate(ops):
             if op.ndim != 2:
                 raise DimensionError(f"Kraus operator {i} is not a matrix")
-            if shape is None:
-                shape = op.shape
-            elif op.shape != shape:
+            if op.shape != ops[0].shape:
                 raise DimensionError(
-                    f"Kraus operator {i} has shape {op.shape}, expected {shape}"
+                    f"Kraus operator {i} has shape {op.shape}, expected {ops[0].shape}"
                 )
-            op = op.copy()
-            op.flags.writeable = False
-            ops.append(op)
-        object.__setattr__(self, "kraus", tuple(ops))
+        stack = np.array(ops)
+        stack.flags.writeable = False
+        object.__setattr__(self, "kraus", stack)
 
     @property
     def dim_in(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.kraus.shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
+
+    @cached_property
+    def _gram(self) -> tuple:
+        """(sum_j E_j† E_j, its defect ||. - 1||_F), from one product of the
+        stacked operators; (None, inf) when that product overflows."""
+        flat = self.kraus.reshape(-1, self.dim_in)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = dag(flat) @ flat
+            if not np.isfinite(g).all():
+                return None, np.inf
+            return g, float(np.linalg.norm(g - np.eye(self.dim_in)))
 
 
 @dataclass(frozen=True)
@@ -64,14 +79,19 @@ class ChannelReport:
 
 
 def validate(ch: Channel, atol: float = DEFAULT_ATOL) -> ChannelReport:
-    """Completeness check: defect = ||sum E†E - 1||_F."""
-    g = sum(dag(e) @ e for e in ch.kraus)
-    defect = float(np.linalg.norm(g - np.eye(ch.dim_in)))
+    """Completeness check: defect = ||sum E†E - 1||_F.
+
+    The Gram matrix sum E†E is formed once per channel and reused by every
+    later call, whatever its atol. A Kraus set whose Gram matrix overflows is
+    reported as trace increasing, with defect inf.
+    """
+    g, defect = ch._gram
     if defect <= atol:
         # No eigen-solve needed for a trace-preserving channel:
         # lambda_max((G+G†)/2) - 1 <= ||G - 1||_2 <= ||G - 1||_F = defect <= atol.
         return ChannelReport(trace_preserving=True, trace_nonincreasing=True, defect=defect)
-    top = float(np.linalg.eigvalsh((g + dag(g)) / 2).max())
+    # halves first: g + g† can overflow where g is finite
+    top = np.inf if g is None else float(np.linalg.eigvalsh(g / 2 + dag(g) / 2).max())
     return ChannelReport(
         trace_preserving=False,
         trace_nonincreasing=top <= 1.0 + atol,
@@ -121,24 +141,43 @@ def compose(second: Channel, first: Channel) -> Channel:
         raise DimensionError(
             f"cannot compose: first output {first.dim_out} != second input {second.dim_in}"
         )
-    return Channel(tuple(r @ e for r in second.kraus for e in first.kraus))
+    prods = second.kraus[:, None] @ first.kraus[None, :]  # (j, k) -> R_j E_k
+    return Channel(prods.reshape(-1, second.dim_out, first.dim_in))
+
+
+def _vec_columns(ch: Channel) -> np.ndarray:
+    """The (dim_in * dim_out, k) matrix whose column j is E_j vectorized,
+    component (i, a) = E_j[a, i]."""
+    return ch.kraus.transpose(2, 1, 0).reshape(-1, len(ch.kraus))
 
 
 def choi(ch: Channel) -> np.ndarray:
-    """Unnormalized Choi matrix (1 tensor ch) applied to sum_ij |ii><jj|."""
-    d_in, d_out = ch.dim_in, ch.dim_out
-    c = np.zeros((d_in * d_out, d_in * d_out), dtype=np.complex128)
-    for e in ch.kraus:
-        w = e.T.reshape(-1)  # component (i, a) = E[a, i]
-        c += np.outer(w, w.conj())
-    return c
+    """Unnormalized Choi matrix (1 tensor ch) applied to sum_ij |ii><jj|.
+
+    One product W W† of the (d_in d_out, k) stack W of vectorized Kraus
+    operators. The result is the d_in d_out square matrix itself;
+    choi_distance compares channels without forming it.
+    """
+    w = _vec_columns(ch)
+    return w @ dag(w)
 
 
 def choi_distance(a: Channel, b: Channel) -> float:
-    """Frobenius distance between Choi matrices; zero iff the maps agree."""
+    """Frobenius distance between Choi matrices; zero iff the maps agree.
+
+    With Z = [vec A_i | vec B_j] and S = diag(+1, ..., -1, ...), the Choi
+    difference is Z S Z†. A thin QR, Z = QR, leaves its Frobenius norm as
+    ||R S R†||_F, so memory stays O((k_a + k_b) d_in d_out) and no
+    d_in d_out square matrix is formed. The Kraus inner-product form
+    sum |tr(A_i† A_j)|^2 + sum |tr(B_i† B_j)|^2 - 2 sum |tr(A_i† B_j)|^2 is
+    not used: it subtracts squared norms of order one and cancels
+    catastrophically when the channels nearly agree.
+    """
     if a.dim_in != b.dim_in or a.dim_out != b.dim_out:
         raise DimensionError("channels act on different spaces")
-    return float(np.linalg.norm(choi(a) - choi(b)))
+    r = np.linalg.qr(np.hstack([_vec_columns(a), _vec_columns(b)]), mode="r")
+    signs = np.concatenate([np.ones(len(a.kraus)), -np.ones(len(b.kraus))])
+    return float(np.linalg.norm((r * signs) @ dag(r)))
 
 
 def identity(dim: int) -> Channel:
@@ -268,4 +307,4 @@ def random_channel(dim: int, k: int, seed: int) -> Channel:
     ph = np.diagonal(r).copy()
     ph /= np.abs(ph)
     w = q * ph.conjugate()
-    return Channel(tuple(w[j * dim : (j + 1) * dim, :] for j in range(k)))
+    return Channel(w.reshape(k, dim, dim))

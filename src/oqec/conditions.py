@@ -103,7 +103,7 @@ def purify(
     require_valid(ch, atol, allow_trace_decreasing)
     da, db, dv, de = dec.dim_a, dec.dim_b, dec.dim_v, len(ch.kraus)
     code = dec.code_vectors()
-    imgs = np.stack([e @ code for e in ch.kraus])  # (de, dv, da*db)
+    imgs = ch.kraus.reshape(-1, dv) @ code  # rows (e, v), columns (a, b)
     psi = imgs.reshape(de, dv, da, db).transpose(2, 3, 1, 0) / np.sqrt(da * db)
     norm_in = float(np.vdot(psi, psi).real)
     if norm_in <= SPECTRUM_CUTOFF:
@@ -133,37 +133,27 @@ def check_condition_b(
             f"channel acts on {ch.dim_in} -> {ch.dim_out}, decomposition has dim_v={dec.dim_v}"
         )
     require_valid(ch, atol, allow_trace_decreasing)
-    da, db = dec.dim_a, dec.dim_b
-    code = dec.code_vectors()
-    rotated = [e @ code for e in ch.kraus]  # dv x (da*db), canonical columns
-    blocks = {}
-    pair_residuals = {}
-    total_sq = 0.0
-    worst = (0, 0)
-    worst_val = -1.0
-    eye_a = np.eye(da)
-    for j, ej in enumerate(rotated):
-        for k, ek in enumerate(rotated):
-            m = dag(ej) @ ek
-            b = partial_trace(m, [da, db], keep=(1,)) / da
-            dev = float(np.linalg.norm(m - kron(eye_a, b)))
-            blocks[(j, k)] = b
-            pair_residuals[(j, k)] = dev
-            total_sq += dev * dev
-            if dev > worst_val:
-                worst_val = dev
-                worst = (j, k)
-    residual = float(np.sqrt(total_sq))
+    da, db, dv, de = dec.dim_a, dec.dim_b, dec.dim_v, len(ch.kraus)
+    rotated = (ch.kraus.reshape(-1, dv) @ dec.code_vectors()).reshape(de, dv, da * db)
+    # m[j, a, b, k, c, d] = <a, b| E_j† E_k |c, d> on the code sector
+    m = np.tensordot(rotated.conj(), rotated, axes=(1, 1)).reshape(de, da, db, de, da, db)
+    blocks = np.einsum("jabkad->jkbd", m) / da
+    m -= np.einsum("ac,jkbd->jabkcd", np.eye(da), blocks)  # now M_jk - 1_A tensor B_jk
+    pair = np.linalg.norm(m.transpose(0, 3, 1, 2, 4, 5).reshape(de, de, -1), axis=2)
+    worst = np.unravel_index(np.argmax(pair), pair.shape)
+    residual = float(np.linalg.norm(pair))
     return ConditionReport(
         condition="b",
         passed=residual <= tol,
         residual=residual,
         tol=tol,
         witnesses={
-            "b_blocks": blocks,
-            "pair_residuals": pair_residuals,
-            "max_pair": worst,
-            "max_pair_residual": worst_val,
+            "b_blocks": {(j, k): blocks[j, k] for j in range(de) for k in range(de)},
+            "pair_residuals": {
+                (j, k): float(pair[j, k]) for j in range(de) for k in range(de)
+            },
+            "max_pair": (int(worst[0]), int(worst[1])),
+            "max_pair_residual": float(pair[worst]),
         },
     )
 
@@ -247,7 +237,7 @@ def dpi_trace(
     rho /= da * db
     values = [coherent_info(rho, da, dv, atol)]
     for ch in chain:
-        lifted = Channel(tuple(kron(eye_a, e) for e in ch.kraus))
+        lifted = Channel(np.kron(eye_a, ch.kraus))
         rho = apply(lifted, rho)
         values.append(coherent_info(rho, da, dv, atol))
     return values

@@ -24,8 +24,8 @@ SPECTRUM_CUTOFF = 1e-12
 
 
 def dag(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(np.asarray(m), -1, -2).conj()
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:

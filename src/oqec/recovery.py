@@ -33,7 +33,6 @@ from .linalg import (
     complete_basis,
     dag,
     eig_hermitian,
-    kron,
     partial_trace,
     random_state_vector,
 )
@@ -172,36 +171,27 @@ def synthesize_universal_recovery(
     the complement of their ranges when that is not empty.
     """
     gate = _gate_condition_b(dec, ch, tol, atol, allow_trace_decreasing)
-    da, db, dv = dec.dim_a, dec.dim_b, dec.dim_v
+    da, db, dv, de = dec.dim_a, dec.dim_b, dec.dim_v, len(ch.kraus)
     code = dec.code_vectors()
-    embeds = [code[:, t::db] for t in range(db)]  # dv x da each
-    family = [e @ embeds[t] for e in ch.kraus for t in range(db)]
-    n = len(family)
-    gram = np.zeros((n, n), dtype=np.complex128)
-    gram_residual_sq = 0.0
-    for i, fi in enumerate(family):
-        for j, fj in enumerate(family):
-            prod = dag(fi) @ fj
-            gram[i, j] = np.trace(prod) / da
-            gram_residual_sq += float(
-                np.linalg.norm(prod - gram[i, j] * np.eye(da)) ** 2
-            )
+    # F_(j,s)† F_(k,t) = B_jk[s, t] 1_A: condition b's blocks are the Gram
+    # matrix g, and its residual is the distance of the family from that form
+    blocks = gate.witnesses["b_blocks"]
+    gram = np.block([[blocks[(j, k)] for k in range(de)] for j in range(de)])
     d, mix = eig_hermitian(gram, atol)
-    isometries = []
-    for m in range(n):
-        if d[m] <= cutoff:
-            continue
-        g_m = sum(mix[i, m] * family[i] for i in range(n))
-        u_s, _, v_h = np.linalg.svd(g_m, full_matrices=False)
-        isometries.append(u_s @ v_h)
-    span = np.hstack([np.zeros((dv, 0), dtype=np.complex128), *isometries])
-    kraus = [embeds[0] @ dag(w) for w in isometries] + _completion(span)
+    # family[j * db + s] = F_(j,s), the dv x da block of E_j code at b = s
+    rotated = (ch.kraus.reshape(-1, dv) @ code).reshape(de, dv, da, db)
+    family = rotated.transpose(0, 3, 1, 2).reshape(de * db, dv, da)
+    canonical = np.tensordot(mix[:, d > cutoff].T, family, axes=1)
+    u_s, _, v_h = np.linalg.svd(canonical, full_matrices=False)
+    isometries = u_s @ v_h  # (m, dv, da)
+    span = isometries.transpose(1, 0, 2).reshape(dv, -1)
+    kraus = list(code[:, 0::db] @ dag(isometries)) + _completion(span)
     data = {
         "gram_spectrum": d,
-        "gram_residual": float(np.sqrt(gram_residual_sq)),
+        "gram_residual": gate.residual,
         "condition_b_residual": gate.residual,
     }
-    return Recovery(channel=Channel(tuple(kraus)), method="universal", data=data)
+    return Recovery(channel=Channel(kraus), method="universal", data=data)
 
 
 def verify_recovery(
@@ -299,26 +289,17 @@ def factorize_product(
         )
     gate = _gate_condition_b(dec, ch, tol, atol, allow_trace_decreasing)
     da, db, dv = dec.dim_a, dec.dim_b, dec.dim_v
-    frame = (
-        np.asarray(dec.frame)
-        if dec.frame is not None
-        else np.eye(dv, dtype=np.complex128)
-    )
-    rotated = Channel(tuple(dag(frame) @ e @ frame for e in ch.kraus))
-    canon = Decomposition(da, db, 0)
-    q, families, _ = _schmidt_family(
-        canon, rotated, cutoff, atol, allow_trace_decreasing
-    )
+    frame = dec.code_vectors()  # with dim_c = 0, the whole frame
+    _, families, _ = _schmidt_family(dec, ch, cutoff, atol, allow_trace_decreasing)
     rank = len(families)
     if rank > db:
         raise NotCorrectableError(
             f"reference-environment marginal has Schmidt rank {rank} > dim_b={db}",
             residual=gate.residual,
         )
-    # sources column order is k outer, j inner, pairing with target j*db + k
-    sources = (
-        np.hstack(families) if families else np.zeros((dv, 0), dtype=np.complex128)
-    )
+    # sources, in canonical coordinates, column order is k outer, j inner,
+    # pairing with target j*db + k
+    sources = dag(frame) @ np.hstack([np.zeros((dv, 0), dtype=np.complex128), *families])
     targets = np.zeros((dv, rank * da), dtype=np.complex128)
     col = 0
     for k in range(rank):
@@ -333,16 +314,11 @@ def factorize_product(
     w = np.hstack([targets, tgt_ext]) @ dag(np.hstack([sources, src_ext]))
     u_s, _, v_h = np.linalg.svd(w)
     w = u_s @ v_h  # snap to the closest exact unitary
-    n_kraus = []
-    eye_a = np.eye(da)
-    for e in rotated.kraus:
-        m = w @ e
-        n_kraus.append(partial_trace(m, [da, db], keep=(1,)) / da)
-    n_b = Channel(tuple(n_kraus))
+    # w frame† E_j frame = 1_A tensor N_j, up to the residual
+    m = (w @ dag(frame) @ ch.kraus @ frame).reshape(-1, da, db, da, db)
+    n_b = Channel(np.einsum("jabac->jbc", m) / da)
     u_work = frame @ dag(w) @ dag(frame)
-    rebuilt = Channel(
-        tuple(u_work @ (frame @ kron(eye_a, nk) @ dag(frame)) for nk in n_b.kraus)
-    )
+    rebuilt = Channel(frame @ dag(w) @ np.kron(np.eye(da), n_b.kraus) @ dag(frame))
     residual = choi_distance(ch, rebuilt)
     return Factorization(u=u_work, n_b=n_b, residual=residual)
 
@@ -372,12 +348,7 @@ def extend_by_linearity(
         )
     if coeffs.shape[0] < 1:
         raise DimensionError("need at least one combination row")
-    combined = Channel(
-        tuple(
-            sum(coeffs[l, k] * ch.kraus[k] for k in range(len(ch.kraus)))
-            for l in range(coeffs.shape[0])
-        )
-    )
+    combined = Channel(np.tensordot(coeffs, ch.kraus, axes=1))
     report = validate(combined, atol)
     if not report.trace_nonincreasing:
         raise ValueError(

@@ -1,4 +1,5 @@
-"""Acceptance gate: nine numbered criteria, one test per criterion.
+"""Acceptance gate: nine numbered criteria, one test per criterion, plus the
+Pinsker bound that ties condition c's residual to condition d's gap.
 
 Each test prints one [acceptance] line (visible with pytest -s); the pytest -v
 status line per test is the machine-readable pass/fail record. Tolerances are
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from oqec.channels import (
+    PAULI_Z,
     Channel,
     apply,
     depolarizing,
@@ -303,3 +305,29 @@ def test_criterion_9_cli_contract(tmp_path):
     assert main(["dpi", dec_of("bit_flip_3"), chan_of("bit_flip_3"), f"{d}/r.json"]) == 0
     assert main(["dpi", dec_of("bit_flip_3"), f"{d}/pchan.json"]) == 2
     print("[acceptance] criterion 9 (CLI contract): PASS")
+
+
+def _z_leak_instance(eps):
+    """bit_flip_3 noise plus a Z error on qubit 0 at Kraus amplitude eps,
+    kept trace preserving: the instances where the verdicts part ways."""
+    entry = get("bit_flip_3")
+    flips = np.sqrt(1 - eps**2) * entry.noise.kraus
+    return entry.dec, Channel([*flips, eps * kron(PAULI_Z, np.eye(4))])
+
+
+def test_pinsker_bounds_condition_c_by_condition_d():
+    """For trace-preserving noise d's gap is I(R_A : R_B E) in bits, so
+    Pinsker gives ||rho - sigma||_F <= ||rho - sigma||_1 <= sqrt(2 ln2 gap)
+    for c's residual; the 1e-12 absorbs rounding where both are ~0."""
+    instances = [_correctable_instance(seed + 800) for seed in range(30)]
+    instances += [_generic_instance(seed + 900) for seed in range(30)]
+    instances += [_z_leak_instance(eps) for eps in (1e-2, 1e-4, 1e-6, 1e-8)]
+    worst = -np.inf
+    for dec, ch in instances:
+        ps = purify(dec, ch)
+        residual = check_condition_c(ps).residual
+        gap = check_condition_d(ps).witnesses["gap"]
+        bound = np.sqrt(2 * np.log(2) * max(gap, 0.0))
+        assert residual <= bound + 1e-12, (residual, gap)
+        worst = max(worst, residual - bound)
+    print(f"[acceptance] Pinsker bound (64 instances, worst excess {worst:.2e}): PASS")

@@ -1,5 +1,7 @@
 """Kraus channels: algebra, constructors, and the Choi correspondence."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,8 +34,9 @@ def _rng(seed=0):
 
 
 def test_channel_validates_kraus_shapes():
-    with pytest.raises(DimensionError):
-        Channel(())
+    for empty in ((), [], np.zeros((0, 2, 2))):
+        with pytest.raises(DimensionError):
+            Channel(empty)
     with pytest.raises(DimensionError):
         Channel((np.eye(2), np.eye(3)))
     with pytest.raises(DimensionError):
@@ -46,6 +49,63 @@ def test_channel_dims_and_immutability():
     assert ch.dim_out == 3
     with pytest.raises(ValueError):
         ch.kraus[0][0, 0] = 9.0
+
+
+def test_kraus_is_one_read_only_stack():
+    ch = random_channel(3, 4, seed=5)
+    assert isinstance(ch.kraus, np.ndarray)
+    assert ch.kraus.shape == (4, 3, 3)
+    assert ch.kraus.dtype == np.complex128
+    assert not ch.kraus.flags.writeable
+    with pytest.raises(ValueError):
+        ch.kraus[1, 0, 0] = 9.0
+
+
+def test_tuple_list_and_array_inputs_build_the_same_channel():
+    ops = np.arange(2 * 3 * 2, dtype=float).reshape(2, 3, 2)
+    source = ops.copy()
+    built = [Channel(tuple(ops)), Channel(list(ops)), Channel(source)]
+    source[0, 0, 0] = 99.0  # the channel keeps its own copy
+    for ch in built:
+        np.testing.assert_array_equal(ch.kraus, ops)
+        assert (ch.dim_in, ch.dim_out, len(ch.kraus)) == (2, 3, 2)
+        for e, op in zip(ch.kraus, ops):
+            np.testing.assert_array_equal(e, op)
+
+
+@pytest.mark.parametrize("scale", [np.sqrt(0.5), 1.2])
+@pytest.mark.parametrize("atols", [(1e-9, 10.0), (10.0, 1e-9)])
+def test_validate_cache_does_not_fix_atol(scale, atols):
+    """One channel validated at two tolerances, in either order, reports
+    what a fresh channel reports at each."""
+    ops = (scale * np.eye(4, dtype=complex),)
+    ch = Channel(ops)
+    for atol in atols:
+        assert validate(ch, atol) == validate(Channel(ops), atol)
+    assert validate(ch, 10.0).trace_preserving
+    assert not validate(ch, 1e-9).trace_preserving
+
+
+@pytest.mark.parametrize("entry", [1e300, 1e160, 1e100])
+def test_validate_reports_overflowing_gram_as_trace_increasing(entry, monkeypatch):
+    """A huge but finite Kraus entry: no numpy warning, and no non-finite
+    matrix reaches the eigen-solver."""
+    eigvalsh = np.linalg.eigvalsh
+
+    def finite_only(m):
+        assert np.isfinite(m).all()
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", finite_only)
+    ops = np.array([np.eye(2), np.zeros((2, 2))], dtype=complex)
+    ops[1, 0, 0] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = validate(Channel(ops))
+        assert not rep.trace_preserving
+        assert not rep.trace_nonincreasing
+        with pytest.raises(ValueError, match="increases trace"):
+            require_valid(Channel(ops), allow_trace_decreasing=True)
 
 
 def test_validate_trace_preserving():
@@ -154,6 +214,37 @@ def test_choi_distance_invariant_under_kraus_remix():
     )
     assert choi_distance(ch, remixed) < 1e-12
     assert choi_distance(ch, identity(3)) > 1e-3
+
+
+def _gaussian_channel(k, d_out, d_in, seed):
+    """k Gaussian Kraus operators: not trace preserving, any shape."""
+    rng = _rng(seed)
+    return Channel(rng.normal(size=(k, d_out, d_in)) + 1j * rng.normal(size=(k, d_out, d_in)))
+
+
+def _near_copy():
+    """A Kraus remix of a channel with one entry moved by 1e-9."""
+    ch = random_channel(4, 3, seed=31)
+    remixed = np.tensordot(haar_unitary(3, _rng(32)), ch.kraus, axes=1)
+    remixed[2, 1, 3] += 1e-9
+    return ch, Channel(remixed)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (random_channel(3, 2, seed=1), random_channel(3, 5, seed=2)),
+        (_gaussian_channel(2, 3, 2, seed=3), _gaussian_channel(3, 3, 2, seed=4)),
+        (_gaussian_channel(2, 2, 4, seed=5), _gaussian_channel(1, 2, 4, seed=6)),
+        (_gaussian_channel(3, 2, 2, seed=7), _gaussian_channel(4, 2, 2, seed=8)),
+        _near_copy(),
+    ],
+    ids=["different Kraus counts", "d_out > d_in", "d_out < d_in", "wide QR", "near equal"],
+)
+def test_choi_distance_matches_dense_oracle(a, b):
+    dense = np.linalg.norm(choi(a) - choi(b))
+    assert abs(choi_distance(a, b) - dense) <= 1e-12
+    assert abs(choi_distance(b, a) - dense) <= 1e-12
 
 
 def test_bit_flip_composition_law():

@@ -1,10 +1,14 @@
 """Command line surface: exit codes, file artifacts, and diagnostics."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oqec
 from oqec.channels import Channel, depolarizing, random_channel
 from oqec.cli import main
 from oqec.codes import get
@@ -235,3 +239,23 @@ def test_check_rejects_non_finite_channel(exported, tmp_path, capsys, token, fie
     err = capsys.readouterr().err
     assert field in err
     assert "Traceback" not in err
+
+
+def test_check_rejects_overflowing_kraus_entry(exported, tmp_path):
+    """1e300 is finite and parses, but its Gram matrix overflows: exit 2
+    naming trace increase, with no numpy warning on stderr."""
+    dec, chan = exported
+    obj = load_json_file(chan)
+    obj["kraus"][0][0][0] = [1e300, 0.0]
+    bad = tmp_path / "huge.json"
+    dump_json_file(str(bad), obj)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oqec.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "oqec", "check", dec, str(bad), "--condition", "all"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "increases trace" in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,7 +1,13 @@
 """Recovery synthesis, verification, factorization, and linearity."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import oqec
 
 from oqec.channels import (
     Channel,
@@ -249,6 +255,45 @@ def test_factorize_with_nontrivial_frame():
     ch = Channel(tuple(f @ e @ dag(f) for e in base.kraus))
     fac = factorize_product(dec, ch)
     assert fac.residual < 1e-10
+
+
+_FACTORIZE_DIM_V_128 = """
+import resource
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+import numpy as np
+from oqec.channels import Channel, random_channel
+from oqec.linalg import dag, haar_unitary, kron
+from oqec.recovery import factorize_product
+from oqec.spaces import Decomposition
+rng = np.random.default_rng(128)
+da, db = 2, 64
+frame, u0 = haar_unitary(da * db, rng), haar_unitary(da * db, rng)
+n0 = random_channel(db, 3, seed=128)
+ch = Channel([frame @ u0 @ kron(np.eye(da), nk) @ dag(frame) for nk in n0.kraus])
+print(factorize_product(Decomposition(da, db, 0, frame=frame), ch).residual)
+"""
+
+
+def test_factorize_dim_v_128_fits_in_one_gib():
+    """A dense Choi matrix at dim_v 128 alone takes 4 GiB; the child process
+    runs the factorization under a 1 GiB address-space cap. BLAS runs one
+    thread there, so the cap measures the algorithm, not thread buffers."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oqec.__file__)))
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", _FACTORIZE_DIM_V_128],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert float(proc.stdout) <= 1e-10
 
 
 def test_factorize_requires_dim_c_zero():
