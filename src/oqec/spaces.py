@@ -42,8 +42,10 @@ class Decomposition:
                 raise DimensionError(
                     f"frame shape {f.shape} does not match dim_v={self.dim_v}"
                 )
-            defect = np.linalg.norm(dag(f) @ f - np.eye(self.dim_v))
-            if defect > FRAME_ATOL:
+            # an entry such as 1e300 overflows f† f; a nan defect fails too
+            with np.errstate(over="ignore", invalid="ignore"):
+                defect = np.linalg.norm(dag(f) @ f - np.eye(self.dim_v))
+            if not defect <= FRAME_ATOL:
                 raise DimensionError(f"frame is not unitary (defect {defect:.3e})")
             f = f.copy()
             f.flags.writeable = False

@@ -1,5 +1,6 @@
 """Acceptance gate: nine numbered criteria, one test per criterion, plus the
-Pinsker bound that ties condition c's residual to condition d's gap.
+Pinsker bound that ties condition c's residual to condition d's gap and the
+cross-check of exact recovery verification against the sampled reference.
 
 Each test prints one [acceptance] line (visible with pytest -s); the pytest -v
 status line per test is the machine-readable pass/fail record. Tolerances are
@@ -8,12 +9,15 @@ pinned in the assertions and are not configurable.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oqec.channels import (
     PAULI_Z,
     Channel,
     apply,
     depolarizing,
+    identity,
     random_channel,
     validate,
 )
@@ -43,6 +47,7 @@ from oqec.recovery import (
 )
 from oqec.serialize import channel_to_json, decomposition_to_json, dump_json_file
 from oqec.spaces import Decomposition, embed_state
+from sampled_verification import sampled_verify_recovery
 
 FIXTURES = ["bit_flip_3", "phase_flip_3", "dfs_2qubit_dephasing", "ns_3qubit_collective", "bitflip_3_vs_z"]
 CORRECTABLE = [n for n in FIXTURES if all(get(n).expected.values())]
@@ -153,8 +158,8 @@ def test_criterion_2_joint_marginal_identity():
 
 
 def test_criterion_3_recovery_soundness():
-    """Both synthesizers yield trace-preserving recoveries with infidelity
-    <= 1e-8 over 50 trials, and agree on the code sector within 1e-8."""
+    """Both synthesizers yield trace-preserving recoveries whose exact
+    infidelity bound is <= 1e-8, and agree on the code sector within 1e-8."""
     rng = np.random.default_rng(42)
     for name in CORRECTABLE:
         entry = get(name)
@@ -162,7 +167,7 @@ def test_criterion_3_recovery_soundness():
         for synth in (synthesize_schmidt_recovery, synthesize_universal_recovery):
             rec = synth(entry.dec, entry.noise)
             assert validate(rec.channel).trace_preserving, (name, rec.method)
-            rep = verify_recovery(entry.dec, entry.noise, rec, trials=50, seed=0)
+            rep = verify_recovery(entry.dec, entry.noise, rec)
             assert rep.max_infidelity <= 1e-8, (name, rec.method, rep.max_infidelity)
             recs.append(rec)
         worst = 0.0
@@ -193,20 +198,26 @@ def test_criterion_4_factorization_round_trip():
     print(f"[acceptance] criterion 4 (factorization round trip, worst {worst:.2e}): PASS")
 
 
+def _linearity_coefficients(k):
+    """Criterion 5's ten coefficient arrays over k Kraus operators."""
+    rng = np.random.default_rng(7)
+    out = []
+    for combo in range(10):
+        if combo < 8:
+            c = rng.normal(size=(1, k)) + 1j * rng.normal(size=(1, k))
+            out.append(c / (2 * np.linalg.norm(c)))  # single sub-trace-preserving operator
+        else:
+            out.append(haar_unitary(k, rng))  # full remix stays trace preserving
+    return out
+
+
 def test_criterion_5_linearity():
     """A recovery built for the restricted-flip noise corrects 10 random
     linear combinations of its Kraus operators with infidelity <= 1e-8."""
     entry = get("bit_flip_3")
     rec = synthesize_schmidt_recovery(entry.dec, entry.noise)
-    rng = np.random.default_rng(7)
-    k = len(entry.noise.kraus)
-    for combo in range(10):
-        if combo < 8:
-            c = rng.normal(size=(1, k)) + 1j * rng.normal(size=(1, k))
-            c /= 2 * np.linalg.norm(c)  # single sub-trace-preserving operator
-        else:
-            c = haar_unitary(k, rng)  # full remix stays trace preserving
-        rep = extend_by_linearity(entry.dec, entry.noise, rec, c, trials=20, seed=combo)
+    for combo, c in enumerate(_linearity_coefficients(len(entry.noise.kraus))):
+        rep = extend_by_linearity(entry.dec, entry.noise, rec, c)
         assert rep.max_infidelity <= 1e-8, f"combo {combo}: {rep.max_infidelity:.3e}"
     print("[acceptance] criterion 5 (linearity, 10 combinations): PASS")
 
@@ -331,3 +342,95 @@ def test_pinsker_bounds_condition_c_by_condition_d():
         assert residual <= bound + 1e-12, (residual, gap)
         worst = max(worst, residual - bound)
     print(f"[acceptance] Pinsker bound (64 instances, worst excess {worst:.2e}): PASS")
+
+
+SYNTHESIZERS = [synthesize_schmidt_recovery, synthesize_universal_recovery]
+
+
+def _figures(rep):
+    return np.array([rep.max_infidelity, rep.b_marginal_drift, rep.support_leak])
+
+
+def _remixed(ch, rng):
+    return Channel(np.tensordot(haar_unitary(len(ch.kraus), rng), ch.kraus, axes=1))
+
+
+def _rotated(ch, eps, rng):
+    """exp(i eps H) after ch, for a random Hermitian H."""
+    g = rng.normal(size=(ch.dim_out, ch.dim_out)) + 1j * rng.normal(size=(ch.dim_out, ch.dim_out))
+    w, v = np.linalg.eigh((g + dag(g)) / 2)
+    return Channel((v * np.exp(1j * eps * w)) @ dag(v) @ ch.kraus)
+
+
+def _exact_against_reference(dec, noise, rec):
+    """The exact figures; each must bound the 50-trial sampled figure and be
+    unchanged by Haar remixing of both Kraus lists."""
+    exact = _figures(verify_recovery(dec, noise, rec))
+    sampled = _figures(sampled_verify_recovery(dec, noise, rec, trials=50))
+    assert np.all(exact >= sampled - 1e-15), (exact, sampled)
+    rng = np.random.default_rng(61)
+    remixed = _figures(verify_recovery(dec, _remixed(noise, rng), _remixed(rec, rng)))
+    assert np.all(np.abs(remixed - exact) <= 1e-12), (exact, remixed)
+    return exact
+
+
+@pytest.mark.parametrize("variant", ["synthesized", "identity", 1e-3, 1e-6])
+@pytest.mark.parametrize("synth", SYNTHESIZERS)
+@pytest.mark.parametrize("name", CORRECTABLE)
+def test_exact_verification_bounds_sampled_reference(name, synth, variant):
+    """Synthesized recoveries, the identity, and synthesized recoveries
+    rotated by exp(i eps H); only the first must verify (<= 1e-10)."""
+    entry = get(name)
+    rec = synth(entry.dec, entry.noise).channel
+    if variant == "identity":
+        rec = identity(entry.dec.dim_v)
+    elif variant != "synthesized":
+        rec = _rotated(rec, variant, np.random.default_rng(11))
+    exact = _exact_against_reference(entry.dec, entry.noise, rec)
+    if variant == "synthesized":
+        assert exact.max() <= 1e-10, exact
+
+
+@pytest.mark.parametrize("combo", range(10))
+def test_exact_linearity_bounds_sampled_reference(combo):
+    """Criterion 5's combinations: extend_by_linearity is the exact test on
+    the combined channel, and it verifies (<= 1e-10)."""
+    entry = get("bit_flip_3")
+    rec = synthesize_schmidt_recovery(entry.dec, entry.noise)
+    c = _linearity_coefficients(len(entry.noise.kraus))[combo]
+    combined = Channel(np.tensordot(c, entry.noise.kraus, axes=1))
+    exact = _exact_against_reference(entry.dec, combined, rec.channel)
+    assert np.array_equal(exact, _figures(extend_by_linearity(entry.dec, entry.noise, rec, c)))
+    assert exact.max() <= 1e-10, exact
+
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**16),
+    synth=st.sampled_from(SYNTHESIZERS),
+    eps=st.floats(1e-8, 1e-2),
+)
+def test_exact_verification_bounds_sampling_on_perturbed_recoveries(seed, synth, eps):
+    dec, ch = _correctable_instance(seed)
+    rec = _rotated(synth(dec, ch).channel, eps, np.random.default_rng(seed))
+    exact = _figures(verify_recovery(dec, ch, rec))
+    sampled = _figures(sampled_verify_recovery(dec, ch, rec, trials=50, seed=seed))
+    assert np.all(exact >= sampled - 1e-15), (exact, sampled)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**16),
+    synth=st.sampled_from(SYNTHESIZERS),
+    rows=st.integers(1, 4),
+)
+def test_exact_verification_passes_linear_combinations(seed, synth, rows):
+    dec, ch = _correctable_instance(seed)
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(rows, len(ch.kraus))) + 1j * rng.normal(size=(rows, len(ch.kraus)))
+    c /= 2 * np.linalg.norm(c)  # trace nonincreasing combination
+    rep = extend_by_linearity(dec, ch, synth(dec, ch), c)
+    assert _figures(rep).max() <= 1e-10, _figures(rep)

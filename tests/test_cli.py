@@ -67,6 +67,7 @@ def test_check_json_report(exported, capsys):
     assert main(["check", dec, chan, "--condition", "d", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["meta"]["tool"] == "oqec"
+    assert set(payload["meta"]) == {"tool", "version", "tolerance"}
     assert payload["conditions"][0]["condition"] == "d"
     assert payload["conditions"][0]["passed"] is True
 
@@ -102,7 +103,7 @@ def test_recover_writes_verifiable_channel(exported, tmp_path):
     payload = load_json_file(out)
     rec = channel_from_json(payload)
     entry = get("bit_flip_3")
-    rep = verify_recovery(entry.dec, entry.noise, rec, trials=10, seed=0)
+    rep = verify_recovery(entry.dec, entry.noise, rec)
     assert rep.max_infidelity < 1e-10
     meta = payload["metadata"]
     assert meta["method"] == "universal"
@@ -241,6 +242,16 @@ def test_check_rejects_non_finite_channel(exported, tmp_path, capsys, token, fie
     assert "Traceback" not in err
 
 
+def _oqec_subprocess(*argv):
+    """Run the CLI in a child process, so that numpy warnings reach stderr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oqec.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "oqec", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 def test_check_rejects_overflowing_kraus_entry(exported, tmp_path):
     """1e300 is finite and parses, but its Gram matrix overflows: exit 2
     naming trace increase, with no numpy warning on stderr."""
@@ -249,13 +260,44 @@ def test_check_rejects_overflowing_kraus_entry(exported, tmp_path):
     obj["kraus"][0][0][0] = [1e300, 0.0]
     bad = tmp_path / "huge.json"
     dump_json_file(str(bad), obj)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(oqec.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "oqec", "check", dec, str(bad), "--condition", "all"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _oqec_subprocess("check", dec, str(bad), "--condition", "all")
     assert proc.returncode == 2
     assert "increases trace" in proc.stderr
     assert "Warning" not in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_check_rejects_overflowing_frame_entry(tmp_path):
+    """A frame entry of 1e300 overflows f† f; the frame is rejected as not
+    unitary (exit 2) before anything reaches LAPACK, with no numpy warning."""
+    assert main(["codes", "export", "ns_3qubit_collective", str(tmp_path)]) == 0
+    dec = tmp_path / "ns_3qubit_collective.decomposition.json"
+    obj = load_json_file(str(dec))
+    obj["frame"][0][0] = [1e300, 0.0]
+    dump_json_file(str(dec), obj)
+    proc = _oqec_subprocess("check", str(dec), str(tmp_path / "ns_3qubit_collective.noise.json"))
+    assert proc.returncode == 2
+    assert "frame is not unitary" in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_seed_and_trials_flags_are_gone(exported, tmp_path, capsys):
+    """No verb samples, so none takes --trials or a visible --seed; recover
+    still parses --seed and ignores it."""
+    dec, chan = exported
+    for argv in (["check", dec, chan], ["factorize", dec, chan], ["dpi", dec, chan]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1"])
+        assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["recover", dec, chan, "--trials", "5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    out = str(tmp_path / "rec.json")
+    assert main(["recover", dec, chan, "--seed", "3", "--out", out]) == 0
+    assert "seed" not in load_json_file(out)["metadata"]
+    assert "trials" not in load_json_file(out)["metadata"]["verification"]
+    with pytest.raises(SystemExit):
+        main(["recover", "--help"])
+    assert "--seed" not in capsys.readouterr().out

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ def test_synthesized_recovery_corrects_fixture(name, synth):
     entry = get(name)
     rec = synth(entry.dec, entry.noise)
     assert validate(rec.channel).trace_preserving
-    rep = verify_recovery(entry.dec, entry.noise, rec, trials=30, seed=1)
+    rep = verify_recovery(entry.dec, entry.noise, rec)
     assert rep.max_infidelity < 1e-10
     assert rep.b_marginal_drift < 1e-10
     assert rep.support_leak < 1e-10
@@ -110,9 +111,10 @@ def test_bacon_shor_9_recovery_is_trace_preserving(bacon_shor_9, synth):
     assert validate(rec.channel).trace_preserving
 
 
-def test_bacon_shor_9_schmidt_recovery_verifies(bacon_shor_9):
-    rec = synthesize_schmidt_recovery(bacon_shor_9.dec, bacon_shor_9.noise)
-    rep = verify_recovery(bacon_shor_9.dec, bacon_shor_9.noise, rec, trials=1, seed=1)
+@pytest.mark.parametrize("synth", SYNTHESIZERS)
+def test_bacon_shor_9_recovery_verifies_exactly(bacon_shor_9, synth):
+    rec = synth(bacon_shor_9.dec, bacon_shor_9.noise)
+    rep = verify_recovery(bacon_shor_9.dec, bacon_shor_9.noise, rec)
     assert rep.max_infidelity < 1e-10
     assert rep.b_marginal_drift < 1e-10
     assert rep.support_leak < 1e-10
@@ -189,24 +191,52 @@ def test_synthesis_raises_for_uncorrectable_noise(synth):
 def test_verify_recovery_accepts_plain_channel():
     entry = get("bit_flip_3")
     rec = synthesize_schmidt_recovery(entry.dec, entry.noise)
-    rep = verify_recovery(entry.dec, entry.noise, rec.channel, trials=10, seed=5)
+    rep = verify_recovery(entry.dec, entry.noise, rec.channel)
     assert rep.max_infidelity < 1e-10
-    assert rep.trials == 10
-    assert rep.seed == 5
 
 
 def test_verify_recovery_reports_bad_recovery_without_raising():
     entry = get("bit_flip_3")
-    rep = verify_recovery(entry.dec, entry.noise, identity(8), trials=10, seed=2)
+    rep = verify_recovery(entry.dec, entry.noise, identity(8))
     assert rep.max_infidelity > 1e-2
 
 
-def test_verify_recovery_seeded():
+def test_verify_recovery_samples_nothing_and_ignores_trials_and_seed(monkeypatch):
+    """The figures come from the code-sector blocks alone: no state is
+    sampled or pushed through a channel, and the trials and seed keywords,
+    still accepted, change nothing."""
     entry = get("phase_flip_3")
     rec = synthesize_universal_recovery(entry.dec, entry.noise)
-    a = verify_recovery(entry.dec, entry.noise, rec, trials=10, seed=9)
-    b = verify_recovery(entry.dec, entry.noise, rec, trials=10, seed=9)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify_recovery must not sample or push states")
+
+    for module, name in [
+        (oqec.channels, "apply"),
+        (oqec.spaces, "embed_state"),
+        (oqec.linalg, "random_state_vector"),
+        (oqec.linalg, "partial_trace"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(oqec.recovery, name, forbidden, raising=False)
+    a = verify_recovery(entry.dec, entry.noise, rec)
+    b = verify_recovery(entry.dec, entry.noise, rec, trials=7, seed=9)
     assert a == b
+    assert a.trials == 0
+
+
+def test_verify_recovery_rejects_overflowing_kraus_sets():
+    """An entry of 1e300 parses as finite but overflows sum E†E; verification
+    refuses such a noise or recovery, with no numpy warning."""
+    entry = get("bit_flip_3")
+    rec = synthesize_schmidt_recovery(entry.dec, entry.noise).channel
+    huge = np.array(entry.noise.kraus)
+    huge[0, 0, 0] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for noise, recovery in [(Channel(huge), rec), (entry.noise, Channel(huge))]:
+            with pytest.raises(ValueError, match="overflows"):
+                verify_recovery(entry.dec, noise, recovery)
 
 
 def test_factorize_identity_channel():
@@ -317,7 +347,7 @@ def test_extend_by_linearity_on_bit_flip_combinations():
     for _ in range(5):
         c = rng.normal(size=(1, k)) + 1j * rng.normal(size=(1, k))
         c /= 4 * np.linalg.norm(c)  # comfortably trace nonincreasing
-        rep = extend_by_linearity(entry.dec, entry.noise, rec, c, trials=10, seed=3)
+        rep = extend_by_linearity(entry.dec, entry.noise, rec, c)
         assert rep.max_infidelity < 1e-10
 
 
@@ -338,4 +368,4 @@ def test_recovery_dataclass_carries_method_tag():
     assert r1.method == "schmidt"
     assert r2.method == "universal"
     assert r1.data["condition_b_residual"] < 1e-12
-    assert r2.data["gram_residual"] < 1e-12
+    assert r2.data["condition_b_residual"] < 1e-12

@@ -48,6 +48,10 @@ def test_rejects_nonunitary_frame():
         Decomposition(2, 2, 0, frame=np.ones((4, 4)))
     with pytest.raises(DimensionError):
         Decomposition(2, 2, 0, frame=np.eye(5))
+    huge = np.eye(4, dtype=complex)
+    huge[0, 0] = 1e300  # finite, but f† f overflows
+    with pytest.raises(DimensionError):
+        Decomposition(2, 2, 0, frame=huge)
 
 
 def test_frame_is_read_only():
