@@ -2,17 +2,26 @@
 
 Wire format:
 
-* complex scalar: two-element array [re, im];
-* matrix: row-major nested arrays of complex scalars;
+* matrix, dense: row-major nested arrays of complex scalars, each a
+  two-element array [re, im];
+* matrix, sparse: {"shape": [rows, cols], "rows": [...], "cols": [...],
+  "re": [...], "im": [...]}, one (row, col, re, im) entry per listed cell,
+  every other cell zero; each (row, col) pair appears at most once;
 * channel: {"dim_in": int, "dim_out": int, "kraus": [matrix, ...]};
 * decomposition: {"dim_a": int, "dim_b": int, "dim_c": int,
   "frame": matrix (optional)}.
 
+The writer picks the sparse form when fewer than half of a matrix's cells
+are nonzero, and the dense form otherwise; the reader accepts either (an
+object is sparse, an array dense). A cell counts as zero only when all 128
+bits of it are zero, so a -0.0 part keeps its cell.
+
 Files are written compact (no whitespace). Python's json module emits
 shortest-round-trip decimals, so a dump/load cycle reproduces every float
-bit-exactly, including -0.0 and subnormals. Numbers must be finite: the
-reader rejects NaN/Infinity tokens and any value outside the float range,
-and every rejection is a FormatError naming the file or the field.
+bit-exactly in both forms, including -0.0 and subnormals. Numbers must be
+finite: the reader rejects NaN/Infinity tokens and any value outside the
+float range, and every rejection is a FormatError naming the file or the
+field.
 """
 
 from __future__ import annotations
@@ -43,11 +52,28 @@ __all__ = [
 ]
 
 
-def matrix_to_json(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=np.complex128)
+_SPARSE_KEYS = ("shape", "rows", "cols", "re", "im")
+
+
+def matrix_to_json(m: np.ndarray) -> list | dict:
+    """m in the sparse form when fewer than half its cells are nonzero, else
+    in the dense form. A cell is zero only when all 128 of its bits are, so
+    a cell with a -0.0 part is written."""
+    m = np.ascontiguousarray(m, dtype=np.complex128)
     if m.ndim == 1:
         m = m.reshape(1, -1)
-    return np.stack([m.real, m.imag], -1).tolist()
+    bits = m.view(np.uint64)  # columns alternate re, im
+    rows, cols = np.nonzero(bits[:, 0::2] | bits[:, 1::2])
+    if 2 * rows.size >= m.size:
+        return np.stack([m.real, m.imag], -1).tolist()
+    vals = m[rows, cols]
+    return {
+        "shape": list(m.shape),
+        "rows": rows.tolist(),
+        "cols": cols.tolist(),
+        "re": vals.real.tolist(),
+        "im": vals.imag.tolist(),
+    }
 
 
 def _finite_matrix(obj: list) -> np.ndarray | None:
@@ -88,14 +114,14 @@ def _cell_problem(z: Any) -> str | None:
     return None if finite else f"expected finite numbers, got {z!r}"
 
 
-def matrix_from_json(obj: Any, field: str = "matrix") -> np.ndarray:
+def _dense_matrix(obj: Any, field: str) -> np.ndarray:
     if type(obj) is list and obj and type(obj[0]) is list:
         m = _finite_matrix(obj)
         if m is not None:
             return m
     # Error path: walk the rows to name the first bad field, row-major.
     if type(obj) is not list or not obj:
-        raise FormatError(field, "expected a non-empty array of rows")
+        raise FormatError(field, "expected a non-empty array of rows or a sparse matrix object")
     width = None
     for i, row in enumerate(obj):
         if type(row) is not list or not row:
@@ -109,6 +135,92 @@ def matrix_from_json(obj: Any, field: str = "matrix") -> np.ndarray:
             if problem is not None:
                 raise FormatError(f"{field}[{i}][{j}]", problem)
     raise FormatError(field, "expected a matrix of finite [re, im] pairs")
+
+
+def _sparse_shape(obj: dict, field: str) -> tuple:
+    """The declared shape of a sparse matrix object whose keys are exactly
+    the five of the format."""
+    for key in _SPARSE_KEYS:
+        if key not in obj:
+            raise FormatError(f"{field}.{key}", "missing")
+    for key in obj:
+        if key not in _SPARSE_KEYS:
+            raise FormatError(f"{field}.{key}", "unknown key")
+    shape = obj["shape"]
+    if type(shape) is not list or len(shape) != 2 or not all(type(n) is int and n >= 1 for n in shape):
+        raise FormatError(f"{field}.shape", f"expected two positive integers, got {shape!r}")
+    return tuple(shape)
+
+
+def _flat_array(part: list, field: str, dtype, ok, expected: str) -> np.ndarray:
+    """part as a 1-D dtype array when its elements are plain ints (or, for
+    float64, floats) and ok holds for each; the checks run at C speed.
+    Otherwise a FormatError names the first element that fails."""
+    types = {int} if dtype == np.int64 else {float, int}
+
+    def convert(items, n):
+        try:
+            arr = np.fromiter(items, dtype, n)
+        except OverflowError:  # an int beyond the dtype's range
+            return None
+        return arr if ok(arr).all() else None
+
+    if set(map(type, part)) <= types and (arr := convert(part, len(part))) is not None:
+        return arr
+    k, v = next((k, v) for k, v in enumerate(part) if type(v) not in types or convert([v], 1) is None)
+    raise FormatError(f"{field}[{k}]", f"expected {expected}, got {v!r}")
+
+
+def _sparse_matrix(obj: dict, field: str) -> np.ndarray:
+    shape = _sparse_shape(obj, field)
+    try:
+        out = np.zeros(shape, np.complex128)
+    except (ValueError, MemoryError) as exc:  # numpy: "array is too big"
+        raise FormatError(f"{field}.shape", f"{list(shape)} is too large to allocate ({exc})") from exc
+    for key in _SPARSE_KEYS[1:]:
+        if type(obj[key]) is not list:
+            raise FormatError(f"{field}.{key}", "expected an array")
+        if len(obj[key]) != len(obj["rows"]):
+            raise FormatError(f"{field}.{key}", f"length {len(obj[key])} != {len(obj['rows'])} of rows")
+
+    def index(key, n):  # every index inside the allocated shape fits in int64
+        return _flat_array(
+            obj[key], f"{field}.{key}", np.int64, lambda i: (i >= 0) & (i < n), f"an integer index in [0, {n})"
+        )
+
+    def values(key):
+        return _flat_array(obj[key], f"{field}.{key}", np.float64, np.isfinite, "a finite number")
+
+    rows, cols = index("rows", shape[0]), index("cols", shape[1])
+    vals = np.empty(rows.size, np.complex128)
+    vals.real, vals.imag = values("re"), values("im")
+    flat = rows * shape[1] + cols
+    order = np.argsort(flat, kind="stable")
+    repeats = order[1:][flat[order][1:] == flat[order][:-1]]
+    if repeats.size:
+        k = int(repeats.min())
+        raise FormatError(f"{field}.rows[{k}]", f"duplicate cell ({rows[k]}, {cols[k]})")
+    out[rows, cols] = vals
+    return out
+
+
+def matrix_from_json(obj: Any, field: str = "matrix") -> np.ndarray:
+    """A complex matrix from either wire form: an object is sparse, anything
+    else must be dense. Every rejection is a FormatError naming the field."""
+    return _sparse_matrix(obj, field) if type(obj) is dict else _dense_matrix(obj, field)
+
+
+def _matrix_of_shape(obj: Any, shape: tuple, field: str, what: str) -> np.ndarray:
+    """matrix_from_json(obj, field) unless its shape differs from shape, which
+    what names; a sparse matrix's declared shape is compared before anything
+    is allocated."""
+    got = _sparse_shape(obj, field) if type(obj) is dict else None
+    if got in (None, shape):
+        m = matrix_from_json(obj, field)
+        got = m.shape
+    if got != shape:
+        raise FormatError(field, f"shape {got} does not match {what}")
+    return m
 
 
 def _int_field(obj: dict, key: str, minimum: int, field: str) -> int:
@@ -139,15 +251,11 @@ def channel_from_json(obj: Any, field: str = "channel") -> Channel:
     kraus_obj = obj.get("kraus")
     if not isinstance(kraus_obj, list) or not kraus_obj:
         raise FormatError(f"{field}.kraus", "expected a non-empty array of matrices")
-    kraus = []
-    for i, mat in enumerate(kraus_obj):
-        m = matrix_from_json(mat, f"{field}.kraus[{i}]")
-        if m.shape != (dim_out, dim_in):
-            raise FormatError(
-                f"{field}.kraus[{i}]",
-                f"shape {m.shape} does not match (dim_out, dim_in)=({dim_out}, {dim_in})",
-            )
-        kraus.append(m)
+    what = f"(dim_out, dim_in)=({dim_out}, {dim_in})"
+    kraus = [
+        _matrix_of_shape(mat, (dim_out, dim_in), f"{field}.kraus[{i}]", what)
+        for i, mat in enumerate(kraus_obj)
+    ]
     return Channel(tuple(kraus))
 
 
@@ -166,12 +274,8 @@ def decomposition_from_json(obj: Any, field: str = "decomposition") -> Decomposi
     dim_c = _int_field(obj, "dim_c", 0, field)
     frame = None
     if obj.get("frame") is not None:
-        frame = matrix_from_json(obj["frame"], f"{field}.frame")
         dv = dim_a * dim_b + dim_c
-        if frame.shape != (dv, dv):
-            raise FormatError(
-                f"{field}.frame", f"shape {frame.shape} does not match dim_v={dv}"
-            )
+        frame = _matrix_of_shape(obj["frame"], (dv, dv), f"{field}.frame", f"dim_v={dv}")
     return Decomposition(dim_a=dim_a, dim_b=dim_b, dim_c=dim_c, frame=frame)
 
 

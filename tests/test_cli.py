@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -21,6 +22,7 @@ from oqec.serialize import (
     decomposition_to_json,
     dump_json_file,
     load_json_file,
+    matrix_from_json,
 )
 from oqec.spaces import Decomposition
 
@@ -224,15 +226,36 @@ def test_check_round_trip_matches_library(tmp_path, capsys):
     assert all(c["passed"] for c in payload["conditions"])
 
 
+def _dense_json(obj):
+    """A matrix from either wire form, rewritten in the dense form, which
+    still loads; the writer picks the sparse form for mostly-zero matrices."""
+    m = matrix_from_json(obj)
+    return np.stack([m.real, m.imag], -1).tolist()
+
+
+def _poke_dense(obj, value):
+    obj["kraus"][0] = _dense_json(obj["kraus"][0])
+    obj["kraus"][0][0][0] = [value, 0.0]
+
+
+def _poke_sparse(obj, value):
+    obj["kraus"][0]["re"][0] = value
+
+
 @pytest.mark.parametrize(
-    "token, field",
-    [("NaN", "channel:"), ("1e999", "channel.kraus[0][0][0]")],
-    ids=["NaN token", "overflowing literal"],
+    "token, field, poke",
+    [
+        ("NaN", "channel:", _poke_dense),
+        ("1e999", "channel.kraus[0][0][0]", _poke_dense),
+        ("NaN", "channel:", _poke_sparse),
+        ("1e999", "channel.kraus[0].re[0]", _poke_sparse),
+    ],
+    ids=["NaN token", "overflowing literal", "NaN token in sparse re", "overflowing literal in sparse re"],
 )
-def test_check_rejects_non_finite_channel(exported, tmp_path, capsys, token, field):
+def test_check_rejects_non_finite_channel(exported, tmp_path, capsys, token, field, poke):
     dec, chan = exported
     obj = load_json_file(chan)
-    obj["kraus"][0][0][0] = ["RE", 0.0]
+    poke(obj, "RE")
     bad = tmp_path / "nonfinite.json"
     dump_json_file(str(bad), obj)
     bad.write_text(bad.read_text().replace('"RE"', token))
@@ -242,13 +265,26 @@ def test_check_rejects_non_finite_channel(exported, tmp_path, capsys, token, fie
     assert "Traceback" not in err
 
 
-def _oqec_subprocess(*argv):
-    """Run the CLI in a child process, so that numpy warnings reach stderr."""
+def _oqec_subprocess(*argv, address_space=None):
+    """Run the CLI in a child process, so that numpy warnings reach stderr.
+
+    With address_space (bytes), the child runs under that RLIMIT_AS with one
+    BLAS thread, so that the cap measures the algorithm, not thread buffers.
+    """
     src = os.path.dirname(os.path.dirname(os.path.abspath(oqec.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    limit = None
+    if address_space is not None:
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+        def limit():
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            cap = address_space if hard == resource.RLIM_INFINITY else min(address_space, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
     return subprocess.run(
         [sys.executable, "-m", "oqec", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit,
     )
 
 
@@ -257,7 +293,21 @@ def test_check_rejects_overflowing_kraus_entry(exported, tmp_path):
     naming trace increase, with no numpy warning on stderr."""
     dec, chan = exported
     obj = load_json_file(chan)
-    obj["kraus"][0][0][0] = [1e300, 0.0]
+    _poke_dense(obj, 1e300)
+    bad = tmp_path / "huge.json"
+    dump_json_file(str(bad), obj)
+    proc = _oqec_subprocess("check", dec, str(bad), "--condition", "all")
+    assert proc.returncode == 2
+    assert "increases trace" in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_check_rejects_overflowing_sparse_kraus_entry(exported, tmp_path):
+    """The same overflow as above, placed in a sparse operator's re array."""
+    dec, chan = exported
+    obj = load_json_file(chan)
+    _poke_sparse(obj, 1e300)
     bad = tmp_path / "huge.json"
     dump_json_file(str(bad), obj)
     proc = _oqec_subprocess("check", dec, str(bad), "--condition", "all")
@@ -273,6 +323,7 @@ def test_check_rejects_overflowing_frame_entry(tmp_path):
     assert main(["codes", "export", "ns_3qubit_collective", str(tmp_path)]) == 0
     dec = tmp_path / "ns_3qubit_collective.decomposition.json"
     obj = load_json_file(str(dec))
+    obj["frame"] = _dense_json(obj["frame"])
     obj["frame"][0][0] = [1e300, 0.0]
     dump_json_file(str(dec), obj)
     proc = _oqec_subprocess("check", str(dec), str(tmp_path / "ns_3qubit_collective.noise.json"))
@@ -280,6 +331,52 @@ def test_check_rejects_overflowing_frame_entry(tmp_path):
     assert "frame is not unitary" in proc.stderr
     assert "Warning" not in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_check_rejects_overflowing_sparse_frame_entry(tmp_path):
+    """The same overflow as above, placed in the sparse frame's re array."""
+    assert main(["codes", "export", "ns_3qubit_collective", str(tmp_path)]) == 0
+    dec = tmp_path / "ns_3qubit_collective.decomposition.json"
+    obj = load_json_file(str(dec))
+    obj["frame"]["re"][0] = 1e300
+    dump_json_file(str(dec), obj)
+    proc = _oqec_subprocess("check", str(dec), str(tmp_path / "ns_3qubit_collective.noise.json"))
+    assert proc.returncode == 2
+    assert "frame is not unitary" in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_check_rejects_sparse_shape_too_large_to_allocate(exported, tmp_path, capsys):
+    """Declared dims and shape agree, but numpy cannot allocate the matrix."""
+    dec, _ = exported
+    n = 2**31
+    sparse = {"shape": [n, n], "rows": [0], "cols": [0], "re": [1.0], "im": [0.0]}
+    bad = tmp_path / "huge_shape.json"
+    dump_json_file(str(bad), {"dim_in": n, "dim_out": n, "kraus": [sparse]})
+    assert main(["check", dec, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "channel.kraus[0].shape" in err
+    assert "Traceback" not in err
+
+
+def test_bacon_shor_9_end_to_end_through_the_cli(tmp_path):
+    """codes export -> check -> recover (both methods) on the dim_v 512 code,
+    each step a child process under a 1.5 GiB address-space cap."""
+    cap = 3 * 2**29
+    steps = [("codes", "export", "bacon_shor_9", str(tmp_path))]
+    dec = str(tmp_path / "bacon_shor_9.decomposition.json")
+    chan = str(tmp_path / "bacon_shor_9.noise.json")
+    steps.append(("check", dec, chan, "--condition", "all"))
+    for method in ("schmidt", "universal"):
+        steps.append(("recover", dec, chan, "--method", method, "--out", str(tmp_path / f"{method}.json")))
+    for argv in steps:
+        proc = _oqec_subprocess(*argv, address_space=cap)
+        assert proc.returncode == 0, (argv, proc.stderr[-500:])
+    for method in ("schmidt", "universal"):
+        figures = load_json_file(str(tmp_path / f"{method}.json"))["metadata"]["verification"]
+        assert set(figures) == {"max_infidelity", "b_marginal_drift", "support_leak"}
+        assert max(figures.values()) <= 1e-10, (method, figures)
 
 
 def test_seed_and_trials_flags_are_gone(exported, tmp_path, capsys):

@@ -1,13 +1,18 @@
 """JSON interchange: round trips must be exact, bad input must name the field."""
 
 import contextlib
+import copy
 import gc
+import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oqec.channels import random_channel
-from oqec.codes import get
+from oqec.codes import catalog, get
 from oqec.conditions import check_condition_b, check_condition_c, purify
 from oqec.errors import FormatError
 from oqec.linalg import haar_unitary
@@ -203,8 +208,14 @@ def test_channel_from_json_names_first_bad_field(mutate, field):
     assert err.value.field == field
 
 
+def _dense_form(m):
+    """m in the dense wire form, which the reader accepts whatever the writer picks."""
+    return np.stack([m.real, m.imag], -1).tolist()
+
+
 def test_decomposition_from_json_names_bad_frame_cell():
     obj = decomposition_to_json(Decomposition(2, 1, 1, frame=np.eye(3)))
+    obj["frame"] = _dense_form(np.eye(3))
     obj["frame"][2][0] = [0.0, None]
     with pytest.raises(FormatError) as err:
         decomposition_from_json(obj)
@@ -215,17 +226,35 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64).tobytes()
 
 
+def _complex(values):
+    return np.array(values, dtype=np.float64) + 1j * np.array(values, dtype=np.float64)[::-1]
+
+
+def _mostly_zero():
+    """8 x 8 with eight nonzero cells, so it takes the sparse form: signed
+    zeros (a cell of -0.0 parts is not zero), subnormals and the extremes."""
+    cells = [
+        (-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (5e-324, -5e-324),
+        (1.7976931348623157e308, -1.7976931348623157e308),
+        (-2.2250738585072014e-308, 1.0), (-5e-324, 0.0), (3.0, -2.0**53),
+    ]
+    m = np.zeros((8, 8), dtype=np.complex128)
+    for i, (re, im) in enumerate(cells):
+        m.real[i, 3 * i % 8], m.imag[i, 3 * i % 8] = re, im
+    return m
+
+
 @pytest.mark.parametrize(
-    "values",
+    "m",
     [
-        [[-0.0, 0.0], [5e-324, -5e-324]],
-        [[1.7976931348623157e308, -1.7976931348623157e308], [2.2250738585072014e-308, 1.0]],
-        [[3, -7], [0, 2**53]],
+        _complex([[-0.0, 0.0], [5e-324, -5e-324]]),
+        _complex([[1.7976931348623157e308, -1.7976931348623157e308], [2.2250738585072014e-308, 1.0]]),
+        _complex([[3, -7], [0, 2**53]]),
+        _mostly_zero(),
     ],
-    ids=["signed zeros and subnormals", "extremes", "integers"],
+    ids=["signed zeros and subnormals", "extremes", "integers", "mostly zero, sparse form"],
 )
-def test_file_round_trip_is_bit_exact(tmp_path, values):
-    m = np.array(values, dtype=np.float64) + 1j * np.array(values, dtype=np.float64)[::-1]
+def test_file_round_trip_is_bit_exact(tmp_path, m):
     path = str(tmp_path / "m.json")
     dump_json_file(path, {"m": matrix_to_json(m)})
     back = matrix_from_json(load_json_file(path)["m"])
@@ -281,3 +310,164 @@ def test_load_json_file_restores_gc_state(tmp_path, enabled, text):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def test_writer_picks_sparse_below_half_nonzero():
+    assert type(matrix_to_json(np.diag([1.0, 0.0]))) is dict
+    assert type(matrix_to_json(np.eye(2))) is list  # exactly half nonzero
+    assert type(matrix_to_json(np.full((2, 2), -0.0))) is list  # -0.0 is not zero
+    assert type(matrix_to_json(_mostly_zero())) is dict
+    entry = get("bacon_shor_9")
+    assert all(type(k) is dict for k in channel_to_json(entry.noise)["kraus"])
+    assert type(decomposition_to_json(entry.dec)["frame"]) is dict
+    assert all(type(k) is list for k in channel_to_json(random_channel(64, 3, seed=21))["kraus"])
+
+
+def test_dense_files_of_catalog_entries_load_identically(tmp_path):
+    """Files in the dense form, as written before the sparse form existed,
+    load to the same bits as the writer's own files."""
+    for entry in catalog():
+        chan = channel_to_json(entry.noise)
+        dec = decomposition_to_json(entry.dec)
+        chan["kraus"] = [_dense_form(k) for k in entry.noise.kraus]
+        if entry.dec.frame is not None:
+            dec["frame"] = _dense_form(entry.dec.frame)
+        dump_json_file(str(tmp_path / "chan.json"), chan)
+        dump_json_file(str(tmp_path / "dec.json"), dec)
+        back = channel_from_json(load_json_file(str(tmp_path / "chan.json")))
+        back_dec = decomposition_from_json(load_json_file(str(tmp_path / "dec.json")))
+        assert _bits(back.kraus) == _bits(entry.noise.kraus), entry.name
+        if entry.dec.frame is not None:
+            assert _bits(back_dec.frame) == _bits(entry.dec.frame), entry.name
+
+
+def _sparse(**change):
+    obj = {
+        "shape": [8, 8],
+        "rows": [0, 7, 3],
+        "cols": [5, 0, 3],
+        "re": [0.5, -1.0, 0.0],
+        "im": [0.0, 0.25, -0.0],
+    }
+    obj.update(change)
+    return obj
+
+
+SPARSE_MALFORMED = [
+    ("missing key", lambda: {k: v for k, v in _sparse().items() if k != "im"}, "m.im"),
+    ("unknown key", lambda: {**_sparse(), "data": []}, "m.data"),
+    ("shape not an array", lambda: _sparse(shape=8), "m.shape"),
+    ("shape of one", lambda: _sparse(shape=[8]), "m.shape"),
+    ("shape of three", lambda: _sparse(shape=[8, 8, 1]), "m.shape"),
+    ("zero dimension", lambda: _sparse(shape=[0, 8]), "m.shape"),
+    ("negative dimension", lambda: _sparse(shape=[8, -8]), "m.shape"),
+    ("float dimension", lambda: _sparse(shape=[8.0, 8]), "m.shape"),
+    ("bool dimension", lambda: _sparse(shape=[8, True]), "m.shape"),
+    ("too large to allocate", lambda: _sparse(shape=[2**31, 2**31]), "m.shape"),
+    ("row out of range", lambda: _sparse(rows=[0, 8, 3]), "m.rows[1]"),
+    ("negative column", lambda: _sparse(cols=[5, 0, -1]), "m.cols[2]"),
+    ("float row", lambda: _sparse(rows=[0, 7.0, 3]), "m.rows[1]"),
+    ("bool column", lambda: _sparse(cols=[True, 0, 3]), "m.cols[0]"),
+    ("row beyond int64", lambda: _sparse(rows=[0, 2**70, 3]), "m.rows[1]"),
+    ("duplicate pair", lambda: _sparse(rows=[0, 3, 0], cols=[5, 3, 5]), "m.rows[2]"),
+    ("rows not an array", lambda: _sparse(rows="0,7,3"), "m.rows"),
+    ("short cols", lambda: _sparse(cols=[5, 0]), "m.cols"),
+    ("long re", lambda: _sparse(re=[0.5, -1.0, 0.0, 1.0]), "m.re"),
+    ("empty im", lambda: _sparse(im=[]), "m.im"),
+    ("1e999 in re", lambda: _sparse(re=[0.5, json.loads("1e999"), 0.0]), "m.re[1]"),
+    ("nan in im", lambda: _sparse(im=[float("nan"), 0.25, 0.0]), "m.im[0]"),
+    ("int beyond float range", lambda: _sparse(im=[0.0, 0.25, 10**400]), "m.im[2]"),
+    ("string value", lambda: _sparse(re=[0.5, "-1", 0.0]), "m.re[1]"),
+    ("bool value", lambda: _sparse(im=[0.0, True, 0.0]), "m.im[1]"),
+]
+
+
+@pytest.mark.parametrize("case, build, field", SPARSE_MALFORMED, ids=[c[0] for c in SPARSE_MALFORMED])
+def test_sparse_matrix_from_json_names_bad_field(case, build, field):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError) as err:
+            matrix_from_json(build(), field="m")
+    assert err.value.field == field
+
+
+def test_sparse_allocation_failure_names_shape(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    with pytest.raises(FormatError) as err:
+        matrix_from_json(_sparse(), field="m")
+    assert err.value.field == "m.shape"
+
+
+def test_sparse_shape_is_checked_against_dims_before_allocation():
+    chan = {"dim_in": 2, "dim_out": 2, "kraus": [_sparse(shape=[2**31, 2**31])]}
+    with pytest.raises(FormatError) as err:
+        channel_from_json(chan)
+    assert err.value.field == "channel.kraus[0]"
+    assert "does not match" in str(err.value)
+    dec = {"dim_a": 2, "dim_b": 1, "dim_c": 1, "frame": _sparse(shape=[2**31, 2**31])}
+    with pytest.raises(FormatError) as err:
+        decomposition_from_json(dec)
+    assert err.value.field == "decomposition.frame"
+
+
+_JUNK = [None, True, "1", 1.5, 0, -1, 7, 2**70, 10**400, float("nan"), float("inf"), [], {}, [0.0, 0.0]]
+
+
+def _paths(obj, path=()):
+    """Every place in a JSON value: the root, each list element, each dict value."""
+    yield path
+    items = enumerate(obj) if type(obj) is list else obj.items() if type(obj) is dict else ()
+    for key, val in items:
+        yield from _paths(val, (*path, key))
+
+
+@st.composite
+def _mutated_matrix(draw):
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    m = rng.normal(size=(r, c)) + 1j * rng.normal(size=(r, c))
+    if draw(st.booleans()):  # fewer than half the cells nonzero: the sparse form
+        m.ravel()[rng.permutation(r * c)[(r * c - 1) // 2:]] = 0
+        obj = matrix_to_json(m)
+    else:
+        obj = _dense_form(m)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(obj))))
+        op = draw(st.sampled_from(["delete", "retype", "duplicate", "duplicate cell"]))
+        if op == "duplicate cell":  # the same (row, col) twice, lengths kept equal
+            for key in ("rows", "cols", "re", "im"):
+                if type(obj) is dict and type(obj.get(key)) is list and obj[key]:
+                    obj[key].append(copy.deepcopy(obj[key][0]))
+            continue
+        if not path:
+            obj = draw(st.sampled_from(_JUNK)) if op == "retype" else obj
+            continue
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if op == "delete":
+            del parent[key]
+        elif op == "retype":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_JUNK)))
+        elif type(parent) is list:
+            parent.insert(key, copy.deepcopy(parent[key]))
+    return obj
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(obj=_mutated_matrix())
+def test_mutated_matrices_load_or_raise_format_error(obj):
+    """A mutated dense or sparse matrix either loads as a complex array of its
+    declared shape or raises FormatError; nothing else, and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            m = matrix_from_json(copy.deepcopy(obj), field="m")
+        except FormatError:
+            return
+    declared = tuple(obj["shape"]) if type(obj) is dict else (len(obj), len(obj[0]))
+    assert m.dtype == np.complex128 and m.shape == declared
