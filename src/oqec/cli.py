@@ -169,12 +169,15 @@ def cmd_recover(args) -> int:
     }
     out = cfg.out or "recovery.json"
     dump_json_file(out, channel_to_json(rec.channel, metadata))
-    print(
-        f"{rec.method} recovery: {len(rec.channel.kraus)} Kraus operators -> {out}\n"
-        f"max infidelity {report.max_infidelity:.3e}, "
-        f"B-marginal drift {report.b_marginal_drift:.3e}, "
-        f"support leak {report.support_leak:.3e}"
-    )
+    if cfg.json_output:
+        print(json.dumps(metadata, indent=1))
+    else:
+        print(
+            f"{rec.method} recovery: {len(rec.channel.kraus)} Kraus operators -> {out}\n"
+            f"max infidelity {report.max_infidelity:.3e}, "
+            f"B-marginal drift {report.b_marginal_drift:.3e}, "
+            f"support leak {report.support_leak:.3e}"
+        )
     return EXIT_PASS if ok else EXIT_FAIL
 
 
@@ -193,7 +196,10 @@ def cmd_factorize(args) -> int:
     meta = {**_meta(cfg), "residual": fac.residual}
     dump_json_file(u_path, channel_to_json(Channel((fac.u,)), {**meta, "kind": "unitary"}))
     dump_json_file(n_path, channel_to_json(fac.n_b, {**meta, "kind": "b_factor"}))
-    print(f"residual {fac.residual:.3e}; wrote {u_path} and {n_path}")
+    if cfg.json_output:
+        print(json.dumps(meta, indent=1))
+    else:
+        print(f"residual {fac.residual:.3e}; wrote {u_path} and {n_path}")
     return EXIT_PASS if fac.residual <= cfg.tolerance else EXIT_FAIL
 
 
@@ -209,15 +215,16 @@ def cmd_dpi(args) -> int:
     values = dpi_trace(dec, chain, atol=cfg.tolerance)
     slack = 1e-9
     monotone = all(values[i + 1] <= values[i] + slack for i in range(len(values) - 1))
-    for i, v in enumerate(values):
-        label = "input" if i == 0 else f"after step {i}"
-        print(f"{label}: {v:.12f}")
-    print(f"monotone within {slack:g}: {'yes' if monotone else 'NO'}")
+    payload = {"meta": _meta(cfg), "coherent_information": values, "monotone": monotone}
+    if cfg.json_output:
+        print(json.dumps(payload, indent=1))
+    else:
+        for i, v in enumerate(values):
+            label = "input" if i == 0 else f"after step {i}"
+            print(f"{label}: {v:.12f}")
+        print(f"monotone within {slack:g}: {'yes' if monotone else 'NO'}")
     if cfg.out:
-        dump_json_file(
-            cfg.out,
-            {"meta": _meta(cfg), "coherent_information": values, "monotone": monotone},
-        )
+        dump_json_file(cfg.out, payload)
     return EXIT_PASS if monotone else EXIT_FAIL
 
 

@@ -16,12 +16,12 @@ noise environment with one axis per Kraus operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import Channel, apply, require_valid
+from .channels import Channel, require_valid
 from .errors import DegenerateChannelError, DimensionError
 from .linalg import (
     DEFAULT_ATOL,
@@ -42,11 +42,17 @@ class PurifiedState:
     dims is (dim_ra, dim_rb, dim_v, dim_e); psi is the normalized state
     vector, flattened row-major over those factors; norm_in is the squared
     norm before renormalization (1 for trace-preserving noise).
+
+    psi is pure, so complementary marginals share their nonzero spectrum:
+    S(V') = S(R_A R_B E'), and an entropy can be read from whichever side is
+    smaller. Each marginal is formed once, as psi_K psi_K† with psi_K the
+    (kept, rest) reshape of psi, and kept read-only for later callers.
     """
 
     dims: tuple[int, int, int, int]
     psi: np.ndarray
     norm_in: float
+    _marginals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         psi = np.asarray(self.psi, dtype=np.complex128).reshape(-1)
@@ -59,15 +65,19 @@ class PurifiedState:
         object.__setattr__(self, "psi", psi)
 
     def marginal(self, keep: Iterable[int]) -> np.ndarray:
-        """Density matrix of the kept factors (0=R_A, 1=R_B, 2=V, 3=E)."""
-        keep = sorted(set(int(i) for i in keep))
+        """Density matrix of the kept factors (0=R_A, 1=R_B, 2=V, 3=E), read-only."""
+        keep = tuple(sorted(set(int(i) for i in keep)))
         if any(i < 0 or i > 3 for i in keep) or not keep:
-            raise DimensionError(f"keep indices {keep} out of range")
-        rest = [i for i in range(4) if i not in keep]
-        t = self.psi.reshape(self.dims).transpose(keep + rest)
-        d_keep = int(np.prod([self.dims[i] for i in keep]))
-        mat = t.reshape(d_keep, -1)
-        return mat @ dag(mat)
+            raise DimensionError(f"keep indices {list(keep)} out of range")
+        rho = self._marginals.get(keep)
+        if rho is None:
+            rest = [i for i in range(4) if i not in keep]
+            t = self.psi.reshape(self.dims).transpose(list(keep) + rest)
+            mat = t.reshape(int(np.prod([self.dims[i] for i in keep])), -1)
+            rho = mat @ dag(mat)
+            rho.flags.writeable = False
+            self._marginals[keep] = rho
+        return rho
 
 
 @dataclass(frozen=True)
@@ -180,10 +190,14 @@ def check_condition_d(ps: PurifiedState, tol: float = DEFAULT_ATOL) -> Condition
     """Entropic test: S(V') - S(R_B E') must return log2(dim_a) exactly.
 
     The signed gap log2(dim_a) + S(R_B E') - S(V') is nonnegative up to
-    rounding (subadditivity); the report residual is its magnitude.
+    rounding (subadditivity); the report residual is its magnitude. psi is
+    pure, so S(V') = S(R_A R_B E'): entropy_v is read from whichever of the
+    two marginals is smaller (dim_v against dim_a dim_b dim_e, the joint on a
+    tie, which condition c shares), and require_state checks that matrix.
     """
-    s_a = float(np.log2(ps.dims[0]))
-    s_v = von_neumann_entropy(ps.marginal((2,)))
+    da, db, dv, de = ps.dims
+    s_a = float(np.log2(da))
+    s_v = von_neumann_entropy(ps.marginal((0, 1, 3) if da * db * de <= dv else (2,)))
     s_rbe = von_neumann_entropy(ps.marginal((1, 3)))
     gap = s_a + s_rbe - s_v
     return ConditionReport(
@@ -214,8 +228,18 @@ def dpi_trace(
 
     Starts from the maximally entangled reference state on the code sector and
     applies each (trace-preserving) channel in turn to the V half, recording
-    -S(R_A|V) before the chain and after every step. Data processing makes the
-    returned list non-increasing up to numerical slack.
+    -S(R_A|V) = S(V) - S(R_A V) before the chain and after every step. Data
+    processing makes the returned list non-increasing up to numerical slack.
+
+    The R_A V state is held factored, rho = M M† with M of shape
+    (dim_a dim_v, r), r = dim_b at the start. A step with k Kraus operators is
+    one product of their stack with M, so r becomes k r. M M† and M† M share
+    their nonzero spectrum, so S(R_A V) is read from the smaller one. S(V) is
+    read from the smaller Gram matrix of X, the (dim_v, dim_a r) reshape of M;
+    when M M† is the side formed, X X† is its partial trace over R_A.
+    require_state checks every matrix that is diagonalized. When r exceeds
+    dim_a dim_v and another step follows, one eigh of M M† compresses M to
+    dim_a dim_v columns, every eigenvalue kept (clipped at 0).
     """
     da, db, dv = dec.dim_a, dec.dim_b, dec.dim_v
     for i, ch in enumerate(chain):
@@ -226,18 +250,27 @@ def dpi_trace(
         report = require_valid(ch, atol, allow_trace_decreasing=False)
         if not report.trace_preserving:
             raise ValueError(f"chain[{i}] is not trace preserving (defect {report.defect:.3e})")
-    code = dec.code_vectors()
-    rho = np.zeros((da * dv, da * dv), dtype=np.complex128)
-    eye_a = np.eye(da, dtype=np.complex128)
-    for b in range(db):
-        w = np.zeros(da * dv, dtype=np.complex128)
-        for a in range(da):
-            w += kron(eye_a[a], code[:, a * db + b])
-        rho += np.outer(w, w.conj())
-    rho /= da * db
-    values = [coherent_info(rho, da, dv, atol)]
-    for ch in chain:
-        lifted = Channel(np.kron(eye_a, ch.kraus))
-        rho = apply(lifted, rho)
-        values.append(coherent_info(rho, da, dv, atol))
+    # m[(a, v), b] = code[v, (a, b)] / sqrt(da db), so m m† is the input state
+    m = dec.code_vectors().reshape(dv, da, db).transpose(1, 0, 2).reshape(da * dv, db)
+    m = m / np.sqrt(da * db)
+
+    def v_rows(m):  # the (dv, da r) reshape: rows v, columns (a, c)
+        return m.reshape(da, dv, -1).transpose(1, 0, 2).reshape(dv, -1)
+
+    values = []
+    for i, ch in enumerate([None, *chain]):
+        if ch is not None:
+            k, r = len(ch.kraus), m.shape[1]
+            m = (ch.kraus.reshape(-1, dv) @ v_rows(m)).reshape(k, dv, da, r)
+            m = m.transpose(2, 1, 0, 3).reshape(da * dv, k * r)
+        if m.shape[1] < da * dv:
+            x = v_rows(m)
+            g_rv, g_v = dag(m) @ m, x @ dag(x) if dv <= x.shape[1] else dag(x) @ x
+        else:  # m m† is the smaller side, and its R_A trace is v_rows(m) v_rows(m)†
+            g_rv = m @ dag(m)
+            g_v = np.trace(g_rv.reshape(da, dv, da, dv), axis1=0, axis2=2)
+        values.append(von_neumann_entropy(g_v, atol) - von_neumann_entropy(g_rv, atol))
+        if m.shape[1] > da * dv and i < len(chain):
+            w, u = np.linalg.eigh(g_rv)
+            m = u * np.sqrt(np.clip(w, 0.0, None))
     return values

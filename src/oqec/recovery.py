@@ -135,20 +135,11 @@ def synthesize_schmidt_recovery(
     """
     gate = _gate_condition_b(dec, ch, tol, atol, allow_trace_decreasing)
     q, families, ps = _schmidt_family(dec, ch, cutoff, atol, allow_trace_decreasing)
-    da, db, dv, _ = ps.dims
+    _, db, dv, _ = ps.dims
     code_s = dec.code_vectors()[:, 0::db]  # columns (j, b=0)
     span = np.hstack([np.zeros((dv, 0), dtype=np.complex128), *families])
     kraus = [code_s @ dag(cols) for cols in families] + _completion(span)
-    data = {
-        "spectrum": q,
-        "schmidt_vectors": {
-            (j, k): families[k][:, j] for k in range(len(families)) for j in range(da)
-        },
-        "orthonormality_defect": float(
-            np.linalg.norm(dag(span) @ span - np.eye(span.shape[1]))
-        ),
-        "condition_b_residual": gate.residual,
-    }
+    data = {"spectrum": q, "condition_b_residual": gate.residual}
     return Recovery(channel=Channel(tuple(kraus)), method="schmidt", data=data)
 
 
@@ -186,10 +177,7 @@ def synthesize_universal_recovery(
     isometries = u_s @ v_h  # (m, dv, da)
     span = isometries.transpose(1, 0, 2).reshape(dv, -1)
     kraus = list(code[:, 0::db] @ dag(isometries)) + _completion(span)
-    data = {
-        "gram_spectrum": d,
-        "condition_b_residual": gate.residual,
-    }
+    data = {"condition_b_residual": gate.residual}
     return Recovery(channel=Channel(kraus), method="universal", data=data)
 
 

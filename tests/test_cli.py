@@ -150,6 +150,40 @@ def test_dpi_monotone_chain(exported, tmp_path, capsys):
     assert "monotone" in out
 
 
+def test_dpi_json_prints_the_out_payload(exported, tmp_path, capsys):
+    dec, chan = exported
+    out = str(tmp_path / "dpi.json")
+    assert main(["dpi", dec, chan, chan, "--json", "--out", out]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == load_json_file(out)
+    assert set(printed) == {"meta", "coherent_information", "monotone"}
+    assert len(printed["coherent_information"]) == 3
+
+
+def test_recover_json_prints_the_file_metadata(exported, tmp_path, capsys):
+    dec, chan = exported
+    out = str(tmp_path / "rec.json")
+    assert main(["recover", dec, chan, "--json", "--out", out]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == load_json_file(out)["metadata"]
+    assert printed["method"] == "schmidt"
+    assert max(printed["verification"].values()) < 1e-10
+
+
+def test_factorize_json_prints_the_file_metadata(tmp_path, capsys):
+    dec_path = str(tmp_path / "dec.json")
+    chan_path = str(tmp_path / "chan.json")
+    dump_json_file(dec_path, decomposition_to_json(Decomposition(2, 2, 0)))
+    ch = Channel(tuple(kron(np.eye(2), k) for k in depolarizing(2, 0.3).kraus))
+    dump_json_file(chan_path, channel_to_json(ch))
+    outdir = tmp_path / "fac"
+    assert main(["factorize", dec_path, chan_path, "--json", "--out", str(outdir)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    for name, kind in (("factor_unitary.json", "unitary"), ("factor_channel_b.json", "b_factor")):
+        assert {**printed, "kind": kind} == load_json_file(str(outdir / name))["metadata"]
+    assert printed["residual"] < 1e-10
+
+
 def test_dpi_dimension_mismatch(exported, tmp_path, capsys):
     dec, _ = exported
     dep = str(tmp_path / "dep2.json")
@@ -361,8 +395,10 @@ def test_check_rejects_sparse_shape_too_large_to_allocate(exported, tmp_path, ca
 
 
 def test_bacon_shor_9_end_to_end_through_the_cli(tmp_path):
-    """codes export -> check -> recover (both methods) on the dim_v 512 code,
-    each step a child process under a 1.5 GiB address-space cap."""
+    """codes export -> check -> recover (both methods) -> dpi through noise
+    and the Schmidt recovery on the dim_v 512 code, each step a child process
+    under a 1.5 GiB address-space cap; factorize, defined for dim_c = 0 only,
+    is an input error on it."""
     cap = 3 * 2**29
     steps = [("codes", "export", "bacon_shor_9", str(tmp_path))]
     dec = str(tmp_path / "bacon_shor_9.decomposition.json")
@@ -370,6 +406,7 @@ def test_bacon_shor_9_end_to_end_through_the_cli(tmp_path):
     steps.append(("check", dec, chan, "--condition", "all"))
     for method in ("schmidt", "universal"):
         steps.append(("recover", dec, chan, "--method", method, "--out", str(tmp_path / f"{method}.json")))
+    steps.append(("dpi", dec, chan, str(tmp_path / "schmidt.json"), "--out", str(tmp_path / "dpi.json")))
     for argv in steps:
         proc = _oqec_subprocess(*argv, address_space=cap)
         assert proc.returncode == 0, (argv, proc.stderr[-500:])
@@ -377,6 +414,11 @@ def test_bacon_shor_9_end_to_end_through_the_cli(tmp_path):
         figures = load_json_file(str(tmp_path / f"{method}.json"))["metadata"]["verification"]
         assert set(figures) == {"max_infidelity", "b_marginal_drift", "support_leak"}
         assert max(figures.values()) <= 1e-10, (method, figures)
+    values = load_json_file(str(tmp_path / "dpi.json"))["coherent_information"]
+    assert len(values) == 3
+    assert max(abs(v - 1.0) for v in values) <= 1e-9, values
+    proc = _oqec_subprocess("factorize", dec, chan, "--out", str(tmp_path / "fac"), address_space=cap)
+    assert proc.returncode == 2 and "dim_c" in proc.stderr, proc.stderr[-500:]
 
 
 def test_seed_and_trials_flags_are_gone(exported, tmp_path, capsys):

@@ -2,15 +2,21 @@
 
 The joint reference-environment marginal has a closed form in terms of the
 code-sector Gram blocks G_jk = code† E_j† E_k code; the tests rebuild it from
-that formula as an independent oracle.
+that formula as an independent oracle. The factored dpi_trace is checked
+against the dense reference in dense_dpi.py.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oqec.channels
+from oqec import conditions
 from oqec.channels import Channel, apply, depolarizing, identity, random_channel, unitary
-from oqec.codes import get
+from oqec.codes import catalog, get
 from oqec.conditions import (
+    PurifiedState,
     check_condition_b,
     check_condition_c,
     check_condition_d,
@@ -19,8 +25,11 @@ from oqec.conditions import (
     purify,
 )
 from oqec.errors import DegenerateChannelError, DimensionError
-from oqec.linalg import dag, haar_unitary, kron
+from oqec.linalg import dag, haar_unitary, kron, von_neumann_entropy
+from oqec.recovery import synthesize_schmidt_recovery
 from oqec.spaces import Decomposition
+
+from dense_dpi import dense_dpi_trace
 
 
 def _rng(seed=0):
@@ -246,3 +255,142 @@ def test_dpi_trace_unitary_step_is_lossless():
     u = haar_unitary(8, _rng(41))
     vals = dpi_trace(entry.dec, [unitary(u)])
     assert vals == pytest.approx([1.0, 1.0], abs=1e-10)
+
+
+PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def _z_leak(eps):
+    """bit_flip_3 noise plus a Z error on qubit 0 at Kraus amplitude eps."""
+    entry = get("bit_flip_3")
+    flips = np.sqrt(1 - eps**2) * entry.noise.kraus
+    return entry.dec, Channel([*flips, eps * kron(PAULI_Z, np.eye(4))])
+
+
+def _entropy_instances():
+    """Catalog entries, random instances on either side of dim_v = da db de
+    (the joint marginal is the smaller one for few Kraus operators), and the
+    near-boundary bit_flip_3 + eps Z_0 at eps 1e-3 and 1e-6."""
+    out = [(e.dec, e.noise) for e in catalog()]
+    rng = _rng(43)
+    for trial in range(12):
+        da, db, dc = 2, int(rng.integers(1, 3)), int(rng.integers(0, 9))
+        dv = da * db + dc
+        dec = Decomposition(da, db, dc, frame=haar_unitary(dv, rng))
+        out.append((dec, random_channel(dv, int(rng.integers(1, 6)), seed=700 + trial)))
+    return out + [_z_leak(1e-3), _z_leak(1e-6)]
+
+
+def test_condition_d_entropy_v_matches_v_marginal():
+    """S(V') = S(R_A R_B E') for the pure psi: entropy_v, from whichever
+    side is smaller, equals the entropy of the V marginal, and so does the
+    other side."""
+    sides = set()
+    for dec, ch in _entropy_instances():
+        ps = purify(dec, ch)
+        s_v = von_neumann_entropy(ps.marginal((2,)))
+        assert abs(check_condition_d(ps).witnesses["entropy_v"] - s_v) <= 1e-12
+        assert abs(von_neumann_entropy(ps.marginal((0, 1, 3))) - s_v) <= 1e-12
+        sides.add(dec.dim_v < dec.dim_a * dec.dim_b * len(ch.kraus))
+    assert sides == {True, False}
+
+
+@pytest.mark.parametrize("kraus, side", [(2, (0, 1, 3)), (9, (2,))])
+def test_condition_d_diagonalizes_the_smaller_side(monkeypatch, kraus, side):
+    """With dim_v 16, two Kraus operators give a joint of dimension 4 < 16 and
+    nine give 18 > 16; d asks only for the smaller of the two."""
+    dec = Decomposition(2, 1, 14, frame=haar_unitary(16, _rng(47)))
+    ps = purify(dec, random_channel(16, kraus, seed=48))
+    asked = []
+    original = PurifiedState.marginal
+
+    def recording(self, keep):
+        asked.append(tuple(sorted(keep)))
+        return original(self, keep)
+
+    monkeypatch.setattr(PurifiedState, "marginal", recording)
+    check_condition_d(ps)
+    assert sorted(asked) == sorted([side, (1, 3)])
+
+
+def test_marginals_are_formed_once_and_read_only(monkeypatch):
+    """Conditions c then d on one purified state share the joint and R_B E
+    marginals: each key is formed (one psi_K psi_K† product) once, and the
+    same read-only array comes back on every request. On bit_flip_3 the joint
+    (2 * 1 * 4) ties with dim_v 8, and d takes the joint."""
+    entry = get("bit_flip_3")
+    ps = purify(entry.dec, entry.noise)
+    formed = []
+    monkeypatch.setattr(conditions, "dag", lambda m: formed.append(m.shape) or dag(m))
+    check_condition_c(ps)
+    check_condition_d(ps)
+    keys = [(0, 1, 3), (0,), (1, 3)]
+    assert len(formed) == len(keys)
+    for keep in keys:
+        rho = ps.marginal(keep)
+        assert rho is ps.marginal(list(reversed(keep)))
+        assert not rho.flags.writeable
+        with pytest.raises(ValueError):
+            rho[0, 0] = 0.0
+    assert len(formed) == len(keys)
+
+
+def _dpi_agrees_with_dense(dec, chain):
+    fast, dense = dpi_trace(dec, chain), dense_dpi_trace(dec, chain)
+    assert len(fast) == len(dense) == len(chain) + 1
+    assert np.max(np.abs(np.subtract(fast, dense))) <= 1e-12, (fast, dense)
+
+
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
+def test_dpi_trace_matches_dense_reference_on_catalog(entry):
+    _dpi_agrees_with_dense(entry.dec, [entry.noise, entry.noise])
+    if all(entry.expected.values()):
+        rec = synthesize_schmidt_recovery(entry.dec, entry.noise)
+        _dpi_agrees_with_dense(entry.dec, [entry.noise, rec.channel])
+
+
+@pytest.mark.parametrize("steps", [1, 2, 4])
+def test_dpi_trace_compresses_between_steps_only(monkeypatch, steps):
+    """depolarizing(8) has 65 Kraus operators, so k r > dim_a dim_v = 16 at
+    every step: each step but the last compresses M with one eigh. At
+    p = 1e-4 the state keeps eigenvalues of order 1e-6, which compression
+    must keep too."""
+    entry = get("bit_flip_3")
+    chain = [depolarizing(8, p) for p in (1e-4, 0.3, 1e-4, 0.3)[:steps]]
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+    dpi_trace(entry.dec, chain)
+    assert eighs == [(16, 16)] * (steps - 1)
+    monkeypatch.undo()
+    _dpi_agrees_with_dense(entry.dec, chain)
+    dfs = get("ns_3qubit_collective")
+    _dpi_agrees_with_dense(dfs.dec, [depolarizing(8, 0.1), dfs.noise] * steps)
+
+
+def test_dpi_trace_forms_no_lifted_channel_or_dense_state(monkeypatch):
+    """The factored trace never lifts a channel with np.kron, applies one
+    with channels.apply, or takes coherent_info's dense partial trace."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on the factored DPI path")
+
+    entry = get("bit_flip_3")
+    rec = synthesize_schmidt_recovery(entry.dec, entry.noise)
+    chain = [entry.noise, depolarizing(8, 0.3), rec.channel]
+    expected = dense_dpi_trace(entry.dec, chain)
+    for module, name in ((np, "kron"), (oqec.channels, "apply"), (conditions, "coherent_info"),
+                         (conditions, "partial_trace"), (conditions, "kron")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert np.max(np.abs(np.subtract(dpi_trace(entry.dec, chain), expected))) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16), links=st.integers(1, 4), kraus=st.integers(1, 9))
+def test_dpi_trace_matches_dense_reference_on_random_chains(seed, links, kraus):
+    rng = np.random.default_rng(seed)
+    da, db, dc = int(rng.integers(2, 4)), int(rng.integers(1, 4)), int(rng.integers(0, 5))
+    dv = da * db + dc
+    dec = Decomposition(da, db, dc, frame=haar_unitary(dv, rng))
+    chain = [random_channel(dv, kraus, seed=seed + 7 * i) for i in range(links)]
+    _dpi_agrees_with_dense(dec, chain)

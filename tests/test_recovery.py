@@ -35,6 +35,7 @@ from oqec.linalg import (
 )
 from oqec.recovery import (
     Recovery,
+    _schmidt_family,
     extend_by_linearity,
     factorize_product,
     synthesize_schmidt_recovery,
@@ -138,11 +139,14 @@ def test_schmidt_recovery_restores_code_vectors():
     entry = get("bit_flip_3")
     rec = synthesize_schmidt_recovery(entry.dec, entry.noise)
     code = entry.dec.code_vectors()
-    for (j, k), vec in rec.data["schmidt_vectors"].items():
-        tau = apply(rec.channel, np.outer(vec, vec.conj()))
-        target = code[:, j]
-        overlap = float(np.real(target.conj() @ tau @ target))
-        assert overlap > 1 - 1e-10
+    _, families, _ = _schmidt_family(entry.dec, entry.noise, SPECTRUM_CUTOFF, 1e-9, False)
+    assert len(families) == 4
+    for cols in families:
+        for j, vec in enumerate(cols.T):
+            tau = apply(rec.channel, np.outer(vec, vec.conj()))
+            target = code[:, j]
+            overlap = float(np.real(target.conj() @ tau @ target))
+            assert overlap > 1 - 1e-10
 
 
 def test_methods_agree_on_code_sector():
