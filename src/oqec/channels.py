@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import DEFAULT_ATOL, dag, kron
+from .linalg import DEFAULT_ATOL, dag, gram, kron, unitarity_defect
 
 ID2 = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -31,7 +31,8 @@ class Channel:
     list, or a (k, dim_out, dim_in) array); kraus holds a read-only copy as one
     complex (k, dim_out, dim_in) array, so len, iteration and indexing give
     the operators. Figures that depend only on the operators, such as the
-    completeness Gram matrix, are computed on first use and kept.
+    completeness Gram matrix, are computed on first use and kept; the Gram
+    matrix is one real product when the operators have no imaginary part.
     """
 
     kraus: np.ndarray
@@ -65,7 +66,7 @@ class Channel:
         stacked operators; (None, inf) when that product overflows."""
         flat = self.kraus.reshape(-1, self.dim_in)
         with np.errstate(over="ignore", invalid="ignore"):
-            g = dag(flat) @ flat
+            g = gram(flat)
             if not np.isfinite(g).all():
                 return None, np.inf
             return g, float(np.linalg.norm(g - np.eye(self.dim_in)))
@@ -81,9 +82,9 @@ class ChannelReport:
 def validate(ch: Channel, atol: float = DEFAULT_ATOL) -> ChannelReport:
     """Completeness check: defect = ||sum E†E - 1||_F.
 
-    The Gram matrix sum E†E is formed once per channel and reused by every
-    later call, whatever its atol. A Kraus set whose Gram matrix overflows is
-    reported as trace increasing, with defect inf.
+    The Gram matrix sum E†E, one real product for real operators, is formed
+    once per channel and reused by every later call, whatever its atol. A Kraus
+    set whose Gram matrix overflows is reported as trace increasing, defect inf.
     """
     g, defect = ch._gram
     if defect <= atol:
@@ -188,11 +189,8 @@ def identity(dim: int) -> Channel:
 
 def unitary(u: np.ndarray) -> Channel:
     """Channel conjugating by a single unitary."""
-    u = np.asarray(u, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {u.shape}")
-    defect = np.linalg.norm(dag(u) @ u - np.eye(u.shape[0]))
-    if defect > DEFAULT_ATOL:
+    defect = unitarity_defect(u)  # DimensionError unless u is square
+    if not defect <= DEFAULT_ATOL:  # a nan defect fails too
         raise DimensionError(f"matrix is not unitary (defect {defect:.3e})")
     return Channel((u,))
 
@@ -286,8 +284,7 @@ def collective_unitary(n: int, terms: Sequence) -> Channel:
     ops = []
     for w, u in terms:
         u = np.asarray(u, dtype=np.complex128)
-        defect = np.linalg.norm(dag(u) @ u - np.eye(u.shape[0]))
-        if u.ndim != 2 or u.shape[0] != u.shape[1] or defect > DEFAULT_ATOL:
+        if u.ndim != 2 or u.shape[0] != u.shape[1] or not unitarity_defect(u) <= DEFAULT_ATOL:
             raise ValueError("each term must carry a unitary matrix")
         ops.append(np.sqrt(w) * kron(*([u] * n)))
     return Channel(tuple(ops))

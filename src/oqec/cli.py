@@ -212,8 +212,8 @@ def cmd_dpi(args) -> int:
     for i, path in enumerate(args.channels):
         ch = channel_from_json(load_json_file(path, f"channel[{i}]"), f"channel[{i}]")
         chain.append(ch)
-    values = dpi_trace(dec, chain, atol=cfg.tolerance)
-    slack = 1e-9
+    values = dpi_trace(dec, chain)
+    slack = cfg.tolerance
     monotone = all(values[i + 1] <= values[i] + slack for i in range(len(values) - 1))
     payload = {"meta": _meta(cfg), "coherent_information": values, "monotone": monotone}
     if cfg.json_output:

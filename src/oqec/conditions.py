@@ -26,7 +26,7 @@ from .errors import DegenerateChannelError, DimensionError
 from .linalg import (
     DEFAULT_ATOL,
     SPECTRUM_CUTOFF,
-    dag,
+    gram,
     kron,
     partial_trace,
     require_state,
@@ -74,7 +74,7 @@ class PurifiedState:
             rest = [i for i in range(4) if i not in keep]
             t = self.psi.reshape(self.dims).transpose(list(keep) + rest)
             mat = t.reshape(int(np.prod([self.dims[i] for i in keep])), -1)
-            rho = mat @ dag(mat)
+            rho = gram(mat.T).conj()  # mat mat† = conj((mat^T)† mat^T)
             rho.flags.writeable = False
             self._marginals[keep] = rho
         return rho
@@ -146,7 +146,7 @@ def check_condition_b(
     da, db, dv, de = dec.dim_a, dec.dim_b, dec.dim_v, len(ch.kraus)
     rotated = (ch.kraus.reshape(-1, dv) @ dec.code_vectors()).reshape(de, dv, da * db)
     # m[j, a, b, k, c, d] = <a, b| E_j† E_k |c, d> on the code sector
-    m = np.tensordot(rotated.conj(), rotated, axes=(1, 1)).reshape(de, da, db, de, da, db)
+    m = gram(rotated.transpose(1, 0, 2).reshape(dv, -1)).reshape(de, da, db, de, da, db)
     blocks = np.einsum("jabkad->jkbd", m) / da
     m -= np.einsum("ac,jkbd->jabkcd", np.eye(da), blocks)  # now M_jk - 1_A tensor B_jk
     pair = np.linalg.norm(m.transpose(0, 3, 1, 2, 4, 5).reshape(de, de, -1), axis=2)
@@ -265,9 +265,9 @@ def dpi_trace(
             m = m.transpose(2, 1, 0, 3).reshape(da * dv, k * r)
         if m.shape[1] < da * dv:
             x = v_rows(m)
-            g_rv, g_v = dag(m) @ m, x @ dag(x) if dv <= x.shape[1] else dag(x) @ x
+            g_rv, g_v = gram(m), gram(x.T).conj() if dv <= x.shape[1] else gram(x)
         else:  # m m† is the smaller side, and its R_A trace is v_rows(m) v_rows(m)†
-            g_rv = m @ dag(m)
+            g_rv = gram(m.T).conj()
             g_v = np.trace(g_rv.reshape(da, dv, da, dv), axis1=0, axis2=2)
         values.append(von_neumann_entropy(g_v, atol) - von_neumann_entropy(g_rv, atol))
         if m.shape[1] > da * dv and i < len(chain):

@@ -8,7 +8,8 @@ Conventions used throughout the package:
 * spectrum entries at or below ``SPECTRUM_CUTOFF`` are treated as zero;
 * eigenvector phases are fixed so the first component of magnitude above
   ``SPECTRUM_CUTOFF`` is real and nonnegative;
-* entropies are in bits (log base 2).
+* entropies are in bits (log base 2);
+* Gram matrices x†x come from ``gram``, one real product when x is real.
 """
 
 from __future__ import annotations
@@ -38,12 +39,23 @@ def kron(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
+def gram(x: np.ndarray) -> np.ndarray:
+    """x†x as a complex matrix. A real x (imaginary parts all ±0.0) takes one
+    real product r.T @ r: a quarter of the complex arithmetic, and an
+    imaginary part exactly zero. Any other x takes dag(x) @ x."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c" and np.count_nonzero(x.imag):
+        return dag(x) @ x
+    r = np.ascontiguousarray(x.real)
+    return (r.T @ r).astype(np.complex128)
+
+
 def unitarity_defect(m: np.ndarray) -> float:
     """Frobenius distance of m†m from the identity."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    return float(np.linalg.norm(dag(m) @ m - np.eye(m.shape[0])))
+    return float(np.linalg.norm(gram(m) - np.eye(m.shape[0])))
 
 
 def partial_trace(m: np.ndarray, dims: Iterable[int], keep: Iterable[int]) -> np.ndarray:

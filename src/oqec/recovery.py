@@ -36,6 +36,7 @@ from .linalg import (
     complete_basis,
     dag,
     eig_hermitian,
+    gram,
 )
 from .spaces import Decomposition
 
@@ -236,12 +237,12 @@ def verify_recovery(
     x -= np.einsum("ac,jkbd->jabkcd", np.eye(da), blocks)  # now D_jk
     e_flat, d_flat, c_flat = ec.reshape(-1, dc), x.reshape(-1, dc), blocks.reshape(-1, db)
     t = dag(e_flat) @ (g @ ec).reshape(-1, dc)
-    sum_l = dag(e_flat) @ ((g - dag(cr) @ cr) @ ec).reshape(-1, dc)
-    sum_d = dag(d_flat) @ d_flat
+    sum_l = dag(e_flat) @ ((g - gram(cr)) @ ec).reshape(-1, dc)
+    sum_d = gram(d_flat)
     # largest eigenvalues of positive matrices; rounding below 0 is clipped
     leak, delta2, c2, worst = (
         max(0.0, float(np.linalg.eigvalsh(h)[-1]))
-        for h in (sum_l, sum_d, dag(c_flat) @ c_flat, sum_l + sum_d)
+        for h in (sum_l, sum_d, gram(c_flat), sum_l + sum_d)
     )
     t_min = float(np.linalg.eigvalsh(t)[0])
     if t_min <= SPECTRUM_CUTOFF:  # some code input is (nearly) annihilated

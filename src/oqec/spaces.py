@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, SupportError
-from .linalg import DEFAULT_ATOL, dag, kron, partial_trace, require_state
+from .linalg import DEFAULT_ATOL, dag, kron, partial_trace, require_state, unitarity_defect
 
 FRAME_ATOL = 1e-9
 
@@ -44,7 +44,7 @@ class Decomposition:
                 )
             # an entry such as 1e300 overflows f† f; a nan defect fails too
             with np.errstate(over="ignore", invalid="ignore"):
-                defect = np.linalg.norm(dag(f) @ f - np.eye(self.dim_v))
+                defect = unitarity_defect(f)
             if not defect <= FRAME_ATOL:
                 raise DimensionError(f"frame is not unitary (defect {defect:.3e})")
             f = f.copy()

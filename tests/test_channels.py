@@ -86,7 +86,7 @@ def test_validate_cache_does_not_fix_atol(scale, atols):
     assert not validate(ch, 1e-9).trace_preserving
 
 
-@pytest.mark.parametrize("entry", [1e300, 1e160, 1e100])
+@pytest.mark.parametrize("entry", [1e300, 1e160, 1e100, 1e300j, 1e160j, 1e100 + 1e100j])
 def test_validate_reports_overflowing_gram_as_trace_increasing(entry, monkeypatch):
     """A huge but finite Kraus entry: no numpy warning, and no non-finite
     matrix reaches the eigen-solver."""
@@ -275,6 +275,8 @@ def test_depolarizing_validates_probability():
 def test_unitary_constructor_rejects_nonunitary():
     with pytest.raises(ValueError):
         unitary(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="not unitary"):
+        unitary(np.full((2, 2), np.nan))  # a nan defect fails too
 
 
 def test_single_qubit_on_places_site_leftmost_first():
@@ -301,6 +303,14 @@ def test_collective_unitary_validates():
         collective_unitary(2, [(0.7, np.eye(2)), (0.7, PAULI_Z)])  # weights sum > 1
     with pytest.raises(ValueError):
         collective_unitary(2, [(1.0, np.ones((2, 2)))])  # not unitary
+
+
+@pytest.mark.parametrize(
+    "term", [np.eye(2, 3), np.ones(2), np.full((2, 2), np.nan)], ids=["non-square", "1-D", "nan"]
+)
+def test_collective_unitary_rejects_a_term_that_is_not_unitary(term):
+    with pytest.raises(ValueError, match="each term must carry a unitary matrix"):
+        collective_unitary(2, [(1.0, term)])
 
 
 def test_random_channel_seeded_and_trace_preserving():

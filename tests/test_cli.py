@@ -150,6 +150,14 @@ def test_dpi_monotone_chain(exported, tmp_path, capsys):
     assert "monotone" in out
 
 
+def test_dpi_tol_is_the_monotonicity_slack(exported, capsys):
+    """--tol bounds how far a step may rise; the state checks keep their
+    default atol, so a tolerance below rounding does not reject the input."""
+    dec, chan = exported
+    assert main(["dpi", dec, chan, chan, "--tol", "1e-17"]) == 0
+    assert "monotone within 1e-17: yes" in capsys.readouterr().out
+
+
 def test_dpi_json_prints_the_out_payload(exported, tmp_path, capsys):
     dec, chan = exported
     out = str(tmp_path / "dpi.json")

@@ -25,7 +25,7 @@ from oqec.conditions import (
     purify,
 )
 from oqec.errors import DegenerateChannelError, DimensionError
-from oqec.linalg import dag, haar_unitary, kron, von_neumann_entropy
+from oqec.linalg import dag, gram, haar_unitary, kron, von_neumann_entropy
 from oqec.recovery import synthesize_schmidt_recovery
 from oqec.spaces import Decomposition
 
@@ -315,13 +315,13 @@ def test_condition_d_diagonalizes_the_smaller_side(monkeypatch, kraus, side):
 
 def test_marginals_are_formed_once_and_read_only(monkeypatch):
     """Conditions c then d on one purified state share the joint and R_B E
-    marginals: each key is formed (one psi_K psi_K† product) once, and the
+    marginals: each key is formed (one Gram product) once, and the
     same read-only array comes back on every request. On bit_flip_3 the joint
     (2 * 1 * 4) ties with dim_v 8, and d takes the joint."""
     entry = get("bit_flip_3")
     ps = purify(entry.dec, entry.noise)
     formed = []
-    monkeypatch.setattr(conditions, "dag", lambda m: formed.append(m.shape) or dag(m))
+    monkeypatch.setattr(conditions, "gram", lambda m: formed.append(m.shape) or gram(m))
     check_condition_c(ps)
     check_condition_d(ps)
     keys = [(0, 1, 3), (0,), (1, 3)]

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import oqec.linalg
 from oqec.errors import DimensionError, NotAStateError, NotHermitianError
 from oqec.linalg import (
     complete_basis,
     dag,
     eig_hermitian,
+    gram,
     haar_unitary,
     kron,
     partial_trace,
@@ -52,6 +54,44 @@ def test_unitarity_defect_zero_for_unitary():
     u = haar_unitary(5, _rng(3))
     assert unitarity_defect(u) < 1e-14
     assert unitarity_defect(2 * u) > 1.0
+
+
+def _signed_zero_imag(r):
+    x = np.empty(r.shape, dtype=np.complex128)
+    x.real, x.imag = r, -0.0
+    return x
+
+
+_GRAM_CASES = {
+    "real": lambda rng: rng.normal(size=(6, 6)),
+    "complex_zero_imag": lambda rng: rng.normal(size=(6, 6)).astype(complex),
+    "minus_zero_imag": lambda rng: _signed_zero_imag(rng.normal(size=(6, 6))),
+    "complex": lambda rng: rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)),
+    "real_tall_stack": lambda rng: rng.normal(size=(10 * 16, 16)).astype(complex),
+    "complex_tall_stack": lambda rng: rng.normal(size=(160, 16)) + 1j * rng.normal(size=(160, 16)),
+    "real_wide": lambda rng: rng.normal(size=(3, 11)),
+    "complex_wide": lambda rng: rng.normal(size=(3, 11)) + 1j * rng.normal(size=(3, 11)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GRAM_CASES))
+def test_gram_matches_the_complex_product(case):
+    x = _GRAM_CASES[case](_rng(4))
+    g, ref = gram(x), dag(x) @ x
+    assert g.dtype == np.complex128 and g.shape == (x.shape[1],) * 2
+    assert np.linalg.norm(g - ref) <= 1e-14 * np.linalg.norm(ref)
+    if not np.iscomplexobj(x) or not x.imag.any():
+        assert np.all(g.imag == 0)
+
+
+def test_gram_of_a_real_valued_input_skips_the_complex_product(monkeypatch):
+    """A real-valued matrix, whatever its dtype or the sign of its zero
+    imaginary parts, takes the real product and never conjugates."""
+    r = _rng(5).normal(size=(12, 4))
+    expected = gram(r)
+    monkeypatch.setattr(oqec.linalg, "dag", lambda m: pytest.fail("complex product taken"))
+    for x in (r, r.astype(complex), _signed_zero_imag(r)):
+        np.testing.assert_array_equal(gram(x), expected)
 
 
 def _partial_trace_loop(m, dims, keep):
