@@ -44,13 +44,11 @@ from .errors import (
     NotAStateError,
     NotCorrectableError,
     NotHermitianError,
-    SupportError,
 )
 from .linalg import (
     eig_hermitian,
     kron,
     partial_trace,
-    schmidt,
     von_neumann_entropy,
 )
 from .recovery import (
@@ -63,6 +61,6 @@ from .recovery import (
     synthesize_universal_recovery,
     verify_recovery,
 )
-from .spaces import Decomposition, embed_state, extract_a, projector_p
+from .spaces import Decomposition, embed_state, projector_p
 
 __version__ = "0.1.0"

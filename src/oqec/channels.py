@@ -261,7 +261,7 @@ def restricted_flip(n: int, p: float) -> Channel:
     Kraus {sqrt(1 - n p) 1, sqrt(p) X_1, ..., sqrt(p) X_n}."""
     if n < 1:
         raise DimensionError("need n >= 1 qubits")
-    if p < 0 or n * p > 1:
+    if not (0 <= p and n * p <= 1):
         raise ValueError(f"need 0 <= p and n*p <= 1, got n={n}, p={p}")
     ops = [np.sqrt(1 - n * p) * np.eye(2**n, dtype=np.complex128)]
     ops += [np.sqrt(p) * _x_on(n, site) for site in range(n)]
@@ -279,7 +279,7 @@ def collective_unitary(n: int, terms: Sequence) -> Channel:
     if not terms:
         raise ValueError("need at least one (weight, unitary) term")
     weights = np.array([w for w, _ in terms], dtype=float)
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > DEFAULT_ATOL:
+    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= DEFAULT_ATOL):
         raise ValueError(f"weights must be nonnegative and sum to 1, got {weights}")
     ops = []
     for w, u in terms:

@@ -4,16 +4,16 @@ Verbs: check, recover, factorize, dpi, codes. Exit codes: 0 for a positive
 verdict, 1 for a negative one (condition failed, not correctable, residual
 over tolerance, monotonicity violated), 2 for usage or input errors. The
 OQEC_TOL environment variable overrides the default tolerance; an explicit
---tol beats both.
+--tol beats both. The tolerance must be finite and positive.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .channels import Channel, validate
@@ -49,41 +49,28 @@ EXIT_INPUT = 2
 DEFAULT_TOLERANCE = 1e-9
 
 
-@dataclass
-class RunConfig:
-    tolerance: float = DEFAULT_TOLERANCE
-    out: str | None = None
-    json_output: bool = False
-
-    def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-
-
-def _env_tolerance() -> float:
-    raw = os.environ.get("OQEC_TOL")
-    if raw is None:
-        return DEFAULT_TOLERANCE
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ValueError(f"OQEC_TOL={raw!r} is not a number") from exc
+def _tolerance(args) -> float:
+    """--tol, else OQEC_TOL, else the default; it must be finite and positive."""
+    if args.tol is not None:
+        name, tol = "--tol", args.tol
+    else:
+        raw = os.environ.get("OQEC_TOL")
+        if raw is None:
+            return DEFAULT_TOLERANCE
+        try:
+            name, tol = "OQEC_TOL", float(raw)
+        except ValueError as exc:
+            raise ValueError(f"OQEC_TOL={raw!r} is not a number") from exc
+    if not 0 < tol < math.inf:
+        raise ValueError(f"{name} must be a finite positive tolerance, got {tol}")
+    return tol
 
 
-def _config(args) -> RunConfig:
-    tol = args.tol if args.tol is not None else _env_tolerance()
-    return RunConfig(
-        tolerance=tol,
-        out=getattr(args, "out", None),
-        json_output=getattr(args, "json", False),
-    )
-
-
-def _meta(cfg: RunConfig) -> dict:
+def _meta(tol: float) -> dict:
     return {
         "tool": "oqec",
         "version": __version__,
-        "tolerance": cfg.tolerance,
+        "tolerance": tol,
     }
 
 
@@ -101,27 +88,27 @@ def _load_pair(args):
 
 
 def cmd_check(args) -> int:
-    cfg = _config(args)
+    tol = _tolerance(args)
     dec, ch = _load_pair(args)
     wanted = ["b", "c", "d"] if args.condition == "all" else [args.condition]
     reports = []
     ps = None
     for cond in wanted:
         if cond == "b":
-            reports.append(check_condition_b(dec, ch, cfg.tolerance))
+            reports.append(check_condition_b(dec, ch, tol))
         else:
             if ps is None:
                 ps = purify(dec, ch)
             if cond == "c":
-                reports.append(check_condition_c(ps, cfg.tolerance))
+                reports.append(check_condition_c(ps, tol))
             else:
-                reports.append(check_condition_d(ps, cfg.tolerance))
+                reports.append(check_condition_d(ps, tol))
     payload = {
-        "meta": _meta(cfg),
+        "meta": _meta(tol),
         "conditions": [condition_report_to_json(r) for r in reports],
         "passed": all(r.passed for r in reports),
     }
-    if cfg.json_output:
+    if args.json:
         print(json.dumps(payload, indent=1))
     else:
         for r in reports:
@@ -130,13 +117,13 @@ def cmd_check(args) -> int:
                 f"condition {r.condition}: {verdict} "
                 f"(residual {r.residual:.3e}, tol {r.tol:g})"
             )
-    if cfg.out:
-        dump_json_file(cfg.out, payload)
+    if args.out:
+        dump_json_file(args.out, payload)
     return EXIT_PASS if payload["passed"] else EXIT_FAIL
 
 
 def cmd_recover(args) -> int:
-    cfg = _config(args)
+    tol = _tolerance(args)
     dec, ch = _load_pair(args)
     synth = (
         synthesize_schmidt_recovery
@@ -144,19 +131,19 @@ def cmd_recover(args) -> int:
         else synthesize_universal_recovery
     )
     try:
-        rec = synth(dec, ch, tol=cfg.tolerance)
+        rec = synth(dec, ch, tol=tol)
     except NotCorrectableError as exc:
         print(f"not correctable: {exc}", file=sys.stderr)
         return EXIT_FAIL
     chan_report = validate(rec.channel)  # forms the Gram matrix verify_recovery reads
     report = verify_recovery(dec, ch, rec)
     ok = (
-        report.max_infidelity <= cfg.tolerance
-        and report.b_marginal_drift <= cfg.tolerance
-        and report.support_leak <= cfg.tolerance
+        report.max_infidelity <= tol
+        and report.b_marginal_drift <= tol
+        and report.support_leak <= tol
     )
     metadata = {
-        **_meta(cfg),
+        **_meta(tol),
         "method": rec.method,
         "kraus_count": len(rec.channel.kraus),
         "completeness_defect": chan_report.defect,
@@ -167,9 +154,9 @@ def cmd_recover(args) -> int:
             "support_leak": report.support_leak,
         },
     }
-    out = cfg.out or "recovery.json"
+    out = args.out or "recovery.json"
     dump_json_file(out, channel_to_json(rec.channel, metadata))
-    if cfg.json_output:
+    if args.json:
         print(json.dumps(metadata, indent=1))
     else:
         print(
@@ -182,29 +169,29 @@ def cmd_recover(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    cfg = _config(args)
+    tol = _tolerance(args)
     dec, ch = _load_pair(args)
     try:
-        fac = factorize_product(dec, ch, tol=cfg.tolerance)
+        fac = factorize_product(dec, ch, tol=tol)
     except NotCorrectableError as exc:
         print(f"not factorizable: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    outdir = cfg.out or "."
+    outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     u_path = os.path.join(outdir, "factor_unitary.json")
     n_path = os.path.join(outdir, "factor_channel_b.json")
-    meta = {**_meta(cfg), "residual": fac.residual}
+    meta = {**_meta(tol), "residual": fac.residual}
     dump_json_file(u_path, channel_to_json(Channel((fac.u,)), {**meta, "kind": "unitary"}))
     dump_json_file(n_path, channel_to_json(fac.n_b, {**meta, "kind": "b_factor"}))
-    if cfg.json_output:
+    if args.json:
         print(json.dumps(meta, indent=1))
     else:
         print(f"residual {fac.residual:.3e}; wrote {u_path} and {n_path}")
-    return EXIT_PASS if fac.residual <= cfg.tolerance else EXIT_FAIL
+    return EXIT_PASS if fac.residual <= tol else EXIT_FAIL
 
 
 def cmd_dpi(args) -> int:
-    cfg = _config(args)
+    tol = _tolerance(args)
     dec = decomposition_from_json(
         load_json_file(args.decomposition, "decomposition"), "decomposition"
     )
@@ -213,18 +200,17 @@ def cmd_dpi(args) -> int:
         ch = channel_from_json(load_json_file(path, f"channel[{i}]"), f"channel[{i}]")
         chain.append(ch)
     values = dpi_trace(dec, chain)
-    slack = cfg.tolerance
-    monotone = all(values[i + 1] <= values[i] + slack for i in range(len(values) - 1))
-    payload = {"meta": _meta(cfg), "coherent_information": values, "monotone": monotone}
-    if cfg.json_output:
+    monotone = all(values[i + 1] <= values[i] + tol for i in range(len(values) - 1))
+    payload = {"meta": _meta(tol), "coherent_information": values, "monotone": monotone}
+    if args.json:
         print(json.dumps(payload, indent=1))
     else:
         for i, v in enumerate(values):
             label = "input" if i == 0 else f"after step {i}"
             print(f"{label}: {v:.12f}")
-        print(f"monotone within {slack:g}: {'yes' if monotone else 'NO'}")
-    if cfg.out:
-        dump_json_file(cfg.out, payload)
+        print(f"monotone within {tol:g}: {'yes' if monotone else 'NO'}")
+    if args.out:
+        dump_json_file(args.out, payload)
     return EXIT_PASS if monotone else EXIT_FAIL
 
 

@@ -92,11 +92,7 @@ class ConditionReport:
 
 
 def purify(
-    dec: Decomposition,
-    ch: Channel,
-    *,
-    allow_trace_decreasing: bool = False,
-    atol: float = DEFAULT_ATOL,
+    dec: Decomposition, ch: Channel, *, allow_trace_decreasing: bool = False
 ) -> PurifiedState:
     """Send half of a maximally entangled reference through the noise.
 
@@ -110,7 +106,7 @@ def purify(
         raise DimensionError(
             f"channel acts on {ch.dim_in} -> {ch.dim_out}, decomposition has dim_v={dec.dim_v}"
         )
-    require_valid(ch, atol, allow_trace_decreasing)
+    require_valid(ch, allow_trace_decreasing=allow_trace_decreasing)
     da, db, dv, de = dec.dim_a, dec.dim_b, dec.dim_v, len(ch.kraus)
     code = dec.code_vectors()
     imgs = ch.kraus.reshape(-1, dv) @ code  # rows (e, v), columns (a, b)
@@ -127,7 +123,6 @@ def check_condition_b(
     ch: Channel,
     tol: float = DEFAULT_ATOL,
     *,
-    atol: float = DEFAULT_ATOL,
     allow_trace_decreasing: bool = False,
 ) -> ConditionReport:
     """Algebraic test: P E_j† E_k P = 1_A tensor B_jk on the code sector.
@@ -135,14 +130,15 @@ def check_condition_b(
     For each Kraus pair the candidate B_jk is the A-average of the code-sector
     block M_jk, and the pair deviation is ||M_jk - 1_A tensor B_jk||_F. The
     report residual aggregates all pairs in quadrature, which makes it
-    invariant under unitary remixing of the Kraus list; the worst pair and the
-    per-pair deviations are kept as witnesses.
+    invariant under unitary remixing of the Kraus list. The witnesses are the
+    blocks as one (k, k, dim_b, dim_b) array b_blocks, the pair deviations as
+    one (k, k) array pair_residuals, and the worst pair.
     """
     if ch.dim_in != dec.dim_v or ch.dim_out != dec.dim_v:
         raise DimensionError(
             f"channel acts on {ch.dim_in} -> {ch.dim_out}, decomposition has dim_v={dec.dim_v}"
         )
-    require_valid(ch, atol, allow_trace_decreasing)
+    require_valid(ch, allow_trace_decreasing=allow_trace_decreasing)
     da, db, dv, de = dec.dim_a, dec.dim_b, dec.dim_v, len(ch.kraus)
     rotated = (ch.kraus.reshape(-1, dv) @ dec.code_vectors()).reshape(de, dv, da * db)
     # m[j, a, b, k, c, d] = <a, b| E_j† E_k |c, d> on the code sector
@@ -158,10 +154,8 @@ def check_condition_b(
         residual=residual,
         tol=tol,
         witnesses={
-            "b_blocks": {(j, k): blocks[j, k] for j in range(de) for k in range(de)},
-            "pair_residuals": {
-                (j, k): float(pair[j, k]) for j in range(de) for k in range(de)
-            },
+            "b_blocks": blocks,
+            "pair_residuals": pair,
             "max_pair": (int(worst[0]), int(worst[1])),
             "max_pair_residual": float(pair[worst]),
         },
@@ -221,9 +215,7 @@ def coherent_info(rho: np.ndarray, dim_r: int, dim_v: int, atol: float = DEFAULT
     return von_neumann_entropy(rho_v, atol) - von_neumann_entropy(rho, atol)
 
 
-def dpi_trace(
-    dec: Decomposition, chain: Sequence[Channel], atol: float = DEFAULT_ATOL
-) -> list[float]:
+def dpi_trace(dec: Decomposition, chain: Sequence[Channel]) -> list[float]:
     """Coherent information of the R_A : V cut through a channel chain.
 
     Starts from the maximally entangled reference state on the code sector and
@@ -247,7 +239,7 @@ def dpi_trace(
             raise DimensionError(
                 f"chain[{i}] acts on {ch.dim_in} -> {ch.dim_out}, expected dim_v={dv}"
             )
-        report = require_valid(ch, atol, allow_trace_decreasing=False)
+        report = require_valid(ch)
         if not report.trace_preserving:
             raise ValueError(f"chain[{i}] is not trace preserving (defect {report.defect:.3e})")
     # m[(a, v), b] = code[v, (a, b)] / sqrt(da db), so m m† is the input state
@@ -269,7 +261,7 @@ def dpi_trace(
         else:  # m m† is the smaller side, and its R_A trace is v_rows(m) v_rows(m)†
             g_rv = gram(m.T).conj()
             g_v = np.trace(g_rv.reshape(da, dv, da, dv), axis1=0, axis2=2)
-        values.append(von_neumann_entropy(g_v, atol) - von_neumann_entropy(g_rv, atol))
+        values.append(von_neumann_entropy(g_v) - von_neumann_entropy(g_rv))
         if m.shape[1] > da * dv and i < len(chain):
             w, u = np.linalg.eigh(g_rv)
             m = u * np.sqrt(np.clip(w, 0.0, None))

@@ -17,10 +17,6 @@ class NotAStateError(ValueError):
     """A matrix fails the density-matrix contract (Hermitian, PSD, unit trace)."""
 
 
-class SupportError(ValueError):
-    """A state leaks outside the subspace it must live on."""
-
-
 class NotCorrectableError(ValueError):
     """The noise fails the correctability test for the given decomposition."""
 

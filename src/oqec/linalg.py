@@ -4,7 +4,7 @@ Conventions used throughout the package:
 
 * composite indices are row-major: the factor pair (a, b) maps to
   ``a * dim_b + b``, matching ``numpy.kron`` and C-order ``reshape``;
-* eigenvalues and Schmidt coefficients are returned in descending order;
+* eigenvalues are returned in descending order;
 * spectrum entries at or below ``SPECTRUM_CUTOFF`` are treated as zero;
 * eigenvector phases are fixed so the first component of magnitude above
   ``SPECTRUM_CUTOFF`` is real and nonnegative;
@@ -122,37 +122,6 @@ def eig_hermitian(m: np.ndarray, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray
     return w[order], _fix_phases(v[:, order])
 
 
-def schmidt(
-    vec: np.ndarray, dim_left: int, dim_right: int, cutoff: float = SPECTRUM_CUTOFF
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Schmidt decomposition of a bipartite vector.
-
-    The vector is reshaped row-major to (dim_left, dim_right). Returns
-    (coeffs, left, right) with coefficients descending and > cutoff, and
-    left/right orthonormal vectors as matrix columns, so that
-
-        vec == sum_i coeffs[i] * kron(left[:, i], right[:, i]).
-    """
-    vec = np.asarray(vec, dtype=np.complex128).reshape(-1)
-    if dim_left < 1 or dim_right < 1 or vec.size != dim_left * dim_right:
-        raise DimensionError(
-            f"vector of size {vec.size} does not split as {dim_left} x {dim_right}"
-        )
-    u, s, vh = np.linalg.svd(vec.reshape(dim_left, dim_right), full_matrices=False)
-    keep = s > cutoff
-    coeffs = s[keep]
-    left = u[:, keep]
-    right = vh[keep, :].T.copy()
-    for i in range(left.shape[1]):
-        nz = np.flatnonzero(np.abs(left[:, i]) > cutoff)
-        if nz.size:
-            pivot = left[nz[0], i]
-            phase = pivot.conjugate() / abs(pivot)
-            left[:, i] *= phase
-            right[:, i] *= phase.conjugate()
-    return coeffs, left, right
-
-
 def require_state(rho: np.ndarray, atol: float = DEFAULT_ATOL) -> np.ndarray:
     """Check the density-matrix contract and return the spectrum, descending.
 
@@ -187,12 +156,13 @@ def complete_basis(cols: Optional[np.ndarray], dim: int) -> np.ndarray:
     The k input columns must be linearly independent but need not be
     orthonormal. Returns the last dim - k columns of the complete QR factor
     Q of cols, shape (dim, dim - k): the same for the same input, but not
-    canonical. Raises DimensionError when k > dim or when a diagonal entry of
-    R is at most 1e-7 in magnitude (dependent columns).
+    canonical. Raises DimensionError when cols is not a (dim, k) matrix, when
+    k > dim, or when a diagonal entry of R is at most 1e-7 in magnitude
+    (dependent columns). None stands for k = 0.
     """
-    if cols is None:
-        cols = np.zeros((dim, 0), dtype=np.complex128)
-    cols = np.asarray(cols, dtype=np.complex128).reshape(dim, -1)
+    cols = np.asarray(np.zeros((dim, 0)) if cols is None else cols, dtype=np.complex128)
+    if cols.ndim != 2 or cols.shape[0] != dim:
+        raise DimensionError(f"expected a ({dim}, k) matrix of columns, got shape {cols.shape}")
     k = cols.shape[1]
     if k > dim:
         raise DimensionError(f"cannot complete {k} columns in dimension {dim}")
@@ -209,19 +179,3 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     ph = np.diagonal(r).copy()
     ph /= np.abs(ph)
     return q * ph.conjugate()
-
-
-def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state vector."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator, rank: Optional[int] = None) -> np.ndarray:
-    """Random mixed state: normalized GG† with a (dim x rank) Gaussian G."""
-    rank = dim if rank is None else int(rank)
-    if rank < 1:
-        raise DimensionError("rank must be >= 1")
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    rho = g @ dag(g)
-    return rho / np.real(np.trace(rho))

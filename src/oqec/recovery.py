@@ -76,10 +76,8 @@ class VerificationReport:
     trials: int = 0  # always 0; bench/tracer.py counts it as recovery.verify_recovery.trials
 
 
-def _gate_condition_b(dec, ch, tol, atol, allow_trace_decreasing):
-    report = check_condition_b(
-        dec, ch, tol, atol=atol, allow_trace_decreasing=allow_trace_decreasing
-    )
+def _gate_condition_b(dec, ch, tol):
+    report = check_condition_b(dec, ch, tol)
     if not report.passed:
         raise NotCorrectableError(
             f"noise is not correctable on this decomposition: condition-b residual "
@@ -96,32 +94,22 @@ def _completion(span: np.ndarray) -> list:
     return [leftover @ dag(leftover)] if leftover.shape[1] else []
 
 
-def _schmidt_family(dec, ch, cutoff, atol, allow_trace_decreasing):
+def _schmidt_family(dec, ch):
     """Eigen-split the reference-environment marginal and pull back the
-    corrupted code vectors e_jk; returns (weights q_k, one dv x da block of
-    columns e_jk per surviving k, the purified state)."""
-    ps = purify(dec, ch, allow_trace_decreasing=allow_trace_decreasing, atol=atol)
+    corrupted code vectors e_jk; returns (weights q_k, the (rank, dv, da)
+    stack whose block k has columns e_jk)."""
+    ps = purify(dec, ch)
     da, db, dv, de = ps.dims
-    q, vecs = eig_hermitian(ps.marginal((1, 3)), atol)
-    survive = [k for k in range(len(q)) if q[k] > cutoff]
-    amp = ps.psi.reshape(da, db, dv, de).transpose(0, 1, 3, 2).reshape(da, db * de, dv)
-    families = []  # one (dv x da) column block per surviving k
-    for k in survive:
-        cols = np.zeros((dv, da), dtype=np.complex128)
-        for j in range(da):
-            cols[:, j] = (vecs[:, k].conj() @ amp[j]) / np.sqrt(q[k] / da)
-        families.append(cols)
-    return np.array([q[k] for k in survive]), families, ps
+    q, vecs = eig_hermitian(ps.marginal((1, 3)))
+    keep = q > SPECTRUM_CUTOFF
+    q = q[keep]
+    amp = ps.psi.reshape(da, db, dv, de).transpose(1, 3, 2, 0).reshape(db * de, dv * da)
+    family = (dag(vecs[:, keep]) @ amp).reshape(-1, dv, da) / np.sqrt(q / da)[:, None, None]
+    return q, family
 
 
 def synthesize_schmidt_recovery(
-    dec: Decomposition,
-    ch: Channel,
-    *,
-    tol: float = DEFAULT_ATOL,
-    cutoff: float = SPECTRUM_CUTOFF,
-    atol: float = DEFAULT_ATOL,
-    allow_trace_decreasing: bool = False,
+    dec: Decomposition, ch: Channel, *, tol: float = DEFAULT_ATOL
 ) -> Recovery:
     """Recovery from the Schmidt form of the purified noisy state.
 
@@ -134,24 +122,17 @@ def synthesize_schmidt_recovery(
 
     Raises NotCorrectableError when the algebraic test fails at tol.
     """
-    gate = _gate_condition_b(dec, ch, tol, atol, allow_trace_decreasing)
-    q, families, ps = _schmidt_family(dec, ch, cutoff, atol, allow_trace_decreasing)
-    _, db, dv, _ = ps.dims
-    code_s = dec.code_vectors()[:, 0::db]  # columns (j, b=0)
-    span = np.hstack([np.zeros((dv, 0), dtype=np.complex128), *families])
-    kraus = [code_s @ dag(cols) for cols in families] + _completion(span)
+    gate = _gate_condition_b(dec, ch, tol)
+    q, family = _schmidt_family(dec, ch)
+    code_s = dec.code_vectors()[:, ::dec.dim_b]  # columns (j, b=0)
+    span = family.transpose(1, 0, 2).reshape(dec.dim_v, -1)
+    kraus = list(code_s @ dag(family)) + _completion(span)
     data = {"spectrum": q, "condition_b_residual": gate.residual}
     return Recovery(channel=Channel(tuple(kraus)), method="schmidt", data=data)
 
 
 def synthesize_universal_recovery(
-    dec: Decomposition,
-    ch: Channel,
-    *,
-    tol: float = DEFAULT_ATOL,
-    cutoff: float = SPECTRUM_CUTOFF,
-    atol: float = DEFAULT_ATOL,
-    allow_trace_decreasing: bool = False,
+    dec: Decomposition, ch: Channel, *, tol: float = DEFAULT_ATOL
 ) -> Recovery:
     """Recovery from the Gram matrix of the restricted error family.
 
@@ -162,18 +143,17 @@ def synthesize_universal_recovery(
     the recovery Kraus operators (embed at b=0) W_m†, plus the projector onto
     the complement of their ranges when that is not empty.
     """
-    gate = _gate_condition_b(dec, ch, tol, atol, allow_trace_decreasing)
+    gate = _gate_condition_b(dec, ch, tol)
     da, db, dv, de = dec.dim_a, dec.dim_b, dec.dim_v, len(ch.kraus)
     code = dec.code_vectors()
     # F_(j,s)† F_(k,t) = B_jk[s, t] 1_A: condition b's blocks are the Gram
     # matrix g, and its residual is the distance of the family from that form
-    blocks = gate.witnesses["b_blocks"]
-    gram = np.block([[blocks[(j, k)] for k in range(de)] for j in range(de)])
-    d, mix = eig_hermitian(gram, atol)
+    g = gate.witnesses["b_blocks"].transpose(0, 2, 1, 3).reshape(de * db, de * db)
+    d, mix = eig_hermitian(g)
     # family[j * db + s] = F_(j,s), the dv x da block of E_j code at b = s
     rotated = (ch.kraus.reshape(-1, dv) @ code).reshape(de, dv, da, db)
     family = rotated.transpose(0, 3, 1, 2).reshape(de * db, dv, da)
-    canonical = np.tensordot(mix[:, d > cutoff].T, family, axes=1)
+    canonical = np.tensordot(mix[:, d > SPECTRUM_CUTOFF].T, family, axes=1)
     u_s, _, v_h = np.linalg.svd(canonical, full_matrices=False)
     isometries = u_s @ v_h  # (m, dv, da)
     span = isometries.transpose(1, 0, 2).reshape(dv, -1)
@@ -252,13 +232,7 @@ def verify_recovery(
 
 
 def factorize_product(
-    dec: Decomposition,
-    ch: Channel,
-    *,
-    tol: float = DEFAULT_ATOL,
-    cutoff: float = SPECTRUM_CUTOFF,
-    atol: float = DEFAULT_ATOL,
-    allow_trace_decreasing: bool = False,
+    dec: Decomposition, ch: Channel, *, tol: float = DEFAULT_ATOL
 ) -> Factorization:
     """Split a correctable channel on V = A tensor B as unitary(u) after
     (1_A tensor n_b). Only defined for dim_c = 0.
@@ -273,31 +247,24 @@ def factorize_product(
         raise DimensionError(
             f"factorization requires dim_c = 0, got dim_c={dec.dim_c}"
         )
-    gate = _gate_condition_b(dec, ch, tol, atol, allow_trace_decreasing)
+    gate = _gate_condition_b(dec, ch, tol)
     da, db, dv = dec.dim_a, dec.dim_b, dec.dim_v
     frame = dec.code_vectors()  # with dim_c = 0, the whole frame
-    _, families, _ = _schmidt_family(dec, ch, cutoff, atol, allow_trace_decreasing)
-    rank = len(families)
+    _, family = _schmidt_family(dec, ch)
+    rank = len(family)
     if rank > db:
         raise NotCorrectableError(
             f"reference-environment marginal has Schmidt rank {rank} > dim_b={db}",
             residual=gate.residual,
         )
-    # sources, in canonical coordinates, column order is k outer, j inner,
-    # pairing with target j*db + k
-    sources = dag(frame) @ np.hstack([np.zeros((dv, 0), dtype=np.complex128), *families])
-    targets = np.zeros((dv, rank * da), dtype=np.complex128)
-    col = 0
-    for k in range(rank):
-        for j in range(da):
-            targets[j * db + k, col] = 1.0
-            col += 1
-    src_ext = complete_basis(sources, dv)
-    tgt_cols = [j * db + k for j in range(da) for k in range(rank, db)]
-    tgt_ext = np.zeros((dv, len(tgt_cols)), dtype=np.complex128)
-    for i, c in enumerate(tgt_cols):
-        tgt_ext[c, i] = 1.0
-    w = np.hstack([targets, tgt_ext]) @ dag(np.hstack([sources, src_ext]))
+    # sources, in canonical coordinates: column k * da + j is e_jk and maps
+    # to |j, k> = j * db + k; the completion maps, in ascending order, to the
+    # unused |j, k>, those with k >= rank
+    sources = dag(frame) @ family.transpose(1, 0, 2).reshape(dv, -1)
+    k, j = divmod(np.arange(rank * da), da)
+    targets = np.concatenate([j * db + k, np.flatnonzero(np.arange(dv) % db >= rank)])
+    w = np.zeros((dv, dv), dtype=np.complex128)
+    w[targets] = dag(np.hstack([sources, complete_basis(sources, dv)]))
     u_s, _, v_h = np.linalg.svd(w)
     w = u_s @ v_h  # snap to the closest exact unitary
     # w frame† E_j frame = 1_A tensor N_j, up to the residual
@@ -314,8 +281,6 @@ def extend_by_linearity(
     ch: Channel,
     rec: Union[Recovery, Channel],
     coeffs: np.ndarray,
-    *,
-    atol: float = DEFAULT_ATOL,
 ) -> VerificationReport:
     """Verify that a recovery for ch also corrects linear combinations of its
     Kraus operators.
@@ -335,7 +300,7 @@ def extend_by_linearity(
     if coeffs.shape[0] < 1:
         raise DimensionError("need at least one combination row")
     combined = Channel(np.tensordot(coeffs, ch.kraus, axes=1))
-    report = validate(combined, atol)
+    report = validate(combined)
     if not report.trace_nonincreasing:
         raise ValueError(
             "linear combination increases trace; rescale the coefficients"

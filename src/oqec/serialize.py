@@ -293,7 +293,9 @@ def condition_report_to_json(report: ConditionReport) -> dict:
             "max_pair": list(wit["max_pair"]),
             "max_pair_residual": wit["max_pair_residual"],
             "b_blocks": {
-                f"{j},{k}": matrix_to_json(b) for (j, k), b in wit["b_blocks"].items()
+                f"{j},{k}": matrix_to_json(b)
+                for j, row in enumerate(wit["b_blocks"])
+                for k, b in enumerate(row)
             },
         }
     elif report.condition == "c":

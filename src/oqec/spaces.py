@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, SupportError
-from .linalg import DEFAULT_ATOL, dag, kron, partial_trace, require_state, unitarity_defect
+from .errors import DimensionError
+from .linalg import DEFAULT_ATOL, dag, kron, require_state, unitarity_defect
 
 FRAME_ATOL = 1e-9
 
@@ -67,11 +67,6 @@ class Decomposition:
         out[: self.dim_code, :] = np.eye(self.dim_code)
         return out
 
-    def code_vector(self, a: int, b: int) -> np.ndarray:
-        if not (0 <= a < self.dim_a and 0 <= b < self.dim_b):
-            raise DimensionError(f"code label ({a}, {b}) out of range")
-        return self.code_vectors()[:, a * self.dim_b + b]
-
 
 def projector_p(dec: Decomposition) -> np.ndarray:
     """Orthogonal projector onto the A tensor B sector of V."""
@@ -96,23 +91,3 @@ def embed_state(
     require_state(sigma_b, atol)
     code = dec.code_vectors()
     return code @ kron(rho_a, sigma_b) @ dag(code)
-
-
-def extract_a(dec: Decomposition, rho_v: np.ndarray, atol: float = DEFAULT_ATOL) -> np.ndarray:
-    """Restrict a code-supported state to A tensor B and trace out B.
-
-    Raises SupportError when the state leaks outside the code sector:
-    the norm of (1-P) rho (1-P) must stay within atol.
-    """
-    rho_v = np.asarray(rho_v, dtype=np.complex128)
-    if rho_v.shape != (dec.dim_v, dec.dim_v):
-        raise DimensionError(f"state shape {rho_v.shape} does not match dim_v={dec.dim_v}")
-    q = np.eye(dec.dim_v) - projector_p(dec)
-    leak = float(np.linalg.norm(q @ rho_v @ q))
-    if leak > atol:
-        raise SupportError(
-            f"state leaks outside the code sector (norm {leak:.3e} > atol={atol})"
-        )
-    code = dec.code_vectors()
-    block = dag(code) @ rho_v @ code
-    return partial_trace(block, [dec.dim_a, dec.dim_b], keep=(0,))

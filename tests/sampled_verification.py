@@ -12,9 +12,10 @@ that the exact figure bounds, so it can never exceed it.
 import numpy as np
 
 from oqec.channels import apply
-from oqec.linalg import SPECTRUM_CUTOFF, dag, partial_trace, random_state_vector
+from oqec.linalg import SPECTRUM_CUTOFF, dag, partial_trace
 from oqec.recovery import Recovery, VerificationReport
 from oqec.spaces import embed_state, projector_p
+from random_states import random_state_vector
 
 
 def sampled_verify_recovery(dec, ch, rec, trials=50, seed=0) -> VerificationReport:

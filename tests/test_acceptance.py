@@ -35,7 +35,6 @@ from oqec.linalg import (
     dag,
     haar_unitary,
     kron,
-    random_density_matrix,
     von_neumann_entropy,
 )
 from oqec.recovery import (
@@ -47,6 +46,7 @@ from oqec.recovery import (
 )
 from oqec.serialize import channel_to_json, decomposition_to_json, dump_json_file
 from oqec.spaces import Decomposition, embed_state
+from random_states import random_density_matrix
 from sampled_verification import sampled_verify_recovery
 
 FIXTURES = ["bit_flip_3", "phase_flip_3", "dfs_2qubit_dephasing", "ns_3qubit_collective", "bitflip_3_vs_z"]

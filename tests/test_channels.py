@@ -26,7 +26,8 @@ from oqec.channels import (
     validate,
 )
 from oqec.errors import DimensionError
-from oqec.linalg import dag, haar_unitary, kron, random_density_matrix
+from oqec.linalg import dag, haar_unitary, kron
+from random_states import random_density_matrix
 
 
 def _rng(seed=0):
@@ -293,6 +294,8 @@ def test_restricted_flip_structure():
     np.testing.assert_allclose(ch.kraus[0], np.sqrt(0.7) * np.eye(8), atol=1e-14)
     with pytest.raises(ValueError):
         restricted_flip(3, 0.4)  # 3 * 0.4 > 1
+    with pytest.raises(ValueError):
+        restricted_flip(3, np.nan)
 
 
 def test_collective_unitary_validates():
@@ -303,6 +306,8 @@ def test_collective_unitary_validates():
         collective_unitary(2, [(0.7, np.eye(2)), (0.7, PAULI_Z)])  # weights sum > 1
     with pytest.raises(ValueError):
         collective_unitary(2, [(1.0, np.ones((2, 2)))])  # not unitary
+    with pytest.raises(ValueError):
+        collective_unitary(2, [(np.nan, np.eye(2))])
 
 
 @pytest.mark.parametrize(

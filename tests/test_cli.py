@@ -231,10 +231,26 @@ def test_tolerance_env_override(exported_bad, monkeypatch):
     assert main(["check", dec, chan, "--condition", "b", "--tol", "1e-9"]) == 1
 
 
-def test_rejects_nonpositive_tolerance(exported, capsys):
+@pytest.mark.parametrize(
+    "flag, env, name",
+    [
+        (["--tol", "-1"], None, "--tol"),
+        (["--tol", "inf"], None, "--tol"),
+        (["--tol", "nan"], None, "--tol"),
+        ([], "1e400", "OQEC_TOL"),
+    ],
+    ids=["negative", "inf", "nan", "env-overflow"],
+)
+@pytest.mark.parametrize("verb", ["check", "recover"])
+def test_rejects_nonpositive_tolerance(exported, capsys, monkeypatch, tmp_path, flag, env, name, verb):
+    """A tolerance that is not finite and positive is an input error that
+    names its source; inf would pass every condition."""
     dec, chan = exported
-    assert main(["check", dec, chan, "--tol", "-1"]) == 2
-    assert "tolerance" in capsys.readouterr().err
+    if env is not None:
+        monkeypatch.setenv("OQEC_TOL", env)
+    assert main([verb, dec, chan, *flag, "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert "tolerance" in err and name in err
 
 
 def _correctable_dim64(seed=7):

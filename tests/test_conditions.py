@@ -107,6 +107,27 @@ def test_purify_gates_trace_decreasing():
     assert abs(np.linalg.norm(ps.psi) - 1.0) < 1e-12
 
 
+def test_condition_b_gates_trace_decreasing_like_purify():
+    """Uniform half-strength noise is trace decreasing: condition b refuses
+    it unless allowed, and then agrees with c and d on the renormalized
+    purification. The uneven half-strength channel above fails b and d."""
+    dec = Decomposition(2, 1, 0)
+    half = Channel((np.eye(2, dtype=complex) / np.sqrt(2),))
+    with pytest.raises(ValueError):
+        check_condition_b(dec, half)
+    b = check_condition_b(dec, half, allow_trace_decreasing=True)
+    ps = purify(dec, half, allow_trace_decreasing=True)
+    assert ps.norm_in == pytest.approx(0.5, abs=1e-12)
+    assert b.passed and check_condition_c(ps).passed and check_condition_d(ps).passed
+    np.testing.assert_allclose(b.witnesses["b_blocks"][0, 0], [[0.5]], atol=1e-15)
+    uneven = Channel((np.diag([1.0, 1.0 / np.sqrt(2)]).astype(complex),))
+    with pytest.raises(ValueError):
+        check_condition_b(dec, uneven)
+    ps = purify(dec, uneven, allow_trace_decreasing=True)
+    assert not check_condition_b(dec, uneven, allow_trace_decreasing=True).passed
+    assert not check_condition_d(ps).passed
+
+
 def test_purify_rejects_annihilating_channel():
     dec = Decomposition(1, 1, 1)
     kill = Channel((np.diag([0.0, 1.0]).astype(complex),))

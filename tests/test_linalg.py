@@ -13,13 +13,11 @@ from oqec.linalg import (
     haar_unitary,
     kron,
     partial_trace,
-    random_density_matrix,
-    random_state_vector,
     require_state,
-    schmidt,
     unitarity_defect,
     von_neumann_entropy,
 )
+from random_states import random_density_matrix, random_state_vector
 
 
 def _rng(seed=0):
@@ -190,37 +188,6 @@ def test_eig_hermitian_rejects_nonhermitian():
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_schmidt_reconstructs_vector():
-    rng = _rng(23)
-    vec = random_state_vector(12, rng)
-    coeffs, left, right = schmidt(vec, 3, 4)
-    rebuilt = np.zeros(12, dtype=complex)
-    for c, l, r in zip(coeffs, left.T, right.T):
-        rebuilt += c * np.kron(l, r)
-    np.testing.assert_allclose(rebuilt, vec, atol=1e-12)
-    assert np.all(coeffs > 0)
-    assert np.all(np.diff(coeffs) <= 1e-12)
-    np.testing.assert_allclose(dag(left) @ left, np.eye(left.shape[1]), atol=1e-12)
-    np.testing.assert_allclose(dag(right) @ right, np.eye(right.shape[1]), atol=1e-12)
-
-
-def test_schmidt_product_state_has_rank_one():
-    rng = _rng(29)
-    vec = np.kron(random_state_vector(2, rng), random_state_vector(3, rng))
-    coeffs, _, _ = schmidt(vec, 2, 3)
-    assert len(coeffs) == 1
-    assert abs(coeffs[0] - 1.0) < 1e-12
-
-
-def test_schmidt_coefficients_square_to_marginal_spectrum():
-    rng = _rng(31)
-    vec = random_state_vector(8, rng)
-    coeffs, _, _ = schmidt(vec, 2, 4)
-    rho_left = partial_trace(np.outer(vec, vec.conj()), [2, 4], (0,))
-    w, _ = eig_hermitian(rho_left)
-    np.testing.assert_allclose(coeffs**2, w[: len(coeffs)], atol=1e-12)
-
-
 def test_require_state_accepts_density_matrix():
     spectrum = require_state(random_density_matrix(4, _rng(37)))
     assert np.all(np.diff(spectrum) <= 1e-12)
@@ -299,6 +266,10 @@ def test_complete_basis_rejects_dependent_or_too_many_columns():
         complete_basis(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]), 3)
     with pytest.raises(DimensionError):
         complete_basis(np.eye(2, 3), 2)
+    with pytest.raises(DimensionError):
+        complete_basis(np.eye(2), 4)  # a (2, 2) matrix is not one 4-vector
+    with pytest.raises(DimensionError):
+        complete_basis(np.ones(8), 4)  # nor is an 8-vector two columns
 
 
 def test_haar_unitary_is_unitary_and_seeded():

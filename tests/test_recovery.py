@@ -31,7 +31,6 @@ from oqec.linalg import (
     haar_unitary,
     kron,
     partial_trace,
-    random_density_matrix,
 )
 from oqec.recovery import (
     Recovery,
@@ -43,6 +42,7 @@ from oqec.recovery import (
     verify_recovery,
 )
 from oqec.spaces import Decomposition, embed_state
+from random_states import random_density_matrix
 
 CORRECTABLE = [e.name for e in catalog() if all(e.expected.values())]
 SYNTHESIZERS = [synthesize_schmidt_recovery, synthesize_universal_recovery]
@@ -139,7 +139,7 @@ def test_schmidt_recovery_restores_code_vectors():
     entry = get("bit_flip_3")
     rec = synthesize_schmidt_recovery(entry.dec, entry.noise)
     code = entry.dec.code_vectors()
-    _, families, _ = _schmidt_family(entry.dec, entry.noise, SPECTRUM_CUTOFF, 1e-9, False)
+    _, families = _schmidt_family(entry.dec, entry.noise)
     assert len(families) == 4
     for cols in families:
         for j, vec in enumerate(cols.T):
@@ -218,7 +218,6 @@ def test_verify_recovery_samples_nothing_and_ignores_trials_and_seed(monkeypatch
     for module, name in [
         (oqec.channels, "apply"),
         (oqec.spaces, "embed_state"),
-        (oqec.linalg, "random_state_vector"),
         (oqec.linalg, "partial_trace"),
     ]:
         monkeypatch.setattr(module, name, forbidden)

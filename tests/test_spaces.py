@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from oqec.errors import DimensionError, NotAStateError, SupportError
-from oqec.linalg import dag, haar_unitary, kron, random_density_matrix
-from oqec.spaces import Decomposition, embed_state, extract_a, projector_p
+from oqec.errors import DimensionError, NotAStateError
+from oqec.linalg import dag, haar_unitary, kron, partial_trace
+from oqec.spaces import Decomposition, embed_state, projector_p
+from random_states import random_density_matrix
 
 
 def _rng(seed=0):
@@ -22,7 +23,6 @@ def test_default_frame_is_canonical_block():
     dec = Decomposition(2, 2, 1)
     code = dec.code_vectors()
     np.testing.assert_allclose(code, np.eye(5)[:, :4], atol=1e-15)
-    np.testing.assert_allclose(dec.code_vector(1, 0), np.eye(5)[:, 2], atol=1e-15)
 
 
 def test_code_vectors_orthonormal_under_frame():
@@ -84,7 +84,10 @@ def test_embed_extract_round_trip():
     dec = Decomposition(3, 2, 2, frame=haar_unitary(8, rng))
     rho = random_density_matrix(3, rng)
     sig = random_density_matrix(2, rng)
-    np.testing.assert_allclose(extract_a(dec, embed_state(dec, rho, sig)), rho, atol=1e-12)
+    code = dec.code_vectors()
+    block = dag(code) @ embed_state(dec, rho, sig) @ code
+    np.testing.assert_allclose(partial_trace(block, [3, 2], keep=(0,)), rho, atol=1e-12)
+    np.testing.assert_allclose(partial_trace(block, [3, 2], keep=(1,)), sig, atol=1e-12)
 
 
 def test_embed_state_validates_inputs():
@@ -95,16 +98,3 @@ def test_embed_state_validates_inputs():
     with pytest.raises(DimensionError):
         embed_state(dec, np.eye(3) / 3, good)
 
-
-def test_extract_a_flags_support_leak():
-    dec = Decomposition(2, 1, 1)
-    rho_v = np.diag([0.4, 0.4, 0.2]).astype(complex)  # weight on the C sector
-    with pytest.raises(SupportError):
-        extract_a(dec, rho_v)
-
-
-def test_extract_a_tolerates_tiny_leak():
-    dec = Decomposition(2, 1, 1)
-    rho_v = np.diag([0.5, 0.5, 1e-12]).astype(complex)
-    out = extract_a(dec, rho_v, atol=1e-9)
-    np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-9)
