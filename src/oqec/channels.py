@@ -247,13 +247,12 @@ def single_qubit_on(n: int, site: int, ch: Channel) -> Channel:
         raise DimensionError(f"site {site} out of range for {n} qubits")
     if ch.dim_in != 2 or ch.dim_out != 2:
         raise DimensionError("channel to lift must act on a single qubit")
-    left = np.eye(2**site, dtype=np.complex128)
-    right = np.eye(2 ** (n - site - 1), dtype=np.complex128)
-    return Channel(tuple(kron(left, e, right) for e in ch.kraus))
+    return Channel(tuple(_on_site(n, site, e) for e in ch.kraus))
 
 
-def _x_on(n: int, site: int) -> np.ndarray:
-    return kron(np.eye(2**site), PAULI_X, np.eye(2 ** (n - site - 1)))
+def _on_site(n: int, site: int, op: np.ndarray) -> np.ndarray:
+    """op on qubit site of n (site 0 most significant), identity elsewhere."""
+    return kron(np.eye(2**site), op, np.eye(2 ** (n - site - 1)))
 
 
 def restricted_flip(n: int, p: float) -> Channel:
@@ -264,7 +263,7 @@ def restricted_flip(n: int, p: float) -> Channel:
     if not (0 <= p and n * p <= 1):
         raise ValueError(f"need 0 <= p and n*p <= 1, got n={n}, p={p}")
     ops = [np.sqrt(1 - n * p) * np.eye(2**n, dtype=np.complex128)]
-    ops += [np.sqrt(p) * _x_on(n, site) for site in range(n)]
+    ops += [np.sqrt(p) * _on_site(n, site, PAULI_X) for site in range(n)]
     return Channel(tuple(ops))
 
 

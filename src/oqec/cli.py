@@ -2,9 +2,10 @@
 
 Verbs: check, recover, factorize, dpi, codes. Exit codes: 0 for a positive
 verdict, 1 for a negative one (condition failed, not correctable, residual
-over tolerance, monotonicity violated), 2 for usage or input errors. The
-OQEC_TOL environment variable overrides the default tolerance; an explicit
---tol beats both. The tolerance must be finite and positive.
+over tolerance, monotonicity violated), 2 for usage or input errors (noise
+that is not trace preserving, an input too large to allocate). The OQEC_TOL
+environment variable overrides the default tolerance; an explicit --tol
+beats both. The tolerance must be finite and positive.
 """
 
 from __future__ import annotations
@@ -74,17 +75,25 @@ def _meta(tol: float) -> dict:
     }
 
 
-def _load_pair(args):
-    dec = decomposition_from_json(
-        load_json_file(args.decomposition, "decomposition"), "decomposition"
-    )
-    ch = channel_from_json(load_json_file(args.channel, "channel"), "channel")
+def _load_channel(path, field, dec):
+    """A channel file on the decomposition's V; every verb needs it trace
+    preserving. validate caches the Gram matrix that later gates read."""
+    ch = channel_from_json(load_json_file(path, field), field)
     if ch.dim_in != dec.dim_v or ch.dim_out != dec.dim_v:
         raise FormatError(
-            "channel",
+            field,
             f"acts on {ch.dim_in} -> {ch.dim_out} but the decomposition has dim_v={dec.dim_v}",
         )
-    return dec, ch
+    report = validate(ch)
+    if not report.trace_preserving:
+        change = "decreases" if report.trace_nonincreasing else "increases"
+        raise FormatError(field, f"Kraus set {change} trace (completeness defect {report.defect:.3e})")
+    return ch
+
+
+def _load_pair(args):
+    dec = decomposition_from_json(load_json_file(args.decomposition, "decomposition"), "decomposition")
+    return dec, _load_channel(args.channel, "channel", dec)
 
 
 def cmd_check(args) -> int:
@@ -192,13 +201,8 @@ def cmd_factorize(args) -> int:
 
 def cmd_dpi(args) -> int:
     tol = _tolerance(args)
-    dec = decomposition_from_json(
-        load_json_file(args.decomposition, "decomposition"), "decomposition"
-    )
-    chain = []
-    for i, path in enumerate(args.channels):
-        ch = channel_from_json(load_json_file(path, f"channel[{i}]"), f"channel[{i}]")
-        chain.append(ch)
+    dec = decomposition_from_json(load_json_file(args.decomposition, "decomposition"), "decomposition")
+    chain = [_load_channel(path, f"channel[{i}]", dec) for i, path in enumerate(args.channels)]
     values = dpi_trace(dec, chain)
     monotone = all(values[i + 1] <= values[i] + tol for i in range(len(values) - 1))
     payload = {"meta": _meta(tol), "coherent_information": values, "monotone": monotone}
@@ -295,7 +299,7 @@ def main(argv=None) -> int:
     except NotCorrectableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (FormatError, OSError, ValueError) as exc:
+    except (FormatError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -4,7 +4,8 @@ Every entry carries a decomposition, a trace-preserving noise channel, the
 expected verdict of each correctability condition, and a short note. The
 first four entries are correctable by construction; the last is a designed
 failure. An optional ninth-qubit subsystem-code entry (dim_v = 512) is kept
-behind the extended flag because of its size.
+behind the extended flag because of its size. Every code sector is written
+down in closed form, so no frame depends on an eigensolver's choice of basis.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PAULI_X, PAULI_Z, Channel, collective_unitary, restricted_flip
-from .errors import DimensionError
-from .linalg import complete_basis, dag, eig_hermitian, haar_unitary, kron
+from .channels import PAULI_Z, Channel, _on_site, collective_unitary, restricted_flip
+from .linalg import complete_basis, haar_unitary, kron
 from .spaces import Decomposition
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
@@ -37,10 +37,6 @@ def _basis_columns(dim: int, order) -> np.ndarray:
     return out
 
 
-def _z_on(n: int, site: int) -> np.ndarray:
-    return kron(np.eye(2**site), PAULI_Z, np.eye(2 ** (n - site - 1)))
-
-
 def _bit_flip_3() -> CatalogEntry:
     # code words |000>, |111>; complement in index order
     frame = _basis_columns(8, [0, 7, 1, 2, 3, 4, 5, 6])
@@ -60,7 +56,7 @@ def _phase_flip_3() -> CatalogEntry:
     )
     dec = Decomposition(dim_a=2, dim_b=1, dim_c=6, frame=frame)
     kraus = [np.sqrt(0.7) * np.eye(8, dtype=np.complex128)]
-    kraus += [np.sqrt(0.1) * _z_on(3, site) for site in range(3)]
+    kraus += [np.sqrt(0.1) * _on_site(3, site, PAULI_Z) for site in range(3)]
     return CatalogEntry(
         name="phase_flip_3",
         dec=dec,
@@ -125,7 +121,7 @@ def _bitflip_3_vs_z() -> CatalogEntry:
     dec = Decomposition(dim_a=2, dim_b=1, dim_c=6, frame=frame)
     kraus = (
         np.sqrt(0.5) * np.eye(8, dtype=np.complex128),
-        np.sqrt(0.5) * _z_on(3, 0),
+        np.sqrt(0.5) * _on_site(3, 0, PAULI_Z),
     )
     return CatalogEntry(
         name="bitflip_3_vs_z",
@@ -136,50 +132,31 @@ def _bitflip_3_vs_z() -> CatalogEntry:
     )
 
 
-def _pauli_string(n: int, ops: dict) -> np.ndarray:
-    """Tensor product with the given single-site operators, identity elsewhere."""
-    factors = [ops.get(i, np.eye(2)) for i in range(n)]
-    return kron(*factors)
-
-
 def _bacon_shor_9() -> CatalogEntry:
     """3x3 subsystem code: one protected qubit, four gauge qubits.
 
-    The frame is built numerically but deterministically: take the joint +1
-    eigenspace of the four stabilizers (double-row X products, double-column
-    Z products), restrict the dressed logical pair (X on row 0, Z on column
-    0) to it, and split the code space into the logical eigenstructure with
-    the gauge factor as multiplicity.
+    The frame is written down from the CSS codewords. Site (r, c) is qubit
+    3r + c, site 0 the most significant bit of a basis index x. The Z-type
+    stabilizers (Z on two adjacent columns) fix the three column parities to
+    one common value, which logical Z (Z on column 0) reads. The X-type
+    stabilizers (X on two adjacent rows) form the group {0, rows 0+1,
+    rows 1+2, rows 0+2} of bit masks, which splits the 64 strings with even
+    column parities into 16 orbits, ordered by their smallest member. Code
+    vector (0, b) puts 1/2 on each string of orbit b, and (1, b) is X on
+    row 0 applied to it, the index map x -> x ^ row 0. Column a*16 + b of
+    the frame is code vector (a, b).
     """
-    n = 9
-    site = lambda r, c: 3 * r + c
-    stabilizers = []
-    for r in (0, 1):
-        stabilizers.append(
-            _pauli_string(n, {site(rr, c): PAULI_X for rr in (r, r + 1) for c in range(3)})
-        )
-    for c in (0, 1):
-        stabilizers.append(
-            _pauli_string(n, {site(r, cc): PAULI_Z for cc in (c, c + 1) for r in range(3)})
-        )
-    proj = np.eye(2**n, dtype=np.complex128)
-    for s in stabilizers:
-        proj = proj @ (np.eye(2**n) + s) / 2
-    w, v = eig_hermitian(proj)
-    basis = v[:, w > 0.5]  # 32 columns
-    if basis.shape[1] != 32:
-        raise DimensionError("stabilizer code space has unexpected dimension")
-    logical_x = _pauli_string(n, {site(0, c): PAULI_X for c in range(3)})
-    logical_z = _pauli_string(n, {site(r, 0): PAULI_Z for r in range(3)})
-    z_restricted = dag(basis) @ logical_z @ basis
-    wz, vz = eig_hermitian(z_restricted)
-    gauge = vz[:, wz > 0.5]  # 16 columns: the logical-0 sector
-    if gauge.shape[1] != 16:
-        raise DimensionError("logical-Z eigenspace has unexpected dimension")
-    up = basis @ gauge
-    down = logical_x @ up
-    code_cols = np.hstack([up, down])  # (a, b) -> a*16 + b
-    frame = np.hstack([code_cols, complete_basis(code_cols, 2**n)])
+    x = np.arange(2**9)
+    bits = (x[:, None] >> np.arange(8, -1, -1)) & 1  # bits[x, 3r + c]
+    even = x[(bits.reshape(-1, 3, 3).sum(axis=1) % 2 == 0).all(axis=1)]
+    row = [0b111 << 3 * (2 - r) for r in range(3)]
+    gauge = np.array([0, row[0] ^ row[1], row[1] ^ row[2], row[0] ^ row[2]])
+    # each sorted orbit starts with its smallest member, so unique orders them
+    orbits = np.unique(np.sort(even[:, None] ^ gauge, axis=1), axis=0)  # (16, 4)
+    code_cols = np.zeros((2**9, 32), dtype=np.complex128)
+    for a in (0, 1):
+        code_cols[orbits ^ (a * row[0]), a * 16 + np.arange(16)[:, None]] = 0.5
+    frame = np.hstack([code_cols, complete_basis(code_cols, 2**9)])
     dec = Decomposition(dim_a=2, dim_b=16, dim_c=480, frame=frame)
     return CatalogEntry(
         name="bacon_shor_9",

@@ -5,7 +5,7 @@ of V = (A tensor B) + C, each checked numerically with its own witness data:
 
 * algebraic: every P E_j† E_k P acts as 1_A tensor B_jk on the code sector;
 * product: after sending half of a maximally entangled reference pair through
-  the noise, the reference marginal factorizes as rho_RA tensor rho_RBE;
+  the noise, the reference marginal factorizes as 1_A / dim_a tensor rho_RBE;
 * entropic: the entropy budget S(V') - S(R_B E') returns exactly the log of
   the protected dimension.
 
@@ -165,12 +165,17 @@ def check_condition_b(
 def check_condition_c(ps: PurifiedState, tol: float = DEFAULT_ATOL) -> ConditionReport:
     """Product test: the reference-environment marginal must factorize.
 
-    residual = || rho'_{R_A R_B E} - rho'_{R_A} tensor rho'_{R_B E} ||_F.
+    residual = || rho'_{R_A R_B E} - 1_A / dim_a tensor rho'_{R_B E} ||_F.
+    1_A / dim_a is the input R_A marginal; renormalized trace-decreasing
+    noise can move the observed one, the witness rho_ra, away from it. Entry
+    by entry the difference is b's M_jk - 1_A tensor B_jk over
+    dim_a dim_b norm_in, so residual_b = dim_a dim_b norm_in residual_c.
     """
+    da = ps.dims[0]
     joint = ps.marginal((0, 1, 3))
     rho_ra = ps.marginal((0,))
     rho_rbe = ps.marginal((1, 3))
-    residual = float(np.linalg.norm(joint - kron(rho_ra, rho_rbe)))
+    residual = float(np.linalg.norm(joint - kron(np.eye(da) / da, rho_rbe)))
     return ConditionReport(
         condition="c",
         passed=residual <= tol,

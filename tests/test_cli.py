@@ -1,5 +1,7 @@
 """Command line surface: exit codes, file artifacts, and diagnostics."""
 
+import contextlib
+import io
 import json
 import os
 import resource
@@ -8,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oqec
 from oqec.channels import Channel, depolarizing, random_channel
@@ -464,3 +468,90 @@ def test_seed_and_trials_flags_are_gone(exported, tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["recover", "--help"])
     assert "--seed" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scale, change", [(0.5, "decreases"), (2.0, "increases")])
+@pytest.mark.parametrize("verb", ["check", "recover", "factorize", "dpi"])
+def test_every_verb_rejects_noise_that_is_not_trace_preserving(exported, tmp_path, capsys, scale, change, verb):
+    """The CLI cannot renormalize, so a Kraus set whose completeness defect
+    is over tolerance is an input error that names the file's field."""
+    dec, chan = exported
+    bad = str(tmp_path / "bad.json")
+    dump_json_file(bad, channel_to_json(Channel(channel_from_json(load_json_file(chan)).kraus * np.sqrt(scale))))
+    if verb == "dpi":
+        argv, field = ["dpi", dec, chan, bad], "channel[1]"
+    else:
+        argv, field = [verb, dec, bad, "--out", str(tmp_path / "out")], "channel"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field}: Kraus set {change} trace" in err
+    assert "allow_trace_decreasing" not in err
+
+
+def test_check_exits_two_when_an_input_cannot_be_allocated(exported, tmp_path):
+    """A sparse file of about a hundred bytes declares an 8000 x 8000
+    channel; under a 1.5 GiB address-space cap stacking its operator runs
+    out of memory, which is an input error (exit 2), not a negative verdict."""
+    dec, _ = exported
+    n = 8000
+    sparse = {"shape": [n, n], "rows": [0], "cols": [0], "re": [1.0], "im": [0.0]}
+    bad = tmp_path / "big.json"
+    dump_json_file(str(bad), {"dim_in": n, "dim_out": n, "kraus": [sparse]})
+    proc = _oqec_subprocess("check", dec, str(bad), address_space=3 * 2**29)
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert "Unable to allocate" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def bit_flip_3_files(tmp_path_factory):
+    """bit_flip_3's exported files, as parsed JSON, and a directory to write
+    mutants into."""
+    outdir = tmp_path_factory.mktemp("bit_flip_3")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["codes", "export", "bit_flip_3", str(outdir)]) == 0
+    names = ("bit_flip_3.decomposition.json", "bit_flip_3.noise.json")
+    return outdir, [json.loads((outdir / name).read_text()) for name in names]
+
+
+def _places(obj, path=()):
+    """Every place below the root of a JSON value: each list element and
+    each dict value."""
+    items = enumerate(obj) if type(obj) is list else obj.items() if type(obj) is dict else ()
+    for key, val in items:
+        yield (*path, key)
+        yield from _places(val, (*path, key))
+
+
+# Integers stay at most 64, so no mutation declares a matrix too large to
+# allocate on a small machine.
+_MUTANT_VALUES = st.one_of(
+    st.sampled_from([-1, 0, 2, 1e308, -0.0, True, None, "x", [], {}]),
+    st.integers(-2, 64),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_check_on_a_mutated_file_exits_zero_one_or_two(bit_flip_3_files, data):
+    """One place of bit_flip_3's decomposition or noise file replaced by a
+    junk value, or one key deleted: `check` returns 0, 1 or 2 and raises
+    nothing (numpy warnings included, as the suite turns them into errors)."""
+    outdir, objs = bit_flip_3_files
+    which = data.draw(st.sampled_from([0, 1]))
+    mutant = json.loads(json.dumps(objs[which]))
+    path = data.draw(st.sampled_from(list(_places(mutant))))
+    parent = mutant
+    for key in path[:-1]:
+        parent = parent[key]
+    if type(parent) is dict and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_MUTANT_VALUES)
+    paths = [str(outdir / "bit_flip_3.decomposition.json"), str(outdir / "bit_flip_3.noise.json")]
+    paths[which] = str(outdir / "mutant.json")
+    with open(paths[which], "w") as f:
+        json.dump(mutant, f)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["check", *paths])
+    assert code in (0, 1, 2)

@@ -6,7 +6,7 @@ import pytest
 from oqec.channels import validate
 from oqec.codes import catalog, get
 from oqec.conditions import check_condition_b, check_condition_c, check_condition_d, purify
-from oqec.linalg import dag
+from oqec.linalg import dag, kron
 
 BASIC = ["bit_flip_3", "phase_flip_3", "dfs_2qubit_dephasing", "ns_3qubit_collective", "bitflip_3_vs_z"]
 
@@ -77,3 +77,34 @@ def test_bacon_shor_entry_passes_all_conditions():
     rc = check_condition_c(ps, tol=1e-8)
     rd = check_condition_d(ps, tol=1e-8)
     assert rb.passed and rc.passed and rd.passed
+
+
+def _pauli_on(ops: dict) -> np.ndarray:
+    """Nine-qubit operator with the given single-site factors, identity elsewhere."""
+    return kron(*[ops.get(site, np.eye(2)) for site in range(9)])
+
+
+def test_bacon_shor_frame_is_the_css_codewords():
+    """Each code vector is 1/2 on four basis strings; (1, b) is X on row 0
+    applied to (0, b); the four stabilizers fix every code vector and
+    logical Z reads a, all exactly; the code sector is the stabilizers' joint
+    +1 space; and two builds give the same bits."""
+    frame = get("bacon_shor_9").dec.frame
+    code = frame[:, :32]
+    assert not np.count_nonzero(code.imag)
+    code = code.real
+    assert ((code == 0.5).sum(axis=0) == 4).all() and ((code == 0) | (code == 0.5)).all()
+    row0 = 0b111 << 6  # sites 0, 1, 2: the three most significant bits
+    np.testing.assert_array_equal(code[np.arange(512) ^ row0, :16], code[:, 16:])
+    x, z = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+    stabilizers = [_pauli_on({3 * rr + c: x for rr in (r, r + 1) for c in range(3)}) for r in (0, 1)]
+    stabilizers += [_pauli_on({3 * r + cc: z for cc in (c, c + 1) for r in range(3)}) for c in (0, 1)]
+    for s in stabilizers:
+        np.testing.assert_array_equal(s.real @ code, code)
+    logical_z = _pauli_on({3 * r: z for r in range(3)}).real
+    np.testing.assert_array_equal(logical_z @ code, code * np.repeat([1, -1], 16))
+    proj = np.eye(512)
+    for s in stabilizers:
+        proj = proj @ (np.eye(512) + s.real) / 2
+    np.testing.assert_allclose(code @ code.T, proj, atol=1e-12)
+    np.testing.assert_array_equal(get("bacon_shor_9").dec.frame, frame)

@@ -110,7 +110,9 @@ def test_purify_gates_trace_decreasing():
 def test_condition_b_gates_trace_decreasing_like_purify():
     """Uniform half-strength noise is trace decreasing: condition b refuses
     it unless allowed, and then agrees with c and d on the renormalized
-    purification. The uneven half-strength channel above fails b and d."""
+    purification. The uneven half-strength channel above fails all three:
+    renormalizing leaves rho'_{R_A} = diag(2/3, 1/3), which c compares with
+    the input marginal 1_A / 2."""
     dec = Decomposition(2, 1, 0)
     half = Channel((np.eye(2, dtype=complex) / np.sqrt(2),))
     with pytest.raises(ValueError):
@@ -125,7 +127,43 @@ def test_condition_b_gates_trace_decreasing_like_purify():
         check_condition_b(dec, uneven)
     ps = purify(dec, uneven, allow_trace_decreasing=True)
     assert not check_condition_b(dec, uneven, allow_trace_decreasing=True).passed
+    assert not check_condition_c(ps).passed
     assert not check_condition_d(ps).passed
+
+
+def _b_and_c_instances():
+    """Catalog entries, the correctable ones also at half strength, and 40
+    random instances, every other one made trace decreasing by a diagonal
+    contraction after the noise's own operators."""
+    out = []
+    for entry in catalog():
+        out.append((entry.dec, entry.noise))
+        if all(entry.expected.values()):
+            out.append((entry.dec, Channel(entry.noise.kraus / np.sqrt(2))))
+    rng = _rng(41)
+    for trial in range(40):
+        da, db, dc = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(0, 4))
+        dv = da * db + dc
+        dec = Decomposition(da, db, dc, frame=haar_unitary(dv, rng))
+        ch = random_channel(dv, int(rng.integers(1, 4)), seed=500 + trial)
+        if trial % 2:
+            ch = Channel(ch.kraus * rng.uniform(0.3, 1.0, dv))
+        out.append((dec, ch))
+    return out
+
+
+def test_condition_b_residual_is_c_residual_scaled():
+    """Entry by entry, c's difference is b's M_jk - 1_A tensor B_jk over
+    dim_a dim_b norm_in, so residual_b = dim_a dim_b norm_in residual_c,
+    trace decreasing or not."""
+    for dec, ch in _b_and_c_instances():
+        b = check_condition_b(dec, ch, allow_trace_decreasing=True).residual
+        ps = purify(dec, ch, allow_trace_decreasing=True)
+        scaled = dec.dim_a * dec.dim_b * ps.norm_in * check_condition_c(ps).residual
+        if b > 1e-9:
+            assert scaled == pytest.approx(b, rel=1e-12, abs=0)
+        else:
+            assert abs(scaled - b) <= 1e-14
 
 
 def test_purify_rejects_annihilating_channel():
