@@ -5,7 +5,7 @@ expected verdict of each correctability condition, and a short note. The
 first four entries are correctable by construction; the last is a designed
 failure. An optional ninth-qubit subsystem-code entry (dim_v = 512) is kept
 behind the extended flag because of its size. Every code sector is written
-down in closed form, so no frame depends on an eigensolver's choice of basis.
+down in closed form as code columns, so no frame depends on a solver's basis.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import PAULI_Z, Channel, _on_site, collective_unitary, restricted_flip
-from .linalg import complete_basis, haar_unitary, kron
+from .linalg import haar_unitary, kron
 from .spaces import Decomposition
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
@@ -30,17 +30,9 @@ class CatalogEntry:
     note: str
 
 
-def _basis_columns(dim: int, order) -> np.ndarray:
-    out = np.zeros((dim, len(order)), dtype=np.complex128)
-    for i, j in enumerate(order):
-        out[j, i] = 1.0
-    return out
-
-
 def _bit_flip_3() -> CatalogEntry:
-    # code words |000>, |111>; complement in index order
-    frame = _basis_columns(8, [0, 7, 1, 2, 3, 4, 5, 6])
-    dec = Decomposition(dim_a=2, dim_b=1, dim_c=6, frame=frame)
+    # code words |000>, |111>
+    dec = Decomposition(dim_a=2, dim_b=1, dim_c=6, frame=np.eye(8)[:, [0, 7]])
     return CatalogEntry(
         name="bit_flip_3",
         dec=dec,
@@ -51,9 +43,7 @@ def _bit_flip_3() -> CatalogEntry:
 
 
 def _phase_flip_3() -> CatalogEntry:
-    frame = kron(HADAMARD, HADAMARD, HADAMARD) @ _basis_columns(
-        8, [0, 7, 1, 2, 3, 4, 5, 6]
-    )
+    frame = kron(HADAMARD, HADAMARD, HADAMARD)[:, [0, 7]]
     dec = Decomposition(dim_a=2, dim_b=1, dim_c=6, frame=frame)
     kraus = [np.sqrt(0.7) * np.eye(8, dtype=np.complex128)]
     kraus += [np.sqrt(0.1) * _on_site(3, site, PAULI_Z) for site in range(3)]
@@ -68,8 +58,7 @@ def _phase_flip_3() -> CatalogEntry:
 
 def _dfs_2qubit_dephasing() -> CatalogEntry:
     # decoherence-free pair |01>, |10> under collective dephasing
-    frame = _basis_columns(4, [1, 2, 0, 3])
-    dec = Decomposition(dim_a=2, dim_b=1, dim_c=2, frame=frame)
+    dec = Decomposition(dim_a=2, dim_b=1, dim_c=2, frame=np.eye(4)[:, [1, 2]])
     noise = collective_unitary(2, [(0.5, np.eye(2)), (0.5, PAULI_Z)])
     return CatalogEntry(
         name="dfs_2qubit_dephasing",
@@ -81,21 +70,16 @@ def _dfs_2qubit_dephasing() -> CatalogEntry:
 
 
 def _spin_coupling_frame() -> np.ndarray:
-    """Total-spin basis of three qubits, ordered (multiplicity, spin) pairs
-    first: two j=1/2 doublets spanning A tensor B, then the j=3/2 quadruplet."""
-    s2, s3, s6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
-    f = np.zeros((8, 8), dtype=np.complex128)
+    """The two j=1/2 doublets of three qubits' total spin, ordered (multiplicity,
+    spin) pairs: they span A tensor B, and C is the j=3/2 quadruplet."""
+    s2, s6 = np.sqrt(2.0), np.sqrt(6.0)
+    f = np.zeros((8, 4), dtype=np.complex128)
     # doublet from the (12)-singlet: (|010> - |100>)/sqrt2 x {|0>, |1>} on qubit 3
     f[[2, 4], 0] = [1 / s2, -1 / s2]
     f[[3, 5], 1] = [1 / s2, -1 / s2]
     # doublet from the (12)-triplet, Clebsch-Gordan 1 x 1/2 -> 1/2
     f[[1, 2, 4], 2] = [np.sqrt(2.0 / 3.0), -1 / s6, -1 / s6]
     f[[3, 5, 6], 3] = [1 / s6, 1 / s6, -np.sqrt(2.0 / 3.0)]
-    # j = 3/2 quadruplet, m = 3/2 .. -3/2
-    f[0, 4] = 1.0
-    f[[1, 2, 4], 5] = [1 / s3, 1 / s3, 1 / s3]
-    f[[3, 5, 6], 6] = [1 / s3, 1 / s3, 1 / s3]
-    f[7, 7] = 1.0
     return f
 
 
@@ -117,8 +101,7 @@ def _ns_3qubit_collective() -> CatalogEntry:
 
 
 def _bitflip_3_vs_z() -> CatalogEntry:
-    frame = _basis_columns(8, [0, 7, 1, 2, 3, 4, 5, 6])
-    dec = Decomposition(dim_a=2, dim_b=1, dim_c=6, frame=frame)
+    dec = Decomposition(dim_a=2, dim_b=1, dim_c=6, frame=np.eye(8)[:, [0, 7]])
     kraus = (
         np.sqrt(0.5) * np.eye(8, dtype=np.complex128),
         np.sqrt(0.5) * _on_site(3, 0, PAULI_Z),
@@ -144,7 +127,7 @@ def _bacon_shor_9() -> CatalogEntry:
     column parities into 16 orbits, ordered by their smallest member. Code
     vector (0, b) puts 1/2 on each string of orbit b, and (1, b) is X on
     row 0 applied to it, the index map x -> x ^ row 0. Column a*16 + b of
-    the frame is code vector (a, b).
+    the frame is code vector (a, b); C is the orthogonal complement.
     """
     x = np.arange(2**9)
     bits = (x[:, None] >> np.arange(8, -1, -1)) & 1  # bits[x, 3r + c]
@@ -156,8 +139,7 @@ def _bacon_shor_9() -> CatalogEntry:
     code_cols = np.zeros((2**9, 32), dtype=np.complex128)
     for a in (0, 1):
         code_cols[orbits ^ (a * row[0]), a * 16 + np.arange(16)[:, None]] = 0.5
-    frame = np.hstack([code_cols, complete_basis(code_cols, 2**9)])
-    dec = Decomposition(dim_a=2, dim_b=16, dim_c=480, frame=frame)
+    dec = Decomposition(dim_a=2, dim_b=16, dim_c=480, frame=code_cols)
     return CatalogEntry(
         name="bacon_shor_9",
         dec=dec,

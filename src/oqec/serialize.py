@@ -7,9 +7,14 @@ Wire format:
 * matrix, sparse: {"shape": [rows, cols], "rows": [...], "cols": [...],
   "re": [...], "im": [...]}, one (row, col, re, im) entry per listed cell,
   every other cell zero; each (row, col) pair appears at most once;
-* channel: {"dim_in": int, "dim_out": int, "kraus": [matrix, ...]};
+* channel: {"dim_in": int, "dim_out": int, "kraus": [matrix, ...],
+  "metadata": object (optional)};
 * decomposition: {"dim_a": int, "dim_b": int, "dim_c": int,
-  "frame": matrix (optional)}.
+  "frame": matrix (optional)}: dim_v x k, dim_a * dim_b <= k <= dim_v, with
+  orthonormal columns; only the first dim_a * dim_b are written and kept (a
+  square frame from an older file loads). Absent means the canonical layout.
+
+Objects hold exactly their keys: a missing or unknown key is rejected.
 
 The writer picks the sparse form when fewer than half of a matrix's cells
 are nonzero, and the dense form otherwise; the reader accepts either (an
@@ -36,7 +41,7 @@ import numpy as np
 
 from .channels import Channel
 from .conditions import ConditionReport
-from .errors import FormatError
+from .errors import DimensionError, FormatError
 from .spaces import Decomposition
 
 __all__ = [
@@ -137,15 +142,20 @@ def _dense_matrix(obj: Any, field: str) -> np.ndarray:
     raise FormatError(field, "expected a matrix of finite [re, im] pairs")
 
 
-def _sparse_shape(obj: dict, field: str) -> tuple:
-    """The declared shape of a sparse matrix object whose keys are exactly
-    the five of the format."""
-    for key in _SPARSE_KEYS:
+def _check_keys(obj: dict, field: str, required: tuple, optional: tuple = ()) -> None:
+    """FormatError naming the first missing required key or unknown key."""
+    for key in required:
         if key not in obj:
             raise FormatError(f"{field}.{key}", "missing")
     for key in obj:
-        if key not in _SPARSE_KEYS:
+        if key not in required and key not in optional:
             raise FormatError(f"{field}.{key}", "unknown key")
+
+
+def _sparse_shape(obj: dict, field: str) -> tuple:
+    """The declared shape of a sparse matrix object whose keys are exactly
+    the five of the format."""
+    _check_keys(obj, field, _SPARSE_KEYS)
     shape = obj["shape"]
     if type(shape) is not list or len(shape) != 2 or not all(type(n) is int and n >= 1 for n in shape):
         raise FormatError(f"{field}.shape", f"expected two positive integers, got {shape!r}")
@@ -210,22 +220,20 @@ def matrix_from_json(obj: Any, field: str = "matrix") -> np.ndarray:
     return _sparse_matrix(obj, field) if type(obj) is dict else _dense_matrix(obj, field)
 
 
-def _matrix_of_shape(obj: Any, shape: tuple, field: str, what: str) -> np.ndarray:
-    """matrix_from_json(obj, field) unless its shape differs from shape, which
-    what names; a sparse matrix's declared shape is compared before anything
-    is allocated."""
+def _matrix_of_shape(obj: Any, fits, field: str, what: str) -> np.ndarray:
+    """matrix_from_json(obj, field) unless fits(shape) fails, in which case
+    the error says the shape does not match what; a sparse matrix's declared
+    shape is tested before anything is allocated."""
     got = _sparse_shape(obj, field) if type(obj) is dict else None
-    if got in (None, shape):
+    if got is None or fits(got):
         m = matrix_from_json(obj, field)
         got = m.shape
-    if got != shape:
+    if not fits(got):
         raise FormatError(field, f"shape {got} does not match {what}")
     return m
 
 
 def _int_field(obj: dict, key: str, minimum: int, field: str) -> int:
-    if key not in obj:
-        raise FormatError(f"{field}.{key}", "missing")
     val = obj[key]
     if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
         raise FormatError(f"{field}.{key}", f"expected an integer >= {minimum}, got {val!r}")
@@ -246,14 +254,17 @@ def channel_to_json(ch: Channel, metadata: dict | None = None) -> dict:
 def channel_from_json(obj: Any, field: str = "channel") -> Channel:
     if not isinstance(obj, dict):
         raise FormatError(field, "expected an object")
+    _check_keys(obj, field, ("dim_in", "dim_out", "kraus"), ("metadata",))
     dim_in = _int_field(obj, "dim_in", 1, field)
     dim_out = _int_field(obj, "dim_out", 1, field)
-    kraus_obj = obj.get("kraus")
+    if type(obj.get("metadata", {})) is not dict:
+        raise FormatError(f"{field}.metadata", f"expected an object, got {obj['metadata']!r}")
+    kraus_obj = obj["kraus"]
     if not isinstance(kraus_obj, list) or not kraus_obj:
         raise FormatError(f"{field}.kraus", "expected a non-empty array of matrices")
     what = f"(dim_out, dim_in)=({dim_out}, {dim_in})"
     kraus = [
-        _matrix_of_shape(mat, (dim_out, dim_in), f"{field}.kraus[{i}]", what)
+        _matrix_of_shape(mat, (dim_out, dim_in).__eq__, f"{field}.kraus[{i}]", what)
         for i, mat in enumerate(kraus_obj)
     ]
     return Channel(tuple(kraus))
@@ -269,14 +280,19 @@ def decomposition_to_json(dec: Decomposition) -> dict:
 def decomposition_from_json(obj: Any, field: str = "decomposition") -> Decomposition:
     if not isinstance(obj, dict):
         raise FormatError(field, "expected an object")
+    _check_keys(obj, field, ("dim_a", "dim_b", "dim_c"), ("frame",))
     dim_a = _int_field(obj, "dim_a", 1, field)
     dim_b = _int_field(obj, "dim_b", 1, field)
     dim_c = _int_field(obj, "dim_c", 0, field)
     frame = None
-    if obj.get("frame") is not None:
-        dv = dim_a * dim_b + dim_c
-        frame = _matrix_of_shape(obj["frame"], (dv, dv), f"{field}.frame", f"dim_v={dv}")
-    return Decomposition(dim_a=dim_a, dim_b=dim_b, dim_c=dim_c, frame=frame)
+    if "frame" in obj:
+        dcode, dv = dim_a * dim_b, dim_a * dim_b + dim_c
+        frame = _matrix_of_shape(obj["frame"], lambda s: s[0] == dv and dcode <= s[1] <= dv,
+                                 f"{field}.frame", f"({dv}, k) with {dcode} <= k <= {dv}")
+    try:
+        return Decomposition(dim_a=dim_a, dim_b=dim_b, dim_c=dim_c, frame=frame)
+    except DimensionError as exc:  # the dims passed _int_field, so the frame failed
+        raise FormatError(f"{field}.frame", str(exc)) from exc
 
 
 def condition_report_to_json(report: ConditionReport) -> dict:

@@ -4,8 +4,10 @@ A Decomposition fixes how a dim_v-dimensional space splits into a protected
 factor A, a gauge factor B, and an orthogonal remainder C. In canonical
 coordinates the first dim_a * dim_b basis vectors span A tensor B with the
 row-major pairing (a, b) -> a * dim_b + b, and the last dim_c span C. An
-optional unitary frame maps canonical coordinates into the working basis, so
-column a * dim_b + b of the frame is the code vector for (a, b).
+optional frame places the code sector in the working basis: a dim_v x k
+matrix with orthonormal columns, dim_a * dim_b <= k <= dim_v, whose column
+a * dim_b + b is the code vector for (a, b). Only those first dim_a * dim_b
+columns are kept; C is their orthogonal complement, which no condition reads.
 """
 
 from __future__ import annotations
@@ -16,14 +18,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import DEFAULT_ATOL, dag, kron, require_state, unitarity_defect
-
-FRAME_ATOL = 1e-9
+from .linalg import DEFAULT_ATOL, dag, gram, kron, require_state
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """V = (A tensor B) + C with an optional unitary change of frame."""
+    """V = (A tensor B) + C with an optional frame, kept as its dim_v x dim_code code isometry."""
 
     dim_a: int
     dim_b: int
@@ -38,16 +38,16 @@ class Decomposition:
             )
         if self.frame is not None:
             f = np.asarray(self.frame, dtype=np.complex128)
-            if f.shape != (self.dim_v, self.dim_v):
+            if f.ndim != 2 or f.shape[0] != self.dim_v or not self.dim_code <= f.shape[1] <= self.dim_v:
                 raise DimensionError(
-                    f"frame shape {f.shape} does not match dim_v={self.dim_v}"
+                    f"frame shape {f.shape} is not ({self.dim_v}, k) with {self.dim_code} <= k <= dim_v"
                 )
             # an entry such as 1e300 overflows f† f; a nan defect fails too
             with np.errstate(over="ignore", invalid="ignore"):
-                defect = unitarity_defect(f)
-            if not defect <= FRAME_ATOL:
-                raise DimensionError(f"frame is not unitary (defect {defect:.3e})")
-            f = f.copy()
+                defect = np.linalg.norm(gram(f) - np.eye(f.shape[1]))
+            if not defect <= DEFAULT_ATOL:
+                raise DimensionError(f"frame columns are not orthonormal (defect {defect:.3e})")
+            f = f[:, : self.dim_code].copy()
             f.flags.writeable = False
             object.__setattr__(self, "frame", f)
 
@@ -62,7 +62,7 @@ class Decomposition:
     def code_vectors(self) -> np.ndarray:
         """dim_v x (dim_a*dim_b) matrix; column a*dim_b + b is the (a, b) code vector."""
         if self.frame is not None:
-            return np.asarray(self.frame)[:, : self.dim_code].copy()
+            return self.frame.copy()
         out = np.zeros((self.dim_v, self.dim_code), dtype=np.complex128)
         out[: self.dim_code, :] = np.eye(self.dim_code)
         return out

@@ -18,7 +18,7 @@ from oqec.channels import Channel, depolarizing, random_channel
 from oqec.cli import main
 from oqec.codes import get
 from oqec.conditions import check_condition_b, check_condition_c, check_condition_d, purify
-from oqec.linalg import dag, haar_unitary, kron
+from oqec.linalg import complete_basis, dag, haar_unitary, kron
 from oqec.recovery import verify_recovery
 from oqec.serialize import (
     channel_from_json,
@@ -261,14 +261,15 @@ def _correctable_dim64(seed=7):
     """dim_v = 64 instance: 1_A tensor N_B on the code block, identity on C,
     conjugated by a random frame."""
     rng = np.random.default_rng(seed)
-    dec = Decomposition(2, 4, 56, frame=haar_unitary(64, rng))
+    frame = haar_unitary(64, rng)
+    dec = Decomposition(2, 4, 56, frame=frame)
     kraus = []
     for m, nk in enumerate(random_channel(4, 3, seed=seed).kraus):
         g = np.zeros((64, 64), dtype=np.complex128)
         g[:8, :8] = kron(np.eye(2), nk)
         if m == 0:
             g[8:, 8:] = np.eye(56)
-        kraus.append(dec.frame @ g @ dag(dec.frame))
+        kraus.append(frame @ g @ dag(frame))
     return dec, Channel(tuple(kraus))
 
 
@@ -288,11 +289,15 @@ def test_check_round_trip_matches_library(tmp_path, capsys):
     assert all(c["passed"] for c in payload["conditions"])
 
 
-def _dense_json(obj):
-    """A matrix from either wire form, rewritten in the dense form, which
-    still loads; the writer picks the sparse form for mostly-zero matrices."""
-    m = matrix_from_json(obj)
+def _dense(m):
+    """m in the dense wire form, which still loads; the writer picks the
+    sparse form for mostly-zero matrices."""
     return np.stack([m.real, m.imag], -1).tolist()
+
+
+def _dense_json(obj):
+    """A matrix from either wire form, rewritten in the dense form."""
+    return _dense(matrix_from_json(obj))
 
 
 def _poke_dense(obj, value):
@@ -381,7 +386,7 @@ def test_check_rejects_overflowing_sparse_kraus_entry(exported, tmp_path):
 
 def test_check_rejects_overflowing_frame_entry(tmp_path):
     """A frame entry of 1e300 overflows f† f; the frame is rejected as not
-    unitary (exit 2) before anything reaches LAPACK, with no numpy warning."""
+    orthonormal (exit 2) before anything reaches LAPACK, with no numpy warning."""
     assert main(["codes", "export", "ns_3qubit_collective", str(tmp_path)]) == 0
     dec = tmp_path / "ns_3qubit_collective.decomposition.json"
     obj = load_json_file(str(dec))
@@ -390,7 +395,7 @@ def test_check_rejects_overflowing_frame_entry(tmp_path):
     dump_json_file(str(dec), obj)
     proc = _oqec_subprocess("check", str(dec), str(tmp_path / "ns_3qubit_collective.noise.json"))
     assert proc.returncode == 2
-    assert "frame is not unitary" in proc.stderr
+    assert "frame columns are not orthonormal" in proc.stderr
     assert "Warning" not in proc.stderr
     assert "Traceback" not in proc.stderr
 
@@ -404,9 +409,90 @@ def test_check_rejects_overflowing_sparse_frame_entry(tmp_path):
     dump_json_file(str(dec), obj)
     proc = _oqec_subprocess("check", str(dec), str(tmp_path / "ns_3qubit_collective.noise.json"))
     assert proc.returncode == 2
-    assert "frame is not unitary" in proc.stderr
+    assert "frame columns are not orthonormal" in proc.stderr
     assert "Warning" not in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+SCHEMA_VIOLATIONS = [
+    ("misspelled frame", 0, lambda obj: obj.update(frmae=obj.pop("frame")), "decomposition.frmae"),
+    ("null frame", 0, lambda obj: obj.update(frame=None), "decomposition.frame"),
+    ("metadata not an object", 1, lambda obj: obj.update(metadata=40), "channel.metadata"),
+    ("unknown channel key", 1, lambda obj: obj.update(kruas=obj["kraus"]), "channel.kruas"),
+]
+
+
+@pytest.mark.parametrize("case, which, mutate, field", SCHEMA_VIOLATIONS, ids=[c[0] for c in SCHEMA_VIOLATIONS])
+def test_check_rejects_a_schema_violation_naming_the_field(exported, tmp_path, capsys, case, which, mutate, field):
+    """Decomposition and channel objects hold exactly their keys; a misspelled
+    or null frame would otherwise be read as the canonical layout, a
+    different code."""
+    paths = list(exported)
+    obj = load_json_file(paths[which])
+    mutate(obj)
+    paths[which] = str(tmp_path / "bad.json")
+    dump_json_file(paths[which], obj)
+    assert main(["check", *paths]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field}: " in err, err
+
+
+def _check_json(dec_path, chan_path, capsys):
+    code = main(["check", str(dec_path), str(chan_path), "--condition", "all", "--json"])
+    return code, [c["residual"] for c in json.loads(capsys.readouterr().out)["conditions"]]
+
+
+@pytest.mark.parametrize("name", ["bit_flip_3", "ns_3qubit_collective", "bitflip_3_vs_z"])
+def test_square_dense_frame_from_an_older_file_gives_the_same_verdicts(tmp_path, capsys, name):
+    """Files once carried the whole unitary frame, code columns first, in
+    the dense form; such a file still loads to the same code vectors."""
+    assert main(["codes", "export", name, str(tmp_path)]) == 0
+    capsys.readouterr()
+    dec, chan = tmp_path / f"{name}.decomposition.json", tmp_path / f"{name}.noise.json"
+    expected = _check_json(dec, chan, capsys)
+    code = get(name).dec.code_vectors()
+    square = np.hstack([code, complete_basis(code, code.shape[0])])
+    obj = load_json_file(str(dec))
+    obj["frame"] = _dense(square)
+    dump_json_file(str(dec), obj)
+    assert _check_json(dec, chan, capsys) == expected
+
+
+def test_haar_square_frame_and_its_code_columns_check_alike_through_files(tmp_path, capsys):
+    """A Haar-unitary frame written whole and written as its code columns
+    give the same residuals through the CLI, and the same as the library."""
+    dec, ch = _correctable_dim64()
+    dec_path, chan_path = tmp_path / "dec.json", tmp_path / "chan.json"
+    dump_json_file(str(chan_path), channel_to_json(ch))
+    frame = haar_unitary(64, np.random.default_rng(7))  # the frame _correctable_dim64 draws
+    np.testing.assert_array_equal(frame[:, :8], dec.frame)
+    results = []
+    for f in (frame, frame[:, :8]):
+        obj = decomposition_to_json(Decomposition(2, 4, 56))
+        obj["frame"] = _dense(f)
+        dump_json_file(str(dec_path), obj)
+        results.append(_check_json(dec_path, chan_path, capsys))
+    ps = purify(dec, ch)
+    library = [check_condition_b(dec, ch).residual, check_condition_c(ps).residual, check_condition_d(ps).residual]
+    assert results[0] == results[1] == (0, library)
+
+
+FRAMES_NOT_A_CODE_ISOMETRY = [
+    ("dim_code - 1 columns", np.eye(8)[:, [0]]),
+    ("dim_v + 1 columns", np.eye(8)[:, [0, 7, 1, 2, 3, 4, 5, 6, 0]]),
+    ("extra column not orthonormal", np.eye(8)[:, [0, 7, 0]]),
+]
+
+
+@pytest.mark.parametrize("case, frame", FRAMES_NOT_A_CODE_ISOMETRY, ids=[c[0] for c in FRAMES_NOT_A_CODE_ISOMETRY])
+def test_check_rejects_a_frame_that_is_not_a_code_isometry(exported, tmp_path, capsys, case, frame):
+    dec, chan = exported
+    obj = load_json_file(dec)
+    obj["frame"] = _dense(frame)
+    bad = tmp_path / "bad.json"
+    dump_json_file(str(bad), obj)
+    assert main(["check", str(bad), chan]) == 2
+    assert "error: decomposition.frame: " in capsys.readouterr().err
 
 
 def test_check_rejects_sparse_shape_too_large_to_allocate(exported, tmp_path, capsys):
@@ -535,8 +621,10 @@ _MUTANT_VALUES = st.one_of(
 @given(data=st.data())
 def test_check_on_a_mutated_file_exits_zero_one_or_two(bit_flip_3_files, data):
     """One place of bit_flip_3's decomposition or noise file replaced by a
-    junk value, or one key deleted: `check` returns 0, 1 or 2 and raises
-    nothing (numpy warnings included, as the suite turns them into errors)."""
+    junk value, or one key deleted or renamed: `check` returns 0, 1 or 2 and
+    raises nothing (numpy warnings included, as the suite turns them into
+    errors). A renamed key outside the free-form metadata is exit 2: every
+    other object holds exactly its keys."""
     outdir, objs = bit_flip_3_files
     which = data.draw(st.sampled_from([0, 1]))
     mutant = json.loads(json.dumps(objs[which]))
@@ -544,8 +632,13 @@ def test_check_on_a_mutated_file_exits_zero_one_or_two(bit_flip_3_files, data):
     parent = mutant
     for key in path[:-1]:
         parent = parent[key]
-    if type(parent) is dict and data.draw(st.booleans()):
+    op = data.draw(st.sampled_from(["replace", "delete", "rename"] if type(parent) is dict else ["replace"]))
+    if op == "delete":
         del parent[path[-1]]
+    elif op == "rename":
+        names = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+        unused = data.draw(names.filter(lambda k: k not in parent))
+        parent[unused] = parent.pop(path[-1])
     else:
         parent[path[-1]] = data.draw(_MUTANT_VALUES)
     paths = [str(outdir / "bit_flip_3.decomposition.json"), str(outdir / "bit_flip_3.noise.json")]
@@ -555,3 +648,5 @@ def test_check_on_a_mutated_file_exits_zero_one_or_two(bit_flip_3_files, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["check", *paths])
     assert code in (0, 1, 2)
+    if op == "rename" and "metadata" not in path[:-1]:
+        assert code == 2

@@ -6,7 +6,9 @@ import pytest
 from oqec.channels import validate
 from oqec.codes import catalog, get
 from oqec.conditions import check_condition_b, check_condition_c, check_condition_d, purify
-from oqec.linalg import dag, kron
+from oqec.linalg import dag, haar_unitary, kron
+from oqec.recovery import synthesize_schmidt_recovery, verify_recovery
+from oqec.spaces import Decomposition
 
 BASIC = ["bit_flip_3", "phase_flip_3", "dfs_2qubit_dephasing", "ns_3qubit_collective", "bitflip_3_vs_z"]
 
@@ -33,13 +35,16 @@ def test_entry_noise_is_trace_preserving(name):
     assert entry.noise.dim_in == entry.dec.dim_v
 
 
-@pytest.mark.parametrize("name", BASIC)
+@pytest.mark.parametrize("name", [*BASIC, "bacon_shor_9"])
 def test_entry_frame_is_unitary(name):
+    """Every catalog frame is its code isometry: dim_v x dim_code with
+    orthonormal columns."""
     entry = get(name)
     if entry.dec.frame is None:
         return
     f = entry.dec.frame
-    np.testing.assert_allclose(dag(f) @ f, np.eye(entry.dec.dim_v), atol=1e-12)
+    assert f.shape == (entry.dec.dim_v, entry.dec.dim_code)
+    np.testing.assert_allclose(dag(f) @ f, np.eye(entry.dec.dim_code), atol=1e-12)
 
 
 @pytest.mark.parametrize("name", BASIC)
@@ -51,6 +56,27 @@ def test_entry_matches_expected_verdicts(name):
     rd = check_condition_d(ps, tol=1e-8)
     got = {"b": rb.passed, "c": rc.passed, "d": rd.passed}
     assert got == entry.expected
+
+
+def _residuals(dec, noise):
+    ps = purify(dec, noise)
+    return np.array([check_condition_b(dec, noise).residual, check_condition_c(ps).residual,
+                     check_condition_d(ps).residual])
+
+
+@pytest.mark.parametrize("name", [*BASIC, "bacon_shor_9"])
+def test_verdicts_do_not_depend_on_the_gauge_basis(name):
+    """Rotating the frame by 1_A tensor U_B, for a Haar U_B, is another basis
+    of the same gauge factor: the b/c/d residuals stay put, and the Schmidt
+    recovery built on the rotated frame still verifies."""
+    entry = get(name)
+    dec = entry.dec
+    u_b = haar_unitary(dec.dim_b, np.random.default_rng(31))
+    rotated = Decomposition(dec.dim_a, dec.dim_b, dec.dim_c, frame=dec.code_vectors() @ kron(np.eye(dec.dim_a), u_b))
+    np.testing.assert_allclose(_residuals(rotated, entry.noise), _residuals(dec, entry.noise), rtol=0, atol=1e-12)
+    if all(entry.expected.values()):
+        rep = verify_recovery(rotated, entry.noise, synthesize_schmidt_recovery(rotated, entry.noise))
+        assert max(rep.max_infidelity, rep.b_marginal_drift, rep.support_leak) <= 1e-12, rep
 
 
 def test_dfs_codewords_are_dephasing_invariant():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oqec.channels import random_channel
+from oqec.conditions import check_condition_b, check_condition_c, check_condition_d, purify
 from oqec.errors import DimensionError, NotAStateError
 from oqec.linalg import dag, haar_unitary, kron, partial_trace
 from oqec.spaces import Decomposition, embed_state, projector_p
@@ -52,6 +54,37 @@ def test_rejects_nonunitary_frame():
     huge[0, 0] = 1e300  # finite, but f† f overflows
     with pytest.raises(DimensionError):
         Decomposition(2, 2, 0, frame=huge)
+
+
+def test_square_frame_and_its_code_columns_are_one_decomposition():
+    """A unitary frame keeps only its first dim_code columns: the code
+    vectors are bit-identical and b/c/d read the same residuals."""
+    f = haar_unitary(7, _rng(21))
+    square, code = Decomposition(2, 2, 3, frame=f), Decomposition(2, 2, 3, frame=f[:, :4])
+    assert square.frame.shape == (7, 4)
+    np.testing.assert_array_equal(square.code_vectors(), code.code_vectors())
+    np.testing.assert_array_equal(square.code_vectors(), f[:, :4])
+    noise = random_channel(7, 3, seed=22)
+    residuals = []
+    for dec in (square, code):
+        ps = purify(dec, noise)
+        residuals.append([check_condition_b(dec, noise).residual, check_condition_c(ps).residual,
+                          check_condition_d(ps).residual])
+    assert residuals[0] == residuals[1]
+
+
+@pytest.mark.parametrize(
+    "cols",
+    [
+        lambda f: f[:, :3],  # dim_code - 1 columns
+        lambda f: np.hstack([f, f[:, :1]]),  # dim_v + 1 columns
+        lambda f: np.hstack([f[:, :4], f[:, :1]]),  # orthonormal code columns, extra column repeats one
+    ],
+    ids=["dim_code - 1 columns", "dim_v + 1 columns", "extra column not orthonormal"],
+)
+def test_rejects_frame_that_is_not_a_code_isometry(cols):
+    with pytest.raises(DimensionError):
+        Decomposition(2, 2, 3, frame=cols(haar_unitary(7, _rng(23))))
 
 
 def test_frame_is_read_only():
