@@ -26,6 +26,7 @@ from .conditions import (
     purify,
 )
 from .errors import FormatError, NotCorrectableError
+from .linalg import DEFAULT_ATOL
 from .recovery import (
     factorize_product,
     synthesize_schmidt_recovery,
@@ -47,8 +48,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
-DEFAULT_TOLERANCE = 1e-9
-
 
 def _tolerance(args) -> float:
     """--tol, else OQEC_TOL, else the default; it must be finite and positive."""
@@ -57,7 +56,7 @@ def _tolerance(args) -> float:
     else:
         raw = os.environ.get("OQEC_TOL")
         if raw is None:
-            return DEFAULT_TOLERANCE
+            return DEFAULT_ATOL
         try:
             name, tol = "OQEC_TOL", float(raw)
         except ValueError as exc:

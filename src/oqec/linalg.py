@@ -14,7 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -150,7 +150,7 @@ def von_neumann_entropy(rho: np.ndarray, atol: float = DEFAULT_ATOL) -> float:
     return float(-np.dot(w, np.log2(w)))
 
 
-def complete_basis(cols: Optional[np.ndarray], dim: int) -> np.ndarray:
+def complete_basis(cols: np.ndarray, dim: int) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the columns' span.
 
     The k input columns must be linearly independent but need not be
@@ -158,9 +158,9 @@ def complete_basis(cols: Optional[np.ndarray], dim: int) -> np.ndarray:
     Q of cols, shape (dim, dim - k): the same for the same input, but not
     canonical. Raises DimensionError when cols is not a (dim, k) matrix, when
     k > dim, or when a diagonal entry of R is at most 1e-7 in magnitude
-    (dependent columns). None stands for k = 0.
+    (dependent columns).
     """
-    cols = np.asarray(np.zeros((dim, 0)) if cols is None else cols, dtype=np.complex128)
+    cols = np.asarray(cols, dtype=np.complex128)
     if cols.ndim != 2 or cols.shape[0] != dim:
         raise DimensionError(f"expected a ({dim}, k) matrix of columns, got shape {cols.shape}")
     k = cols.shape[1]

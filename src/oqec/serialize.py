@@ -27,11 +27,15 @@ bit-exactly in both forms, including -0.0 and subnormals. Numbers must be
 finite: the reader rejects NaN/Infinity tokens and any value outside the
 float range, and every rejection is a FormatError naming the file or the
 field.
+
+A matrix is checked one level at a time: dense rows (non-empty, of one
+length), then cells ([re, im] pairs), then numbers; sparse keys and shape,
+array lengths, indices, values, then repeated cells. The error names the
+first defect of the first level that fails.
 """
 
 from __future__ import annotations
 
-import cmath
 import gc
 import json
 from itertools import chain
@@ -81,67 +85,6 @@ def matrix_to_json(m: np.ndarray) -> list | dict:
     }
 
 
-def _finite_matrix(obj: list) -> np.ndarray | None:
-    """obj as a complex matrix, or None unless obj is a list of equal-length
-    row lists of [re, im] pairs of finite plain floats or ints. The checks
-    run over whole levels at C speed; the exact type test rejects bools."""
-    def cells():
-        return chain.from_iterable(obj)
-
-    def numbers():
-        return chain.from_iterable(cells())
-
-    shape = (len(obj), len(obj[0]))
-    if (
-        set(map(type, obj)) != {list}
-        or set(map(len, obj)) != {shape[1]}
-        or set(map(type, cells())) != {list}
-        or set(map(len, cells())) != {2}
-        or not set(map(type, numbers())) <= {float, int}
-    ):
-        return None
-    try:
-        flat = np.fromiter(numbers(), np.float64, 2 * shape[0] * shape[1])
-    except OverflowError:  # an int beyond the float range
-        return None
-    if not np.isfinite(flat).all():
-        return None
-    return flat.view(np.complex128).reshape(shape)
-
-
-def _cell_problem(z: Any) -> str | None:
-    if type(z) is not list or len(z) != 2 or not {type(z[0]), type(z[1])} <= {float, int}:
-        return f"expected a [re, im] pair, got {z!r}"
-    try:
-        finite = cmath.isfinite(complex(z[0], z[1]))
-    except OverflowError:
-        finite = False
-    return None if finite else f"expected finite numbers, got {z!r}"
-
-
-def _dense_matrix(obj: Any, field: str) -> np.ndarray:
-    if type(obj) is list and obj and type(obj[0]) is list:
-        m = _finite_matrix(obj)
-        if m is not None:
-            return m
-    # Error path: walk the rows to name the first bad field, row-major.
-    if type(obj) is not list or not obj:
-        raise FormatError(field, "expected a non-empty array of rows or a sparse matrix object")
-    width = None
-    for i, row in enumerate(obj):
-        if type(row) is not list or not row:
-            raise FormatError(f"{field}[{i}]", "expected a non-empty row array")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise FormatError(f"{field}[{i}]", f"row length {len(row)} != {width}")
-        for j, z in enumerate(row):
-            problem = _cell_problem(z)
-            if problem is not None:
-                raise FormatError(f"{field}[{i}][{j}]", problem)
-    raise FormatError(field, "expected a matrix of finite [re, im] pairs")
-
-
 def _check_keys(obj: dict, field: str, required: tuple, optional: tuple = ()) -> None:
     """FormatError naming the first missing required key or unknown key."""
     for key in required:
@@ -162,10 +105,10 @@ def _sparse_shape(obj: dict, field: str) -> tuple:
     return tuple(shape)
 
 
-def _flat_array(part: list, field: str, dtype, ok, expected: str) -> np.ndarray:
+def _flat_array(part: list, where, dtype, ok, expected: str) -> np.ndarray:
     """part as a 1-D dtype array when its elements are plain ints (or, for
     float64, floats) and ok holds for each; the checks run at C speed.
-    Otherwise a FormatError names the first element that fails."""
+    Otherwise a FormatError names where(k) of the first element k that fails."""
     types = {int} if dtype == np.int64 else {float, int}
 
     def convert(items, n):
@@ -178,7 +121,27 @@ def _flat_array(part: list, field: str, dtype, ok, expected: str) -> np.ndarray:
     if set(map(type, part)) <= types and (arr := convert(part, len(part))) is not None:
         return arr
     k, v = next((k, v) for k, v in enumerate(part) if type(v) not in types or convert([v], 1) is None)
-    raise FormatError(f"{field}[{k}]", f"expected {expected}, got {v!r}")
+    raise FormatError(where(k), f"expected {expected}, got {v!r}")
+
+
+def _dense_matrix(obj: Any, field: str) -> np.ndarray:
+    if type(obj) is not list or not obj:
+        raise FormatError(field, "expected a non-empty array of rows or a sparse matrix object")
+    width = len(obj[0]) if type(obj[0]) is list else 0
+    if not width or set(map(type, obj)) != {list} or set(map(len, obj)) != {width}:
+        i, row = next((i, r) for i, r in enumerate(obj) if type(r) is not list or len(r) != width or not r)
+        if type(row) is not list or not row:
+            raise FormatError(f"{field}[{i}]", "expected a non-empty row array")
+        raise FormatError(f"{field}[{i}]", f"row length {len(row)} != {width}")
+    cells = list(chain.from_iterable(obj))
+    if set(map(type, cells)) != {list} or set(map(len, cells)) != {2}:
+        k, z = next((k, z) for k, z in enumerate(cells) if type(z) is not list or len(z) != 2)
+        raise FormatError(f"{field}[{k // width}][{k % width}]", f"expected a [re, im] pair, got {z!r}")
+    flat = _flat_array(
+        list(chain.from_iterable(cells)), lambda k: f"{field}[{k // 2 // width}][{k // 2 % width}]",
+        np.float64, np.isfinite, "a finite number",
+    )
+    return flat.view(np.complex128).reshape(len(obj), width)
 
 
 def _sparse_matrix(obj: dict, field: str) -> np.ndarray:
@@ -193,17 +156,15 @@ def _sparse_matrix(obj: dict, field: str) -> np.ndarray:
         if len(obj[key]) != len(obj["rows"]):
             raise FormatError(f"{field}.{key}", f"length {len(obj[key])} != {len(obj['rows'])} of rows")
 
-    def index(key, n):  # every index inside the allocated shape fits in int64
-        return _flat_array(
-            obj[key], f"{field}.{key}", np.int64, lambda i: (i >= 0) & (i < n), f"an integer index in [0, {n})"
-        )
+    def array(key, dtype, ok, expected):
+        return _flat_array(obj[key], lambda k: f"{field}.{key}[{k}]", dtype, ok, expected)
 
-    def values(key):
-        return _flat_array(obj[key], f"{field}.{key}", np.float64, np.isfinite, "a finite number")
+    def index(key, n):  # every index inside the allocated shape fits in int64
+        return array(key, np.int64, lambda i: (i >= 0) & (i < n), f"an integer index in [0, {n})")
 
     rows, cols = index("rows", shape[0]), index("cols", shape[1])
     vals = np.empty(rows.size, np.complex128)
-    vals.real, vals.imag = values("re"), values("im")
+    vals.real, vals.imag = (array(key, np.float64, np.isfinite, "a finite number") for key in ("re", "im"))
     flat = rows * shape[1] + cols
     order = np.argsort(flat, kind="stable")
     repeats = order[1:][flat[order][1:] == flat[order][:-1]]

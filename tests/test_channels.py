@@ -25,6 +25,7 @@ from oqec.channels import (
     unitary,
     validate,
 )
+from oqec.codes import get
 from oqec.errors import DimensionError
 from oqec.linalg import dag, haar_unitary, kron
 from random_states import random_density_matrix
@@ -246,6 +247,16 @@ def test_choi_distance_matches_dense_oracle(a, b):
     dense = np.linalg.norm(choi(a) - choi(b))
     assert abs(choi_distance(a, b) - dense) <= 1e-12
     assert abs(choi_distance(b, a) - dense) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: get("bacon_shor_9").noise, lambda: random_channel(128, 3, seed=2)],
+    ids=["bacon_shor_9 noise", "random dim 128"],
+)
+def test_choi_distance_of_a_channel_to_itself_is_exactly_zero(build):
+    ch = build()
+    assert choi_distance(ch, ch) == 0.0
 
 
 def test_bit_flip_composition_law():

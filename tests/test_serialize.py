@@ -168,6 +168,7 @@ MALFORMED = [
     ("empty row", _empty_row, "m[1]"),
     ("empty matrix", lambda: [], "m"),
     ("row not an array", lambda: [[[1.0, 0.0]], 7], "m[1]"),
+    ("bad cell and short row", lambda: [[[1.0, 0.0], "x"], [[1.0, 0.0]]], "m[1]"),
 ]
 
 
@@ -180,8 +181,8 @@ def test_matrix_from_json_names_first_bad_field(case, build, field):
 
 @pytest.mark.parametrize(
     "cell",
-    [[float("nan"), 0.0], [0.0, float("inf")], [-float("inf"), 1.0], [10**400, 0.0]],
-    ids=["nan", "inf", "-inf", "int beyond float range"],
+    [[float("nan"), 0.0], [0.0, float("inf")], [-float("inf"), 1.0], [10**400, 0.0], ["x", 0.0], [True, 0.0]],
+    ids=["nan", "inf", "-inf", "int beyond float range", "string", "bool"],
 )
 def test_matrix_from_json_rejects_non_finite_cells(cell):
     with pytest.raises(FormatError) as err:
