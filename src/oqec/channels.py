@@ -15,12 +15,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import DEFAULT_ATOL, dag, gram, kron, unitarity_defect
+from .linalg import DEFAULT_ATOL, dag, gram, kron, storage_stack, unitarity_defect
 
-ID2 = np.eye(2, dtype=np.complex128)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+ID2 = np.eye(2)
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+PAULI_Y = np.array([[0, -1j], [1j, 0]])
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -29,16 +29,17 @@ class Channel:
 
     Built from any non-empty sequence of equal-shape matrices (a tuple, a
     list, or a (k, dim_out, dim_in) array); kraus holds a read-only copy as one
-    complex (k, dim_out, dim_in) array, so len, iteration and indexing give
-    the operators. Figures that depend only on the operators, such as the
-    completeness Gram matrix, are computed on first use and kept; the Gram
-    matrix is one real product when the operators have no imaginary part.
+    (k, dim_out, dim_in) array, so len, iteration and indexing give the
+    operators. The copy is float64 when every imaginary part is ±0.0, built
+    from the real parts directly, and complex128 otherwise. Figures that
+    depend only on the operators, such as the completeness Gram matrix, are
+    computed on first use and kept.
     """
 
     kraus: np.ndarray
 
     def __post_init__(self):
-        ops = [np.asarray(op, dtype=np.complex128) for op in self.kraus]
+        ops = [np.asarray(op) for op in self.kraus]
         if not ops:
             raise DimensionError("channel needs at least one Kraus operator")
         for i, op in enumerate(ops):
@@ -48,7 +49,7 @@ class Channel:
                 raise DimensionError(
                     f"Kraus operator {i} has shape {op.shape}, expected {ops[0].shape}"
                 )
-        stack = np.array(ops)
+        stack = storage_stack(ops)
         stack.flags.writeable = False
         object.__setattr__(self, "kraus", stack)
 
@@ -125,12 +126,12 @@ def require_valid(
 
 
 def apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=np.complex128)
+    rho = np.asarray(rho)
     if rho.shape != (ch.dim_in, ch.dim_in):
         raise DimensionError(
             f"state shape {rho.shape} does not match channel input {ch.dim_in}"
         )
-    out = np.zeros((ch.dim_out, ch.dim_out), dtype=np.complex128)
+    out = np.zeros((ch.dim_out, ch.dim_out), dtype=np.result_type(ch.kraus, rho))
     for e in ch.kraus:
         out += e @ rho @ dag(e)
     return out
@@ -182,7 +183,7 @@ def choi_distance(a: Channel, b: Channel) -> float:
     wa, wb = _vec_columns(a), _vec_columns(b)
     ka, kb = wa.shape[1], wb.shape[1]
     k = max(ka, kb)
-    xy = np.zeros((wa.shape[0], 2 * k), dtype=np.complex128)
+    xy = np.zeros((wa.shape[0], 2 * k), dtype=np.result_type(wa, wb))
     xy[:, :ka] = xy[:, k : k + ka] = wa
     xy[:, :kb] += wb
     xy[:, k : k + kb] -= wb
@@ -194,7 +195,7 @@ def choi_distance(a: Channel, b: Channel) -> float:
 def identity(dim: int) -> Channel:
     if dim < 1:
         raise DimensionError("dim must be >= 1")
-    return Channel((np.eye(dim, dtype=np.complex128),))
+    return Channel((np.eye(dim),))
 
 
 def unitary(u: np.ndarray) -> Channel:
@@ -241,7 +242,7 @@ def depolarizing(dim: int, p: float) -> Channel:
         raise DimensionError("depolarizing needs dim >= 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing strength must be in [0, 1], got {p}")
-    ops = [np.sqrt(1 - p) * np.eye(dim, dtype=np.complex128)]
+    ops = [np.sqrt(1 - p) * np.eye(dim)]
     ops += [np.sqrt(p) / dim * w for w in _weyl_ops(dim)]
     return Channel(tuple(ops))
 
@@ -272,7 +273,7 @@ def restricted_flip(n: int, p: float) -> Channel:
         raise DimensionError("need n >= 1 qubits")
     if not (0 <= p and n * p <= 1):
         raise ValueError(f"need 0 <= p and n*p <= 1, got n={n}, p={p}")
-    ops = [np.sqrt(1 - n * p) * np.eye(2**n, dtype=np.complex128)]
+    ops = [np.sqrt(1 - n * p) * np.eye(2**n)]
     ops += [np.sqrt(p) * _on_site(n, site, PAULI_X) for site in range(n)]
     return Channel(tuple(ops))
 
@@ -292,7 +293,7 @@ def collective_unitary(n: int, terms: Sequence) -> Channel:
         raise ValueError(f"weights must be nonnegative and sum to 1, got {weights}")
     ops = []
     for w, u in terms:
-        u = np.asarray(u, dtype=np.complex128)
+        u = np.asarray(u)
         if u.ndim != 2 or u.shape[0] != u.shape[1] or not unitarity_defect(u) <= DEFAULT_ATOL:
             raise ValueError("each term must carry a unitary matrix")
         ops.append(np.sqrt(w) * kron(*([u] * n)))

@@ -18,7 +18,7 @@ from .channels import PAULI_Z, Channel, _on_site, collective_unitary, restricted
 from .linalg import haar_unitary, kron
 from .spaces import Decomposition
 
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def _bit_flip_3() -> CatalogEntry:
 def _phase_flip_3() -> CatalogEntry:
     frame = kron(HADAMARD, HADAMARD, HADAMARD)[:, [0, 7]]
     dec = Decomposition(dim_a=2, dim_b=1, dim_c=6, frame=frame)
-    kraus = [np.sqrt(0.7) * np.eye(8, dtype=np.complex128)]
+    kraus = [np.sqrt(0.7) * np.eye(8)]
     kraus += [np.sqrt(0.1) * _on_site(3, site, PAULI_Z) for site in range(3)]
     return CatalogEntry(
         name="phase_flip_3",
@@ -73,7 +73,7 @@ def _spin_coupling_frame() -> np.ndarray:
     """The two j=1/2 doublets of three qubits' total spin, ordered (multiplicity,
     spin) pairs: they span A tensor B, and C is the j=3/2 quadruplet."""
     s2, s6 = np.sqrt(2.0), np.sqrt(6.0)
-    f = np.zeros((8, 4), dtype=np.complex128)
+    f = np.zeros((8, 4))
     # doublet from the (12)-singlet: (|010> - |100>)/sqrt2 x {|0>, |1>} on qubit 3
     f[[2, 4], 0] = [1 / s2, -1 / s2]
     f[[3, 5], 1] = [1 / s2, -1 / s2]
@@ -103,7 +103,7 @@ def _ns_3qubit_collective() -> CatalogEntry:
 def _bitflip_3_vs_z() -> CatalogEntry:
     dec = Decomposition(dim_a=2, dim_b=1, dim_c=6, frame=np.eye(8)[:, [0, 7]])
     kraus = (
-        np.sqrt(0.5) * np.eye(8, dtype=np.complex128),
+        np.sqrt(0.5) * np.eye(8),
         np.sqrt(0.5) * _on_site(3, 0, PAULI_Z),
     )
     return CatalogEntry(
@@ -136,7 +136,7 @@ def _bacon_shor_9() -> CatalogEntry:
     gauge = np.array([0, row[0] ^ row[1], row[1] ^ row[2], row[0] ^ row[2]])
     # each sorted orbit starts with its smallest member, so unique orders them
     orbits = np.unique(np.sort(even[:, None] ^ gauge, axis=1), axis=0)  # (16, 4)
-    code_cols = np.zeros((2**9, 32), dtype=np.complex128)
+    code_cols = np.zeros((2**9, 32))
     for a in (0, 1):
         code_cols[orbits ^ (a * row[0]), a * 16 + np.arange(16)[:, None]] = 0.5
     dec = Decomposition(dim_a=2, dim_b=16, dim_c=480, frame=code_cols)

@@ -55,7 +55,7 @@ class PurifiedState:
     _marginals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=np.complex128).reshape(-1)
+        psi = np.asarray(self.psi).reshape(-1)
         if psi.size != int(np.prod(self.dims)):
             raise DimensionError(
                 f"state of size {psi.size} does not match factors {self.dims}"
@@ -210,7 +210,7 @@ def check_condition_d(ps: PurifiedState, tol: float = DEFAULT_ATOL) -> Condition
 
 def coherent_info(rho: np.ndarray, dim_r: int, dim_v: int, atol: float = DEFAULT_ATOL) -> float:
     """-S(R|V) = S(rho_V) - S(rho_RV) in bits, for a state on R tensor V."""
-    rho = np.asarray(rho, dtype=np.complex128)
+    rho = np.asarray(rho)
     if dim_r < 1 or dim_v < 1 or rho.shape != (dim_r * dim_v, dim_r * dim_v):
         raise DimensionError(
             f"state shape {rho.shape} does not split as {dim_r} x {dim_v}"

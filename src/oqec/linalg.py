@@ -1,20 +1,23 @@
-"""Dense complex linear algebra for finite-dimensional quantum systems.
+"""Dense linear algebra for finite-dimensional quantum systems.
 
 Conventions used throughout the package:
 
+* arrays are float64 when their data is real (every imaginary part ±0.0)
+  and complex128 otherwise: ``storage_stack`` decides where operators enter
+  (the Channel and Decomposition constructors), and later results keep the
+  dtype numpy's promotion gives them;
 * composite indices are row-major: the factor pair (a, b) maps to
   ``a * dim_b + b``, matching ``numpy.kron`` and C-order ``reshape``;
 * eigenvalues are returned in descending order;
-* spectrum entries at or below ``SPECTRUM_CUTOFF`` are treated as zero;
 * eigenvector phases are fixed so the first component of magnitude above
-  ``SPECTRUM_CUTOFF`` is real and nonnegative;
-* entropies are in bits (log base 2);
+  ``SPECTRUM_CUTOFF`` is real and nonnegative (a sign for real vectors);
+* entropies are in bits (log base 2), and every positive eigenvalue counts;
 * Gram matrices x†x come from ``gram``, one real product when x is real.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,30 +32,42 @@ def dag(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.asarray(m), -1, -2).conj()
 
 
+def storage_stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """A new array stacking equal-shape arrays in the dtype they are stored
+    in: float64, built from their real parts directly, when every imaginary
+    part is ±0.0, and complex128 otherwise. A real-valued complex input is
+    never copied whole as complex."""
+    if any(np.iscomplexobj(a) and np.count_nonzero(a.imag) for a in arrays):
+        return np.array(arrays, dtype=np.complex128)
+    return np.array([np.real(a) for a in arrays], dtype=np.float64)
+
+
 def kron(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices, left to right."""
+    """Kronecker product of one or more matrices, left to right; float64
+    unless an operand is complex."""
     if not ops:
         raise DimensionError("kron needs at least one operand")
-    out = np.asarray(ops[0], dtype=np.complex128)
+    out = np.asarray(ops[0])
+    out = out.astype(np.result_type(out, np.float64))
     for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=np.complex128))
+        out = np.kron(out, op)
     return out
 
 
 def gram(x: np.ndarray) -> np.ndarray:
-    """x†x as a complex matrix. A real x (imaginary parts all ±0.0) takes one
-    real product r.T @ r: a quarter of the complex arithmetic, and an
-    imaginary part exactly zero. Any other x takes dag(x) @ x."""
+    """x†x. A real-valued x (imaginary parts all ±0.0), whatever its dtype,
+    takes one real product r.T @ r and gives a float64 matrix: a quarter of
+    the complex arithmetic. Any other x takes dag(x) @ x, a complex matrix."""
     x = np.asarray(x)
     if x.dtype.kind == "c" and np.count_nonzero(x.imag):
         return dag(x) @ x
-    r = np.ascontiguousarray(x.real)
-    return (r.T @ r).astype(np.complex128)
+    r = np.ascontiguousarray(x.real, dtype=np.float64)
+    return r.T @ r
 
 
 def unitarity_defect(m: np.ndarray) -> float:
     """Frobenius distance of m†m from the identity."""
-    m = np.asarray(m, dtype=np.complex128)
+    m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     return float(np.linalg.norm(gram(m) - np.eye(m.shape[0])))
@@ -72,7 +87,7 @@ def partial_trace(m: np.ndarray, dims: Iterable[int], keep: Iterable[int]) -> np
     if not dims or any(d < 1 for d in dims):
         raise DimensionError(f"invalid factor dimensions {dims}")
     total = int(np.prod(dims))
-    m = np.asarray(m, dtype=np.complex128)
+    m = np.asarray(m)
     if m.shape != (total, total):
         raise DimensionError(f"matrix shape {m.shape} does not match factors {dims}")
     keep_set = set(int(i) for i in keep)
@@ -89,8 +104,9 @@ def partial_trace(m: np.ndarray, dims: Iterable[int], keep: Iterable[int]) -> np
 
 
 def _fix_phases(vecs: np.ndarray, cutoff: float = SPECTRUM_CUTOFF) -> np.ndarray:
-    """Rotate each column so its first significant entry is real nonnegative."""
-    out = np.array(vecs, dtype=np.complex128, copy=True)
+    """Rotate each column so its first significant entry is real nonnegative;
+    for real columns the rotation is a sign."""
+    out = np.array(vecs, copy=True)
     for i in range(out.shape[1]):
         col = out[:, i]
         nz = np.flatnonzero(np.abs(col) > cutoff)
@@ -109,7 +125,7 @@ def eig_hermitian(m: np.ndarray, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray
     for the same input and build, but not canonical, so callers may rely only
     on the subspace it spans.
     """
-    m = np.asarray(m, dtype=np.complex128)
+    m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     if np.linalg.norm(m - dag(m)) > atol:
@@ -128,7 +144,7 @@ def require_state(rho: np.ndarray, atol: float = DEFAULT_ATOL) -> np.ndarray:
     Raises NotAStateError if rho is not Hermitian within atol, has an
     eigenvalue below -atol, or its trace differs from 1 by more than atol.
     """
-    rho = np.asarray(rho, dtype=np.complex128)
+    rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise NotAStateError(f"expected a square matrix, got shape {rho.shape}")
     herm_defect = float(np.linalg.norm(rho - dag(rho)))
@@ -144,9 +160,10 @@ def require_state(rho: np.ndarray, atol: float = DEFAULT_ATOL) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: np.ndarray, atol: float = DEFAULT_ATOL) -> float:
-    """Von Neumann entropy in bits; eigenvalues <= SPECTRUM_CUTOFF contribute 0."""
+    """Von Neumann entropy in bits. -w log2 w tends to 0 as w does, so every
+    positive eigenvalue contributes, however small, and only w <= 0 gives 0."""
     w = require_state(rho, atol)
-    w = w[w > SPECTRUM_CUTOFF]
+    w = w[w > 0]
     return float(-np.dot(w, np.log2(w)))
 
 
@@ -160,7 +177,7 @@ def complete_basis(cols: np.ndarray, dim: int) -> np.ndarray:
     k > dim, or when a diagonal entry of R is at most 1e-7 in magnitude
     (dependent columns).
     """
-    cols = np.asarray(cols, dtype=np.complex128)
+    cols = np.asarray(cols)
     if cols.ndim != 2 or cols.shape[0] != dim:
         raise DimensionError(f"expected a ({dim}, k) matrix of columns, got shape {cols.shape}")
     k = cols.shape[1]

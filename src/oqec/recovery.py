@@ -263,7 +263,7 @@ def factorize_product(
     sources = dag(frame) @ family.transpose(1, 0, 2).reshape(dv, -1)
     k, j = divmod(np.arange(rank * da), da)
     targets = np.concatenate([j * db + k, np.flatnonzero(np.arange(dv) % db >= rank)])
-    w = np.zeros((dv, dv), dtype=np.complex128)
+    w = np.zeros((dv, dv), dtype=sources.dtype)
     w[targets] = dag(np.hstack([sources, complete_basis(sources, dv)]))
     u_s, _, v_h = np.linalg.svd(w)
     w = u_s @ v_h  # snap to the closest exact unitary
@@ -291,7 +291,7 @@ def extend_by_linearity(
     are linear in the F_l, so this is verify_recovery's exact test on the
     combined channel.
     """
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    coeffs = np.asarray(coeffs)
     if coeffs.ndim != 2 or coeffs.shape[1] != len(ch.kraus):
         raise DimensionError(
             f"coefficient array of shape {coeffs.shape} does not match "

@@ -7,7 +7,8 @@ row-major pairing (a, b) -> a * dim_b + b, and the last dim_c span C. An
 optional frame places the code sector in the working basis: a dim_v x k
 matrix with orthonormal columns, dim_a * dim_b <= k <= dim_v, whose column
 a * dim_b + b is the code vector for (a, b). Only those first dim_a * dim_b
-columns are kept; C is their orthogonal complement, which no condition reads.
+columns are kept, float64 when every imaginary part is ±0.0 and complex128
+otherwise; C is their orthogonal complement, which no condition reads.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import DEFAULT_ATOL, dag, gram, kron, require_state
+from .linalg import DEFAULT_ATOL, dag, gram, kron, require_state, storage_stack
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class Decomposition:
                 f"got ({self.dim_a}, {self.dim_b}, {self.dim_c})"
             )
         if self.frame is not None:
-            f = np.asarray(self.frame, dtype=np.complex128)
+            f = np.asarray(self.frame)
             if f.ndim != 2 or f.shape[0] != self.dim_v or not self.dim_code <= f.shape[1] <= self.dim_v:
                 raise DimensionError(
                     f"frame shape {f.shape} is not ({self.dim_v}, k) with {self.dim_code} <= k <= dim_v"
@@ -47,7 +48,7 @@ class Decomposition:
                 defect = np.linalg.norm(gram(f) - np.eye(f.shape[1]))
             if not defect <= DEFAULT_ATOL:
                 raise DimensionError(f"frame columns are not orthonormal (defect {defect:.3e})")
-            f = f[:, : self.dim_code].copy()
+            f = storage_stack([f[:, : self.dim_code]])[0]
             f.flags.writeable = False
             object.__setattr__(self, "frame", f)
 
@@ -63,7 +64,7 @@ class Decomposition:
         """dim_v x (dim_a*dim_b) matrix; column a*dim_b + b is the (a, b) code vector."""
         if self.frame is not None:
             return self.frame.copy()
-        out = np.zeros((self.dim_v, self.dim_code), dtype=np.complex128)
+        out = np.zeros((self.dim_v, self.dim_code))
         out[: self.dim_code, :] = np.eye(self.dim_code)
         return out
 
@@ -81,8 +82,8 @@ def embed_state(
     atol: float = DEFAULT_ATOL,
 ) -> np.ndarray:
     """Place the product state rho_a tensor sigma_b on the code sector of V."""
-    rho_a = np.asarray(rho_a, dtype=np.complex128)
-    sigma_b = np.asarray(sigma_b, dtype=np.complex128)
+    rho_a = np.asarray(rho_a)
+    sigma_b = np.asarray(sigma_b)
     if rho_a.shape != (dec.dim_a, dec.dim_a):
         raise DimensionError(f"rho_a shape {rho_a.shape} does not match dim_a={dec.dim_a}")
     if sigma_b.shape != (dec.dim_b, dec.dim_b):

@@ -344,6 +344,16 @@ def test_pinsker_bounds_condition_c_by_condition_d():
     print(f"[acceptance] Pinsker bound (64 instances, worst excess {worst:.2e}): PASS")
 
 
+def test_condition_d_resolves_the_smallest_z_leak():
+    """At eps = 1e-8 the Z error's weight sits in a ~1e-16 eigenvalue of
+    rho'_{R_B E}; d's gap (5.4e-15 to 50 digits) is resolved only when that
+    eigenvalue counts in the entropy, and Pinsker then holds with room."""
+    ps = purify(*_z_leak_instance(1e-8))
+    gap = check_condition_d(ps).witnesses["gap"]
+    assert gap >= 1e-15, gap
+    assert check_condition_c(ps).residual <= np.sqrt(2 * np.log(2) * gap) / 5
+
+
 SYNTHESIZERS = [synthesize_schmidt_recovery, synthesize_universal_recovery]
 
 

@@ -76,9 +76,11 @@ _GRAM_CASES = {
 def test_gram_matches_the_complex_product(case):
     x = _GRAM_CASES[case](_rng(4))
     g, ref = gram(x), dag(x) @ x
-    assert g.dtype == np.complex128 and g.shape == (x.shape[1],) * 2
+    real_valued = not np.iscomplexobj(x) or not x.imag.any()
+    assert g.dtype == (np.float64 if real_valued else np.complex128)
+    assert g.shape == (x.shape[1],) * 2
     assert np.linalg.norm(g - ref) <= 1e-14 * np.linalg.norm(ref)
-    if not np.iscomplexobj(x) or not x.imag.any():
+    if real_valued:
         assert np.all(g.imag == 0)
 
 
@@ -210,6 +212,15 @@ def test_entropy_frozen_values():
     assert von_neumann_entropy(np.diag([0.5, 0.25, 0.25]).astype(complex)) == pytest.approx(
         1.5, abs=1e-12
     )
+
+
+def test_entropy_counts_every_positive_eigenvalue():
+    """-w log2 w -> 0 as w -> 0, so no eigenvalue is cut: a weight of 1e-16
+    adds its ~5.5e-15 bits, and only w <= 0 contributes nothing."""
+    w = 1e-16
+    expected = -w * np.log2(w) - (1 - w) * np.log2(1 - w)
+    assert abs(von_neumann_entropy(np.diag([1 - w, w])) - expected) <= 1e-6 * expected
+    assert von_neumann_entropy(np.diag([1.0, 0.0, -0.0])) == 0.0
 
 
 @pytest.mark.parametrize("d", range(2, 17))
