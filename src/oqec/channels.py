@@ -273,9 +273,13 @@ def restricted_flip(n: int, p: float) -> Channel:
         raise DimensionError("need n >= 1 qubits")
     if not (0 <= p and n * p <= 1):
         raise ValueError(f"need 0 <= p and n*p <= 1, got n={n}, p={p}")
-    ops = [np.sqrt(1 - n * p) * np.eye(2**n)]
-    ops += [np.sqrt(p) * _on_site(n, site, PAULI_X) for site in range(n)]
-    return Channel(tuple(ops))
+    dim = 2**n
+    x = np.arange(dim)
+    stack = np.zeros((n + 1, dim, dim))
+    stack[0, x, x] = np.sqrt(1 - n * p)
+    for site in range(n):  # X on site flips bit n - 1 - site of the basis index
+        stack[1 + site, x ^ (1 << (n - 1 - site)), x] = np.sqrt(p)
+    return Channel(stack)
 
 
 def collective_unitary(n: int, terms: Sequence) -> Channel:

@@ -3,9 +3,10 @@
 Conventions used throughout the package:
 
 * arrays are float64 when their data is real (every imaginary part ±0.0)
-  and complex128 otherwise: ``storage_stack`` decides where operators enter
-  (the Channel and Decomposition constructors), and later results keep the
-  dtype numpy's promotion gives them;
+  and complex128 otherwise: ``storage_dtype`` decides where operators enter
+  (the Channel and Decomposition constructors, through ``storage_stack``,
+  and the file reader), and later results keep the dtype numpy's promotion
+  gives them;
 * composite indices are row-major: the factor pair (a, b) maps to
   ``a * dim_b + b``, matching ``numpy.kron`` and C-order ``reshape``;
 * eigenvalues are returned in descending order;
@@ -32,12 +33,17 @@ def dag(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.asarray(m), -1, -2).conj()
 
 
+def storage_dtype(imag_parts: Iterable[np.ndarray]) -> type:
+    """The dtype data is stored in: float64 when every imaginary part given
+    is ±0.0, complex128 otherwise."""
+    return np.complex128 if any(np.count_nonzero(im) for im in imag_parts) else np.float64
+
+
 def storage_stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """A new array stacking equal-shape arrays in the dtype they are stored
-    in: float64, built from their real parts directly, when every imaginary
-    part is ±0.0, and complex128 otherwise. A real-valued complex input is
-    never copied whole as complex."""
-    if any(np.iscomplexobj(a) and np.count_nonzero(a.imag) for a in arrays):
+    """A new array stacking equal-shape arrays in their storage_dtype,
+    built from their real parts directly when that is float64, so a
+    real-valued complex input is never copied whole as complex."""
+    if storage_dtype(a.imag for a in arrays if np.iscomplexobj(a)) is np.complex128:
         return np.array(arrays, dtype=np.complex128)
     return np.array([np.real(a) for a in arrays], dtype=np.float64)
 

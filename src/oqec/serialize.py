@@ -31,7 +31,14 @@ field.
 A matrix is checked one level at a time: dense rows (non-empty, of one
 length), then cells ([re, im] pairs), then numbers; sparse keys and shape,
 array lengths, indices, values, then repeated cells. The error names the
-first defect of the first level that fails.
+first defect of the first level that fails. Only then is the matrix
+allocated, and a failed allocation names its shape.
+
+A channel is read into one (k, dim_out, dim_in) Kraus stack in its storage
+dtype, linalg.storage_dtype of every sparse im value and dense im part:
+every operator is checked, then the stack is allocated once and written,
+so no complex matrix per operator is formed. Frames are read the same
+way; matrix_from_json alone returns complex128.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ import numpy as np
 from .channels import Channel
 from .conditions import ConditionReport
 from .errors import DimensionError, FormatError
+from .linalg import storage_dtype
 from .spaces import Decomposition
 
 __all__ = [
@@ -124,7 +132,7 @@ def _flat_array(part: list, where, dtype, ok, expected: str) -> np.ndarray:
     raise FormatError(where(k), f"expected {expected}, got {v!r}")
 
 
-def _dense_matrix(obj: Any, field: str) -> np.ndarray:
+def _dense_parts(obj: Any, field: str) -> tuple:
     if type(obj) is not list or not obj:
         raise FormatError(field, "expected a non-empty array of rows or a sparse matrix object")
     width = len(obj[0]) if type(obj[0]) is list else 0
@@ -141,15 +149,14 @@ def _dense_matrix(obj: Any, field: str) -> np.ndarray:
         list(chain.from_iterable(cells)), lambda k: f"{field}[{k // 2 // width}][{k // 2 % width}]",
         np.float64, np.isfinite, "a finite number",
     )
-    return flat.view(np.complex128).reshape(len(obj), width)
+    return (len(obj), width), None, flat[0::2], flat[1::2]
 
 
-def _sparse_matrix(obj: dict, field: str) -> np.ndarray:
-    shape = _sparse_shape(obj, field)
-    try:
-        out = np.zeros(shape, np.complex128)
-    except (ValueError, MemoryError) as exc:  # numpy: "array is too big"
-        raise FormatError(f"{field}.shape", f"{list(shape)} is too large to allocate ({exc})") from exc
+def _sparse_parts(obj: dict, shape: tuple, field: str) -> tuple:
+    """The parts of a sparse matrix object whose keys and shape passed
+    _sparse_shape."""
+    if shape[0] * shape[1] > np.iinfo(np.int64).max:  # keeps every flat index in int64
+        raise FormatError(f"{field}.shape", f"{list(shape)} is too large to allocate")
     for key in _SPARSE_KEYS[1:]:
         if type(obj[key]) is not list:
             raise FormatError(f"{field}.{key}", "expected an array")
@@ -159,39 +166,61 @@ def _sparse_matrix(obj: dict, field: str) -> np.ndarray:
     def array(key, dtype, ok, expected):
         return _flat_array(obj[key], lambda k: f"{field}.{key}[{k}]", dtype, ok, expected)
 
-    def index(key, n):  # every index inside the allocated shape fits in int64
+    def index(key, n):
         return array(key, np.int64, lambda i: (i >= 0) & (i < n), f"an integer index in [0, {n})")
 
     rows, cols = index("rows", shape[0]), index("cols", shape[1])
-    vals = np.empty(rows.size, np.complex128)
-    vals.real, vals.imag = (array(key, np.float64, np.isfinite, "a finite number") for key in ("re", "im"))
+    re, im = (array(key, np.float64, np.isfinite, "a finite number") for key in ("re", "im"))
     flat = rows * shape[1] + cols
     order = np.argsort(flat, kind="stable")
     repeats = order[1:][flat[order][1:] == flat[order][:-1]]
     if repeats.size:
         k = int(repeats.min())
         raise FormatError(f"{field}.rows[{k}]", f"duplicate cell ({rows[k]}, {cols[k]})")
-    out[rows, cols] = vals
+    return shape, flat, re, im
+
+
+def _matrix_parts(obj: Any, field: str, fits=lambda shape: True, what: str = "") -> tuple:
+    """(shape, cells, re, im) of a matrix in either wire form, every check
+    done and nothing placed: cells holds the row-major flat index of each
+    listed value, or is None for a dense matrix, which lists every cell in
+    order. An object is sparse, anything else must be dense. When
+    fits(shape) fails, the error says the shape does not match what; a
+    sparse matrix's declared shape is tested before its cells."""
+    got = _sparse_shape(obj, field) if type(obj) is dict else None
+    if got is None or fits(got):
+        parts = _dense_parts(obj, field) if got is None else _sparse_parts(obj, got, field)
+        got = parts[0]
+    if not fits(got):
+        raise FormatError(field, f"shape {got} does not match {what}")
+    return parts
+
+
+def _place(parts: list, field: str, dtype=None) -> np.ndarray:
+    """One new (len(parts), rows, cols) array with each matrix's listed
+    cells written in and every other cell zero. Its dtype is dtype or, when
+    None, linalg.storage_dtype of the imaginary parts. A failed allocation is
+    a FormatError naming the shape of the first matrix, read from field."""
+    dtype = dtype or storage_dtype(im for *_, im in parts)
+    shape = parts[0][0]
+    try:
+        out = np.zeros((len(parts), *shape), dtype)
+    except (ValueError, MemoryError) as exc:  # numpy: "array is too big"
+        where = field if parts[0][1] is None else f"{field}.shape"
+        raise FormatError(where, f"{list(shape)} is too large to allocate ({exc})") from exc
+    for dest, (_, cells, re, im) in zip(out.reshape(len(parts), -1), parts):
+        at = slice(None) if cells is None else cells
+        if dest.dtype.kind == "c":
+            dest.imag[at] = im
+            dest = dest.real
+        dest[at] = re
     return out
 
 
 def matrix_from_json(obj: Any, field: str = "matrix") -> np.ndarray:
     """A complex matrix from either wire form: an object is sparse, anything
     else must be dense. Every rejection is a FormatError naming the field."""
-    return _sparse_matrix(obj, field) if type(obj) is dict else _dense_matrix(obj, field)
-
-
-def _matrix_of_shape(obj: Any, fits, field: str, what: str) -> np.ndarray:
-    """matrix_from_json(obj, field) unless fits(shape) fails, in which case
-    the error says the shape does not match what; a sparse matrix's declared
-    shape is tested before anything is allocated."""
-    got = _sparse_shape(obj, field) if type(obj) is dict else None
-    if got is None or fits(got):
-        m = matrix_from_json(obj, field)
-        got = m.shape
-    if not fits(got):
-        raise FormatError(field, f"shape {got} does not match {what}")
-    return m
+    return _place([_matrix_parts(obj, field)], field, np.complex128)[0]
 
 
 def _int_field(obj: dict, key: str, minimum: int, field: str) -> int:
@@ -213,6 +242,10 @@ def channel_to_json(ch: Channel, metadata: dict | None = None) -> dict:
 
 
 def channel_from_json(obj: Any, field: str = "channel") -> Channel:
+    """A channel read into one Kraus stack in its storage dtype (float64
+    when every imaginary part is ±0.0, else complex128). Every operator is
+    checked against (dim_out, dim_in) before the stack is allocated; a
+    failed allocation names the shape of kraus[0]."""
     if not isinstance(obj, dict):
         raise FormatError(field, "expected an object")
     _check_keys(obj, field, ("dim_in", "dim_out", "kraus"), ("metadata",))
@@ -223,12 +256,14 @@ def channel_from_json(obj: Any, field: str = "channel") -> Channel:
     kraus_obj = obj["kraus"]
     if not isinstance(kraus_obj, list) or not kraus_obj:
         raise FormatError(f"{field}.kraus", "expected a non-empty array of matrices")
-    what = f"(dim_out, dim_in)=({dim_out}, {dim_in})"
-    kraus = [
-        _matrix_of_shape(mat, (dim_out, dim_in).__eq__, f"{field}.kraus[{i}]", what)
+    dims = (dim_out, dim_in)
+    parts = [
+        _matrix_parts(mat, f"{field}.kraus[{i}]", dims.__eq__, f"(dim_out, dim_in)={dims}")
         for i, mat in enumerate(kraus_obj)
     ]
-    return Channel(tuple(kraus))
+    kraus = _place(parts, f"{field}.kraus[0]")
+    del parts  # the parsed values go before Channel takes its copy of the stack
+    return Channel(kraus)
 
 
 def decomposition_to_json(dec: Decomposition) -> dict:
@@ -248,8 +283,9 @@ def decomposition_from_json(obj: Any, field: str = "decomposition") -> Decomposi
     frame = None
     if "frame" in obj:
         dcode, dv = dim_a * dim_b, dim_a * dim_b + dim_c
-        frame = _matrix_of_shape(obj["frame"], lambda s: s[0] == dv and dcode <= s[1] <= dv,
-                                 f"{field}.frame", f"({dv}, k) with {dcode} <= k <= {dv}")
+        parts = [_matrix_parts(obj["frame"], f"{field}.frame", lambda s: s[0] == dv and dcode <= s[1] <= dv,
+                               f"({dv}, k) with {dcode} <= k <= {dv}")]
+        frame = _place(parts, f"{field}.frame")[0]
     try:
         return Decomposition(dim_a=dim_a, dim_b=dim_b, dim_c=dim_c, frame=frame)
     except DimensionError as exc:  # the dims passed _int_field, so the frame failed

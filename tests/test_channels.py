@@ -309,6 +309,18 @@ def test_restricted_flip_structure():
         restricted_flip(3, np.nan)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_restricted_flip_is_bit_identical_to_its_kron_construction(n):
+    """The stack written by index holds the bits of sqrt(1 - n p) 1 and of
+    each sqrt(p) X_site formed as a Kronecker product, zeros included."""
+    for p in (0.0, 0.01, 0.1 / n, 1 / (3 * n), 1 / n):
+        ops = [np.sqrt(1 - n * p) * np.eye(2**n)]
+        ops += [np.sqrt(p) * kron(np.eye(2**s), PAULI_X, np.eye(2 ** (n - s - 1))) for s in range(n)]
+        want = np.array(ops)
+        got = restricted_flip(n, p).kraus
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), p
+
+
 def test_collective_unitary_validates():
     ch = collective_unitary(2, [(0.5, np.eye(2)), (0.5, PAULI_Z)])
     assert validate(ch).trace_preserving

@@ -575,11 +575,12 @@ def test_every_verb_rejects_noise_that_is_not_trace_preserving(exported, tmp_pat
 
 
 def test_check_exits_two_when_an_input_cannot_be_allocated(exported, tmp_path):
-    """A sparse file of about a hundred bytes declares an 8000 x 8000
-    channel; under a 1.5 GiB address-space cap stacking its operator runs
-    out of memory, which is an input error (exit 2), not a negative verdict."""
+    """A sparse file of about a hundred bytes declares a 16000 x 16000
+    channel; one float64 operator of that size alone takes 2.0 GB, so under a
+    1.5 GiB address-space cap reading it runs out of memory, which is an
+    input error (exit 2), not a negative verdict."""
     dec, _ = exported
-    n = 8000
+    n = 16000
     sparse = {"shape": [n, n], "rows": [0], "cols": [0], "re": [1.0], "im": [0.0]}
     bad = tmp_path / "big.json"
     dump_json_file(str(bad), {"dim_in": n, "dim_out": n, "kraus": [sparse]})

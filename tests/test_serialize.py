@@ -4,6 +4,7 @@ import contextlib
 import copy
 import gc
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oqec.channels import random_channel
+from oqec.channels import Channel, random_channel, restricted_flip
 from oqec.codes import catalog, get
 from oqec.conditions import check_condition_b, check_condition_c, purify
 from oqec.errors import FormatError
@@ -342,6 +343,80 @@ def test_dense_files_of_catalog_entries_load_identically(tmp_path):
             assert _bits(back_dec.frame) == _bits(entry.dec.frame), entry.name
 
 
+def _stored(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def test_reading_the_bacon_shor_9_noise_file_forms_one_float64_stack(tmp_path):
+    """The exported noise file is read straight into the float64 stack the
+    library builds, bit for bit: the reader peaks below 2.5x that stack (the
+    stack plus the copy Channel keeps), with no complex operator beside it."""
+    entry = get("bacon_shor_9")
+    path = str(tmp_path / "noise.json")
+    dump_json_file(path, channel_to_json(entry.noise))
+    obj = load_json_file(path)
+    tracemalloc.start()
+    try:
+        ch = channel_from_json(obj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _stored(ch.kraus) == _stored(entry.noise.kraus)
+    assert ch.kraus.dtype == np.float64
+    assert peak < 2.5 * ch.kraus.nbytes, (peak, ch.kraus.nbytes)
+
+
+def test_reading_a_dense_real_channel_drops_the_parsed_numbers_before_channel_copies():
+    """A dense file's [re, im] numbers take twice the float64 stack. They go
+    before Channel copies the stack, so the read peaks near 3x the stack
+    (the numbers and the stack, then the stack and its copy), not 4x."""
+    noise = restricted_flip(7, 0.01).kraus
+    obj = {"dim_in": 128, "dim_out": 128, "kraus": [_dense_form(k) for k in noise]}
+    tracemalloc.start()
+    try:
+        ch = channel_from_json(obj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _stored(ch.kraus) == _stored(noise)
+    assert peak < 3.5 * ch.kraus.nbytes, (peak, ch.kraus.nbytes)
+
+
+def _mixed_kraus():
+    """Three 4 x 4 operators in the wire forms: a dense complex one, a dense
+    real one with -0.0 real parts and imaginary parts of both signs, and a
+    sparse one whose im holds +0.0 and -0.0."""
+    rng = np.random.default_rng(9)
+    dense_complex = _dense_form(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    real = (-0.5 * np.eye(4)).tolist()  # -0.0 off the diagonal
+    dense_real = [[[re, [0.0, -0.0][(i + j) % 2]] for j, re in enumerate(row)] for i, row in enumerate(real)]
+    sparse = {"shape": [4, 4], "rows": [0, 3, 1], "cols": [2, 0, 1], "re": [0.25, -0.0, -1.5], "im": [0.0, -0.0, -0.0]}
+    return [dense_complex, dense_real, sparse]
+
+
+def _exported(name):
+    return lambda: channel_to_json(get(name).noise)["kraus"]
+
+
+EXPORTS = [e.name for e in catalog()] + ["bacon_shor_9"]
+
+
+@pytest.mark.parametrize(
+    "kraus, dtype",
+    [(_exported(name), np.complex128 if name == "ns_3qubit_collective" else np.float64) for name in EXPORTS]
+    + [(_mixed_kraus, np.complex128), (lambda: _mixed_kraus()[1:], np.float64)],
+    ids=EXPORTS + ["mixed complex", "mixed real"],
+)
+def test_reading_a_channel_matches_stacking_its_complex_matrices(kraus, dtype):
+    """One stack in its storage dtype holds the bits, dtype included, that
+    Channel gives the complex matrices matrix_from_json reads one by one."""
+    ops = kraus()
+    dim_out, dim_in = matrix_from_json(ops[0]).shape
+    got = channel_from_json({"dim_in": dim_in, "dim_out": dim_out, "kraus": ops}).kraus
+    assert _stored(got) == _stored(Channel([matrix_from_json(m) for m in ops]).kraus)
+    assert got.dtype == dtype
+
+
 def _sparse(**change):
     obj = {
         "shape": [8, 8],
@@ -365,6 +440,8 @@ SPARSE_MALFORMED = [
     ("float dimension", lambda: _sparse(shape=[8.0, 8]), "m.shape"),
     ("bool dimension", lambda: _sparse(shape=[8, True]), "m.shape"),
     ("too large to allocate", lambda: _sparse(shape=[2**31, 2**31]), "m.shape"),
+    ("flat index beyond int64", lambda: _sparse(shape=[2**62, 2**62]), "m.shape"),
+    ("dimension beyond int64", lambda: _sparse(shape=[8, 2**70]), "m.shape"),
     ("row out of range", lambda: _sparse(rows=[0, 8, 3]), "m.rows[1]"),
     ("negative column", lambda: _sparse(cols=[5, 0, -1]), "m.cols[2]"),
     ("float row", lambda: _sparse(rows=[0, 7.0, 3]), "m.rows[1]"),
