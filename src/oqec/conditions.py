@@ -11,7 +11,9 @@ of V = (A tensor B) + C, each checked numerically with its own witness data:
 
 The purified state behind the last two lives on R_A tensor R_B tensor V
 tensor E in that factor order, where R_A and R_B mirror A and B and E is the
-noise environment with one axis per Kraus operator.
+noise environment with one axis per Kraus operator. Both read one matrix,
+the reference-environment marginal rho'_{R_A R_B E}, and its reductions: one
+Gram product of the state serves c and d.
 """
 
 from __future__ import annotations
@@ -27,12 +29,14 @@ from .linalg import (
     DEFAULT_ATOL,
     SPECTRUM_CUTOFF,
     gram,
-    kron,
     partial_trace,
     require_state,
     von_neumann_entropy,
 )
 from .spaces import Decomposition
+
+
+_JOINT = (0, 1, 3)  # R_A R_B E, the complement of V
 
 
 @dataclass(frozen=True)
@@ -45,8 +49,11 @@ class PurifiedState:
 
     psi is pure, so complementary marginals share their nonzero spectrum:
     S(V') = S(R_A R_B E'), and an entropy can be read from whichever side is
-    smaller. Each marginal is formed once, as psi_K psi_K† with psi_K the
-    (kept, rest) reshape of psi, and kept read-only for later callers.
+    smaller. Each marginal is formed once and kept read-only for later
+    callers. The joint rho'_{R_A R_B E} and every marginal that keeps V are
+    Gram products psi_K psi_K†, with psi_K the (kept, rest) reshape of psi;
+    every other marginal of R_A, R_B and E is a partial trace of the joint,
+    whatever order they are asked for in.
     """
 
     dims: tuple[int, int, int, int]
@@ -71,10 +78,18 @@ class PurifiedState:
             raise DimensionError(f"keep indices {list(keep)} out of range")
         rho = self._marginals.get(keep)
         if rho is None:
-            rest = [i for i in range(4) if i not in keep]
-            t = self.psi.reshape(self.dims).transpose(list(keep) + rest)
-            mat = t.reshape(int(np.prod([self.dims[i] for i in keep])), -1)
-            rho = gram(mat.T).conj()  # mat mat† = conj((mat^T)† mat^T)
+            dim = int(np.prod([self.dims[i] for i in keep]))
+            if keep == _JOINT or 2 in keep:
+                rest = [i for i in range(4) if i not in keep]
+                t = self.psi.reshape(self.dims).transpose(list(keep) + rest)
+                mat = t.reshape(dim, -1)
+                rho = gram(mat.T).conj()  # mat mat† = conj((mat^T)† mat^T)
+            else:  # trace out the joint's other factors, last first
+                t = self.marginal(_JOINT).reshape([self.dims[i] for i in _JOINT] * 2)
+                for ax in (2, 1, 0):
+                    if _JOINT[ax] not in keep:
+                        t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
+                rho = t.reshape(dim, dim)
             rho.flags.writeable = False
             self._marginals[keep] = rho
         return rho
@@ -108,13 +123,13 @@ def purify(
         )
     require_valid(ch, allow_trace_decreasing=allow_trace_decreasing)
     da, db, dv, de = dec.dim_a, dec.dim_b, dec.dim_v, len(ch.kraus)
-    code = dec.code_vectors()
-    imgs = ch.kraus.reshape(-1, dv) @ code  # rows (e, v), columns (a, b)
-    psi = imgs.reshape(de, dv, da, db).transpose(2, 3, 1, 0) / np.sqrt(da * db)
-    norm_in = float(np.vdot(psi, psi).real)
+    imgs = ch.kraus.reshape(-1, dv) @ dec.code_vectors()  # rows (e, v), columns (a, b)
+    sq = float(np.vdot(imgs, imgs).real)
+    norm_in = sq / (da * db)
     if norm_in <= SPECTRUM_CUTOFF:
         raise DegenerateChannelError("channel annihilates the code sector")
-    psi = psi / np.sqrt(norm_in)
+    t = imgs.reshape(de, dv, da, db).transpose(2, 3, 1, 0)
+    psi = np.divide(t, np.sqrt(sq), order="C")  # (a, b, v, e), C order
     return PurifiedState((da, db, dv, de), psi.reshape(-1), norm_in)
 
 
@@ -144,8 +159,9 @@ def check_condition_b(
     # m[j, a, b, k, c, d] = <a, b| E_j† E_k |c, d> on the code sector
     m = gram(rotated.transpose(1, 0, 2).reshape(dv, -1)).reshape(de, da, db, de, da, db)
     blocks = np.einsum("jabkad->jkbd", m) / da
-    m -= np.einsum("ac,jkbd->jabkcd", np.eye(da), blocks)  # now M_jk - 1_A tensor B_jk
-    pair = np.linalg.norm(m.transpose(0, 3, 1, 2, 4, 5).reshape(de, de, -1), axis=2)
+    for a in range(da):  # now M_jk - 1_A tensor B_jk
+        m[:, a, :, :, a, :] -= blocks.transpose(0, 2, 1, 3)
+    pair = np.sqrt(np.einsum("jabkcd,jabkcd->jk", m.conj(), m).real)
     worst = np.unravel_index(np.argmax(pair), pair.shape)
     residual = float(np.linalg.norm(pair))
     return ConditionReport(
@@ -170,12 +186,18 @@ def check_condition_c(ps: PurifiedState, tol: float = DEFAULT_ATOL) -> Condition
     noise can move the observed one, the witness rho_ra, away from it. Entry
     by entry the difference is b's M_jk - 1_A tensor B_jk over
     dim_a dim_b norm_in, so residual_b = dim_a dim_b norm_in residual_c.
+    The lifted operator is never formed: rho'_{R_B E} / dim_a is subtracted
+    from each A-diagonal block of a copy of the joint.
     """
     da = ps.dims[0]
-    joint = ps.marginal((0, 1, 3))
     rho_ra = ps.marginal((0,))
     rho_rbe = ps.marginal((1, 3))
-    residual = float(np.linalg.norm(joint - kron(np.eye(da) / da, rho_rbe)))
+    n = rho_rbe.shape[0]
+    diff = ps.marginal(_JOINT).reshape(da, n, da, n).copy()
+    share = rho_rbe * (1.0 / da)  # the diagonal blocks of 1_A / dim_a tensor rho_rbe
+    for a in range(da):
+        diff[a, :, a, :] -= share
+    residual = float(np.linalg.norm(diff))
     return ConditionReport(
         condition="c",
         passed=residual <= tol,
@@ -193,10 +215,12 @@ def check_condition_d(ps: PurifiedState, tol: float = DEFAULT_ATOL) -> Condition
     pure, so S(V') = S(R_A R_B E'): entropy_v is read from whichever of the
     two marginals is smaller (dim_v against dim_a dim_b dim_e, the joint on a
     tie, which condition c shares), and require_state checks that matrix.
+    rho'_{R_B E} is the joint's partial trace either way, so when V is the
+    smaller side d forms the joint without diagonalizing it.
     """
     da, db, dv, de = ps.dims
     s_a = float(np.log2(da))
-    s_v = von_neumann_entropy(ps.marginal((0, 1, 3) if da * db * de <= dv else (2,)))
+    s_v = von_neumann_entropy(ps.marginal(_JOINT if da * db * de <= dv else (2,)))
     s_rbe = von_neumann_entropy(ps.marginal((1, 3)))
     gap = s_a + s_rbe - s_v
     return ConditionReport(

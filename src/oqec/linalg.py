@@ -147,30 +147,37 @@ def eig_hermitian(m: np.ndarray, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray
 def require_state(rho: np.ndarray, atol: float = DEFAULT_ATOL) -> np.ndarray:
     """Check the density-matrix contract and return the spectrum, descending.
 
-    Raises NotAStateError if rho is not Hermitian within atol, has an
-    eigenvalue below -atol, or its trace differs from 1 by more than atol.
+    Raises NotAStateError if an entry of rho is not finite (checked before
+    any arithmetic), rho is not Hermitian within atol, has an eigenvalue
+    below -atol, or its trace differs from 1 by more than atol. Each check
+    is written so that a nan fails it.
     """
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise NotAStateError(f"expected a square matrix, got shape {rho.shape}")
+    finite = np.isfinite(rho)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise NotAStateError(f"entry ({i}, {j}) is {rho[i, j]}, not finite")
     herm_defect = float(np.linalg.norm(rho - dag(rho)))
-    if herm_defect > atol:
+    if not herm_defect <= atol:
         raise NotAStateError(f"not Hermitian within atol={atol} (defect {herm_defect:.3e})")
-    w = np.linalg.eigvalsh((rho + dag(rho)) / 2)
-    if float(w.min()) < -atol:
-        raise NotAStateError(f"negative eigenvalue {w.min():.3e} below -atol")
+    w = np.linalg.eigvalsh((rho + dag(rho)) / 2)  # ascending
+    if not w[0] >= -atol:
+        raise NotAStateError(f"negative eigenvalue {w[0]:.3e} below -atol")
     tr = float(np.real(np.trace(rho)))
-    if abs(tr - 1.0) > atol:
+    if not abs(tr - 1.0) <= atol:
         raise NotAStateError(f"trace {tr!r} differs from 1 beyond atol={atol}")
-    return np.sort(w)[::-1]
+    return w[::-1]
 
 
 def von_neumann_entropy(rho: np.ndarray, atol: float = DEFAULT_ATOL) -> float:
     """Von Neumann entropy in bits. -w log2 w tends to 0 as w does, so every
-    positive eigenvalue contributes, however small, and only w <= 0 gives 0."""
+    positive eigenvalue contributes, however small, and only w <= 0 gives 0.
+    A pure state gives +0.0, never -0.0."""
     w = require_state(rho, atol)
     w = w[w > 0]
-    return float(-np.dot(w, np.log2(w)))
+    return float(0.0 - np.dot(w, np.log2(w)))
 
 
 def complete_basis(cols: np.ndarray, dim: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -66,6 +67,21 @@ def test_check_single_condition_fails_on_bad_code(exported_bad, capsys):
     dec, chan = exported_bad
     assert main(["check", dec, chan, "--condition", "b"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_check_json_entropy_of_a_pure_marginal_is_positive_zero(tmp_path, capsys):
+    """dfs_2qubit_dephasing leaves rho'_{R_B E} pure: the report writes its
+    entropy as 0.0, not -0.0."""
+    assert main(["codes", "export", "dfs_2qubit_dephasing", str(tmp_path)]) == 0
+    capsys.readouterr()
+    dec = str(tmp_path / "dfs_2qubit_dephasing.decomposition.json")
+    chan = str(tmp_path / "dfs_2qubit_dephasing.noise.json")
+    assert main(["check", dec, chan, "--condition", "d", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert '"entropy_rbe": 0.0' in out
+    assert "-0.0" not in out
+    witnesses = json.loads(out)["conditions"][0]["witnesses"]
+    assert math.copysign(1.0, witnesses["entropy_rbe"]) == 1.0
 
 
 def test_check_json_report(exported, capsys):

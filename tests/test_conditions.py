@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oqec.channels
+import oqec.linalg
 from oqec import conditions
 from oqec.channels import Channel, apply, depolarizing, identity, random_channel, unitary
 from oqec.codes import catalog, get
@@ -24,8 +25,8 @@ from oqec.conditions import (
     dpi_trace,
     purify,
 )
-from oqec.errors import DegenerateChannelError, DimensionError
-from oqec.linalg import dag, gram, haar_unitary, kron, von_neumann_entropy
+from oqec.errors import DegenerateChannelError, DimensionError, NotAStateError
+from oqec.linalg import DEFAULT_ATOL, dag, gram, haar_unitary, kron, von_neumann_entropy
 from oqec.recovery import synthesize_schmidt_recovery
 from oqec.spaces import Decomposition
 
@@ -90,6 +91,71 @@ def test_joint_marginal_oracle_on_random_instances():
         np.testing.assert_allclose(
             ps.marginal((0, 1, 3)), _joint_marginal_oracle(dec, ch), atol=1e-12
         )
+
+
+def _derived_marginal_oracles(dec, ch, norm_in=1.0):
+    """rho'_{R_A} and rho'_{R_B E} from the Gram blocks G_jk: entry (a, a')
+    of the first is sum_{j, b} conj(G_jj)[(a, b), (a', b)], entry
+    ((b, j), (b', k)) of the second sum_a conj(G_jk)[(a, b), (a, b')], both
+    over dim_a dim_b norm_in."""
+    code = dec.code_vectors()
+    da, db, de = dec.dim_a, dec.dim_b, len(ch.kraus)
+    g = np.array([[dag(code) @ dag(ej) @ ek @ code for ek in ch.kraus] for ej in ch.kraus])
+    g = g.conj().reshape(de, de, da, db, da, db) / (da * db * norm_in)
+    rho_ra = np.einsum("jjabcb->ac", g)
+    rho_rbe = np.einsum("jkabac->bjck", g).reshape(db * de, db * de)
+    return rho_ra, rho_rbe
+
+
+def _marginal_instances():
+    """(dec, ch, allow_trace_decreasing): the catalog, random instances with
+    dim_a 2 and 3, and renormalized trace-decreasing noise."""
+    out = [(e.dec, e.noise, False) for e in catalog()]
+    rng = _rng(51)
+    for trial in range(8):
+        da, db, dc = int(rng.integers(2, 4)), int(rng.integers(1, 3)), int(rng.integers(0, 3))
+        dv = da * db + dc
+        dec = Decomposition(da, db, dc, frame=haar_unitary(dv, rng))
+        ch = random_channel(dv, int(rng.integers(1, 4)), seed=500 + trial)
+        out.append((dec, ch, False))
+        damp = np.diag(np.linspace(1.0, 0.5, dv))  # sum_k D E_k† E_k D = D² < 1
+        out.append((dec, Channel([k @ damp for k in ch.kraus]), True))
+    uneven = Channel((np.diag([1.0, 1.0 / np.sqrt(2)]).astype(complex),))
+    return out + [(Decomposition(2, 1, 0), uneven, True)]
+
+
+def test_derived_marginals_match_gram_block_oracle():
+    for dec, ch, allow in _marginal_instances():
+        ps = purify(dec, ch, allow_trace_decreasing=allow)
+        rho_ra, rho_rbe = _derived_marginal_oracles(dec, ch, ps.norm_in)
+        np.testing.assert_allclose(ps.marginal((0,)), rho_ra, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(ps.marginal((1, 3)), rho_rbe, rtol=0, atol=1e-14)
+
+
+def test_condition_c_residual_matches_kron_formula():
+    """c subtracts rho'_{R_B E} / dim_a from the A-diagonal blocks of the
+    joint in place; the dense formula with the lifted operator agrees."""
+    for dec, ch, allow in _marginal_instances():
+        ps = purify(dec, ch, allow_trace_decreasing=allow)
+        da = ps.dims[0]
+        lifted = kron(np.eye(da) / da, ps.marginal((1, 3)))
+        dense = np.linalg.norm(ps.marginal((0, 1, 3)) - lifted)
+        assert abs(check_condition_c(ps).residual - dense) <= 1e-15
+
+
+def test_condition_d_rejects_a_non_finite_state():
+    """A nan in the purified state reaches every marginal, real or complex
+    (the phase sends the Gram product down its complex path); d raises,
+    naming it, before any eigensolver runs. An inf is tried in a state of
+    dimension 1, whose Gram product is inf·inf: beside a zero amplitude,
+    inf·0 makes the product itself warn."""
+    for phase in (1.0, np.exp(0.3j)):
+        psi = np.full(8, np.sqrt(1 / 8)) * phase
+        psi[3] = np.nan
+        with pytest.raises(NotAStateError, match="not finite"):
+            check_condition_d(PurifiedState((2, 1, 2, 2), psi, 1.0))
+    with pytest.raises(NotAStateError, match="inf, not finite"):
+        check_condition_d(PurifiedState((1, 1, 1, 1), np.array([np.inf]), 1.0))
 
 
 def test_purify_rejects_wrong_dimension():
@@ -354,44 +420,61 @@ def test_condition_d_entropy_v_matches_v_marginal():
     assert sides == {True, False}
 
 
-@pytest.mark.parametrize("kraus, side", [(2, (0, 1, 3)), (9, (2,))])
+@pytest.mark.parametrize("kraus, side", [(2, (4, 16)), (9, (16, 18))])
 def test_condition_d_diagonalizes_the_smaller_side(monkeypatch, kraus, side):
     """With dim_v 16, two Kraus operators give a joint of dimension 4 < 16 and
-    nine give 18 > 16; d asks only for the smaller of the two."""
+    nine give 18 > 16; d diagonalizes the smaller of the two and the R_B E
+    marginal (dimension kraus), never the larger side."""
     dec = Decomposition(2, 1, 14, frame=haar_unitary(16, _rng(47)))
     ps = purify(dec, random_channel(16, kraus, seed=48))
-    asked = []
-    original = PurifiedState.marginal
+    smaller, larger = side  # dimensions of the joint and V marginals, sorted
+    diagonalized = []
+    original = oqec.linalg.require_state
 
-    def recording(self, keep):
-        asked.append(tuple(sorted(keep)))
-        return original(self, keep)
+    def recording(rho, atol=DEFAULT_ATOL):
+        diagonalized.append(rho.shape[0])
+        return original(rho, atol)
 
-    monkeypatch.setattr(PurifiedState, "marginal", recording)
+    monkeypatch.setattr(oqec.linalg, "require_state", recording)
     check_condition_d(ps)
-    assert sorted(asked) == sorted([side, (1, 3)])
+    assert sorted(diagonalized) == sorted([smaller, kraus])
+    assert larger not in diagonalized
 
 
 def test_marginals_are_formed_once_and_read_only(monkeypatch):
-    """Conditions c then d on one purified state share the joint and R_B E
-    marginals: each key is formed (one Gram product) once, and the
-    same read-only array comes back on every request. On bit_flip_3 the joint
-    (2 * 1 * 4) ties with dim_v 8, and d takes the joint."""
+    """Conditions c then d on one purified state share one Gram product, the
+    joint: the R_A and R_B E marginals are its partial traces, each formed
+    once, and the same read-only array comes back on every request. On
+    bit_flip_3 the joint (2 * 1 * 4) ties with dim_v 8, and d takes the
+    joint."""
     entry = get("bit_flip_3")
     ps = purify(entry.dec, entry.noise)
     formed = []
     monkeypatch.setattr(conditions, "gram", lambda m: formed.append(m.shape) or gram(m))
     check_condition_c(ps)
     check_condition_d(ps)
-    keys = [(0, 1, 3), (0,), (1, 3)]
-    assert len(formed) == len(keys)
-    for keep in keys:
+    assert formed == [(8, 8)]  # (rest, kept) = (dim_v, dim_a dim_b dim_e)
+    for keep in [(0, 1, 3), (0,), (1, 3)]:
         rho = ps.marginal(keep)
         assert rho is ps.marginal(list(reversed(keep)))
         assert not rho.flags.writeable
         with pytest.raises(ValueError):
             rho[0, 0] = 0.0
-    assert len(formed) == len(keys)
+    assert len(formed) == 1
+
+
+def test_derived_marginals_do_not_depend_on_call_order():
+    """The R_A and R_B E marginals are partial traces of the joint whichever
+    is asked for first, so their values do not depend on call order."""
+    dec = Decomposition(2, 2, 3, frame=haar_unitary(7, _rng(53)))
+    ch = random_channel(7, 3, seed=54)
+    first, second = purify(dec, ch), purify(dec, ch)
+    for keep in [(1, 3), (0,), (1,), (3,), (0, 3), (0, 1)]:
+        first.marginal(keep)
+    for keep in [(0,), (0, 1), (3,), (1, 3), (0, 3), (1,)]:
+        second.marginal(keep)
+    for keep in [(0,), (1,), (3,), (0, 1), (0, 3), (1, 3), (0, 1, 3)]:
+        np.testing.assert_array_equal(first.marginal(keep), second.marginal(keep))
 
 
 def _dpi_agrees_with_dense(dec, chain):
@@ -438,8 +521,9 @@ def test_dpi_trace_forms_no_lifted_channel_or_dense_state(monkeypatch):
     rec = synthesize_schmidt_recovery(entry.dec, entry.noise)
     chain = [entry.noise, depolarizing(8, 0.3), rec.channel]
     expected = dense_dpi_trace(entry.dec, chain)
+    assert not hasattr(conditions, "kron")  # np.kron covers every lift
     for module, name in ((np, "kron"), (oqec.channels, "apply"), (conditions, "coherent_info"),
-                         (conditions, "partial_trace"), (conditions, "kron")):
+                         (conditions, "partial_trace")):
         monkeypatch.setattr(module, name, forbidden)
     assert np.max(np.abs(np.subtract(dpi_trace(entry.dec, chain), expected))) <= 1e-12
 

@@ -1,5 +1,7 @@
 """Core linear algebra: oracles are independent loop implementations."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,25 @@ def test_require_state_rejects_bad_inputs():
         require_state(np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
     with pytest.raises(NotAStateError):
         require_state(np.diag([0.7, 0.7]).astype(complex))  # trace 1.4
+
+
+def test_require_state_rejects_non_finite_entries():
+    """A non-finite entry is named and rejected before any arithmetic, so no
+    RuntimeWarning (an error under this suite's settings) and no LAPACK call."""
+    cases = [(bad, dtype) for bad in (np.nan, np.inf, -np.inf) for dtype in (float, complex)]
+    cases += [(complex(0.0, np.nan), complex), (complex(1.0, np.inf), complex)]
+    for bad, dtype in cases:
+        for rho in (np.full((2, 2), bad, dtype=dtype), np.array([[0.5, 0], [0, bad]], dtype=dtype)):
+            with pytest.raises(NotAStateError, match="not finite"):
+                require_state(rho)
+            with pytest.raises(NotAStateError, match="not finite"):
+                von_neumann_entropy(rho)
+
+
+def test_entropy_of_a_pure_state_is_positive_zero():
+    for rho in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0, 0.0]).astype(complex), np.ones((1, 1))):
+        assert math.copysign(1.0, von_neumann_entropy(rho)) == 1.0
+    assert von_neumann_entropy(np.eye(2) / 2) == 1.0
 
 
 def test_entropy_frozen_values():
