@@ -34,12 +34,12 @@ from .recovery import (
     verify_recovery,
 )
 from .serialize import (
-    channel_from_json,
     channel_to_json,
     condition_report_to_json,
     decomposition_from_json,
     decomposition_to_json,
     dump_json_file,
+    load_channel_file,
     load_json_file,
 )
 from . import codes as codes_mod
@@ -77,7 +77,7 @@ def _meta(tol: float) -> dict:
 def _load_channel(path, field, dec):
     """A channel file on the decomposition's V; every verb needs it trace
     preserving. validate caches the Gram matrix that later gates read."""
-    ch = channel_from_json(load_json_file(path, field), field)
+    ch = load_channel_file(path, field)
     if ch.dim_in != dec.dim_v or ch.dim_out != dec.dim_v:
         raise FormatError(
             field,

@@ -21,7 +21,12 @@ are nonzero, and the dense form otherwise; the reader accepts either (an
 object is sparse, an array dense). A cell counts as zero only when all 128
 bits of it are zero, so a -0.0 part keeps its cell.
 
-Files are written compact (no whitespace). Python's json module emits
+A file holds json.dumps(obj, separators=(",", ":")) plus a newline: compact,
+no whitespace. The writer streams it: it walks objects and arrays of
+matrices and encodes each dense matrix row, flat array or scalar with one
+json.dumps call, so the text of a whole file is never in memory. It
+writes to a new sibling file that replaces the target only once complete,
+so a failed write leaves the target as it was. Python's json module emits
 shortest-round-trip decimals, so a dump/load cycle reproduces every float
 bit-exactly in both forms, including -0.0 and subnormals. Numbers must be
 finite: the reader rejects NaN/Infinity tokens and any value outside the
@@ -37,14 +42,16 @@ allocated, and a failed allocation names its shape.
 A channel is read into one (k, dim_out, dim_in) Kraus stack in its storage
 dtype, linalg.storage_dtype of every sparse im value and dense im part:
 every operator is checked, then the stack is allocated once and written,
-so no complex matrix per operator is formed. Frames are read the same
-way; matrix_from_json alone returns complex128.
+so no complex matrix per operator is formed. load_channel_file drops the
+parsed JSON tree of a channel file before that allocation. Frames are read
+the same way; matrix_from_json alone returns complex128.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import os
 from itertools import chain
 from typing import Any
 
@@ -65,6 +72,7 @@ __all__ = [
     "decomposition_from_json",
     "condition_report_to_json",
     "load_json_file",
+    "load_channel_file",
     "dump_json_file",
 ]
 
@@ -241,11 +249,9 @@ def channel_to_json(ch: Channel, metadata: dict | None = None) -> dict:
     return out
 
 
-def channel_from_json(obj: Any, field: str = "channel") -> Channel:
-    """A channel read into one Kraus stack in its storage dtype (float64
-    when every imaginary part is ±0.0, else complex128). Every operator is
-    checked against (dim_out, dim_in) before the stack is allocated; a
-    failed allocation names the shape of kraus[0]."""
+def _channel_parts(obj: Any, field: str) -> list:
+    """The _matrix_parts of every Kraus operator of a channel object, each
+    checked against (dim_out, dim_in); nothing is allocated."""
     if not isinstance(obj, dict):
         raise FormatError(field, "expected an object")
     _check_keys(obj, field, ("dim_in", "dim_out", "kraus"), ("metadata",))
@@ -257,13 +263,30 @@ def channel_from_json(obj: Any, field: str = "channel") -> Channel:
     if not isinstance(kraus_obj, list) or not kraus_obj:
         raise FormatError(f"{field}.kraus", "expected a non-empty array of matrices")
     dims = (dim_out, dim_in)
-    parts = [
+    return [
         _matrix_parts(mat, f"{field}.kraus[{i}]", dims.__eq__, f"(dim_out, dim_in)={dims}")
         for i, mat in enumerate(kraus_obj)
     ]
+
+
+def _stacked_channel(parts: list, field: str) -> Channel:
     kraus = _place(parts, f"{field}.kraus[0]")
-    del parts  # the parsed values go before Channel takes its copy of the stack
+    parts.clear()  # the parsed values go before Channel takes its copy of the stack
     return Channel(kraus)
+
+
+def channel_from_json(obj: Any, field: str = "channel") -> Channel:
+    """A channel read into one Kraus stack in its storage dtype (float64
+    when every imaginary part is ±0.0, else complex128). Every operator is
+    checked against (dim_out, dim_in) before the stack is allocated; a
+    failed allocation names the shape of kraus[0]."""
+    return _stacked_channel(_channel_parts(obj, field), field)
+
+
+def load_channel_file(path: str, field: str = "channel") -> Channel:
+    """channel_from_json of the file at path. The parsed tree is dropped
+    once every operator has been checked, before the stack is allocated."""
+    return _stacked_channel(_channel_parts(load_json_file(path, field), field), field)
 
 
 def decomposition_to_json(dec: Decomposition) -> dict:
@@ -350,9 +373,58 @@ def load_json_file(path: str, field: str = "file") -> Any:
             gc.enable()
 
 
+_compact = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps(obj, separators=(",", ":"))
+
+
+def _is_array_of_containers(obj: Any) -> bool:
+    """Whether obj is an array that _write_compact writes element by
+    element: one of objects, or of arrays of arrays (a list of matrices, a
+    dense matrix). A dense row, whose cells are [re, im] pairs, and any
+    array of scalars are one piece. Only the first element is looked at;
+    the text is the same either way, only the size of a piece changes."""
+    first = obj[0] if isinstance(obj, (list, tuple)) and obj else None
+    return isinstance(first, dict) or (
+        isinstance(first, (list, tuple)) and bool(first) and isinstance(first[0], (dict, list, tuple))
+    )
+
+
+def _write_compact(obj: Any, write) -> None:
+    """Pass the text of _compact(obj) to write in pieces, each made by one
+    json.dumps call: a dense matrix row, a flat array or a scalar."""
+    if isinstance(obj, dict):
+        # a one-key object encodes the key exactly as json.dumps does inside
+        # obj: "key": with non-str keys converted, or the TypeError it raises
+        items, ends = ((_compact({key: 0})[1:-2], value) for key, value in obj.items()), "{}"
+    elif _is_array_of_containers(obj):
+        items, ends = (("", item) for item in obj), "[]"
+    else:
+        write(_compact(obj))
+        return
+    write(ends[0])
+    for i, (key, value) in enumerate(items):
+        write(("," if i else "") + key)
+        _write_compact(value, write)
+    write(ends[1])
+
+
 def dump_json_file(path: str, obj: Any) -> None:
-    """Write obj as compact JSON; json.dumps without indentation runs the C encoder."""
-    text = json.dumps(obj, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    """Write obj to path as json.dumps(obj, separators=(",", ":")) + "\\n",
+    byte for byte, streamed: each dense matrix row, flat array or scalar is
+    encoded by one json.dumps call, which runs the C encoder, and written at
+    once, so no file's whole text is held in memory.
+
+    The text goes to a new sibling file, created with the permission bits
+    open(path, "w") gives, which replaces path once the last byte is
+    written. If anything fails, the sibling is deleted and the exception
+    propagates: path is left as it was, or not created.
+    """
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            _write_compact(obj, fh.write)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

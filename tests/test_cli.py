@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import oqec
 from oqec.channels import Channel, depolarizing, random_channel
 from oqec.cli import main
-from oqec.codes import get
+from oqec.codes import catalog, get
 from oqec.conditions import check_condition_b, check_condition_c, check_condition_d, purify
 from oqec.linalg import complete_basis, dag, haar_unitary, kron
 from oqec.recovery import verify_recovery
@@ -100,6 +100,42 @@ def test_check_writes_report_file(exported, tmp_path):
     assert main(["check", dec, chan, "--out", out]) == 0
     payload = load_json_file(out)
     assert len(payload["conditions"]) == 3
+
+
+@pytest.fixture
+def dumped(monkeypatch):
+    """Every (path, obj) the CLI hands dump_json_file, in call order."""
+    calls = []
+
+    def record(path, obj):
+        calls.append((path, obj))
+        dump_json_file(path, obj)
+
+    monkeypatch.setattr("oqec.cli.dump_json_file", record)
+    return calls
+
+
+def _assert_written_as_compact_dumps(calls):
+    for path, obj in calls:
+        with open(path, "rb") as fh:
+            assert fh.read() == (json.dumps(obj, separators=(",", ":")) + "\n").encode(), path
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog(extended=True)])
+def test_codes_export_writes_compact_json_dumps_byte_for_byte(tmp_path, dumped, name):
+    assert main(["codes", "export", name, str(tmp_path)]) == 0
+    assert sorted(os.listdir(tmp_path)) == [f"{name}.decomposition.json", f"{name}.noise.json"]
+    assert len(dumped) == 2
+    _assert_written_as_compact_dumps(dumped)
+
+
+def test_check_out_report_is_compact_json_dumps_byte_for_byte(exported, tmp_path, dumped):
+    dec, chan = exported
+    out = str(tmp_path / "report.json")
+    assert main(["check", dec, chan, "--out", out]) == 0
+    calls = [(path, obj) for path, obj in dumped if path == out]
+    assert len(calls) == 1 and len(calls[0][1]["conditions"]) == 3
+    _assert_written_as_compact_dumps(calls)
 
 
 def test_check_dim_mismatch_is_input_error(exported, tmp_path, capsys):

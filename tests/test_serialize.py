@@ -4,12 +4,14 @@ import contextlib
 import copy
 import gc
 import json
+import os
+import stat
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oqec.channels import Channel, random_channel, restricted_flip
@@ -24,6 +26,7 @@ from oqec.serialize import (
     decomposition_from_json,
     decomposition_to_json,
     dump_json_file,
+    load_channel_file,
     load_json_file,
     matrix_from_json,
     matrix_to_json,
@@ -289,6 +292,114 @@ def test_dump_json_file_writes_compact_json(tmp_path):
     assert " " not in text
 
 
+def _compact_bytes(obj):
+    return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, -2.5e-308, 1.7e308])
+_STRINGS = st.text() | st.sampled_from(["", "\u00e9", "\u2603", "\U0001d11e", '\x00"\\/'])
+_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | _STRINGS
+_CELLS = st.lists(_FLOATS, min_size=2, max_size=2)
+_MATRICES = st.lists(st.lists(_CELLS, min_size=1, max_size=3), min_size=1, max_size=3)
+_TREES = st.recursive(
+    _SCALARS | _MATRICES,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_STRINGS, kids, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(obj=_TREES)
+def test_written_file_is_compact_json_dumps_byte_for_byte(tmp_path, obj):
+    path = tmp_path / "tree.json"
+    dump_json_file(str(path), obj)
+    assert path.read_bytes() == _compact_bytes(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        [[]],
+        [[[]]],
+        [{}],
+        [[{}]],
+        [[[1.0, -0.0]], []],
+        {1: [[[5e-324, -0.0]]], 1.5: {}, True: [], None: "\u00e9"},
+        {"t": ((1, 2), ([3.0, 4.0],)), "": [[["x", None]]]},
+        "\U0001d11e",
+        -0.0,
+    ],
+)
+def test_written_file_matches_compact_json_dumps_on_edge_cases(tmp_path, obj):
+    """Empty containers, non-str keys, tuples and a matrix with an empty
+    sibling are written as json.dumps writes them."""
+    path = tmp_path / "edge.json"
+    dump_json_file(str(path), obj)
+    assert path.read_bytes() == _compact_bytes(obj)
+
+
+def test_dumping_a_dense_complex_channel_streams_its_rows(tmp_path):
+    """The (3, 128, 128) complex channel is 2.2 MB of text; the writer holds
+    one row of it at a time, so it peaks below 1 MiB beyond the tree."""
+    tree = channel_to_json(random_channel(128, 3, seed=5))
+    path = tmp_path / "chan.json"
+    tracemalloc.start()
+    try:
+        dump_json_file(str(path), tree)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == _compact_bytes(tree)
+    assert path.stat().st_size > 2 * 2**20
+    assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("target", ["absent", "file", "directory"])
+def test_a_failed_dump_leaves_the_target_as_it_was(tmp_path, target):
+    """Metadata is written after kraus, so an unencodable value there fails
+    mid-stream; a directory in the way fails the final replace. Either way
+    the target is not created or changed and no temporary file is left."""
+    path = tmp_path / "chan.json"
+    before = b'{"old":1}\n'
+    if target == "file":
+        path.write_bytes(before)
+    if target == "directory":
+        path.mkdir()
+        obj, error = {"ok": 1}, OSError
+    else:
+        obj, error = channel_to_json(random_channel(16, 2, seed=1), {"bad": {1, 2}}), TypeError
+    with pytest.raises(error):
+        dump_json_file(str(path), obj)
+    assert os.listdir(tmp_path) == ([] if target == "absent" else ["chan.json"])
+    if target == "file":
+        assert path.read_bytes() == before
+    if target == "directory":
+        assert os.listdir(path) == []
+
+
+@pytest.mark.parametrize("umask", [None, 0o022, 0o077])
+def test_written_file_has_the_permission_bits_open_gives(tmp_path, umask):
+    old = None if umask is None else os.umask(umask)
+    try:
+        with open(tmp_path / "reference.json", "w"):
+            pass
+        dump_json_file(str(tmp_path / "out.json"), {"a": 1})
+    finally:
+        if old is not None:
+            os.umask(old)
+
+    def mode(name):
+        return stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+
+    assert mode("out.json") == mode("reference.json")
+    assert sorted(os.listdir(tmp_path)) == ["out.json", "reference.json"]
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_load_json_file_rejects_non_finite_tokens(tmp_path, token):
     path = tmp_path / "nan.json"
@@ -380,6 +491,34 @@ def test_reading_a_dense_real_channel_drops_the_parsed_numbers_before_channel_co
         tracemalloc.stop()
     assert _stored(ch.kraus) == _stored(noise)
     assert peak < 3.5 * ch.kraus.nbytes, (peak, ch.kraus.nbytes)
+
+
+def test_reading_a_channel_file_drops_the_parsed_tree_before_the_stack(tmp_path, monkeypatch):
+    """load_channel_file checks every operator, then drops the parsed tree
+    before it allocates the stack. From the end of the parse on, it peaks
+    near the tree plus the checked numbers (as large as the complex stack)
+    and one operator's scratch: below 1.5x the stack beyond the tree. With
+    the tree kept, the stack comes on top, at 2x."""
+    ch0 = random_channel(48, 8, seed=3)
+    path = str(tmp_path / "chan.json")
+    dump_json_file(path, channel_to_json(ch0))
+    after_parse = []
+
+    def load(*args):
+        obj = load_json_file(*args)
+        after_parse.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return obj
+
+    monkeypatch.setattr("oqec.serialize.load_json_file", load)
+    tracemalloc.start()
+    try:
+        ch = load_channel_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _stored(ch.kraus) == _stored(ch0.kraus)
+    assert peak - after_parse[0] < 1.5 * ch.kraus.nbytes, (peak - after_parse[0], ch.kraus.nbytes)
 
 
 def _mixed_kraus():
