@@ -4,11 +4,18 @@ A channel is a finite list of dim_out x dim_in Kraus operators E_j acting as
 rho -> sum_j E_j rho E_j†, stored as one (k, dim_out, dim_in) array. Trace
 preservation means sum_j E_j† E_j equals the identity; the Frobenius norm of
 the difference is the completeness defect.
+
+Sparse stacks, such as Pauli noise with one nonzero per row, are multiplied
+by their nonzero cells: the completeness Gram matrix and the stacked product
+(E_1; ...; E_k) x read a cached index of them. The index exists only when
+the pair work sum_r m_r^2, m_r the nonzero count of row r of the
+(k dim_out, dim_in) flat stack, is at most 1/64 of the stack's size; every
+other stack takes one BLAS product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -31,25 +38,33 @@ class Channel:
     list, or a (k, dim_out, dim_in) array); kraus holds a read-only copy as one
     (k, dim_out, dim_in) array, so len, iteration and indexing give the
     operators. The copy is float64 when every imaginary part is ±0.0, built
-    from the real parts directly, and complex128 otherwise. Figures that
-    depend only on the operators, such as the completeness Gram matrix, are
-    computed on first use and kept.
+    from the real parts directly, and complex128 otherwise. Within oqec, a
+    builder that has just allocated such a stack in its storage dtype, and
+    keeps no other reference to it, passes _adopt=True: the stack itself is
+    made read-only and kept, with no copy. Figures that depend only on the
+    operators, the completeness Gram matrix and the index of nonzero cells,
+    are computed on first use and kept; the dense stack stays the one
+    representation.
     """
 
     kraus: np.ndarray
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
-        ops = [np.asarray(op) for op in self.kraus]
-        if not ops:
-            raise DimensionError("channel needs at least one Kraus operator")
-        for i, op in enumerate(ops):
-            if op.ndim != 2:
-                raise DimensionError(f"Kraus operator {i} is not a matrix")
-            if op.shape != ops[0].shape:
-                raise DimensionError(
-                    f"Kraus operator {i} has shape {op.shape}, expected {ops[0].shape}"
-                )
-        stack = storage_stack(ops)
+    def __post_init__(self, _adopt):
+        if _adopt:
+            stack = self.kraus
+        else:
+            ops = [np.asarray(op) for op in self.kraus]
+            if not ops:
+                raise DimensionError("channel needs at least one Kraus operator")
+            for i, op in enumerate(ops):
+                if op.ndim != 2:
+                    raise DimensionError(f"Kraus operator {i} is not a matrix")
+                if op.shape != ops[0].shape:
+                    raise DimensionError(
+                        f"Kraus operator {i} has shape {op.shape}, expected {ops[0].shape}"
+                    )
+            stack = storage_stack(ops)
         stack.flags.writeable = False
         object.__setattr__(self, "kraus", stack)
 
@@ -62,15 +77,74 @@ class Channel:
         return self.kraus.shape[1]
 
     @cached_property
+    def _cells(self) -> tuple | None:
+        """The nonzero cells of the (k dim_out, dim_in) flat stack, row-major,
+        as (rows, counts, starts, cols, vals): the rows holding a cell, each
+        such row's cell count and the offset of its first cell, and every
+        cell's column and value. None when the pair work sum_r m_r^2 over the
+        rows' nonzero counts m_r exceeds 1/64 of the stack's size, which the
+        counts decide, operator by operator, before any index is formed."""
+        masks, counts, work = [], [], 0
+        for e in self.kraus:
+            masks.append(e != 0)
+            counts.append(np.count_nonzero(masks[-1], axis=1))
+            work += int(np.dot(counts[-1], counts[-1]))
+            if 64 * work > self.kraus.size:
+                return None
+        counts = np.concatenate(counts)
+        rows = np.flatnonzero(counts)
+        counts = counts[rows]
+        at = np.flatnonzero(masks)
+        return rows, counts, np.cumsum(counts) - counts, at % self.dim_in, self.kraus.reshape(-1)[at]
+
+    @cached_property
     def _gram(self) -> tuple:
         """(sum_j E_j† E_j, its defect ||. - 1||_F), from one product of the
-        stacked operators; (None, inf) when that product overflows."""
-        flat = self.kraus.reshape(-1, self.dim_in)
+        stacked operators, or from their cells when _cells indexes them:
+        entry (i, j) sums conj(E[r, i]) E[r, j] over the pairs of cells that
+        share a row r, real and imaginary parts each by one bincount. (None,
+        inf) when that product overflows."""
+        din = self.dim_in
         with np.errstate(over="ignore", invalid="ignore"):
-            g = gram(flat)
+            if self._cells is None:
+                g = gram(self.kraus.reshape(-1, din))
+            else:
+                _, counts, starts, cols, vals = self._cells
+                per = np.repeat(counts, counts)  # each cell's row count: its pairs as left cell
+                left = np.repeat(np.arange(len(cols)), per)
+                # the right cells of left cell c run over c's row, from its first cell
+                right = np.repeat(np.repeat(starts, counts), per)
+                right += np.arange(len(left)) - np.repeat(np.cumsum(per) - per, per)
+                cell = cols[left] * din + cols[right]
+                w = vals[left].conj() * vals[right]
+                # float64 even with no cells, where bincount gives integers
+                g = np.bincount(cell, w.real, din * din).astype(np.float64, copy=False)
+                if w.dtype.kind == "c":
+                    g = g + 1j * np.bincount(cell, w.imag, din * din)
+                g = g.reshape(din, din)
             if not np.isfinite(g).all():
                 return None, np.inf
-            return g, float(np.linalg.norm(g - np.eye(self.dim_in)))
+            return g, float(np.linalg.norm(g - np.eye(din)))
+
+    def stacked_product(self, x: np.ndarray) -> np.ndarray:
+        """(E_1; ...; E_k) x for a (dim_in, n) matrix x: the (k dim_out, n)
+        matrix whose block j is E_j x. One BLAS product, or, when _cells
+        indexes the stack, one pass per cell rank: pass i takes, for each row
+        with more than i cells, its (i+1)-th cell's value times the matching
+        row of x, so each row sums its cells left to right."""
+        if self._cells is None:
+            return self.kraus.reshape(-1, self.dim_in) @ x
+        rows, counts, starts, cols, vals = self._cells
+        out = np.zeros((len(self.kraus) * self.dim_out, x.shape[1]), np.result_type(vals, x))
+        for i in range(counts.max(initial=0)):
+            live = counts > i
+            c = starts[live] + i
+            terms = vals[c, None] * x[cols[c]]
+            if i:
+                out[rows[live]] += terms
+            else:
+                out[rows] = terms
+        return out
 
 
 @dataclass(frozen=True)
@@ -83,9 +157,12 @@ class ChannelReport:
 def validate(ch: Channel, atol: float = DEFAULT_ATOL) -> ChannelReport:
     """Completeness check: defect = ||sum E†E - 1||_F.
 
-    The Gram matrix sum E†E, one real product for real operators, is formed
-    once per channel and reused by every later call, whatever its atol. A Kraus
-    set whose Gram matrix overflows is reported as trace increasing, defect inf.
+    The Gram matrix sum E†E is formed once per channel and reused by every
+    later call, whatever its atol: one product of the stacked operators, real
+    for real operators, or, for a stack sparse enough to be indexed by its
+    nonzero cells, one bincount over the pairs of cells sharing a row. A
+    Kraus set whose Gram matrix overflows is reported as trace increasing,
+    defect inf.
     """
     g, defect = ch._gram
     if defect <= atol:
@@ -279,7 +356,7 @@ def restricted_flip(n: int, p: float) -> Channel:
     stack[0, x, x] = np.sqrt(1 - n * p)
     for site in range(n):  # X on site flips bit n - 1 - site of the basis index
         stack[1 + site, x ^ (1 << (n - 1 - site)), x] = np.sqrt(p)
-    return Channel(stack)
+    return Channel(stack, _adopt=True)
 
 
 def collective_unitary(n: int, terms: Sequence) -> Channel:

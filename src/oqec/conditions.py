@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channels import Channel, require_valid
-from .errors import DegenerateChannelError, DimensionError
+from .errors import DegenerateChannelError, DimensionError, NotAStateError
 from .linalg import (
     DEFAULT_ATOL,
     SPECTRUM_CUTOFF,
@@ -49,11 +49,13 @@ class PurifiedState:
 
     psi is pure, so complementary marginals share their nonzero spectrum:
     S(V') = S(R_A R_B E'), and an entropy can be read from whichever side is
-    smaller. Each marginal is formed once and kept read-only for later
-    callers. The joint rho'_{R_A R_B E} and every marginal that keeps V are
-    Gram products psi_K psi_K†, with psi_K the (kept, rest) reshape of psi;
-    every other marginal of R_A, R_B and E is a partial trace of the joint,
-    whatever order they are asked for in.
+    smaller. A psi with a non-finite entry is rejected, naming the entry by
+    its (R_A, R_B, V, E) index, before any arithmetic. Each marginal is
+    formed once and kept read-only for later callers. The joint
+    rho'_{R_A R_B E} and every marginal that keeps V are Gram products
+    psi_K psi_K†, with psi_K the (kept, rest) reshape of psi; every other
+    marginal of R_A, R_B and E is a partial trace of the joint, whatever
+    order they are asked for in.
     """
 
     dims: tuple[int, int, int, int]
@@ -67,6 +69,11 @@ class PurifiedState:
             raise DimensionError(
                 f"state of size {psi.size} does not match factors {self.dims}"
             )
+        finite = np.isfinite(psi)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            at = tuple(int(j) for j in np.unravel_index(i, self.dims))
+            raise NotAStateError(f"psi entry {at} is {psi[i]}, not finite")
         psi = psi.copy()
         psi.flags.writeable = False
         object.__setattr__(self, "psi", psi)
@@ -123,7 +130,7 @@ def purify(
         )
     require_valid(ch, allow_trace_decreasing=allow_trace_decreasing)
     da, db, dv, de = dec.dim_a, dec.dim_b, dec.dim_v, len(ch.kraus)
-    imgs = ch.kraus.reshape(-1, dv) @ dec.code_vectors()  # rows (e, v), columns (a, b)
+    imgs = ch.stacked_product(dec.code_vectors())  # rows (e, v), columns (a, b)
     sq = float(np.vdot(imgs, imgs).real)
     norm_in = sq / (da * db)
     if norm_in <= SPECTRUM_CUTOFF:
@@ -155,7 +162,7 @@ def check_condition_b(
         )
     require_valid(ch, allow_trace_decreasing=allow_trace_decreasing)
     da, db, dv, de = dec.dim_a, dec.dim_b, dec.dim_v, len(ch.kraus)
-    rotated = (ch.kraus.reshape(-1, dv) @ dec.code_vectors()).reshape(de, dv, da * db)
+    rotated = ch.stacked_product(dec.code_vectors()).reshape(de, dv, da * db)
     # m[j, a, b, k, c, d] = <a, b| E_j† E_k |c, d> on the code sector
     m = gram(rotated.transpose(1, 0, 2).reshape(dv, -1)).reshape(de, da, db, de, da, db)
     blocks = np.einsum("jabkad->jkbd", m) / da
@@ -282,7 +289,7 @@ def dpi_trace(dec: Decomposition, chain: Sequence[Channel]) -> list[float]:
     for i, ch in enumerate([None, *chain]):
         if ch is not None:
             k, r = len(ch.kraus), m.shape[1]
-            m = (ch.kraus.reshape(-1, dv) @ v_rows(m)).reshape(k, dv, da, r)
+            m = ch.stacked_product(v_rows(m)).reshape(k, dv, da, r)
             m = m.transpose(2, 1, 0, 3).reshape(da * dv, k * r)
         if m.shape[1] < da * dv:
             x = v_rows(m)

@@ -13,7 +13,10 @@ Conventions used throughout the package:
 * eigenvector phases are fixed so the first component of magnitude above
   ``SPECTRUM_CUTOFF`` is real and nonnegative (a sign for real vectors);
 * entropies are in bits (log base 2), and every positive eigenvalue counts;
-* Gram matrices x†x come from ``gram``, one real product when x is real.
+* Gram matrices x†x come from ``gram``, one real product when x is real;
+  the one exception is the completeness Gram matrix of a Channel whose
+  stack is sparse enough to be indexed by its nonzero cells, which sums
+  the products of cells sharing a row (see ``channels``).
 """
 
 from __future__ import annotations

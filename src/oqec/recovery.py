@@ -151,7 +151,7 @@ def synthesize_universal_recovery(
     g = gate.witnesses["b_blocks"].transpose(0, 2, 1, 3).reshape(de * db, de * db)
     d, mix = eig_hermitian(g)
     # family[j * db + s] = F_(j,s), the dv x da block of E_j code at b = s
-    rotated = (ch.kraus.reshape(-1, dv) @ code).reshape(de, dv, da, db)
+    rotated = ch.stacked_product(code).reshape(de, dv, da, db)
     family = rotated.transpose(0, 3, 1, 2).reshape(de * db, dv, da)
     canonical = np.tensordot(mix[:, d > SPECTRUM_CUTOFF].T, family, axes=1)
     u_s, _, v_h = np.linalg.svd(canonical, full_matrices=False)
@@ -209,7 +209,7 @@ def verify_recovery(
         raise ValueError("Kraus set overflows: its sum E†E is not finite")
     da, db, dv, dc = dec.dim_a, dec.dim_b, dec.dim_v, dec.dim_code
     code = dec.code_vectors()
-    ec = ch.kraus @ code  # E_k code
+    ec = ch.stacked_product(code).reshape(-1, dv, dc)  # E_k code
     cr = (dag(code) @ rchan.kraus).reshape(-1, dv)  # code† R_j, stacked rows
     # x[j, a, b, k, c, d] = <a, b| R_j E_k |c, d> on the code sector
     x = (cr @ ec.transpose(1, 0, 2).reshape(dv, -1)).reshape(-1, da, db, len(ch.kraus), da, db)

@@ -42,9 +42,10 @@ allocated, and a failed allocation names its shape.
 A channel is read into one (k, dim_out, dim_in) Kraus stack in its storage
 dtype, linalg.storage_dtype of every sparse im value and dense im part:
 every operator is checked, then the stack is allocated once and written,
-so no complex matrix per operator is formed. load_channel_file drops the
-parsed JSON tree of a channel file before that allocation. Frames are read
-the same way; matrix_from_json alone returns complex128.
+so no complex matrix per operator is formed, and the Channel keeps that
+very stack, with no copy. load_channel_file drops the parsed JSON tree of a
+channel file before that allocation. Frames are read the same way;
+matrix_from_json alone returns complex128.
 """
 
 from __future__ import annotations
@@ -271,8 +272,8 @@ def _channel_parts(obj: Any, field: str) -> list:
 
 def _stacked_channel(parts: list, field: str) -> Channel:
     kraus = _place(parts, f"{field}.kraus[0]")
-    parts.clear()  # the parsed values go before Channel takes its copy of the stack
-    return Channel(kraus)
+    parts.clear()  # the parsed values go as soon as the stack holds them
+    return Channel(kraus, _adopt=True)  # a fresh stack in its storage dtype: kept, not copied
 
 
 def channel_from_json(obj: Any, field: str = "channel") -> Channel:

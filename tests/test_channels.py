@@ -1,12 +1,16 @@
 """Kraus channels: algebra, constructors, and the Choi correspondence."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from oqec.channels import (
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     Channel,
     apply,
@@ -27,7 +31,8 @@ from oqec.channels import (
 )
 from oqec.codes import get
 from oqec.errors import DimensionError
-from oqec.linalg import dag, haar_unitary, kron
+from oqec.linalg import dag, gram, haar_unitary, kron
+from pauli_noise import weight_one_depolarizing
 from random_states import random_density_matrix
 
 
@@ -66,8 +71,10 @@ def test_kraus_is_one_read_only_stack():
 def test_tuple_list_and_array_inputs_build_the_same_channel():
     ops = np.arange(2 * 3 * 2, dtype=float).reshape(2, 3, 2)
     source = ops.copy()
-    built = [Channel(tuple(ops)), Channel(list(ops)), Channel(source)]
-    source[0, 0, 0] = 99.0  # the channel keeps its own copy
+    view = source.view()
+    view.flags.writeable = False  # read-only, but the caller still writes source
+    built = [Channel(tuple(ops)), Channel(list(ops)), Channel(source), Channel(view)]
+    source[0, 0, 0] = 99.0  # each channel keeps its own copy
     for ch in built:
         np.testing.assert_array_equal(ch.kraus, ops)
         assert (ch.dim_in, ch.dim_out, len(ch.kraus)) == (2, 3, 2)
@@ -350,3 +357,139 @@ def test_random_channel_seeded_and_trace_preserving():
     assert choi_distance(a, c) > 1e-3
     assert validate(a).trace_preserving
     assert len(a.kraus) == 3
+
+
+def test_restricted_flip_keeps_the_stack_it_writes():
+    """restricted_flip hands its fresh stack to Channel read-only: building
+    the bacon_shor_9 noise peaks below 1.5x the stack it keeps, where a
+    copy would take 2x."""
+    tracemalloc.start()
+    try:
+        ch = restricted_flip(9, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not ch.kraus.flags.writeable
+    assert peak < 1.5 * ch.kraus.nbytes, (peak, ch.kraus.nbytes)
+
+
+def test_weight_one_depolarizing_matches_its_kron_construction():
+    ch = weight_one_depolarizing(3, 0.02)
+    want = [np.sqrt(1 - 9 * 0.02) * np.eye(8)]
+    for site in range(3):
+        want += [np.sqrt(0.02) * single_qubit_on(3, site, unitary(p)).kraus[0] for p in (PAULI_X, PAULI_Y, PAULI_Z)]
+    np.testing.assert_array_equal(ch.kraus, np.array(want))
+    assert validate(ch).defect <= 1e-15
+
+
+def _pair_work(stack):
+    counts = np.count_nonzero(stack.reshape(-1, stack.shape[2]), axis=1)
+    return int(np.dot(counts, counts))
+
+
+def _dense_product(ch, x):
+    return ch.kraus.reshape(-1, ch.dim_in) @ x
+
+
+def _assert_close(got, want):
+    """Within 1e-13 of the reference's largest entry, in the same dtype."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(want).max(initial=0.0)
+
+
+@st.composite
+def _sparse_stacks(draw):
+    """Real or complex stacks whose rows hold about 0.05 to 3 cells: empty
+    rows, rows of several cells, optionally one full row, one all-zero
+    operator and -0.0 entries, on both sides of the 1/64 rule."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 4))
+    dout, din = draw(st.sampled_from([1, 8, 64, 130])), draw(st.sampled_from([1, 8, 64, 130]))
+    per_row = draw(st.sampled_from([0.05, 0.3, 1.0, 3.0]))
+    shape = (k, dout, din)
+    stack = rng.standard_normal(shape)
+    if draw(st.booleans()):
+        stack = stack + 1j * rng.standard_normal(shape)
+    stack[rng.random(shape) >= per_row / din] = 0.0
+    if draw(st.booleans()):
+        stack[rng.integers(k), rng.integers(dout)] = rng.standard_normal(din)
+    if draw(st.booleans()):
+        stack[rng.integers(k)] = 0.0
+    stack[(stack == 0) & (rng.random(shape) < 0.3)] = -0.0
+    return stack
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(stack=_sparse_stacks(), cols=st.integers(1, 5), complex_x=st.booleans())
+def test_cell_path_matches_the_dense_formulas(stack, cols, complex_x):
+    """The completeness Gram matrix and the stacked product read from the
+    cell index agree with the dense BLAS formulas within 1e-13, in dtype and
+    shape too; the index exists exactly when 64 sum_r m_r^2 <= size."""
+    ch = Channel(stack)
+    assert (ch._cells is not None) == (64 * _pair_work(stack) <= stack.size)
+    event("cell path" if ch._cells is not None else "dense path")
+    g, defect = ch._gram
+    want = gram(stack.reshape(-1, stack.shape[2]))
+    _assert_close(g, want)
+    assert abs(defect - np.linalg.norm(want - np.eye(ch.dim_in))) <= 1e-13 * max(1.0, defect)
+    rng = np.random.default_rng(cols)
+    x = rng.standard_normal((ch.dim_in, cols))
+    if complex_x:
+        x = x + 1j * rng.standard_normal(x.shape)
+    _assert_close(ch.stacked_product(x), _dense_product(ch, x))
+
+
+def test_the_cell_index_rule_sits_at_one_64th_of_the_stack():
+    """Pair work sum_r m_r^2 equal to size / 64 is indexed, one more is not;
+    a stack with no nonzero cell is indexed and multiplies to zeros."""
+    stack = np.zeros((2, 64, 64))
+    stack[0, np.arange(64), np.arange(64)] = 1.0
+    stack[1, :32, 0] = 1.0  # 64 + 32 = 96 pairs: under 128
+    stack[1, 0, 1:3] = 1.0  # row 0 of operator 1 now holds 3 cells: 96 - 1 + 9 = 104
+    stack[1, 1, 1:4] = 1.0  # and row 1 holds 4: 104 - 1 + 16 = 119
+    stack[1, 2, 1:4] = 1.0  # 119 - 1 + 16 = 134: over
+    assert _pair_work(stack) == 134
+    assert Channel(stack)._cells is None
+    stack[1, 2, 3] = 0.0  # 134 - 16 + 9 = 127
+    stack[1, 40, 0] = 1.0  # 128 = 8192 / 64
+    assert _pair_work(stack) == 128
+    ch = Channel(stack)
+    assert ch._cells is not None
+    _assert_close(ch._gram[0], gram(stack.reshape(-1, 64)))
+    empty = Channel(np.zeros((3, 16, 16)))
+    assert empty._cells is not None
+    assert empty._gram[1] == 4.0
+    np.testing.assert_array_equal(empty.stacked_product(np.ones((16, 2))), np.zeros((48, 2)))
+
+
+@pytest.mark.parametrize("entry", [1e300, 1e300j, 1e160 + 1e160j])
+def test_an_overflowing_cell_gives_no_gram(entry):
+    """A huge finite entry in an indexed stack: the cell Gram overflows
+    without a warning and the channel reads as trace increasing."""
+    stack = np.zeros((2, 64, 64), dtype=complex)
+    stack[0] = np.eye(64)
+    stack[1, 5, 7] = entry
+    ch = Channel(stack)
+    assert ch._cells is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ch._gram == (None, np.inf)
+        report = validate(ch)
+    assert (report.trace_nonincreasing, report.defect) == (False, np.inf)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: get("bacon_shor_9").noise, lambda: weight_one_depolarizing(9, 0.003)],
+    ids=["bit_flips", "depolarizing"],
+)
+def test_pauli_noise_at_dim_512_takes_the_cell_path_bit_for_bit(build):
+    """One nonzero per row: each cell product is the dense product's only
+    nonzero term, so the stacked product is bit-identical to BLAS, and the
+    Gram matrix agrees within 1e-13."""
+    ch = build()
+    rows, counts, _, _, _ = ch._cells
+    assert counts.max() == 1 and len(rows) == len(ch.kraus) * ch.dim_out
+    x = get("bacon_shor_9").dec.code_vectors()
+    np.testing.assert_array_equal(ch.stacked_product(x), _dense_product(ch, x))
+    _assert_close(ch._gram[0], gram(ch.kraus.reshape(-1, ch.dim_in)))

@@ -30,6 +30,7 @@ from oqec.serialize import (
     matrix_from_json,
 )
 from oqec.spaces import Decomposition
+from pauli_noise import weight_one_depolarizing
 
 
 @pytest.fixture
@@ -585,6 +586,23 @@ def test_bacon_shor_9_end_to_end_through_the_cli(tmp_path):
     assert max(abs(v - 1.0) for v in values) <= 1e-9, values
     proc = _oqec_subprocess("factorize", dec, chan, "--out", str(tmp_path / "fac"), address_space=cap)
     assert proc.returncode == 2 and "dim_c" in proc.stderr, proc.stderr[-500:]
+
+
+def test_bacon_shor_9_under_depolarizing_noise_checks_through_the_cli(tmp_path):
+    """Weight-one depolarizing noise on bacon_shor_9, p = 0.003: 28 complex
+    operators with one nonzero per row, written as a channel file beside the
+    exported decomposition. `check --condition all` reads it in a child
+    process under a 1.5 GiB address-space cap and passes b, c and d."""
+    cap = 3 * 2**29
+    proc = _oqec_subprocess("codes", "export", "bacon_shor_9", str(tmp_path), address_space=cap)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    chan = str(tmp_path / "depolarizing.json")
+    dump_json_file(chan, channel_to_json(weight_one_depolarizing(9, 0.003)))
+    dec = str(tmp_path / "bacon_shor_9.decomposition.json")
+    proc = _oqec_subprocess("check", dec, chan, "--condition", "all", "--json", address_space=cap)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    reports = json.loads(proc.stdout)["conditions"]
+    assert [(r["condition"], r["passed"]) for r in reports] == [("b", True), ("c", True), ("d", True)]
 
 
 def test_seed_and_trials_flags_are_gone(exported, tmp_path, capsys):

@@ -31,6 +31,7 @@ from oqec.recovery import synthesize_schmidt_recovery
 from oqec.spaces import Decomposition
 
 from dense_dpi import dense_dpi_trace
+from pauli_noise import weight_one_depolarizing
 
 
 def _rng(seed=0):
@@ -144,18 +145,46 @@ def test_condition_c_residual_matches_kron_formula():
 
 
 def test_condition_d_rejects_a_non_finite_state():
-    """A nan in the purified state reaches every marginal, real or complex
-    (the phase sends the Gram product down its complex path); d raises,
-    naming it, before any eigensolver runs. An inf is tried in a state of
-    dimension 1, whose Gram product is inf·inf: beside a zero amplitude,
-    inf·0 makes the product itself warn."""
+    """A nan or inf in the purified state, real or complex, is refused by the
+    state itself, naming its (R_A, R_B, V, E) index, before any marginal or
+    eigensolver is formed: c no longer returns a nan residual, and an inf
+    beside a zero amplitude no longer reaches the Gram product, where inf·0
+    warns "invalid value" (an error in this suite)."""
     for phase in (1.0, np.exp(0.3j)):
         psi = np.full(8, np.sqrt(1 / 8)) * phase
         psi[3] = np.nan
-        with pytest.raises(NotAStateError, match="not finite"):
-            check_condition_d(PurifiedState((2, 1, 2, 2), psi, 1.0))
+        for check in (check_condition_c, check_condition_d):
+            with pytest.raises(NotAStateError, match=r"psi entry \(0, 0, 1, 1\) is .*nan.*, not finite"):
+                check(PurifiedState((2, 1, 2, 2), psi, 1.0))
     with pytest.raises(NotAStateError, match="inf, not finite"):
         check_condition_d(PurifiedState((1, 1, 1, 1), np.array([np.inf]), 1.0))
+    psi = np.zeros(8)
+    psi[0], psi[5] = np.inf, 0.5
+    with pytest.raises(NotAStateError, match=r"psi entry \(0, 0, 0, 0\) is inf, not finite"):
+        check_condition_c(PurifiedState((2, 1, 2, 2), psi, 1.0))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: get("bacon_shor_9").noise, lambda: weight_one_depolarizing(9, 0.003)],
+    ids=["bit_flips", "depolarizing"],
+)
+def test_cell_and_dense_paths_give_the_same_residuals(build):
+    """On bacon_shor_9 under bit flips and under weight-one depolarizing
+    noise, the channel read through its cell index and the same channel
+    forced onto BLAS give b, c and d residuals within 1e-15, all passing."""
+    dec = get("bacon_shor_9").dec
+    residuals = []
+    for indexed in (True, False):
+        ch = build()
+        if not indexed:
+            ch.__dict__["_cells"] = None  # the cached index, withheld
+        assert (ch._cells is not None) == indexed
+        ps = purify(dec, ch)
+        reports = [check_condition_b(dec, ch), check_condition_c(ps), check_condition_d(ps)]
+        assert all(r.passed for r in reports)
+        residuals.append([r.residual for r in reports])
+    assert np.max(np.abs(np.subtract(*residuals))) <= 1e-15, residuals
 
 
 def test_purify_rejects_wrong_dimension():

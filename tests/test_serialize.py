@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oqec.serialize
 from oqec.channels import Channel, random_channel, restricted_flip
 from oqec.codes import catalog, get
 from oqec.conditions import check_condition_b, check_condition_c, purify
@@ -519,6 +520,25 @@ def test_reading_a_channel_file_drops_the_parsed_tree_before_the_stack(tmp_path,
         tracemalloc.stop()
     assert _stored(ch.kraus) == _stored(ch0.kraus)
     assert peak - after_parse[0] < 1.5 * ch.kraus.nbytes, (peak - after_parse[0], ch.kraus.nbytes)
+
+
+def test_a_read_channel_keeps_the_stack_the_reader_allocated(tmp_path, monkeypatch):
+    """The reader's fresh stack becomes the channel's kraus as it is, made
+    read-only, and nothing else refers to it."""
+    placed, original = [], oqec.serialize._place
+
+    def place(*args):
+        placed.append(original(*args))
+        return placed[-1]
+
+    monkeypatch.setattr(oqec.serialize, "_place", place)
+    path = str(tmp_path / "chan.json")
+    dump_json_file(path, channel_to_json(get("bacon_shor_9").noise))
+    for ch in (load_channel_file(path), channel_from_json(load_json_file(path))):
+        assert ch.kraus is placed.pop(0)
+        assert not ch.kraus.flags.writeable
+        with pytest.raises(ValueError):
+            ch.kraus[0, 0, 0] = 1.0
 
 
 def _mixed_kraus():
