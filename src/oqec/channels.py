@@ -5,11 +5,12 @@ rho -> sum_j E_j rho E_j†, stored as one (k, dim_out, dim_in) array. Trace
 preservation means sum_j E_j† E_j equals the identity; the Frobenius norm of
 the difference is the completeness defect.
 
-Sparse stacks, such as Pauli noise with one nonzero per row, are multiplied
-by their nonzero cells: the completeness Gram matrix and the stacked product
-(E_1; ...; E_k) x read a cached index of them. The index exists only when
-the pair work sum_r m_r^2, m_r the nonzero count of row r of the
-(k dim_out, dim_in) flat stack, is at most 1/64 of the stack's size; every
+Pauli noise, every operator of which holds at most one nonzero per row, is
+multiplied by its nonzero cells: when no row of the (k dim_out, dim_in) flat
+stack holds two nonzeros and the nonzero count is at most 1/64 of the
+stack's size, a cached index keeps each row's one cell, the completeness
+Gram matrix is the diagonal that sums their squared magnitudes by column,
+and the stacked product (E_1; ...; E_k) x scales one row of x per row. Every
 other stack takes one BLAS product.
 """
 
@@ -42,9 +43,9 @@ class Channel:
     builder that has just allocated such a stack in its storage dtype, and
     keeps no other reference to it, passes _adopt=True: the stack itself is
     made read-only and kept, with no copy. Figures that depend only on the
-    operators, the completeness Gram matrix and the index of nonzero cells,
-    are computed on first use and kept; the dense stack stays the one
-    representation.
+    operators, the completeness Gram matrix and the index of each row's one
+    nonzero cell, are computed on first use and kept; the dense stack stays
+    the one representation.
     """
 
     kraus: np.ndarray
@@ -78,50 +79,39 @@ class Channel:
 
     @cached_property
     def _cells(self) -> tuple | None:
-        """The nonzero cells of the (k dim_out, dim_in) flat stack, row-major,
-        as (rows, counts, starts, cols, vals): the rows holding a cell, each
-        such row's cell count and the offset of its first cell, and every
-        cell's column and value. None when the pair work sum_r m_r^2 over the
-        rows' nonzero counts m_r exceeds 1/64 of the stack's size, which the
-        counts decide, operator by operator, before any index is formed."""
-        masks, counts, work = [], [], 0
+        """(cols, vals): the column and the value of each row's nonzero cell
+        in the (k dim_out, dim_in) flat stack, column 0 and value 0 for an
+        empty row. None when a row holds two nonzeros or 64 nnz exceeds the
+        stack's size, which the counts decide, operator by operator, before
+        any index is formed."""
+        masks, nnz = [], 0
         for e in self.kraus:
             masks.append(e != 0)
-            counts.append(np.count_nonzero(masks[-1], axis=1))
-            work += int(np.dot(counts[-1], counts[-1]))
-            if 64 * work > self.kraus.size:
+            counts = np.count_nonzero(masks[-1], axis=1)
+            nnz += int(counts.sum())
+            if counts.max(initial=0) > 1 or 64 * nnz > self.kraus.size:
                 return None
-        counts = np.concatenate(counts)
-        rows = np.flatnonzero(counts)
-        counts = counts[rows]
         at = np.flatnonzero(masks)
-        return rows, counts, np.cumsum(counts) - counts, at % self.dim_in, self.kraus.reshape(-1)[at]
+        rows, at_col = np.divmod(at, self.dim_in)
+        n = len(self.kraus) * self.dim_out
+        cols, vals = np.zeros(n, np.intp), np.zeros(n, self.kraus.dtype)
+        cols[rows], vals[rows] = at_col, self.kraus.reshape(-1)[at]
+        return cols, vals
 
     @cached_property
     def _gram(self) -> tuple:
         """(sum_j E_j† E_j, its defect ||. - 1||_F), from one product of the
-        stacked operators, or from their cells when _cells indexes them:
-        entry (i, j) sums conj(E[r, i]) E[r, j] over the pairs of cells that
-        share a row r, real and imaginary parts each by one bincount. (None,
-        inf) when that product overflows."""
+        stacked operators, or, when _cells indexes them, the diagonal whose
+        entry i sums |E[r, i]|^2 over the rows r whose cell sits in column i,
+        by one bincount. (None, inf) when the result overflows."""
         din = self.dim_in
         with np.errstate(over="ignore", invalid="ignore"):
             if self._cells is None:
                 g = gram(self.kraus.reshape(-1, din))
             else:
-                _, counts, starts, cols, vals = self._cells
-                per = np.repeat(counts, counts)  # each cell's row count: its pairs as left cell
-                left = np.repeat(np.arange(len(cols)), per)
-                # the right cells of left cell c run over c's row, from its first cell
-                right = np.repeat(np.repeat(starts, counts), per)
-                right += np.arange(len(left)) - np.repeat(np.cumsum(per) - per, per)
-                cell = cols[left] * din + cols[right]
-                w = vals[left].conj() * vals[right]
-                # float64 even with no cells, where bincount gives integers
-                g = np.bincount(cell, w.real, din * din).astype(np.float64, copy=False)
-                if w.dtype.kind == "c":
-                    g = g + 1j * np.bincount(cell, w.imag, din * din)
-                g = g.reshape(din, din)
+                cols, vals = self._cells
+                g = np.diag(np.bincount(cols, (vals.conj() * vals).real, din))
+                g = g.astype(self.kraus.dtype, copy=False)
             if not np.isfinite(g).all():
                 return None, np.inf
             return g, float(np.linalg.norm(g - np.eye(din)))
@@ -129,22 +119,12 @@ class Channel:
     def stacked_product(self, x: np.ndarray) -> np.ndarray:
         """(E_1; ...; E_k) x for a (dim_in, n) matrix x: the (k dim_out, n)
         matrix whose block j is E_j x. One BLAS product, or, when _cells
-        indexes the stack, one pass per cell rank: pass i takes, for each row
-        with more than i cells, its (i+1)-th cell's value times the matching
-        row of x, so each row sums its cells left to right."""
+        indexes the stack, each row's cell value times the row of x its
+        column picks."""
         if self._cells is None:
             return self.kraus.reshape(-1, self.dim_in) @ x
-        rows, counts, starts, cols, vals = self._cells
-        out = np.zeros((len(self.kraus) * self.dim_out, x.shape[1]), np.result_type(vals, x))
-        for i in range(counts.max(initial=0)):
-            live = counts > i
-            c = starts[live] + i
-            terms = vals[c, None] * x[cols[c]]
-            if i:
-                out[rows[live]] += terms
-            else:
-                out[rows] = terms
-        return out
+        cols, vals = self._cells
+        return vals[:, None] * x[cols]
 
 
 @dataclass(frozen=True)
@@ -159,8 +139,8 @@ def validate(ch: Channel, atol: float = DEFAULT_ATOL) -> ChannelReport:
 
     The Gram matrix sum E†E is formed once per channel and reused by every
     later call, whatever its atol: one product of the stacked operators, real
-    for real operators, or, for a stack sparse enough to be indexed by its
-    nonzero cells, one bincount over the pairs of cells sharing a row. A
+    for real operators, or, for a stack indexed by its one cell per row, the
+    diagonal of the cells' squared magnitudes, one bincount by column. A
     Kraus set whose Gram matrix overflows is reported as trace increasing,
     defect inf.
     """

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import Channel, require_valid
+from .channels import Channel, require_valid, validate
 from .errors import DegenerateChannelError, DimensionError, NotAStateError
 from .linalg import (
     DEFAULT_ATOL,
@@ -258,6 +258,8 @@ def dpi_trace(dec: Decomposition, chain: Sequence[Channel]) -> list[float]:
     applies each (trace-preserving) channel in turn to the V half, recording
     -S(R_A|V) = S(V) - S(R_A V) before the chain and after every step. Data
     processing makes the returned list non-increasing up to numerical slack.
+    A link that is not trace preserving raises ValueError naming chain[i],
+    whether it increases or decreases trace, and its completeness defect.
 
     The R_A V state is held factored, rho = M M† with M of shape
     (dim_a dim_v, r), r = dim_b at the start. A step with k Kraus operators is
@@ -275,9 +277,10 @@ def dpi_trace(dec: Decomposition, chain: Sequence[Channel]) -> list[float]:
             raise DimensionError(
                 f"chain[{i}] acts on {ch.dim_in} -> {ch.dim_out}, expected dim_v={dv}"
             )
-        report = require_valid(ch)
+        report = validate(ch)
         if not report.trace_preserving:
-            raise ValueError(f"chain[{i}] is not trace preserving (defect {report.defect:.3e})")
+            change = "decreases" if report.trace_nonincreasing else "increases"
+            raise ValueError(f"chain[{i}]: Kraus set {change} trace (completeness defect {report.defect:.3e})")
     # m[(a, v), b] = code[v, (a, b)] / sqrt(da db), so m m† is the input state
     m = dec.code_vectors().reshape(dv, da, db).transpose(1, 0, 2).reshape(da * dv, db)
     m = m / np.sqrt(da * db)

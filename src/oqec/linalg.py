@@ -14,9 +14,9 @@ Conventions used throughout the package:
   ``SPECTRUM_CUTOFF`` is real and nonnegative (a sign for real vectors);
 * entropies are in bits (log base 2), and every positive eigenvalue counts;
 * Gram matrices x†x come from ``gram``, one real product when x is real;
-  the one exception is the completeness Gram matrix of a Channel whose
-  stack is sparse enough to be indexed by its nonzero cells, which sums
-  the products of cells sharing a row (see ``channels``).
+  the one exception is the completeness Gram matrix of a Channel indexed by
+  the one nonzero cell of each row, which is diagonal and sums the cells'
+  squared magnitudes by column (see ``channels``).
 """
 
 from __future__ import annotations

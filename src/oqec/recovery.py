@@ -37,6 +37,7 @@ from .linalg import (
     dag,
     eig_hermitian,
     gram,
+    storage_dtype,
 )
 from .spaces import Decomposition
 
@@ -87,11 +88,22 @@ def _gate_condition_b(dec, ch, tol):
     return report
 
 
-def _completion(span: np.ndarray) -> list:
-    """The projector L L† onto the complement of span's columns, as a
-    one-element Kraus list, or an empty list when span fills the space."""
-    leftover = complete_basis(span, span.shape[0])
-    return [leftover @ dag(leftover)] if leftover.shape[1] else []
+def _recovery_channel(code_s: np.ndarray, families: np.ndarray) -> Channel:
+    """The decoders code_s f_m† of the (m, dim_v, dim_a) families f_m, then
+    the projector L L† onto the complement of their span when that is not
+    empty, each written into its slot of one stack, which Channel adopts
+    without a copy. The stack takes the factors' dtype, and is made float64
+    when complex factors give real operators, its storage dtype either way."""
+    dv, m = code_s.shape[0], len(families)
+    leftover = complete_basis(families.transpose(1, 0, 2).reshape(dv, -1), dv)
+    shape = (m + (leftover.shape[1] > 0), dv, dv)
+    stack = np.empty(shape, np.result_type(code_s, families, leftover))
+    np.matmul(code_s, dag(families), out=stack[:m])
+    if leftover.shape[1]:
+        np.matmul(leftover, dag(leftover), out=stack[m])
+    if np.iscomplexobj(stack) and storage_dtype([stack.imag]) is np.float64:
+        stack = stack.real.copy()
+    return Channel(stack, _adopt=True)
 
 
 def _schmidt_family(dec, ch):
@@ -125,10 +137,8 @@ def synthesize_schmidt_recovery(
     gate = _gate_condition_b(dec, ch, tol)
     q, family = _schmidt_family(dec, ch)
     code_s = dec.code_vectors()[:, ::dec.dim_b]  # columns (j, b=0)
-    span = family.transpose(1, 0, 2).reshape(dec.dim_v, -1)
-    kraus = list(code_s @ dag(family)) + _completion(span)
     data = {"spectrum": q, "condition_b_residual": gate.residual}
-    return Recovery(channel=Channel(tuple(kraus)), method="schmidt", data=data)
+    return Recovery(channel=_recovery_channel(code_s, family), method="schmidt", data=data)
 
 
 def synthesize_universal_recovery(
@@ -156,10 +166,8 @@ def synthesize_universal_recovery(
     canonical = np.tensordot(mix[:, d > SPECTRUM_CUTOFF].T, family, axes=1)
     u_s, _, v_h = np.linalg.svd(canonical, full_matrices=False)
     isometries = u_s @ v_h  # (m, dv, da)
-    span = isometries.transpose(1, 0, 2).reshape(dv, -1)
-    kraus = list(code[:, 0::db] @ dag(isometries)) + _completion(span)
     data = {"condition_b_residual": gate.residual}
-    return Recovery(channel=Channel(kraus), method="universal", data=data)
+    return Recovery(channel=_recovery_channel(code[:, 0::db], isometries), method="universal", data=data)
 
 
 def verify_recovery(

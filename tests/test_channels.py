@@ -29,9 +29,10 @@ from oqec.channels import (
     unitary,
     validate,
 )
-from oqec.codes import get
+from oqec.codes import catalog, get
 from oqec.errors import DimensionError
 from oqec.linalg import dag, gram, haar_unitary, kron
+from oqec.recovery import synthesize_schmidt_recovery, synthesize_universal_recovery
 from pauli_noise import weight_one_depolarizing
 from random_states import random_density_matrix
 
@@ -382,9 +383,8 @@ def test_weight_one_depolarizing_matches_its_kron_construction():
     assert validate(ch).defect <= 1e-15
 
 
-def _pair_work(stack):
-    counts = np.count_nonzero(stack.reshape(-1, stack.shape[2]), axis=1)
-    return int(np.dot(counts, counts))
+def _row_counts(stack):
+    return np.count_nonzero(stack.reshape(-1, stack.shape[2]), axis=1)
 
 
 def _dense_product(ch, x):
@@ -399,9 +399,9 @@ def _assert_close(got, want):
 
 @st.composite
 def _sparse_stacks(draw):
-    """Real or complex stacks whose rows hold about 0.05 to 3 cells: empty
-    rows, rows of several cells, optionally one full row, one all-zero
-    operator and -0.0 entries, on both sides of the 1/64 rule."""
+    """Real or complex stacks whose rows hold at most one cell, or about 0.05
+    to 3 cells: empty rows, rows of several cells, optionally one full row,
+    one all-zero operator and -0.0 entries, on both sides of the 1/64 rule."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k = draw(st.integers(1, 4))
     dout, din = draw(st.sampled_from([1, 8, 64, 130])), draw(st.sampled_from([1, 8, 64, 130]))
@@ -410,7 +410,11 @@ def _sparse_stacks(draw):
     stack = rng.standard_normal(shape)
     if draw(st.booleans()):
         stack = stack + 1j * rng.standard_normal(shape)
-    stack[rng.random(shape) >= per_row / din] = 0.0
+    if draw(st.booleans()):  # one cell in a share min(per_row, 1) of the rows
+        keep = np.arange(din) == rng.integers(din, size=(k, dout, 1))
+        stack[~keep | (rng.random((k, dout, 1)) >= per_row)] = 0.0
+    else:
+        stack[rng.random(shape) >= per_row / din] = 0.0
     if draw(st.booleans()):
         stack[rng.integers(k), rng.integers(dout)] = rng.standard_normal(din)
     if draw(st.booleans()):
@@ -424,10 +428,13 @@ def _sparse_stacks(draw):
 def test_cell_path_matches_the_dense_formulas(stack, cols, complex_x):
     """The completeness Gram matrix and the stacked product read from the
     cell index agree with the dense BLAS formulas within 1e-13, in dtype and
-    shape too; the index exists exactly when 64 sum_r m_r^2 <= size."""
+    shape too; the index exists exactly when no row holds two cells and
+    64 nnz <= size."""
     ch = Channel(stack)
-    assert (ch._cells is not None) == (64 * _pair_work(stack) <= stack.size)
+    counts = _row_counts(stack)
+    assert (ch._cells is not None) == (counts.max() <= 1 and 64 * counts.sum() <= stack.size)
     event("cell path" if ch._cells is not None else "dense path")
+    event(f"largest row count {min(counts.max(), 2)}")
     g, defect = ch._gram
     want = gram(stack.reshape(-1, stack.shape[2]))
     _assert_close(g, want)
@@ -440,22 +447,26 @@ def test_cell_path_matches_the_dense_formulas(stack, cols, complex_x):
 
 
 def test_the_cell_index_rule_sits_at_one_64th_of_the_stack():
-    """Pair work sum_r m_r^2 equal to size / 64 is indexed, one more is not;
-    a stack with no nonzero cell is indexed and multiplies to zeros."""
-    stack = np.zeros((2, 64, 64))
-    stack[0, np.arange(64), np.arange(64)] = 1.0
-    stack[1, :32, 0] = 1.0  # 64 + 32 = 96 pairs: under 128
-    stack[1, 0, 1:3] = 1.0  # row 0 of operator 1 now holds 3 cells: 96 - 1 + 9 = 104
-    stack[1, 1, 1:4] = 1.0  # and row 1 holds 4: 104 - 1 + 16 = 119
-    stack[1, 2, 1:4] = 1.0  # 119 - 1 + 16 = 134: over
-    assert _pair_work(stack) == 134
-    assert Channel(stack)._cells is None
-    stack[1, 2, 3] = 0.0  # 134 - 16 + 9 = 127
-    stack[1, 40, 0] = 1.0  # 128 = 8192 / 64
-    assert _pair_work(stack) == 128
+    """One cell per row: nnz equal to size / 64 is indexed, one more is not.
+    A second cell in any one row gives no index, however few cells the
+    stack holds. A stack with no nonzero cell is indexed and multiplies to
+    zeros."""
+    stack = np.zeros((2, 64, 32))  # 128 rows, 64 = 4096 / 64 cells allowed
+    stack[0, np.arange(32), np.arange(32)] = 1.0
+    stack[1, 32:, 5] = 2.0
+    assert _row_counts(stack).max() == 1 and 64 * _row_counts(stack).sum() == stack.size
     ch = Channel(stack)
     assert ch._cells is not None
-    _assert_close(ch._gram[0], gram(stack.reshape(-1, 64)))
+    _assert_close(ch._gram[0], gram(stack.reshape(-1, 32)))
+    over = stack.copy()
+    over[0, 40, 0] = 1.0
+    assert Channel(over)._cells is None
+    sparse = np.zeros((2, 64, 32))
+    sparse[0, 0, 0] = 1.0
+    for r in range(128):  # sparse plus one more cell: row r's second when r = 0
+        pair = sparse.copy()
+        pair.reshape(-1, 32)[r, 1] = 1.0
+        assert (Channel(pair)._cells is None) == (r == 0)
     empty = Channel(np.zeros((3, 16, 16)))
     assert empty._cells is not None
     assert empty._gram[1] == 4.0
@@ -488,8 +499,23 @@ def test_pauli_noise_at_dim_512_takes_the_cell_path_bit_for_bit(build):
     nonzero term, so the stacked product is bit-identical to BLAS, and the
     Gram matrix agrees within 1e-13."""
     ch = build()
-    rows, counts, _, _, _ = ch._cells
-    assert counts.max() == 1 and len(rows) == len(ch.kraus) * ch.dim_out
+    cols, vals = ch._cells
+    assert len(cols) == len(ch.kraus) * ch.dim_out and np.count_nonzero(vals) == len(vals)
     x = get("bacon_shor_9").dec.code_vectors()
     np.testing.assert_array_equal(ch.stacked_product(x), _dense_product(ch, x))
     _assert_close(ch._gram[0], gram(ch.kraus.reshape(-1, ch.dim_in)))
+
+
+def test_the_cell_index_serves_pauli_noise_only():
+    """The traffic the index is kept for: bacon_shor_9's bit flips and
+    weight-one depolarizing noise at dim 512 are indexed; every catalog
+    noise, a random channel and both recoveries synthesized for bacon_shor_9
+    (whose decoders hold many cells per row) take BLAS."""
+    entry = get("bacon_shor_9")
+    assert entry.noise._cells is not None
+    assert weight_one_depolarizing(9, 0.003)._cells is not None
+    for other in catalog():
+        assert other.noise._cells is None, other.name
+    assert random_channel(128, 3, seed=2)._cells is None
+    for synth in (synthesize_schmidt_recovery, synthesize_universal_recovery):
+        assert synth(entry.dec, entry.noise).channel._cells is None, synth.__name__

@@ -397,11 +397,18 @@ def test_dpi_trace_strictly_decreasing_through_depolarizing():
     assert vals[1] > vals[2] + 0.1
 
 
-def test_dpi_trace_requires_trace_preserving_links():
+@pytest.mark.parametrize("scale, change", [(0.5, "decreases"), (2.0, "increases")])
+def test_dpi_trace_requires_trace_preserving_links(scale, change):
+    """dpi_trace has no renormalizing option, so its error names the link,
+    the direction and the defect, and points at no library option."""
     dec = Decomposition(2, 1, 0)
-    half = Channel((np.sqrt(0.5) * np.eye(2, dtype=complex),))
-    with pytest.raises(ValueError):
-        dpi_trace(dec, [half])
+    bad = Channel((np.sqrt(scale) * np.eye(2, dtype=complex),))
+    with pytest.raises(ValueError) as exc:
+        dpi_trace(dec, [identity(2), bad])
+    message = str(exc.value)
+    defect = np.sqrt(2) * abs(scale - 1)
+    assert message == f"chain[1]: Kraus set {change} trace (completeness defect {defect:.3e})"
+    assert "allow_trace_decreasing" not in message
 
 
 def test_dpi_trace_unitary_step_is_lossless():

@@ -16,6 +16,7 @@ from oqec.channels import Channel
 from oqec.codes import catalog, get
 from oqec.conditions import check_condition_b, check_condition_c, check_condition_d, purify
 from oqec.linalg import haar_unitary
+from oqec.recovery import synthesize_schmidt_recovery, synthesize_universal_recovery
 from oqec.spaces import Decomposition
 
 NAMES = [e.name for e in catalog()] + ["bacon_shor_9"]
@@ -41,6 +42,21 @@ def test_every_array_is_float64_exactly_when_the_inputs_are_real(name):
     for rho in check_condition_c(ps).witnesses.values():
         assert rho.dtype == want
     assert check_condition_b(entry.dec, entry.noise).witnesses["b_blocks"].dtype == want
+
+
+@pytest.mark.parametrize("synth", [synthesize_schmidt_recovery, synthesize_universal_recovery])
+def test_recoveries_are_stored_as_float64_exactly_when_their_operators_are_real(synth):
+    """Each synthesizer writes its stack in the storage dtype: complex only
+    for the complex noise, and float64 for a code sector given with the
+    phase i, whose complex factors multiply to real decoders."""
+    for entry in catalog():
+        if all(entry.expected.values()):
+            want = np.complex128 if entry.name in COMPLEX_NOISE else np.float64
+            assert synth(entry.dec, entry.noise).channel.kraus.dtype == want, entry.name
+    entry = get("bit_flip_3")
+    phased = Decomposition(2, 1, 6, frame=1j * entry.dec.frame)
+    assert phased.frame.dtype == np.complex128
+    assert synth(phased, entry.noise).channel.kraus.dtype == np.float64
 
 
 def test_the_default_code_vectors_are_float64():

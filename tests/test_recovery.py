@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -110,6 +111,20 @@ def test_bacon_shor_9_recovery_is_trace_preserving(bacon_shor_9, synth):
     assert _expected_kraus_count(bacon_shor_9) == 65
     assert len(rec.channel.kraus) == 65
     assert validate(rec.channel).trace_preserving
+
+
+def test_bacon_shor_9_schmidt_recovery_holds_one_stack(bacon_shor_9):
+    """The decoders and the completion projector are written into the one
+    stack the channel keeps: synthesis peaks below 1.5x that stack, where a
+    list of operators stacked again would take 2x."""
+    tracemalloc.start()
+    try:
+        rec = synthesize_schmidt_recovery(bacon_shor_9.dec, bacon_shor_9.noise)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not rec.channel.kraus.flags.writeable
+    assert peak < 1.5 * rec.channel.kraus.nbytes, (peak, rec.channel.kraus.nbytes)
 
 
 @pytest.mark.parametrize("synth", SYNTHESIZERS)
