@@ -3,9 +3,9 @@
 The space splits as V = (A tensor B) + C: A carries the protected
 information, B is a gauge factor the noise may scramble, C is the reachable
 remainder. The package decides whether a Kraus channel is correctable on A,
-synthesizes recovery channels two independent ways, factorizes correctable
-channels on product spaces, and traces coherent information through channel
-chains.
+synthesizes recovery channels two independent ways, factors correctable noise
+on the code sector as E_l P = W (1_A tensor N_l), and traces coherent
+information through channel chains.
 """
 
 from .channels import (
@@ -14,7 +14,6 @@ from .channels import (
     apply,
     bit_flip,
     choi,
-    choi_distance,
     collective_unitary,
     compose,
     depolarizing,

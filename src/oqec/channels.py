@@ -161,25 +161,19 @@ def validate(ch: Channel, atol: float = DEFAULT_ATOL) -> ChannelReport:
 def require_valid(
     ch: Channel, atol: float = DEFAULT_ATOL, allow_trace_decreasing: bool = False
 ) -> ChannelReport:
-    """Gate for operations that assume a physical channel.
+    """Gate for operations that assume a physical channel, and the one place
+    that words its refusal: "Kraus set decreases|increases trace
+    (completeness defect ...)".
 
     Trace-preserving channels always pass. Trace-decreasing ones pass only
     when explicitly allowed (downstream code renormalizes); trace-increasing
     Kraus sets are always rejected.
     """
     report = validate(ch, atol)
-    if report.trace_preserving:
+    if report.trace_preserving or (allow_trace_decreasing and report.trace_nonincreasing):
         return report
-    if not report.trace_nonincreasing:
-        raise ValueError(
-            f"Kraus set increases trace (completeness defect {report.defect:.3e})"
-        )
-    if not allow_trace_decreasing:
-        raise ValueError(
-            f"channel is trace decreasing (defect {report.defect:.3e}); "
-            "pass allow_trace_decreasing=True to proceed with renormalization"
-        )
-    return report
+    change = "decreases" if report.trace_nonincreasing else "increases"
+    raise ValueError(f"Kraus set {change} trace (completeness defect {report.defect:.3e})")
 
 
 def apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
@@ -214,39 +208,10 @@ def choi(ch: Channel) -> np.ndarray:
     """Unnormalized Choi matrix (1 tensor ch) applied to sum_ij |ii><jj|.
 
     One product W W† of the (d_in d_out, k) stack W of vectorized Kraus
-    operators. The result is the d_in d_out square matrix itself;
-    choi_distance compares channels without forming it.
+    operators. The result is the d_in d_out square matrix itself.
     """
     w = _vec_columns(ch)
     return w @ dag(w)
-
-
-def choi_distance(a: Channel, b: Channel) -> float:
-    """Frobenius distance between Choi matrices; zero iff the maps agree.
-
-    With W_a, W_b the vec-stacks of the Kraus operators, zero-padded to
-    k = max(k_a, k_b) columns, the Choi difference W_a W_a† - W_b W_b† is
-    (X Y† + Y X†)/2 for X = W_a + W_b and Y = W_a - W_b. A thin QR,
-    [X | Y] = Q [R_X | R_Y], leaves its Frobenius norm as
-    ||R_X R_Y† + R_Y R_X†||_F / 2, so memory stays O(k d_in d_out) and no
-    d_in d_out square matrix is formed. Identical inputs give Y = 0 exactly,
-    hence R_Y = 0 and a distance of exactly 0.0. The Kraus inner-product form
-    sum |tr(A_i† A_j)|^2 + sum |tr(B_i† B_j)|^2 - 2 sum |tr(A_i† B_j)|^2 is
-    not used: it subtracts squared norms of order one and cancels
-    catastrophically when the channels nearly agree.
-    """
-    if a.dim_in != b.dim_in or a.dim_out != b.dim_out:
-        raise DimensionError("channels act on different spaces")
-    wa, wb = _vec_columns(a), _vec_columns(b)
-    ka, kb = wa.shape[1], wb.shape[1]
-    k = max(ka, kb)
-    xy = np.zeros((wa.shape[0], 2 * k), dtype=np.result_type(wa, wb))
-    xy[:, :ka] = xy[:, k : k + ka] = wa
-    xy[:, :kb] += wb
-    xy[:, k : k + kb] -= wb
-    r = np.linalg.qr(xy, mode="r")
-    m = r[:, :k] @ dag(r[:, k:])
-    return float(np.linalg.norm(m + dag(m))) / 2
 
 
 def identity(dim: int) -> Channel:

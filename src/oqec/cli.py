@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .channels import Channel, validate
+from .channels import Channel, require_valid, validate
 from .conditions import (
     check_condition_b,
     check_condition_c,
@@ -76,17 +76,17 @@ def _meta(tol: float) -> dict:
 
 def _load_channel(path, field, dec):
     """A channel file on the decomposition's V; every verb needs it trace
-    preserving. validate caches the Gram matrix that later gates read."""
+    preserving. The Gram matrix require_valid forms is cached for later gates."""
     ch = load_channel_file(path, field)
     if ch.dim_in != dec.dim_v or ch.dim_out != dec.dim_v:
         raise FormatError(
             field,
             f"acts on {ch.dim_in} -> {ch.dim_out} but the decomposition has dim_v={dec.dim_v}",
         )
-    report = validate(ch)
-    if not report.trace_preserving:
-        change = "decreases" if report.trace_nonincreasing else "increases"
-        raise FormatError(field, f"Kraus set {change} trace (completeness defect {report.defect:.3e})")
+    try:
+        require_valid(ch)
+    except ValueError as exc:
+        raise FormatError(field, str(exc)) from None
     return ch
 
 
@@ -186,15 +186,15 @@ def cmd_factorize(args) -> int:
         return EXIT_FAIL
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
-    u_path = os.path.join(outdir, "factor_unitary.json")
+    w_path = os.path.join(outdir, "factor_unitary.json")
     n_path = os.path.join(outdir, "factor_channel_b.json")
     meta = {**_meta(tol), "residual": fac.residual}
-    dump_json_file(u_path, channel_to_json(Channel((fac.u,)), {**meta, "kind": "unitary"}))
+    dump_json_file(w_path, channel_to_json(Channel((fac.w,)), {**meta, "kind": "isometry"}))
     dump_json_file(n_path, channel_to_json(fac.n_b, {**meta, "kind": "b_factor"}))
     if args.json:
         print(json.dumps(meta, indent=1))
     else:
-        print(f"residual {fac.residual:.3e}; wrote {u_path} and {n_path}")
+        print(f"residual {fac.residual:.3e}; wrote {w_path} and {n_path}")
     return EXIT_PASS if fac.residual <= tol else EXIT_FAIL
 
 
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_recover)
 
-    p = sub.add_parser("factorize", help="split a correctable channel on A tensor B")
+    p = sub.add_parser("factorize", help="factor correctable noise on the code sector as W (1_A tensor N)")
     p.add_argument("decomposition")
     p.add_argument("channel")
     common(p)

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import Channel, require_valid, validate
+from .channels import Channel, require_valid
 from .errors import DegenerateChannelError, DimensionError, NotAStateError
 from .linalg import (
     DEFAULT_ATOL,
@@ -277,10 +277,10 @@ def dpi_trace(dec: Decomposition, chain: Sequence[Channel]) -> list[float]:
             raise DimensionError(
                 f"chain[{i}] acts on {ch.dim_in} -> {ch.dim_out}, expected dim_v={dv}"
             )
-        report = validate(ch)
-        if not report.trace_preserving:
-            change = "decreases" if report.trace_nonincreasing else "increases"
-            raise ValueError(f"chain[{i}]: Kraus set {change} trace (completeness defect {report.defect:.3e})")
+        try:
+            require_valid(ch)
+        except ValueError as exc:
+            raise ValueError(f"chain[{i}]: {exc}") from None
     # m[(a, v), b] = code[v, (a, b)] / sqrt(da db), so m m† is the input state
     m = dec.code_vectors().reshape(dv, da, db).transpose(1, 0, 2).reshape(da * dv, db)
     m = m / np.sqrt(da * db)

@@ -27,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .channels import Channel, choi_distance, validate
+from .channels import Channel, require_valid
 from .conditions import check_condition_b, purify
 from .errors import DimensionError, NotCorrectableError
 from .linalg import (
@@ -53,9 +53,10 @@ class Recovery:
 
 @dataclass(frozen=True)
 class Factorization:
-    """ch = unitary(u) after (1_A tensor n_b), up to the Choi residual."""
+    """E_l code = w (1_A tensor N_l) for the Kraus operators N_l of n_b, with
+    w an isometry, both up to the residual."""
 
-    u: np.ndarray
+    w: np.ndarray
     n_b: Channel
     residual: float
 
@@ -242,46 +243,29 @@ def verify_recovery(
 def factorize_product(
     dec: Decomposition, ch: Channel, *, tol: float = DEFAULT_ATOL
 ) -> Factorization:
-    """Split a correctable channel on V = A tensor B as unitary(u) after
-    (1_A tensor n_b). Only defined for dim_c = 0.
+    """Split correctable noise on the code sector as E_l code = w (1_A tensor N_l).
 
-    The unitary is assembled from the corrupted code vectors: W e_jk = |j, k>,
-    completed by mapping an orthonormal basis of the remaining directions
-    (from complete_basis) onto the unused |j, k> with k >= the Schmidt rank.
-    The residual is the Choi distance between ch and the rebuilt composite;
-    the representation itself is not unique.
+    The representation theorem read off the Schmidt family: column (j, k) of
+    the isometry w : A tensor K -> V is the corrupted code vector e_jk, one K
+    axis per surviving eigenvalue, and N_l : B -> K is the A-average of
+    w† E_l code, so n_b is a channel B -> K. The residual is the Frobenius
+    norm of E_l code - w (1_A tensor N_l) over all l and of w† w - 1 taken
+    together: kept Schmidt weights of noise that passes b only at a loose
+    tol can give more columns than an isometry holds, with a Kraus residual
+    of 0. For dim_c = 0 the code sector is all of V. The representation is
+    unique only up to a unitary on K shared between w and n_b.
+
+    Raises NotCorrectableError when the algebraic test fails at tol.
     """
-    if dec.dim_c != 0:
-        raise DimensionError(
-            f"factorization requires dim_c = 0, got dim_c={dec.dim_c}"
-        )
-    gate = _gate_condition_b(dec, ch, tol)
-    da, db, dv = dec.dim_a, dec.dim_b, dec.dim_v
-    frame = dec.code_vectors()  # with dim_c = 0, the whole frame
+    _gate_condition_b(dec, ch, tol)
     _, family = _schmidt_family(dec, ch)
-    rank = len(family)
-    if rank > db:
-        raise NotCorrectableError(
-            f"reference-environment marginal has Schmidt rank {rank} > dim_b={db}",
-            residual=gate.residual,
-        )
-    # sources, in canonical coordinates: column k * da + j is e_jk and maps
-    # to |j, k> = j * db + k; the completion maps, in ascending order, to the
-    # unused |j, k>, those with k >= rank
-    sources = dag(frame) @ family.transpose(1, 0, 2).reshape(dv, -1)
-    k, j = divmod(np.arange(rank * da), da)
-    targets = np.concatenate([j * db + k, np.flatnonzero(np.arange(dv) % db >= rank)])
-    w = np.zeros((dv, dv), dtype=sources.dtype)
-    w[targets] = dag(np.hstack([sources, complete_basis(sources, dv)]))
-    u_s, _, v_h = np.linalg.svd(w)
-    w = u_s @ v_h  # snap to the closest exact unitary
-    # w frame† E_j frame = 1_A tensor N_j, up to the residual
-    m = (w @ dag(frame) @ ch.kraus @ frame).reshape(-1, da, db, da, db)
-    n_b = Channel(np.einsum("jabac->jbc", m) / da)
-    u_work = frame @ dag(w) @ dag(frame)
-    rebuilt = Channel(frame @ dag(w) @ np.kron(np.eye(da), n_b.kraus) @ dag(frame))
-    residual = choi_distance(ch, rebuilt)
-    return Factorization(u=u_work, n_b=n_b, residual=residual)
+    da, dv, rank = dec.dim_a, dec.dim_v, len(family)
+    w = family.transpose(1, 2, 0).reshape(dv, da * rank)  # column j * rank + k is e_jk
+    ec = ch.stacked_product(dec.code_vectors()).reshape(-1, dv, dec.dim_code)  # E_l code
+    n = np.einsum("lakac->lkc", (dag(w) @ ec).reshape(len(ec), da, rank, da, -1)) / da
+    rebuilt = (w.reshape(dv * da, rank) @ n).reshape(ec.shape)  # w (1_A tensor N_l)
+    residual = np.hypot(np.linalg.norm(ec - rebuilt), np.linalg.norm(gram(w) - np.eye(da * rank)))
+    return Factorization(w=w, n_b=Channel(n), residual=float(residual))
 
 
 def extend_by_linearity(
@@ -308,9 +292,5 @@ def extend_by_linearity(
     if coeffs.shape[0] < 1:
         raise DimensionError("need at least one combination row")
     combined = Channel(np.tensordot(coeffs, ch.kraus, axes=1))
-    report = validate(combined)
-    if not report.trace_nonincreasing:
-        raise ValueError(
-            "linear combination increases trace; rescale the coefficients"
-        )
+    require_valid(combined, allow_trace_decreasing=True)
     return verify_recovery(dec, combined, rec)

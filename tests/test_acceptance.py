@@ -46,6 +46,7 @@ from oqec.recovery import (
 )
 from oqec.serialize import channel_to_json, decomposition_to_json, dump_json_file
 from oqec.spaces import Decomposition, embed_state
+from choi_oracle import choi_distance
 from random_states import random_density_matrix
 from sampled_verification import sampled_verify_recovery
 
@@ -183,7 +184,8 @@ def test_criterion_3_recovery_soundness():
 
 def test_criterion_4_factorization_round_trip():
     """25 seeded product constructions with dims in {2,3} refactor with Choi
-    residual <= 1e-8."""
+    residual <= 1e-8, and >= 50 generator instances with dim_c > 0 factor on
+    the code sector with Kraus residual <= 1e-12."""
     shapes = [(2, 2), (2, 3), (3, 2), (3, 3)]
     worst = 0.0
     for seed in range(25):
@@ -193,9 +195,15 @@ def test_criterion_4_factorization_round_trip():
         n0 = random_channel(db, int(rng.integers(1, 4)), seed=seed + 30_000)
         ch = Channel(tuple(u0 @ kron(np.eye(da), nk) for nk in n0.kraus))
         fac = factorize_product(Decomposition(da, db, 0), ch)
-        worst = max(worst, fac.residual)
-        assert fac.residual <= 1e-8, f"seed {seed}: residual {fac.residual:.3e}"
-    print(f"[acceptance] criterion 4 (factorization round trip, worst {worst:.2e}): PASS")
+        choi = choi_distance(ch, Channel(fac.w @ kron(np.eye(da), fac.n_b.kraus)))
+        worst = max(worst, choi)
+        assert choi <= 1e-8, f"seed {seed}: Choi residual {choi:.3e}"
+    instances = [_correctable_instance(seed + 1_000) for seed in range(60)]
+    instances = [(dec, ch) for dec, ch in instances if dec.dim_c > 0]
+    assert len(instances) >= 50
+    worst_c = max(factorize_product(dec, ch).residual for dec, ch in instances)
+    assert worst_c <= 1e-12, f"worst code-sector residual {worst_c:.3e}"
+    print(f"[acceptance] criterion 4 (factorization round trip, worst {worst:.2e}, dim_c > 0 {worst_c:.2e}): PASS")
 
 
 def _linearity_coefficients(k):
@@ -304,14 +312,15 @@ def test_criterion_9_cli_contract(tmp_path):
     assert main(["recover", dec_of("bit_flip_3"), chan_of("bit_flip_3"), "--out", f"{d}/r.json"]) == 0
     assert main(["recover", dec_of("bitflip_3_vs_z"), chan_of("bitflip_3_vs_z"), "--out", f"{d}/r2.json"]) == 1
     assert main(["recover", dec_of("bit_flip_3"), f"{d}/missing.json", "--out", f"{d}/r3.json"]) == 2
-    # factorize: 0 on a product instance, 1 when A is touched, 2 when dim_c != 0
+    # factorize: 0 on a product instance and on a code with dim_c != 0, 1 when A is touched
     dump_json_file(f"{d}/pdec.json", decomposition_to_json(Decomposition(2, 2, 0)))
     prod = Channel(tuple(kron(np.eye(2), nk) for nk in depolarizing(2, 0.4).kraus))
     dump_json_file(f"{d}/pchan.json", channel_to_json(prod))
     assert main(["factorize", f"{d}/pdec.json", f"{d}/pchan.json", "--out", d]) == 0
     dump_json_file(f"{d}/gchan.json", channel_to_json(random_channel(4, 3, seed=1)))
     assert main(["factorize", f"{d}/pdec.json", f"{d}/gchan.json", "--out", d]) == 1
-    assert main(["factorize", dec_of("bit_flip_3"), chan_of("bit_flip_3"), "--out", d]) == 2
+    assert main(["factorize", dec_of("bit_flip_3"), chan_of("bit_flip_3"), "--out", d]) == 0
+    assert main(["factorize", dec_of("bitflip_3_vs_z"), chan_of("bitflip_3_vs_z"), "--out", d]) == 1
     # dpi: 0 on a valid chain, 2 on dimension mismatch
     assert main(["dpi", dec_of("bit_flip_3"), chan_of("bit_flip_3"), f"{d}/r.json"]) == 0
     assert main(["dpi", dec_of("bit_flip_3"), f"{d}/pchan.json"]) == 2

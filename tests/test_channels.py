@@ -16,7 +16,6 @@ from oqec.channels import (
     apply,
     bit_flip,
     choi,
-    choi_distance,
     collective_unitary,
     compose,
     depolarizing,
@@ -33,6 +32,7 @@ from oqec.codes import catalog, get
 from oqec.errors import DimensionError
 from oqec.linalg import dag, gram, haar_unitary, kron
 from oqec.recovery import synthesize_schmidt_recovery, synthesize_universal_recovery
+from choi_oracle import choi_distance
 from pauli_noise import weight_one_depolarizing
 from random_states import random_density_matrix
 
@@ -127,7 +127,7 @@ def test_validate_trace_preserving():
 
 def test_require_valid_gates_trace_decreasing():
     half = Channel((0.5 * np.eye(2, dtype=complex),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^Kraus set decreases trace \(completeness defect 1\.061e\+00\)$"):
         require_valid(half)
     rep = require_valid(half, allow_trace_decreasing=True)
     assert not rep.trace_preserving
@@ -136,7 +136,7 @@ def test_require_valid_gates_trace_decreasing():
 
 def test_require_valid_always_rejects_trace_increasing():
     grow = Channel((1.5 * np.eye(2, dtype=complex),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^Kraus set increases trace \(completeness defect "):
         require_valid(grow, allow_trace_decreasing=True)
 
 

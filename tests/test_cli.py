@@ -191,10 +191,18 @@ def test_factorize_product_channel(tmp_path):
     assert u["metadata"]["residual"] < 1e-10
 
 
-def test_factorize_nonzero_dim_c_is_input_error(exported, capsys):
+def test_factorize_a_code_with_nonzero_dim_c(exported, tmp_path, capsys):
+    """bit_flip_3 (dim_c = 6) factors on its code sector: the isometry file
+    holds one 8 x (dim_a K) operator, the B factor maps B to K = 4."""
     dec, chan = exported
-    assert main(["factorize", dec, chan]) == 2
-    assert "dim_c" in capsys.readouterr().err
+    outdir = tmp_path / "fac"
+    assert main(["factorize", dec, chan, "--out", str(outdir)]) == 0
+    w = load_json_file(str(outdir / "factor_unitary.json"))
+    assert w["metadata"]["kind"] == "isometry"
+    assert w["metadata"]["residual"] <= 1e-12
+    assert (w["dim_out"], w["dim_in"], len(w["kraus"])) == (8, 8, 1)
+    nb = channel_from_json(load_json_file(str(outdir / "factor_channel_b.json")))
+    assert (nb.dim_in, nb.dim_out) == (1, 4)
 
 
 def test_dpi_monotone_chain(exported, tmp_path, capsys):
@@ -244,7 +252,7 @@ def test_factorize_json_prints_the_file_metadata(tmp_path, capsys):
     outdir = tmp_path / "fac"
     assert main(["factorize", dec_path, chan_path, "--json", "--out", str(outdir)]) == 0
     printed = json.loads(capsys.readouterr().out)
-    for name, kind in (("factor_unitary.json", "unitary"), ("factor_channel_b.json", "b_factor")):
+    for name, kind in (("factor_unitary.json", "isometry"), ("factor_channel_b.json", "b_factor")):
         assert {**printed, "kind": kind} == load_json_file(str(outdir / name))["metadata"]
     assert printed["residual"] < 1e-10
 
@@ -563,9 +571,8 @@ def test_check_rejects_sparse_shape_too_large_to_allocate(exported, tmp_path, ca
 
 def test_bacon_shor_9_end_to_end_through_the_cli(tmp_path):
     """codes export -> check -> recover (both methods) -> dpi through noise
-    and the Schmidt recovery on the dim_v 512 code, each step a child process
-    under a 1.5 GiB address-space cap; factorize, defined for dim_c = 0 only,
-    is an input error on it."""
+    and the Schmidt recovery -> factorize on the dim_v 512 code, each step a
+    child process under a 1.5 GiB address-space cap."""
     cap = 3 * 2**29
     steps = [("codes", "export", "bacon_shor_9", str(tmp_path))]
     dec = str(tmp_path / "bacon_shor_9.decomposition.json")
@@ -574,6 +581,7 @@ def test_bacon_shor_9_end_to_end_through_the_cli(tmp_path):
     for method in ("schmidt", "universal"):
         steps.append(("recover", dec, chan, "--method", method, "--out", str(tmp_path / f"{method}.json")))
     steps.append(("dpi", dec, chan, str(tmp_path / "schmidt.json"), "--out", str(tmp_path / "dpi.json")))
+    steps.append(("factorize", dec, chan, "--out", str(tmp_path / "fac")))
     for argv in steps:
         proc = _oqec_subprocess(*argv, address_space=cap)
         assert proc.returncode == 0, (argv, proc.stderr[-500:])
@@ -584,8 +592,7 @@ def test_bacon_shor_9_end_to_end_through_the_cli(tmp_path):
     values = load_json_file(str(tmp_path / "dpi.json"))["coherent_information"]
     assert len(values) == 3
     assert max(abs(v - 1.0) for v in values) <= 1e-9, values
-    proc = _oqec_subprocess("factorize", dec, chan, "--out", str(tmp_path / "fac"), address_space=cap)
-    assert proc.returncode == 2 and "dim_c" in proc.stderr, proc.stderr[-500:]
+    assert load_json_file(str(tmp_path / "fac" / "factor_unitary.json"))["metadata"]["residual"] <= 1e-10
 
 
 def test_bacon_shor_9_under_depolarizing_noise_checks_through_the_cli(tmp_path):

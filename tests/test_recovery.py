@@ -12,14 +12,12 @@ import pytest
 import oqec
 
 from oqec.channels import (
+    PAULI_Z,
     Channel,
     apply,
-    choi_distance,
-    compose,
     depolarizing,
     identity,
     random_channel,
-    unitary,
     validate,
 )
 from oqec.codes import catalog, get
@@ -43,6 +41,7 @@ from oqec.recovery import (
     verify_recovery,
 )
 from oqec.spaces import Decomposition, embed_state
+from choi_oracle import choi_distance
 from random_states import random_density_matrix
 
 CORRECTABLE = [e.name for e in catalog() if all(e.expected.values())]
@@ -257,11 +256,17 @@ def test_verify_recovery_rejects_overflowing_kraus_sets():
                 verify_recovery(entry.dec, noise, recovery)
 
 
+def _rebuilt(fac, da):
+    """The channel code -> V with Kraus operators w (1_A tensor N_l)."""
+    return Channel(fac.w @ kron(np.eye(da), fac.n_b.kraus))
+
+
 def test_factorize_identity_channel():
     dec = Decomposition(2, 2, 0)
     fac = factorize_product(dec, identity(4))
     assert fac.residual < 1e-12
-    assert np.linalg.norm(dag(fac.u) @ fac.u - np.eye(4)) < 1e-12
+    assert fac.w.shape == (4, 4)  # the Schmidt rank is dim_b, so w is unitary
+    assert np.linalg.norm(dag(fac.w) @ fac.w - np.eye(4)) < 1e-12
     assert validate(fac.n_b).trace_preserving
 
 
@@ -273,23 +278,24 @@ def test_factorize_round_trip_on_constructed_instances(da, db):
     ch = _product_channel(da, db, u0, n0)
     fac = factorize_product(Decomposition(da, db, 0), ch)
     assert fac.residual < 1e-10
-    rebuilt = compose(unitary(fac.u), Channel(tuple(kron(np.eye(da), nk) for nk in fac.n_b.kraus)))
-    assert choi_distance(ch, rebuilt) < 1e-10
+    assert choi_distance(ch, _rebuilt(fac, da)) < 1e-10
 
 
 def test_factorize_recovers_b_channel_up_to_gauge():
-    """The split is unique only up to a unitary shared between u and n_b;
-    undoing the gauge read off from u recovers the original B-side noise."""
+    """The split is unique only up to an isometry shared between w and n_b:
+    u0† w = 1_A tensor w_b with w_b : K -> B an isometry, and undoing that
+    gauge recovers the original B-side noise, N = w_b† n0."""
     rng = _rng(17)
     da, db = 2, 3
     u0 = haar_unitary(da * db, rng)
     n0 = random_channel(db, 3, seed=77)
     fac = factorize_product(Decomposition(da, db, 0), _product_channel(da, db, u0, n0))
-    m = dag(u0) @ fac.u
-    w_b = partial_trace(m, [da, db], keep=(1,)) / da
+    rank = fac.n_b.dim_out
+    m = dag(u0) @ fac.w
+    w_b = np.einsum("abac->bc", m.reshape(da, db, da, rank)) / da
     assert np.linalg.norm(m - kron(np.eye(da), w_b)) < 1e-10
-    assert np.linalg.norm(dag(w_b) @ w_b - np.eye(db)) < 1e-10
-    assert choi_distance(fac.n_b, compose(unitary(dag(w_b)), n0)) < 1e-10
+    assert np.linalg.norm(dag(w_b) @ w_b - np.eye(rank)) < 1e-10
+    assert choi_distance(fac.n_b, Channel(dag(w_b) @ n0.kraus)) < 1e-10
 
 
 def test_factorize_with_nontrivial_frame():
@@ -325,9 +331,9 @@ print(factorize_product(Decomposition(da, db, 0, frame=frame), ch).residual)
 
 
 def test_factorize_dim_v_128_fits_in_one_gib():
-    """A dense Choi matrix at dim_v 128 alone takes 4 GiB; the child process
-    runs the factorization under a 1 GiB address-space cap. BLAS runs one
-    thread there, so the cap measures the algorithm, not thread buffers."""
+    """The child process runs the factorization at dim_v 128 under a 1 GiB
+    address-space cap. BLAS runs one thread there, so the cap measures the
+    algorithm, not thread buffers."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(oqec.__file__)))
     env = {
         **os.environ,
@@ -344,10 +350,42 @@ def test_factorize_dim_v_128_fits_in_one_gib():
     assert float(proc.stdout) <= 1e-10
 
 
-def test_factorize_requires_dim_c_zero():
-    entry = get("bit_flip_3")
-    with pytest.raises(DimensionError):
+@pytest.mark.parametrize("name", [*CORRECTABLE, "bacon_shor_9"])
+def test_factorize_every_correctable_catalog_entry(name):
+    """No catalog entry has dim_c = 0; each factors on its code sector, and
+    the Choi oracle agrees that E restricted to the code is w (1_A tensor N)."""
+    entry = get(name)
+    fac = factorize_product(entry.dec, entry.noise)
+    assert fac.residual <= 1e-12
+    assert np.linalg.norm(dag(fac.w) @ fac.w - np.eye(fac.w.shape[1])) <= 1e-12
+    assert validate(fac.n_b).trace_preserving
+    code = entry.dec.code_vectors()
+    assert choi_distance(Channel(entry.noise.kraus @ code), _rebuilt(fac, entry.dec.dim_a)) <= 1e-12
+
+
+def test_factorize_refuses_the_mismatched_catalog_entry():
+    entry = get("bitflip_3_vs_z")
+    with pytest.raises(NotCorrectableError) as err:
         factorize_product(entry.dec, entry.noise)
+    assert err.value.residual > 1e-3
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-6])
+def test_factorize_residual_on_nearly_correctable_noise(eps):
+    """bit_flip_3 plus a Z error at Kraus amplitude eps passes b at tol 1e-5.
+    At 1e-7 the Z error's Schmidt weight (about 1e-14) is cut and the Kraus
+    residual is about 1.4e-7; at 1e-6 it is kept, and w has 10 columns in
+    dim_v = 8, so w† w - 1 is far from 0. The residual is recomputed here
+    from the returned factors, operator by operator."""
+    entry = get("bit_flip_3")
+    ch = Channel([*np.sqrt(1 - eps**2) * entry.noise.kraus, eps * kron(PAULI_Z, np.eye(4))])
+    fac = factorize_product(entry.dec, ch, tol=1e-5)
+    code = entry.dec.code_vectors()
+    parts = [e @ code - fac.w @ kron(np.eye(2), n) for e, n in zip(ch.kraus, fac.n_b.kraus)]
+    parts.append(dag(fac.w) @ fac.w - np.eye(fac.w.shape[1]))
+    expected = np.sqrt(sum(np.linalg.norm(x) ** 2 for x in parts))
+    assert fac.residual == pytest.approx(expected, rel=1e-9)
+    assert fac.residual > 1e-7
 
 
 def test_factorize_rejects_noise_that_touches_a():
@@ -374,7 +412,7 @@ def test_extend_by_linearity_validates_coefficients():
     rec = synthesize_schmidt_recovery(entry.dec, entry.noise)
     with pytest.raises(DimensionError):
         extend_by_linearity(entry.dec, entry.noise, rec, np.ones((1, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Kraus set increases trace"):
         extend_by_linearity(entry.dec, entry.noise, rec, 5.0 * np.ones((1, 4)))
 
 
