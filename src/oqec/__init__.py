@@ -3,9 +3,10 @@
 The space splits as V = (A tensor B) + C: A carries the protected
 information, B is a gauge factor the noise may scramble, C is the reachable
 remainder. The package decides whether a Kraus channel is correctable on A,
-synthesizes recovery channels two independent ways, factors correctable noise
-on the code sector as E_l P = W (1_A tensor N_l), and traces coherent
-information through channel chains.
+synthesizes recovery channels as two normalizations of one error family,
+checks them independently, factors correctable noise on the code sector as
+E_l P = W (1_A tensor N_l), and traces coherent information through channel
+chains.
 """
 
 from .channels import (

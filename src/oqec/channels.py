@@ -158,9 +158,7 @@ def validate(ch: Channel, atol: float = DEFAULT_ATOL) -> ChannelReport:
     )
 
 
-def require_valid(
-    ch: Channel, atol: float = DEFAULT_ATOL, allow_trace_decreasing: bool = False
-) -> ChannelReport:
+def require_valid(ch: Channel, *, allow_trace_decreasing: bool = False) -> ChannelReport:
     """Gate for operations that assume a physical channel, and the one place
     that words its refusal: "Kraus set decreases|increases trace
     (completeness defect ...)".
@@ -169,7 +167,7 @@ def require_valid(
     when explicitly allowed (downstream code renormalizes); trace-increasing
     Kraus sets are always rejected.
     """
-    report = validate(ch, atol)
+    report = validate(ch)
     if report.trace_preserving or (allow_trace_decreasing and report.trace_nonincreasing):
         return report
     change = "decreases" if report.trace_nonincreasing else "increases"

@@ -125,8 +125,8 @@ def _fix_phases(vecs: np.ndarray, cutoff: float = SPECTRUM_CUTOFF) -> np.ndarray
     return out
 
 
-def eig_hermitian(m: np.ndarray, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a matrix Hermitian within DEFAULT_ATOL.
 
     Returns (eigenvalues, eigenvectors): eigenvalues descending, eigenvectors
     as orthonormal columns with the phase convention above. Inside a
@@ -137,10 +137,10 @@ def eig_hermitian(m: np.ndarray, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    if np.linalg.norm(m - dag(m)) > atol:
+    defect = np.linalg.norm(m - dag(m))
+    if defect > DEFAULT_ATOL:
         raise NotHermitianError(
-            f"matrix is not Hermitian within atol={atol} "
-            f"(defect {np.linalg.norm(m - dag(m)):.3e})"
+            f"matrix is not Hermitian within atol={DEFAULT_ATOL} (defect {defect:.3e})"
         )
     w, v = np.linalg.eigh((m + dag(m)) / 2)
     order = np.argsort(-w, kind="stable")

@@ -1,23 +1,22 @@
 """Recovery synthesis, verification, and factorization of correctable noise.
 
-Two independent constructions of a correcting channel:
+Restricted to the B basis state t, E_j is an A -> V operator F_(j,t), and
+condition b's blocks form the family's Gram matrix g: F_(j,s)† F_(k,t) =
+g_((j,s),(k,t)) 1_A for correctable noise. For any trace-preserving noise,
+conj(g) / dim_b with its (E, B) factors swapped is the reference-environment
+marginal rho'_{R_B E} of the purified state. One eigendecomposition of g
+gives canonical errors c_k = sum mix[:, k] F with orthogonal ranges and
+c_k† c_k = d_k 1_A, one per Schmidt weight q_k = d_k / dim_b above
+SPECTRUM_CUTOFF. The Schmidt recovery and factorize_product divide c_k by
+sqrt(d_k), into the orthonormal corrupted code vectors e_jk; the universal
+recovery snaps c_k to its polar isometry. Both recoveries are
+trace-preserving Kraus channels on V that restore any state of A, sending B
+to a fixed pure state: one Kraus operator per kept weight, plus, when their
+ranges leave part of V uncovered, the projector onto the rest, which leaves
+such states in place.
 
-* the Schmidt route diagonalizes the reference-environment marginal of the
-  purified state, reads off one orthonormal family of corrupted code vectors
-  per surviving eigenvalue, and decodes each family back onto the code sector;
-* the universal route works channel-side only: it forms the A -> V error
-  family E_j restricted to each B basis state, diagonalizes its Gram matrix,
-  and polar-decomposes the canonical errors into isometries whose adjoints
-  decode.
-
-Both emit trace-preserving Kraus channels on V that restore any state of the
-protected factor A, sending B to a fixed pure state: one Kraus operator per
-surviving eigenvalue (the Schmidt rank of the reference-environment marginal),
-plus, when those ranges leave part of V uncovered, the projector onto the
-rest, which leaves such states in place.
-
-verify_recovery checks a recovery exactly, from the code-sector blocks of
-the composite R o E, and reports bounds that hold over every code input.
+verify_recovery is the independent check: exact, from the code-sector
+blocks of the composite R o E, with bounds that hold over every code input.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from .channels import Channel, require_valid
-from .conditions import check_condition_b, purify
+from .conditions import check_condition_b
 from .errors import DimensionError, NotCorrectableError
 from .linalg import (
     DEFAULT_ATOL,
@@ -78,7 +77,10 @@ class VerificationReport:
     trials: int = 0  # always 0; bench/tracer.py counts it as recovery.verify_recovery.trials
 
 
-def _gate_condition_b(dec, ch, tol):
+def _canonical_errors(dec, ch, tol):
+    """Gate on condition b at tol and diagonalize its Gram witness g; returns
+    (b's residual, the kept weights q_k, the (rank, dv, da) stack of c_k, and
+    the product E code, rows (l, v) and columns (a, b))."""
     report = check_condition_b(dec, ch, tol)
     if not report.passed:
         raise NotCorrectableError(
@@ -86,7 +88,15 @@ def _gate_condition_b(dec, ch, tol):
             f"{report.residual:.3e} > tol={tol}",
             residual=report.residual,
         )
-    return report
+    da, db, dv, de = dec.dim_a, dec.dim_b, dec.dim_v, len(ch.kraus)
+    g = report.witnesses["b_blocks"].transpose(0, 2, 1, 3).reshape(de * db, de * db)
+    d, mix = eig_hermitian(g)
+    keep = d / db > SPECTRUM_CUTOFF
+    ec = ch.stacked_product(dec.code_vectors())
+    # family[j * db + s] = F_(j,s), the dv x da block of E_j code at b = s
+    family = ec.reshape(de, dv, da, db).transpose(0, 3, 1, 2).reshape(de * db, dv, da)
+    canonical = np.tensordot(mix[:, keep].T, family, axes=1)
+    return report.residual, d[keep] / db, canonical, ec
 
 
 def _recovery_channel(code_s: np.ndarray, families: np.ndarray) -> Channel:
@@ -107,68 +117,41 @@ def _recovery_channel(code_s: np.ndarray, families: np.ndarray) -> Channel:
     return Channel(stack, _adopt=True)
 
 
-def _schmidt_family(dec, ch):
-    """Eigen-split the reference-environment marginal and pull back the
-    corrupted code vectors e_jk; returns (weights q_k, the (rank, dv, da)
-    stack whose block k has columns e_jk)."""
-    ps = purify(dec, ch)
-    da, db, dv, de = ps.dims
-    q, vecs = eig_hermitian(ps.marginal((1, 3)))
-    keep = q > SPECTRUM_CUTOFF
-    q = q[keep]
-    amp = ps.psi.reshape(da, db, dv, de).transpose(1, 3, 2, 0).reshape(db * de, dv * da)
-    family = (dag(vecs[:, keep]) @ amp).reshape(-1, dv, da) / np.sqrt(q / da)[:, None, None]
-    return q, family
-
-
 def synthesize_schmidt_recovery(
     dec: Decomposition, ch: Channel, *, tol: float = DEFAULT_ATOL
 ) -> Recovery:
     """Recovery from the Schmidt form of the purified noisy state.
 
-    Each surviving eigenvalue q_k of the reference-environment marginal
-    labels one orthonormal family {e_jk}_j of corrupted code vectors; the
-    recovery projects onto that family and rewrites e_jk as the code vector
-    for (j, b=0). One more Kraus operator, the projector onto the directions
-    outside every family, completes the channel and leaves those directions
-    in place.
+    Each kept Schmidt weight q_k labels one orthonormal family
+    {e_jk}_j = c_k / sqrt(dim_b q_k) of corrupted code vectors; the recovery
+    projects onto that family and rewrites e_jk as the code vector for
+    (j, b=0). One more Kraus operator, the projector onto the directions
+    outside every family, completes the channel.
 
     Raises NotCorrectableError when the algebraic test fails at tol.
     """
-    gate = _gate_condition_b(dec, ch, tol)
-    q, family = _schmidt_family(dec, ch)
+    residual, q, canonical, _ = _canonical_errors(dec, ch, tol)
+    family = canonical / np.sqrt(dec.dim_b * q)[:, None, None]
     code_s = dec.code_vectors()[:, ::dec.dim_b]  # columns (j, b=0)
-    data = {"spectrum": q, "condition_b_residual": gate.residual}
+    data = {"spectrum": q, "condition_b_residual": residual}
     return Recovery(channel=_recovery_channel(code_s, family), method="schmidt", data=data)
 
 
 def synthesize_universal_recovery(
     dec: Decomposition, ch: Channel, *, tol: float = DEFAULT_ATOL
 ) -> Recovery:
-    """Recovery from the Gram matrix of the restricted error family.
+    """Recovery from the polar isometries W_m of the canonical errors: the
+    Kraus operators (embed at b=0) W_m†, plus the projector onto the
+    complement of their ranges when that is not empty.
 
-    The A -> V operators F_(j,t) = E_j (embedding of A at B basis state t)
-    satisfy F_(j,s)† F_(k,t) = g_((j,s),(k,t)) 1_A when the noise is
-    correctable. Diagonalizing g and mixing the family accordingly yields
-    canonical errors with orthogonal ranges; their polar isometries W_m give
-    the recovery Kraus operators (embed at b=0) W_m†, plus the projector onto
-    the complement of their ranges when that is not empty.
+    Raises NotCorrectableError when the algebraic test fails at tol.
     """
-    gate = _gate_condition_b(dec, ch, tol)
-    da, db, dv, de = dec.dim_a, dec.dim_b, dec.dim_v, len(ch.kraus)
-    code = dec.code_vectors()
-    # F_(j,s)† F_(k,t) = B_jk[s, t] 1_A: condition b's blocks are the Gram
-    # matrix g, and its residual is the distance of the family from that form
-    g = gate.witnesses["b_blocks"].transpose(0, 2, 1, 3).reshape(de * db, de * db)
-    d, mix = eig_hermitian(g)
-    # family[j * db + s] = F_(j,s), the dv x da block of E_j code at b = s
-    rotated = ch.stacked_product(code).reshape(de, dv, da, db)
-    family = rotated.transpose(0, 3, 1, 2).reshape(de * db, dv, da)
-    canonical = np.tensordot(mix[:, d > SPECTRUM_CUTOFF].T, family, axes=1)
+    residual, _, canonical, _ = _canonical_errors(dec, ch, tol)
     u_s, _, v_h = np.linalg.svd(canonical, full_matrices=False)
     isometries = u_s @ v_h  # (m, dv, da)
-    data = {"condition_b_residual": gate.residual}
-    return Recovery(channel=_recovery_channel(code[:, 0::db], isometries), method="universal", data=data)
+    code_s = dec.code_vectors()[:, ::dec.dim_b]
+    data = {"condition_b_residual": residual}
+    return Recovery(channel=_recovery_channel(code_s, isometries), method="universal", data=data)
 
 
 def verify_recovery(
@@ -247,7 +230,7 @@ def factorize_product(
 
     The representation theorem read off the Schmidt family: column (j, k) of
     the isometry w : A tensor K -> V is the corrupted code vector e_jk, one K
-    axis per surviving eigenvalue, and N_l : B -> K is the A-average of
+    axis per kept Schmidt weight, and N_l : B -> K is the A-average of
     w† E_l code, so n_b is a channel B -> K. The residual is the Frobenius
     norm of E_l code - w (1_A tensor N_l) over all l and of w† w - 1 taken
     together: kept Schmidt weights of noise that passes b only at a loose
@@ -257,11 +240,11 @@ def factorize_product(
 
     Raises NotCorrectableError when the algebraic test fails at tol.
     """
-    _gate_condition_b(dec, ch, tol)
-    _, family = _schmidt_family(dec, ch)
-    da, dv, rank = dec.dim_a, dec.dim_v, len(family)
+    _, q, canonical, ec = _canonical_errors(dec, ch, tol)
+    da, dv, rank = dec.dim_a, dec.dim_v, len(q)
+    family = canonical / np.sqrt(dec.dim_b * q)[:, None, None]
     w = family.transpose(1, 2, 0).reshape(dv, da * rank)  # column j * rank + k is e_jk
-    ec = ch.stacked_product(dec.code_vectors()).reshape(-1, dv, dec.dim_code)  # E_l code
+    ec = ec.reshape(-1, dv, dec.dim_code)  # E_l code
     n = np.einsum("lakac->lkc", (dag(w) @ ec).reshape(len(ec), da, rank, da, -1)) / da
     rebuilt = (w.reshape(dv * da, rank) @ n).reshape(ec.shape)  # w (1_A tensor N_l)
     residual = np.hypot(np.linalg.norm(ec - rebuilt), np.linalg.norm(gram(w) - np.eye(da * rank)))

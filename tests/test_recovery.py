@@ -21,7 +21,7 @@ from oqec.channels import (
     validate,
 )
 from oqec.codes import catalog, get
-from oqec.conditions import purify
+from oqec.conditions import check_condition_b, purify
 from oqec.errors import DimensionError, NotCorrectableError
 from oqec.linalg import (
     SPECTRUM_CUTOFF,
@@ -33,7 +33,7 @@ from oqec.linalg import (
 )
 from oqec.recovery import (
     Recovery,
-    _schmidt_family,
+    _canonical_errors,
     extend_by_linearity,
     factorize_product,
     synthesize_schmidt_recovery,
@@ -153,7 +153,8 @@ def test_schmidt_recovery_restores_code_vectors():
     entry = get("bit_flip_3")
     rec = synthesize_schmidt_recovery(entry.dec, entry.noise)
     code = entry.dec.code_vectors()
-    _, families = _schmidt_family(entry.dec, entry.noise)
+    _, q, canonical, _ = _canonical_errors(entry.dec, entry.noise, 1e-9)
+    families = canonical / np.sqrt(entry.dec.dim_b * q)[:, None, None]
     assert len(families) == 4
     for cols in families:
         for j, vec in enumerate(cols.T):
@@ -161,6 +162,63 @@ def test_schmidt_recovery_restores_code_vectors():
             target = code[:, j]
             overlap = float(np.real(target.conj() @ tau @ target))
             assert overlap > 1 - 1e-10
+
+
+def _identity_instances():
+    yield from ((e.name, e.dec, e.noise) for e in catalog())
+    entry = get("bacon_shor_9")
+    yield "bacon_shor_9", entry.dec, entry.noise
+    yield "random_dim_11", Decomposition(2, 3, 5), random_channel(11, 3, seed=61)
+
+
+def test_reference_environment_marginal_is_condition_b_gram():
+    """rho'_{R_B E}[(b, e), (b', e')] = conj(g[(e, b), (e', b')]) / dim_b,
+    with g condition b's Gram witness, for correctable noise or not: the
+    Schmidt weights are g's eigenvalues over dim_b."""
+    for name, dec, ch in _identity_instances():
+        db, de = dec.dim_b, len(ch.kraus)
+        g = check_condition_b(dec, ch, 1e-9).witnesses["b_blocks"].transpose(0, 2, 1, 3)
+        swapped = g.conj().transpose(1, 0, 3, 2).reshape(db * de, db * de) / db
+        gap = np.abs(purify(dec, ch).marginal((1, 3)) - swapped).max()
+        assert gap <= 1e-14, (name, gap)
+
+
+@pytest.mark.parametrize("name", [*CORRECTABLE, "bacon_shor_9"])
+def test_schmidt_spectrum_is_the_purified_marginal_spectrum(name):
+    entry = get(name)
+    q, _ = eig_hermitian(purify(entry.dec, entry.noise).marginal((1, 3)))
+    spectrum = synthesize_schmidt_recovery(entry.dec, entry.noise).data["spectrum"]
+    np.testing.assert_allclose(spectrum, q[q > SPECTRUM_CUTOFF], rtol=0, atol=1e-14)
+
+
+def test_synthesis_and_factorization_never_purify(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("recovery must read condition b's witness, not purify")
+
+    monkeypatch.setattr(oqec.conditions, "purify", forbidden)
+    monkeypatch.setattr(oqec.recovery, "purify", forbidden, raising=False)
+    for name in [*CORRECTABLE, "bacon_shor_9"]:
+        entry = get(name)
+        for synth in SYNTHESIZERS:
+            synth(entry.dec, entry.noise)
+        factorize_product(entry.dec, entry.noise)
+
+
+@pytest.mark.parametrize("q", [2e-12, 7.5e-13, 2.5e-13])
+def test_methods_share_one_rank_rule_at_the_cutoff(q):
+    """Weight 2q moves the code into C, one Schmidt weight q per B state:
+    both methods keep it or cut it together (q > SPECTRUM_CUTOFF), also for
+    q in (SPECTRUM_CUTOFF / dim_b, SPECTRUM_CUTOFF]."""
+    dec = Decomposition(2, 2, 4)
+    shift = np.roll(np.eye(8), 4, axis=0)
+    ch = Channel([np.sqrt(1 - 2 * q) * np.eye(8), np.sqrt(2 * q) * shift])
+    counts = set()
+    for synth in SYNTHESIZERS:
+        rec = synth(dec, ch)
+        counts.add(len(rec.channel.kraus))
+        rep = verify_recovery(dec, ch, rec)
+        assert max(rep.max_infidelity, rep.b_marginal_drift, rep.support_leak) <= 1e-10
+    assert counts == {4 if q > SPECTRUM_CUTOFF else 3}
 
 
 def test_methods_agree_on_code_sector():
