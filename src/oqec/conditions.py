@@ -154,7 +154,8 @@ def check_condition_b(
     report residual aggregates all pairs in quadrature, which makes it
     invariant under unitary remixing of the Kraus list. The witnesses are the
     blocks as one (k, k, dim_b, dim_b) array b_blocks, the pair deviations as
-    one (k, k) array pair_residuals, and the worst pair.
+    one (k, k) array pair_residuals, the worst pair, and the product they are
+    read from, E code with rows (k, v) and columns (a, b), as e_code.
     """
     if ch.dim_in != dec.dim_v or ch.dim_out != dec.dim_v:
         raise DimensionError(
@@ -162,7 +163,8 @@ def check_condition_b(
         )
     require_valid(ch, allow_trace_decreasing=allow_trace_decreasing)
     da, db, dv, de = dec.dim_a, dec.dim_b, dec.dim_v, len(ch.kraus)
-    rotated = ch.stacked_product(dec.code_vectors()).reshape(de, dv, da * db)
+    ec = ch.stacked_product(dec.code_vectors())
+    rotated = ec.reshape(de, dv, da * db)
     # m[j, a, b, k, c, d] = <a, b| E_j† E_k |c, d> on the code sector
     m = gram(rotated.transpose(1, 0, 2).reshape(dv, -1)).reshape(de, da, db, de, da, db)
     blocks = np.einsum("jabkad->jkbd", m) / da
@@ -181,6 +183,7 @@ def check_condition_b(
             "pair_residuals": pair,
             "max_pair": (int(worst[0]), int(worst[1])),
             "max_pair_residual": float(pair[worst]),
+            "e_code": ec,
         },
     )
 
@@ -223,7 +226,11 @@ def check_condition_d(ps: PurifiedState, tol: float = DEFAULT_ATOL) -> Condition
     two marginals is smaller (dim_v against dim_a dim_b dim_e, the joint on a
     tie, which condition c shares), and require_state checks that matrix.
     rho'_{R_B E} is the joint's partial trace either way, so when V is the
-    smaller side d forms the joint without diagonalizing it.
+    smaller side d forms the joint without diagonalizing it. Both spectra are
+    taken per connected component of the matrix's exact nonzero pattern
+    (Pauli errors of different syndromes reach orthogonal subspaces), except
+    on matrices of at most 64 rows, with no zero entry, or of one component,
+    which are diagonalized whole; see linalg.
     """
     da, db, dv, de = ps.dims
     s_a = float(np.log2(da))

@@ -10,6 +10,13 @@ Conventions used throughout the package:
 * composite indices are row-major: the factor pair (a, b) maps to
   ``a * dim_b + b``, matching ``numpy.kron`` and C-order ``reshape``;
 * eigenvalues are returned in descending order;
+* ``eig_hermitian`` and ``require_state`` (so every entropy) take spectra
+  per connected component of a matrix's exact nonzero pattern, symmetrized
+  and with no threshold, one batched LAPACK call per component size: the
+  components are exact invariant subspaces, so the spectrum is the whole
+  matrix's and each eigenvector is exactly zero outside its component. A
+  matrix of at most ``_WHOLE_MAX`` rows, with no zero entry, or of one
+  component is diagonalized whole;
 * eigenvector phases are fixed so the first component of magnitude above
   ``SPECTRUM_CUTOFF`` is real and nonnegative (a sign for real vectors);
 * entropies are in bits (log base 2), and every positive eigenvalue counts;
@@ -29,6 +36,7 @@ from .errors import DimensionError, NotAStateError, NotHermitianError
 
 DEFAULT_ATOL = 1e-9
 SPECTRUM_CUTOFF = 1e-12
+_WHOLE_MAX = 64  # up to this size, labelling costs about what it saves in LAPACK time
 
 
 def dag(m: np.ndarray) -> np.ndarray:
@@ -125,6 +133,57 @@ def _fix_phases(vecs: np.ndarray, cutoff: float = SPECTRUM_CUTOFF) -> np.ndarray
     return out
 
 
+def _components(m: np.ndarray) -> list[np.ndarray] | None:
+    """Connected components of a square matrix's exact nonzero pattern,
+    symmetrized: i ~ j when m[i, j] or m[j, i] is not exactly 0, with no
+    threshold. Returns one (count, size) array per distinct component size,
+    sizes ascending, each row one component's indices in ascending order;
+    None when m is one component, at once when it has no zero entry.
+
+    Each sweep lowers every label to the least label among its pattern
+    neighbours, one reduceat over the row-sorted list of nonzeros, and then
+    replaces each label by its label's label until that is stable."""
+    mask = m != 0
+    if mask.all():
+        return None
+    i, j = np.divmod(np.flatnonzero(mask | mask.T), m.shape[0])
+    starts = np.flatnonzero(np.diff(i, prepend=-1))
+    rows = i[starts]
+    label = np.arange(m.shape[0])
+    while True:
+        low = label.copy()
+        low[rows] = np.minimum(label[rows], np.minimum.reduceat(label[j], starts))
+        while not np.array_equal(low[low], low):
+            low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    sizes = np.bincount(label)[label]
+    if sizes[0] == len(label):
+        return None
+    order = np.lexsort((label, sizes))  # stable: indices ascend inside a component
+    bounds = np.flatnonzero(np.diff(sizes[order])) + 1
+    return [g.reshape(-1, sizes[g[0]]) for g in np.split(order, bounds)]
+
+
+def _symmetric_parts(
+    m: np.ndarray,
+) -> tuple[float, list[np.ndarray] | None, list[np.ndarray]]:
+    """(defect, groups, blocks) for a square m: defect is ||m - m†||_F, and
+    blocks holds (m + m†)/2 restricted to the components of _components, one
+    (count, size, size) stack per array of index rows in groups. A matrix of
+    size at most _WHOLE_MAX, with no zero entry, or of one component is one
+    block, the whole matrix, and groups is None. Entries outside the
+    components are 0 in m and m†, so the blockwise defect is the whole one
+    up to the order of summation."""
+    groups = _components(m) if m.shape[0] > _WHOLE_MAX else None
+    if groups is None:
+        return np.linalg.norm(m - dag(m)), None, [(m + dag(m)) / 2]
+    blocks = [m[ix[:, :, None], ix[:, None, :]] for ix in groups]
+    defect = np.linalg.norm([np.linalg.norm(b - dag(b)) for b in blocks])
+    return defect, groups, [(b + dag(b)) / 2 for b in blocks]
+
+
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a matrix Hermitian within DEFAULT_ATOL.
 
@@ -133,16 +192,33 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     degenerate eigenspace the basis is whichever one LAPACK returns: the same
     for the same input and build, but not canonical, so callers may rely only
     on the subspace it spans.
+
+    Above _WHOLE_MAX rows, a matrix with a zero entry is split into the
+    connected components of its exact nonzero pattern, and each component is
+    diagonalized on its own, one batched eigh per component size. The
+    components are exact invariant subspaces, so each eigenvector is exactly
+    zero outside its component, and no tolerance is involved.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    defect = np.linalg.norm(m - dag(m))
+    defect, groups, blocks = _symmetric_parts(m)
     if defect > DEFAULT_ATOL:
         raise NotHermitianError(
             f"matrix is not Hermitian within atol={DEFAULT_ATOL} (defect {defect:.3e})"
         )
-    w, v = np.linalg.eigh((m + dag(m)) / 2)
+    if groups is None:
+        w, v = np.linalg.eigh(blocks[0])
+    else:  # eigenpair k of component r of a group lands in column start + r * size + k
+        pairs = [np.linalg.eigh(b) for b in blocks]
+        w = np.concatenate([p[0].ravel() for p in pairs])
+        v = np.zeros(m.shape, pairs[0][1].dtype)
+        start = 0
+        for ix, (_, vecs) in zip(groups, pairs):
+            count, size = ix.shape
+            cols = np.arange(start, start + count * size).reshape(count, 1, size)
+            v[ix[:, :, None], cols] = vecs
+            start += count * size
     order = np.argsort(-w, kind="stable")
     return w[order], _fix_phases(v[:, order])
 
@@ -153,7 +229,10 @@ def require_state(rho: np.ndarray, atol: float = DEFAULT_ATOL) -> np.ndarray:
     Raises NotAStateError if an entry of rho is not finite (checked before
     any arithmetic), rho is not Hermitian within atol, has an eigenvalue
     below -atol, or its trace differs from 1 by more than atol. Each check
-    is written so that a nan fails it.
+    is written so that a nan fails it. As in eig_hermitian, a matrix above
+    _WHOLE_MAX rows with a zero entry has its Hermiticity defect and its
+    spectrum taken per connected component of its exact nonzero pattern;
+    the finiteness and trace checks are on the whole matrix.
     """
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -162,10 +241,14 @@ def require_state(rho: np.ndarray, atol: float = DEFAULT_ATOL) -> np.ndarray:
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise NotAStateError(f"entry ({i}, {j}) is {rho[i, j]}, not finite")
-    herm_defect = float(np.linalg.norm(rho - dag(rho)))
+    herm_defect, groups, blocks = _symmetric_parts(rho)
+    herm_defect = float(herm_defect)
     if not herm_defect <= atol:
         raise NotAStateError(f"not Hermitian within atol={atol} (defect {herm_defect:.3e})")
-    w = np.linalg.eigvalsh((rho + dag(rho)) / 2)  # ascending
+    if groups is None:
+        w = np.linalg.eigvalsh(blocks[0])  # ascending
+    else:
+        w = np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks]))
     if not w[0] >= -atol:
         raise NotAStateError(f"negative eigenvalue {w[0]:.3e} below -atol")
     tr = float(np.real(np.trace(rho)))

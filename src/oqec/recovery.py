@@ -89,10 +89,10 @@ def _canonical_errors(dec, ch, tol):
             residual=report.residual,
         )
     da, db, dv, de = dec.dim_a, dec.dim_b, dec.dim_v, len(ch.kraus)
+    ec = report.witnesses["e_code"]
     g = report.witnesses["b_blocks"].transpose(0, 2, 1, 3).reshape(de * db, de * db)
     d, mix = eig_hermitian(g)
     keep = d / db > SPECTRUM_CUTOFF
-    ec = ch.stacked_product(dec.code_vectors())
     # family[j * db + s] = F_(j,s), the dv x da block of E_j code at b = s
     family = ec.reshape(de, dv, da, db).transpose(0, 3, 1, 2).reshape(de * db, dv, da)
     canonical = np.tensordot(mix[:, keep].T, family, axes=1)

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oqec.linalg
 from oqec.errors import DimensionError, NotAStateError, NotHermitianError
 from oqec.linalg import (
+    _WHOLE_MAX,
     complete_basis,
     dag,
     eig_hermitian,
@@ -190,6 +193,115 @@ def test_eig_hermitian_deterministic_under_degeneracy():
 def test_eig_hermitian_rejects_nonhermitian():
     with pytest.raises(NotHermitianError):
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _whole_spectrum(m):
+    """require_state's spectrum on the whole matrix, as before blocks."""
+    return np.linalg.eigvalsh((m + dag(m)) / 2)[::-1]
+
+
+def _whole_eig(m):
+    """eig_hermitian on the whole matrix, as before blocks."""
+    w, v = np.linalg.eigh((m + dag(m)) / 2)
+    order = np.argsort(-w, kind="stable")
+    return w[order], oqec.linalg._fix_phases(v[:, order])
+
+
+def _permuted_block_state(sizes, rng, complex_):
+    """A unit-trace PSD matrix with one block of each size, conjugated by a
+    random permutation; returns it with the index set of each block. A
+    block is dense, of random rank so that zero eigenvalues occur, or a
+    diagonally dominant path, connected only through its neighbours."""
+    n = sum(sizes)
+    m = np.zeros((n, n), complex if complex_ else float)
+    start = 0
+    for k in sizes:
+        if k > 2 and rng.random() < 0.5:
+            off = rng.uniform(0.1, 1, k - 1)
+            if complex_:
+                off = off * np.exp(2j * np.pi * rng.random(k - 1))
+            block = np.diag(off, 1)
+            block = block + dag(block) + 2 * np.eye(k)
+        else:
+            g = rng.normal(size=(k, int(rng.integers(1, k + 1))))
+            if complex_:
+                g = g + 1j * rng.normal(size=g.shape)
+            block = g @ dag(g)
+        m[start:start + k, start:start + k] = block
+        start += k
+    perm = rng.permutation(n)
+    inverse = np.argsort(perm)  # row i of the result is row perm[i] of m
+    bounds = np.cumsum([0, *sizes])
+    blocks = [np.sort(inverse[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return m[np.ix_(perm, perm)] / np.trace(m).real, blocks
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    sizes=st.lists(st.integers(1, 7), min_size=1, max_size=40),
+    seed=st.integers(0, 2**16),
+    complex_=st.booleans(),
+)
+def test_blockwise_spectra_match_the_whole_matrix(sizes, seed, complex_):
+    """Above _WHOLE_MAX, the components of a permuted block-diagonal matrix
+    are its blocks, the blockwise spectrum is the whole one, and each
+    eigenvector is exactly 0 outside its block."""
+    while sum(sizes) <= _WHOLE_MAX:
+        sizes = sizes * 2
+    m, blocks = _permuted_block_state(sizes, np.random.default_rng(seed), complex_)
+    groups = oqec.linalg._components(m)
+    found = sorted(tuple(row) for ix in groups for row in ix)
+    assert found == sorted(tuple(b) for b in blocks)
+    scale = np.linalg.norm(m)
+    ref = np.linalg.eigvalsh(m)[::-1]
+    assert np.abs(require_state(m) - ref).max() <= 1e-13 * scale
+    w, v = eig_hermitian(m)
+    assert np.abs(w - ref).max() <= 1e-13 * scale
+    assert np.linalg.norm(v * w @ dag(v) - m) <= 1e-13 * scale
+    assert np.linalg.norm(dag(v) @ v - np.eye(len(m))) <= 1e-13
+    assert np.count_nonzero(v) <= sum(k * k for k in sizes)
+
+
+def test_one_component_and_small_matrices_take_the_whole_path():
+    """A matrix of one component above _WHOLE_MAX (a chain), one with no zero
+    entry, and a block-diagonal one at _WHOLE_MAX give bit for bit what the
+    whole-matrix lines give."""
+    rng = _rng(67)
+    n = _WHOLE_MAX + 16
+    chain = np.diag(rng.uniform(1, 2, n)) + np.diag(rng.normal(size=n - 1) * 0.1, 1)
+    chain = chain + chain.T
+    dense = random_density_matrix(n, rng)
+    small, _ = _permuted_block_state([3] * (_WHOLE_MAX // 3) + [1], rng, True)
+    assert len(small) == _WHOLE_MAX
+    for m in (chain / np.trace(chain), dense, small):
+        assert oqec.linalg._components(m) is None or len(m) <= _WHOLE_MAX
+        np.testing.assert_array_equal(require_state(m), _whole_spectrum(m))
+        for got, want in zip(eig_hermitian(m), _whole_eig(m)):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_require_state_rejects_bad_block_diagonal_inputs(monkeypatch):
+    """Each check still fails on the block path, with the whole path's
+    message; a non-finite entry is named before any labelling."""
+    rho, blocks = _permuted_block_state([3] * 30, _rng(71), True)
+    i, j = blocks[0][0], blocks[1][0]
+    lone = rho.copy()
+    lone[i, j] = 1e-6  # m[j, i] stays 0: i and j join one component
+    message = "not Hermitian within atol=1e-09 \\(defect 1.414e-06\\)"
+    with pytest.raises(NotAStateError, match=message):
+        require_state(lone)
+    negative = rho.copy()
+    negative[i, i] -= 1.0  # a negative eigenvalue inside one block
+    negative[j, j] += 1.0
+    with pytest.raises(NotAStateError, match="negative eigenvalue -.* below -atol"):
+        require_state(negative)
+    with pytest.raises(NotAStateError, match="trace .* differs from 1 beyond atol"):
+        require_state(2 * rho)
+    bad = rho.copy()
+    bad[j, i] = np.nan
+    monkeypatch.setattr(oqec.linalg, "_components", lambda m: pytest.fail("labelled"))
+    with pytest.raises(NotAStateError, match=f"entry \\({j}, {i}\\) is .*nan.*, not finite"):
+        require_state(bad)
 
 
 def test_require_state_accepts_density_matrix():

@@ -42,6 +42,7 @@ from oqec.recovery import (
 )
 from oqec.spaces import Decomposition, embed_state
 from choi_oracle import choi_distance
+from pauli_noise import weight_one_depolarizing
 from random_states import random_density_matrix
 
 CORRECTABLE = [e.name for e in catalog() if all(e.expected.values())]
@@ -419,6 +420,37 @@ def test_factorize_every_correctable_catalog_entry(name):
     assert validate(fac.n_b).trace_preserving
     code = entry.dec.code_vectors()
     assert choi_distance(Channel(entry.noise.kraus @ code), _rebuilt(fac, entry.dec.dim_a)) <= 1e-12
+
+
+def test_factors_of_pauli_noise_are_exactly_sparse(bacon_shor_9):
+    """Pauli errors of different syndromes reach orthogonal subspaces, so
+    condition b's Gram witness splits into components that are diagonalized
+    one by one, and every factor entry outside a component is exactly 0:
+    no eigensolver rounding reaches w or N, and w is an isometry exactly."""
+    fac = factorize_product(bacon_shor_9.dec, bacon_shor_9.noise)
+    assert np.count_nonzero(fac.w) == 512
+    assert np.count_nonzero(fac.n_b.kraus) == 160
+    assert np.count_nonzero(dag(fac.w) @ fac.w - np.eye(fac.w.shape[1])) == 0
+    depolarized = factorize_product(bacon_shor_9.dec, weight_one_depolarizing(9, 0.003))
+    assert np.count_nonzero(depolarized.w) == 2048
+
+
+def test_synthesis_and_factorization_form_one_stacked_product(monkeypatch):
+    """Condition b's gate and the canonical errors share one E code."""
+    calls = []
+    original = Channel.stacked_product
+
+    def counting(self, x):
+        calls.append(self)
+        return original(self, x)
+
+    monkeypatch.setattr(Channel, "stacked_product", counting)
+    for name in [*CORRECTABLE, "bacon_shor_9"]:
+        entry = get(name)
+        for run in (*SYNTHESIZERS, factorize_product):
+            calls.clear()
+            run(entry.dec, entry.noise)
+            assert len(calls) == 1 and calls[0] is entry.noise, (name, run.__name__)
 
 
 def test_factorize_refuses_the_mismatched_catalog_entry():
