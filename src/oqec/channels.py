@@ -31,7 +31,7 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
     """Immutable Kraus-form channel.
 
@@ -45,7 +45,7 @@ class Channel:
     made read-only and kept, with no copy. Figures that depend only on the
     operators, the completeness Gram matrix and the index of each row's one
     nonzero cell, are computed on first use and kept; the dense stack stays
-    the one representation.
+    the one representation. Equality and hashing are by identity.
     """
 
     kraus: np.ndarray
@@ -134,26 +134,26 @@ class ChannelReport:
     defect: float
 
 
-def validate(ch: Channel, atol: float = DEFAULT_ATOL) -> ChannelReport:
-    """Completeness check: defect = ||sum E†E - 1||_F.
+def validate(ch: Channel) -> ChannelReport:
+    """Completeness check: defect = ||sum E†E - 1||_F, trace preserving when
+    it is at most DEFAULT_ATOL.
 
     The Gram matrix sum E†E is formed once per channel and reused by every
-    later call, whatever its atol: one product of the stacked operators, real
-    for real operators, or, for a stack indexed by its one cell per row, the
-    diagonal of the cells' squared magnitudes, one bincount by column. A
-    Kraus set whose Gram matrix overflows is reported as trace increasing,
-    defect inf.
+    later call: one product of the stacked operators, real for real
+    operators, or, for a stack indexed by its one cell per row, the diagonal
+    of the cells' squared magnitudes, one bincount by column. A Kraus set
+    whose Gram matrix overflows is reported as trace increasing, defect inf.
     """
     g, defect = ch._gram
-    if defect <= atol:
+    if defect <= DEFAULT_ATOL:
         # No eigen-solve needed for a trace-preserving channel:
-        # lambda_max((G+G†)/2) - 1 <= ||G - 1||_2 <= ||G - 1||_F = defect <= atol.
+        # lambda_max((G+G†)/2) - 1 <= ||G - 1||_2 <= ||G - 1||_F = defect.
         return ChannelReport(trace_preserving=True, trace_nonincreasing=True, defect=defect)
     # halves first: g + g† can overflow where g is finite
     top = np.inf if g is None else float(np.linalg.eigvalsh(g / 2 + dag(g) / 2).max())
     return ChannelReport(
         trace_preserving=False,
-        trace_nonincreasing=top <= 1.0 + atol,
+        trace_nonincreasing=top <= 1.0 + DEFAULT_ATOL,
         defect=defect,
     )
 

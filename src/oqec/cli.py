@@ -3,9 +3,9 @@
 Verbs: check, recover, factorize, dpi, codes. Exit codes: 0 for a positive
 verdict, 1 for a negative one (condition failed, not correctable, residual
 over tolerance, monotonicity violated), 2 for usage or input errors (noise
-that is not trace preserving, an input too large to allocate). The OQEC_TOL
-environment variable overrides the default tolerance; an explicit --tol
-beats both. The tolerance must be finite and positive.
+that is not trace preserving, an input too large to allocate). --tol sets
+the tolerance, DEFAULT_ATOL when it is absent; it must be finite and
+positive.
 """
 
 from __future__ import annotations
@@ -50,20 +50,12 @@ EXIT_INPUT = 2
 
 
 def _tolerance(args) -> float:
-    """--tol, else OQEC_TOL, else the default; it must be finite and positive."""
-    if args.tol is not None:
-        name, tol = "--tol", args.tol
-    else:
-        raw = os.environ.get("OQEC_TOL")
-        if raw is None:
-            return DEFAULT_ATOL
-        try:
-            name, tol = "OQEC_TOL", float(raw)
-        except ValueError as exc:
-            raise ValueError(f"OQEC_TOL={raw!r} is not a number") from exc
-    if not 0 < tol < math.inf:
-        raise ValueError(f"{name} must be a finite positive tolerance, got {tol}")
-    return tol
+    """--tol, else DEFAULT_ATOL; it must be finite and positive."""
+    if args.tol is None:
+        return DEFAULT_ATOL
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"--tol must be a finite positive tolerance, got {args.tol}")
+    return args.tol
 
 
 def _meta(tol: float) -> dict:

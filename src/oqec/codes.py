@@ -21,7 +21,7 @@ from .spaces import Decomposition
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CatalogEntry:
     name: str
     dec: Decomposition

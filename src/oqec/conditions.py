@@ -30,7 +30,6 @@ from .linalg import (
     SPECTRUM_CUTOFF,
     gram,
     partial_trace,
-    require_state,
     von_neumann_entropy,
 )
 from .spaces import Decomposition
@@ -39,7 +38,7 @@ from .spaces import Decomposition
 _JOINT = (0, 1, 3)  # R_A R_B E, the complement of V
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PurifiedState:
     """Joint pure state of reference, system, and environment after the noise.
 
@@ -61,7 +60,7 @@ class PurifiedState:
     dims: tuple[int, int, int, int]
     psi: np.ndarray
     norm_in: float
-    _marginals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _marginals: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         psi = np.asarray(self.psi).reshape(-1)
@@ -102,7 +101,7 @@ class PurifiedState:
         return rho
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionReport:
     """Outcome of one correctability test: passed iff residual <= tol."""
 
@@ -246,16 +245,17 @@ def check_condition_d(ps: PurifiedState, tol: float = DEFAULT_ATOL) -> Condition
     )
 
 
-def coherent_info(rho: np.ndarray, dim_r: int, dim_v: int, atol: float = DEFAULT_ATOL) -> float:
-    """-S(R|V) = S(rho_V) - S(rho_RV) in bits, for a state on R tensor V."""
+def coherent_info(rho: np.ndarray, dim_r: int, dim_v: int) -> float:
+    """-S(R|V) = S(rho_V) - S(rho_RV) in bits, for a state on R tensor V.
+    rho is diagonalized once, and checked before rho_V is formed."""
     rho = np.asarray(rho)
     if dim_r < 1 or dim_v < 1 or rho.shape != (dim_r * dim_v, dim_r * dim_v):
         raise DimensionError(
             f"state shape {rho.shape} does not split as {dim_r} x {dim_v}"
         )
-    require_state(rho, atol)
+    s_rv = von_neumann_entropy(rho)
     rho_v = partial_trace(rho, [dim_r, dim_v], keep=(1,))
-    return von_neumann_entropy(rho_v, atol) - von_neumann_entropy(rho, atol)
+    return von_neumann_entropy(rho_v) - s_rv
 
 
 def dpi_trace(dec: Decomposition, chain: Sequence[Channel]) -> list[float]:

@@ -120,17 +120,16 @@ def partial_trace(m: np.ndarray, dims: Iterable[int], keep: Iterable[int]) -> np
     return t.reshape(d_keep, d_keep)
 
 
-def _fix_phases(vecs: np.ndarray, cutoff: float = SPECTRUM_CUTOFF) -> np.ndarray:
-    """Rotate each column so its first significant entry is real nonnegative;
-    for real columns the rotation is a sign."""
-    out = np.array(vecs, copy=True)
-    for i in range(out.shape[1]):
-        col = out[:, i]
-        nz = np.flatnonzero(np.abs(col) > cutoff)
-        if nz.size:
-            pivot = col[nz[0]]
-            out[:, i] = col * (pivot.conjugate() / abs(pivot))
-    return out
+def _fix_phases(vecs: np.ndarray) -> np.ndarray:
+    """Rotate each column so its first entry of magnitude above
+    SPECTRUM_CUTOFF is real nonnegative; for real columns the rotation is a
+    sign. A unit column of n entries has one of magnitude at least 1/sqrt(n)."""
+    if not vecs.size:  # a 0 x 0 matrix has no pivot for argmax to find
+        return vecs
+    first = np.argmax(np.abs(vecs) > SPECTRUM_CUTOFF, axis=0)
+    pivot = vecs[first, np.arange(vecs.shape[1])]
+    # hypot rounds |pivot| as abs() of a scalar does; np.abs of a complex array may not
+    return vecs * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
 def _components(m: np.ndarray) -> list[np.ndarray] | None:
@@ -223,16 +222,17 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], _fix_phases(v[:, order])
 
 
-def require_state(rho: np.ndarray, atol: float = DEFAULT_ATOL) -> np.ndarray:
+def require_state(rho: np.ndarray) -> np.ndarray:
     """Check the density-matrix contract and return the spectrum, descending.
 
     Raises NotAStateError if an entry of rho is not finite (checked before
-    any arithmetic), rho is not Hermitian within atol, has an eigenvalue
-    below -atol, or its trace differs from 1 by more than atol. Each check
-    is written so that a nan fails it. As in eig_hermitian, a matrix above
-    _WHOLE_MAX rows with a zero entry has its Hermiticity defect and its
-    spectrum taken per connected component of its exact nonzero pattern;
-    the finiteness and trace checks are on the whole matrix.
+    any arithmetic), rho is not Hermitian within DEFAULT_ATOL, has an
+    eigenvalue below -DEFAULT_ATOL, or its trace differs from 1 by more than
+    DEFAULT_ATOL. Each check is written so that a nan fails it. As in
+    eig_hermitian, a matrix above _WHOLE_MAX rows with a zero entry has its
+    Hermiticity defect and its spectrum taken per connected component of its
+    exact nonzero pattern; the finiteness and trace checks are on the whole
+    matrix.
     """
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -243,25 +243,27 @@ def require_state(rho: np.ndarray, atol: float = DEFAULT_ATOL) -> np.ndarray:
         raise NotAStateError(f"entry ({i}, {j}) is {rho[i, j]}, not finite")
     herm_defect, groups, blocks = _symmetric_parts(rho)
     herm_defect = float(herm_defect)
-    if not herm_defect <= atol:
-        raise NotAStateError(f"not Hermitian within atol={atol} (defect {herm_defect:.3e})")
+    if not herm_defect <= DEFAULT_ATOL:
+        raise NotAStateError(
+            f"not Hermitian within atol={DEFAULT_ATOL} (defect {herm_defect:.3e})"
+        )
     if groups is None:
         w = np.linalg.eigvalsh(blocks[0])  # ascending
     else:
         w = np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks]))
-    if not w[0] >= -atol:
+    if not w[0] >= -DEFAULT_ATOL:
         raise NotAStateError(f"negative eigenvalue {w[0]:.3e} below -atol")
     tr = float(np.real(np.trace(rho)))
-    if not abs(tr - 1.0) <= atol:
-        raise NotAStateError(f"trace {tr!r} differs from 1 beyond atol={atol}")
+    if not abs(tr - 1.0) <= DEFAULT_ATOL:
+        raise NotAStateError(f"trace {tr!r} differs from 1 beyond atol={DEFAULT_ATOL}")
     return w[::-1]
 
 
-def von_neumann_entropy(rho: np.ndarray, atol: float = DEFAULT_ATOL) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy in bits. -w log2 w tends to 0 as w does, so every
     positive eigenvalue contributes, however small, and only w <= 0 gives 0.
     A pure state gives +0.0, never -0.0."""
-    w = require_state(rho, atol)
+    w = require_state(rho)
     w = w[w > 0]
     return float(0.0 - np.dot(w, np.log2(w)))
 

@@ -41,7 +41,7 @@ from .linalg import (
 from .spaces import Decomposition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Recovery:
     """A synthesized recovery channel plus the construction's working data."""
 
@@ -50,7 +50,7 @@ class Recovery:
     data: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Factorization:
     """E_l code = w (1_A tensor N_l) for the Kraus operators N_l of n_b, with
     w an isometry, both up to the residual."""

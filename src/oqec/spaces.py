@@ -22,9 +22,10 @@ from .errors import DimensionError
 from .linalg import DEFAULT_ATOL, dag, gram, kron, require_state, storage_stack
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
-    """V = (A tensor B) + C with an optional frame, kept as its dim_v x dim_code code isometry."""
+    """V = (A tensor B) + C with an optional frame, kept as its dim_v x dim_code code isometry.
+    Equality and hashing are by identity."""
 
     dim_a: int
     dim_b: int
@@ -75,20 +76,16 @@ def projector_p(dec: Decomposition) -> np.ndarray:
     return code @ dag(code)
 
 
-def embed_state(
-    dec: Decomposition,
-    rho_a: np.ndarray,
-    sigma_b: np.ndarray,
-    atol: float = DEFAULT_ATOL,
-) -> np.ndarray:
-    """Place the product state rho_a tensor sigma_b on the code sector of V."""
+def embed_state(dec: Decomposition, rho_a: np.ndarray, sigma_b: np.ndarray) -> np.ndarray:
+    """Place the product state rho_a tensor sigma_b on the code sector of V;
+    each factor must pass require_state."""
     rho_a = np.asarray(rho_a)
     sigma_b = np.asarray(sigma_b)
     if rho_a.shape != (dec.dim_a, dec.dim_a):
         raise DimensionError(f"rho_a shape {rho_a.shape} does not match dim_a={dec.dim_a}")
     if sigma_b.shape != (dec.dim_b, dec.dim_b):
         raise DimensionError(f"sigma_b shape {sigma_b.shape} does not match dim_b={dec.dim_b}")
-    require_state(rho_a, atol)
-    require_state(sigma_b, atol)
+    require_state(rho_a)
+    require_state(sigma_b)
     code = dec.code_vectors()
     return code @ kron(rho_a, sigma_b) @ dag(code)

@@ -12,10 +12,10 @@ import numpy as np
 
 from oqec.channels import Channel, apply
 from oqec.conditions import coherent_info
-from oqec.linalg import DEFAULT_ATOL, kron
+from oqec.linalg import kron
 
 
-def dense_dpi_trace(dec, chain, atol=DEFAULT_ATOL) -> list:
+def dense_dpi_trace(dec, chain) -> list:
     da, db, dv = dec.dim_a, dec.dim_b, dec.dim_v
     code = dec.code_vectors()
     rho = np.zeros((da * dv, da * dv), dtype=np.complex128)
@@ -26,8 +26,8 @@ def dense_dpi_trace(dec, chain, atol=DEFAULT_ATOL) -> list:
             w += kron(eye_a[a], code[:, a * db + b])
         rho += np.outer(w, w.conj())
     rho /= da * db
-    values = [coherent_info(rho, da, dv, atol)]
+    values = [coherent_info(rho, da, dv)]
     for ch in chain:
         rho = apply(Channel(np.kron(eye_a, ch.kraus)), rho)
-        values.append(coherent_info(rho, da, dv, atol))
+        values.append(coherent_info(rho, da, dv))
     return values

@@ -26,7 +26,7 @@ from oqec.conditions import (
     purify,
 )
 from oqec.errors import DegenerateChannelError, DimensionError, NotAStateError
-from oqec.linalg import DEFAULT_ATOL, dag, gram, haar_unitary, kron, von_neumann_entropy
+from oqec.linalg import dag, gram, haar_unitary, kron, von_neumann_entropy
 from oqec.recovery import synthesize_schmidt_recovery
 from oqec.spaces import Decomposition
 
@@ -348,6 +348,21 @@ def test_three_conditions_agree_on_fixtures():
         assert rb.passed == rc.passed == rd.passed == entry.expected["b"]
 
 
+def test_coherent_info_diagonalizes_rho_once(monkeypatch):
+    """One spectrum of rho both checks it and gives S(RV); a matrix that is
+    not a state is still refused."""
+    rng = _rng(53)
+    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = g @ dag(g) / np.trace(g @ dag(g)).real
+    shapes = []
+    original = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or original(m))
+    coherent_info(rho, 2, 4)
+    assert sorted(shapes) == [(4, 4), (8, 8)]
+    with pytest.raises(NotAStateError):
+        coherent_info(2 * rho, 2, 4)
+
+
 def test_coherent_info_frozen_values():
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / np.sqrt(2)
@@ -467,9 +482,9 @@ def test_condition_d_diagonalizes_the_smaller_side(monkeypatch, kraus, side):
     diagonalized = []
     original = oqec.linalg.require_state
 
-    def recording(rho, atol=DEFAULT_ATOL):
+    def recording(rho):
         diagonalized.append(rho.shape[0])
-        return original(rho, atol)
+        return original(rho)
 
     monkeypatch.setattr(oqec.linalg, "require_state", recording)
     check_condition_d(ps)

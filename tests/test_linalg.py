@@ -262,6 +262,41 @@ def test_blockwise_spectra_match_the_whole_matrix(sizes, seed, complex_):
     assert np.count_nonzero(v) <= sum(k * k for k in sizes)
 
 
+def _fix_phases_loop(vecs, cutoff=oqec.linalg.SPECTRUM_CUTOFF):
+    """The column-by-column phase fix that _fix_phases replaces."""
+    out = np.array(vecs, copy=True)
+    for i in range(out.shape[1]):
+        col = out[:, i]
+        nz = np.flatnonzero(np.abs(col) > cutoff)
+        if nz.size:
+            pivot = col[nz[0]]
+            out[:, i] = col * (pivot.conjugate() / abs(pivot))
+    return out
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_fix_phases_matches_the_column_loop_bit_for_bit(monkeypatch, complex_):
+    """Signed zeros included, on random eigenbases and on the blockwise
+    scattered ones eig_hermitian builds, whose pivots follow exact zeros."""
+    rng = _rng(71)
+    for n in [0, 1, 2, 3, 5, 8, 17, 40, 100]:
+        g = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_ else 0)
+        _, v = np.linalg.eigh(g + dag(g))
+        assert _same_bits(oqec.linalg._fix_phases(v), _fix_phases_loop(v))
+    phased = []
+    original = oqec.linalg._fix_phases
+    monkeypatch.setattr(oqec.linalg, "_fix_phases", lambda v: phased.append(v) or original(v))
+    for seed in range(4):
+        m, _ = _permuted_block_state([1, 2, 3, 5] * 8, _rng(seed), complex_)
+        _, v = eig_hermitian(m)
+        assert _same_bits(v, _fix_phases_loop(phased[-1]))
+    assert len(phased) == 4
+
+
 def test_one_component_and_small_matrices_take_the_whole_path():
     """A matrix of one component above _WHOLE_MAX (a chain), one with no zero
     entry, and a block-diagonal one at _WHOLE_MAX give bit for bit what the

@@ -515,3 +515,25 @@ def test_recovery_dataclass_carries_method_tag():
     assert r2.method == "universal"
     assert r1.data["condition_b_residual"] < 1e-12
     assert r2.data["condition_b_residual"] < 1e-12
+
+
+def test_objects_holding_arrays_compare_by_identity():
+    """== on a Channel, Decomposition, PurifiedState, ConditionReport,
+    Recovery, Factorization or CatalogEntry gives a bool, True only for the
+    object itself, and each works in a set."""
+    entry = get("bit_flip_3")
+    objects = [
+        entry.noise,
+        entry.dec,
+        purify(entry.dec, entry.noise),
+        check_condition_b(entry.dec, entry.noise),
+        synthesize_schmidt_recovery(entry.dec, entry.noise),
+        factorize_product(entry.dec, entry.noise),
+        entry,
+    ]
+    for obj in objects:
+        assert (obj == obj) is True and (obj != obj) is False
+        assert obj in {obj}
+    assert len(set(objects)) == len(objects)
+    assert (Channel([np.eye(2)]) == Channel([np.eye(2)])) is False
+    assert (Decomposition(1, 2) == Decomposition(1, 2)) is False
