@@ -91,18 +91,16 @@ def cmd_check(args) -> int:
     tol = _tolerance(args)
     dec, ch = _load_pair(args)
     wanted = ["b", "c", "d"] if args.condition == "all" else [args.condition]
-    reports = []
-    ps = None
+    reports, ps = [], None
     for cond in wanted:
-        if cond == "b":
+        if cond == "b":  # b's purified state serves c and d
             reports.append(check_condition_b(dec, ch, tol))
+            ps = reports[-1].witnesses["state"]
         else:
             if ps is None:
                 ps = purify(dec, ch)
-            if cond == "c":
-                reports.append(check_condition_c(ps, tol))
-            else:
-                reports.append(check_condition_d(ps, tol))
+            check = check_condition_c if cond == "c" else check_condition_d
+            reports.append(check(ps, tol))
     payload = {
         "meta": _meta(tol),
         "conditions": [condition_report_to_json(r) for r in reports],

@@ -1,7 +1,7 @@
 """Correctability tests for a noise channel on a subsystem decomposition.
 
 Three equivalent characterizations of when noise E is correctable on factor A
-of V = (A tensor B) + C, each checked numerically with its own witness data:
+of V = (A tensor B) + C, each a test of one matrix, the pair matrix of E code:
 
 * algebraic: every P E_j† E_k P acts as 1_A tensor B_jk on the code sector;
 * product: after sending half of a maximally entangled reference pair through
@@ -9,16 +9,16 @@ of V = (A tensor B) + C, each checked numerically with its own witness data:
 * entropic: the entropy budget S(V') - S(R_B E') returns exactly the log of
   the protected dimension.
 
-The purified state behind the last two lives on R_A tensor R_B tensor V
-tensor E in that factor order, where R_A and R_B mirror A and B and E is the
-noise environment with one axis per Kraus operator. Both read one matrix,
-the reference-environment marginal rho'_{R_A R_B E}, and its reductions: one
-Gram product of the state serves c and d.
+The purified state behind them lives on R_A tensor R_B tensor V tensor E in
+that factor order, where R_A and R_B mirror A and B and E is the noise
+environment with one axis per Kraus operator. purify forms E code once, its
+state forms the pair matrix once, and b, c and d read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,40 +42,47 @@ _JOINT = (0, 1, 3)  # R_A R_B E, the complement of V
 class PurifiedState:
     """Joint pure state of reference, system, and environment after the noise.
 
-    dims is (dim_ra, dim_rb, dim_v, dim_e); psi is the normalized state
-    vector, flattened row-major over those factors; norm_in is the squared
-    norm before renormalization (1 for trace-preserving noise).
+    dims is (dim_ra, dim_rb, dim_v, dim_e); x is the product X = E code,
+    unnormalized, in the (dim_e dim_v, dim_ra dim_rb) layout of
+    Channel.stacked_product, so psi[a, b, v, e] = x[(e, v), (a, b)] /
+    sqrt(dim_ra dim_rb norm_in); norm_in is the squared norm of psi before
+    renormalization (1 for trace-preserving noise). An x with a non-finite
+    entry is rejected, naming the entry by its (R_A, R_B, V, E) index.
 
-    psi is pure, so complementary marginals share their nonzero spectrum:
-    S(V') = S(R_A R_B E'), and an entropy can be read from whichever side is
-    smaller. A psi with a non-finite entry is rejected, naming the entry by
-    its (R_A, R_B, V, E) index, before any arithmetic. Each marginal is
-    formed once and kept read-only for later callers. The joint
-    rho'_{R_A R_B E} and every marginal that keeps V are Gram products
-    psi_K psi_K†, with psi_K the (kept, rest) reshape of psi; every other
-    marginal of R_A, R_B and E is a partial trace of the joint, whatever
-    order they are asked for in.
+    psi is pure, so S(V') = S(R_A R_B E'), read from the smaller side. Each
+    marginal is formed once, normalized (x never is) and kept read-only. The
+    joint rho'_{R_A R_B E} is condition b's pair matrix m = X_V† X_V, X_V the
+    (dim_v, dim_e dim_ra dim_rb) reshape of x, formed once and kept,
+    conjugated with (E, R_A R_B) swapped. Every other marginal that keeps V
+    is a Gram product of the (kept, rest) reshape of x; every other
+    marginal of R_A, R_B and E is a partial trace of the joint.
     """
 
     dims: tuple[int, int, int, int]
-    psi: np.ndarray
+    x: np.ndarray
     norm_in: float
     _marginals: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        psi = np.asarray(self.psi).reshape(-1)
-        if psi.size != int(np.prod(self.dims)):
-            raise DimensionError(
-                f"state of size {psi.size} does not match factors {self.dims}"
-            )
-        finite = np.isfinite(psi)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            at = tuple(int(j) for j in np.unravel_index(i, self.dims))
-            raise NotAStateError(f"psi entry {at} is {psi[i]}, not finite")
-        psi = psi.copy()
-        psi.flags.writeable = False
-        object.__setattr__(self, "psi", psi)
+        da, db, dv, de = self.dims
+        x = np.array(self.x).reshape(-1)
+        if x.size != da * db * dv * de:
+            raise DimensionError(f"product of size {x.size} does not match factors {self.dims}")
+        if not np.isfinite(x).all():
+            i = int(np.argmin(np.isfinite(x)))
+            e, v, a, b = (int(j) for j in np.unravel_index(i, (de, dv, da, db)))
+            raise NotAStateError(f"x entry {(a, b, v, e)} is {x[i]}, not finite")
+        x = x.reshape(de * dv, da * db)
+        x.flags.writeable = False
+        object.__setattr__(self, "x", x)
+
+    @cached_property
+    def _pairs(self) -> np.ndarray:
+        """m[(j, a, b), (k, c, d)] = <a, b| E_j† E_k |c, d>, read-only."""
+        da, db, dv, de = self.dims
+        m = gram(self.x.reshape(de, dv, da * db).transpose(1, 0, 2).reshape(dv, -1))
+        m.flags.writeable = False
+        return m
 
     def marginal(self, keep: Iterable[int]) -> np.ndarray:
         """Density matrix of the kept factors (0=R_A, 1=R_B, 2=V, 3=E), read-only."""
@@ -84,12 +91,16 @@ class PurifiedState:
             raise DimensionError(f"keep indices {list(keep)} out of range")
         rho = self._marginals.get(keep)
         if rho is None:
-            dim = int(np.prod([self.dims[i] for i in keep]))
-            if keep == _JOINT or 2 in keep:
+            da, db, dv, de = self.dims
+            dim, sq = int(np.prod([self.dims[i] for i in keep])), da * db * self.norm_in
+            if keep == _JOINT:  # conj(m), its (e, a, b) read as (a, b, e)
+                t = self._pairs.reshape(de, da * db, de, da * db).transpose(1, 0, 3, 2)
+                rho = np.divide(t.conj(), sq, order="C").reshape(dim, dim)
+            elif 2 in keep:
                 rest = [i for i in range(4) if i not in keep]
-                t = self.psi.reshape(self.dims).transpose(list(keep) + rest)
-                mat = t.reshape(dim, -1)
-                rho = gram(mat.T).conj()  # mat mat† = conj((mat^T)† mat^T)
+                t = self.x.reshape(de, dv, da, db).transpose(2, 3, 1, 0)  # (a, b, v, e)
+                mat = t.transpose(list(keep) + rest).reshape(dim, -1)
+                rho = gram(mat.T).conj() / sq  # mat mat† = conj((mat^T)† mat^T)
             else:  # trace out the joint's other factors, last first
                 t = self.marginal(_JOINT).reshape([self.dims[i] for i in _JOINT] * 2)
                 for ax in (2, 1, 0):
@@ -120,23 +131,31 @@ def purify(
     The input is the canonical purification of the maximally mixed state on
     the code sector: R_A mirrors A, R_B mirrors B. Each Kraus operator is
     tagged by one environment basis vector. For trace-decreasing noise
-    (explicitly allowed) the state is renormalized and the pre-normalization
-    squared norm is kept in norm_in.
+    (explicitly allowed) the marginals are renormalized by the state's
+    squared norm before renormalization, kept in norm_in.
     """
     if ch.dim_in != dec.dim_v or ch.dim_out != dec.dim_v:
         raise DimensionError(
             f"channel acts on {ch.dim_in} -> {ch.dim_out}, decomposition has dim_v={dec.dim_v}"
         )
     require_valid(ch, allow_trace_decreasing=allow_trace_decreasing)
-    da, db, dv, de = dec.dim_a, dec.dim_b, dec.dim_v, len(ch.kraus)
-    imgs = ch.stacked_product(dec.code_vectors())  # rows (e, v), columns (a, b)
-    sq = float(np.vdot(imgs, imgs).real)
-    norm_in = sq / (da * db)
+    x = ch.stacked_product(dec.code_vectors())  # rows (e, v), columns (a, b)
+    norm_in = float(np.vdot(x, x).real) / dec.dim_code
     if norm_in <= SPECTRUM_CUTOFF:
         raise DegenerateChannelError("channel annihilates the code sector")
-    t = imgs.reshape(de, dv, da, db).transpose(2, 3, 1, 0)
-    psi = np.divide(t, np.sqrt(sq), order="C")  # (a, b, v, e), C order
-    return PurifiedState((da, db, dv, de), psi.reshape(-1), norm_in)
+    return PurifiedState((dec.dim_a, dec.dim_b, dec.dim_v, len(ch.kraus)), x, norm_in)
+
+
+def _defect(ps: PurifiedState) -> tuple[np.ndarray, np.ndarray]:
+    """b's blocks B_jk, the A-averages of the code-sector blocks M_jk of the
+    pair matrix, and M_jk - 1_A tensor B_jk, indexed (j, a, b, k, c, d)."""
+    da, db, dv, de = ps.dims
+    m = ps._pairs.reshape(de, da, db, de, da, db)
+    blocks = np.einsum("jabkad->jkbd", m) / da
+    m = m.copy()
+    for a in range(da):
+        m[:, a, :, :, a, :] -= blocks.transpose(0, 2, 1, 3)
+    return blocks, m
 
 
 def check_condition_b(
@@ -153,23 +172,13 @@ def check_condition_b(
     report residual aggregates all pairs in quadrature, which makes it
     invariant under unitary remixing of the Kraus list. The witnesses are the
     blocks as one (k, k, dim_b, dim_b) array b_blocks, the pair deviations as
-    one (k, k) array pair_residuals, the worst pair, and the product they are
-    read from, E code with rows (k, v) and columns (a, b), as e_code.
+    one (k, k) array pair_residuals, the worst pair, and purify's state, whose
+    pair matrix they are read from, as state; so noise that annihilates the
+    code sector raises DegenerateChannelError.
     """
-    if ch.dim_in != dec.dim_v or ch.dim_out != dec.dim_v:
-        raise DimensionError(
-            f"channel acts on {ch.dim_in} -> {ch.dim_out}, decomposition has dim_v={dec.dim_v}"
-        )
-    require_valid(ch, allow_trace_decreasing=allow_trace_decreasing)
-    da, db, dv, de = dec.dim_a, dec.dim_b, dec.dim_v, len(ch.kraus)
-    ec = ch.stacked_product(dec.code_vectors())
-    rotated = ec.reshape(de, dv, da * db)
-    # m[j, a, b, k, c, d] = <a, b| E_j† E_k |c, d> on the code sector
-    m = gram(rotated.transpose(1, 0, 2).reshape(dv, -1)).reshape(de, da, db, de, da, db)
-    blocks = np.einsum("jabkad->jkbd", m) / da
-    for a in range(da):  # now M_jk - 1_A tensor B_jk
-        m[:, a, :, :, a, :] -= blocks.transpose(0, 2, 1, 3)
-    pair = np.sqrt(np.einsum("jabkcd,jabkcd->jk", m.conj(), m).real)
+    ps = purify(dec, ch, allow_trace_decreasing=allow_trace_decreasing)
+    blocks, diff = _defect(ps)
+    pair = np.sqrt(np.einsum("jabkcd,jabkcd->jk", diff.conj(), diff).real)
     worst = np.unravel_index(np.argmax(pair), pair.shape)
     residual = float(np.linalg.norm(pair))
     return ConditionReport(
@@ -182,7 +191,7 @@ def check_condition_b(
             "pair_residuals": pair,
             "max_pair": (int(worst[0]), int(worst[1])),
             "max_pair_residual": float(pair[worst]),
-            "e_code": ec,
+            "state": ps,
         },
     )
 
@@ -194,25 +203,17 @@ def check_condition_c(ps: PurifiedState, tol: float = DEFAULT_ATOL) -> Condition
     1_A / dim_a is the input R_A marginal; renormalized trace-decreasing
     noise can move the observed one, the witness rho_ra, away from it. Entry
     by entry the difference is b's M_jk - 1_A tensor B_jk over
-    dim_a dim_b norm_in, so residual_b = dim_a dim_b norm_in residual_c.
-    The lifted operator is never formed: rho'_{R_B E} / dim_a is subtracted
-    from each A-diagonal block of a copy of the joint.
+    dim_a dim_b norm_in, and that is how it is computed, so
+    residual_b = dim_a dim_b norm_in residual_c by construction.
     """
-    da = ps.dims[0]
-    rho_ra = ps.marginal((0,))
-    rho_rbe = ps.marginal((1, 3))
-    n = rho_rbe.shape[0]
-    diff = ps.marginal(_JOINT).reshape(da, n, da, n).copy()
-    share = rho_rbe * (1.0 / da)  # the diagonal blocks of 1_A / dim_a tensor rho_rbe
-    for a in range(da):
-        diff[a, :, a, :] -= share
-    residual = float(np.linalg.norm(diff))
+    da, db = ps.dims[:2]
+    residual = float(np.linalg.norm(_defect(ps)[1])) / (da * db * ps.norm_in)
     return ConditionReport(
         condition="c",
         passed=residual <= tol,
         residual=residual,
         tol=tol,
-        witnesses={"rho_ra": rho_ra, "rho_rbe": rho_rbe},
+        witnesses={"rho_ra": ps.marginal((0,)), "rho_rbe": ps.marginal((1, 3))},
     )
 
 

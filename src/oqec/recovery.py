@@ -2,18 +2,18 @@
 
 Restricted to the B basis state t, E_j is an A -> V operator F_(j,t), and
 condition b's blocks form the family's Gram matrix g: F_(j,s)† F_(k,t) =
-g_((j,s),(k,t)) 1_A for correctable noise. For any trace-preserving noise,
-conj(g) / dim_b with its (E, B) factors swapped is the reference-environment
-marginal rho'_{R_B E} of the purified state. One eigendecomposition of g
-gives canonical errors c_k = sum mix[:, k] F with orthogonal ranges and
-c_k† c_k = d_k 1_A, one per Schmidt weight q_k = d_k / dim_b above
-SPECTRUM_CUTOFF. The Schmidt recovery and factorize_product divide c_k by
-sqrt(d_k), into the orthonormal corrupted code vectors e_jk; the universal
-recovery snaps c_k to its polar isometry. Both recoveries are
-trace-preserving Kraus channels on V that restore any state of A, sending B
-to a fixed pure state: one Kraus operator per kept weight, plus, when their
-ranges leave part of V uncovered, the projector onto the rest, which leaves
-such states in place.
+g_((j,s),(k,t)) 1_A for correctable noise. F and g are read from b's state
+and blocks. For any trace-preserving noise, conj(g) / dim_b with its (E, B)
+factors swapped is the reference-environment marginal rho'_{R_B E} of that
+state. One eigendecomposition of g gives canonical errors c_k = sum
+mix[:, k] F with orthogonal ranges and c_k† c_k = d_k 1_A, one per Schmidt
+weight q_k = d_k / dim_b above SPECTRUM_CUTOFF. The Schmidt recovery and
+factorize_product divide c_k by sqrt(d_k), into the orthonormal corrupted
+code vectors e_jk; the universal recovery snaps c_k to its polar isometry.
+Both recoveries are trace-preserving Kraus channels on V that restore any
+state of A, sending B to a fixed pure state: one Kraus operator per kept
+weight, plus, when their ranges leave part of V uncovered, the projector
+onto the rest, which leaves such states in place.
 
 verify_recovery is the independent check: exact, from the code-sector
 blocks of the composite R o E, with bounds that hold over every code input.
@@ -80,7 +80,7 @@ class VerificationReport:
 def _canonical_errors(dec, ch, tol):
     """Gate on condition b at tol and diagonalize its Gram witness g; returns
     (b's residual, the kept weights q_k, the (rank, dv, da) stack of c_k, and
-    the product E code, rows (l, v) and columns (a, b))."""
+    the product E code of b's state, rows (l, v) and columns (a, b))."""
     report = check_condition_b(dec, ch, tol)
     if not report.passed:
         raise NotCorrectableError(
@@ -89,7 +89,7 @@ def _canonical_errors(dec, ch, tol):
             residual=report.residual,
         )
     da, db, dv, de = dec.dim_a, dec.dim_b, dec.dim_v, len(ch.kraus)
-    ec = report.witnesses["e_code"]
+    ec = report.witnesses["state"].x
     g = report.witnesses["b_blocks"].transpose(0, 2, 1, 3).reshape(de * db, de * db)
     d, mix = eig_hermitian(g)
     keep = d / db > SPECTRUM_CUTOFF

@@ -30,6 +30,7 @@ from oqec.linalg import dag, gram, haar_unitary, kron, von_neumann_entropy
 from oqec.recovery import synthesize_schmidt_recovery
 from oqec.spaces import Decomposition
 
+from condition_b_oracle import condition_b_oracle, gram_blocks
 from dense_dpi import dense_dpi_trace
 from pauli_noise import weight_one_depolarizing
 
@@ -57,7 +58,8 @@ def test_purify_shapes_and_norm():
     entry = get("bit_flip_3")
     ps = purify(entry.dec, entry.noise)
     assert ps.dims == (2, 1, 8, 4)
-    assert abs(np.linalg.norm(ps.psi) - 1.0) < 1e-12
+    assert ps.x.shape == (4 * 8, 2)  # rows (e, v), columns (a, b)
+    assert abs(np.linalg.norm(ps.x) ** 2 - 2 * 1 * ps.norm_in) < 1e-12
     assert ps.norm_in == pytest.approx(1.0, abs=1e-12)
 
 
@@ -99,10 +101,8 @@ def _derived_marginal_oracles(dec, ch, norm_in=1.0):
     of the first is sum_{j, b} conj(G_jj)[(a, b), (a', b)], entry
     ((b, j), (b', k)) of the second sum_a conj(G_jk)[(a, b), (a, b')], both
     over dim_a dim_b norm_in."""
-    code = dec.code_vectors()
     da, db, de = dec.dim_a, dec.dim_b, len(ch.kraus)
-    g = np.array([[dag(code) @ dag(ej) @ ek @ code for ek in ch.kraus] for ej in ch.kraus])
-    g = g.conj().reshape(de, de, da, db, da, db) / (da * db * norm_in)
+    g = gram_blocks(dec, ch).conj().reshape(de, de, da, db, da, db) / (da * db * norm_in)
     rho_ra = np.einsum("jjabcb->ac", g)
     rho_rbe = np.einsum("jkabac->bjck", g).reshape(db * de, db * de)
     return rho_ra, rho_rbe
@@ -133,6 +133,25 @@ def test_derived_marginals_match_gram_block_oracle():
         np.testing.assert_allclose(ps.marginal((1, 3)), rho_rbe, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "dec, ch, allow",
+    [pytest.param(e.dec, e.noise, False, id=e.name) for e in catalog(extended=True)]
+    + [
+        pytest.param(*inst, id=f"decreasing{i}")
+        for i, inst in enumerate(inst for inst in _marginal_instances() if inst[2])
+    ],
+)
+def test_condition_b_matches_textbook_oracle(dec, ch, allow):
+    """b's blocks, pair residuals and residual, read from the purified
+    state's pair matrix, agree with the pair-by-pair textbook loop on the
+    extended catalog and on renormalized trace-decreasing noise."""
+    report = check_condition_b(dec, ch, allow_trace_decreasing=allow)
+    blocks, pair, residual = condition_b_oracle(dec, ch)
+    np.testing.assert_allclose(report.witnesses["b_blocks"], blocks, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(report.witnesses["pair_residuals"], pair, rtol=0, atol=1e-14)
+    assert report.residual == pytest.approx(residual, rel=1e-12, abs=1e-14)
+
+
 def test_condition_c_residual_matches_kron_formula():
     """c subtracts rho'_{R_B E} / dim_a from the A-diagonal blocks of the
     joint in place; the dense formula with the lifted operator agrees."""
@@ -151,17 +170,17 @@ def test_condition_d_rejects_a_non_finite_state():
     beside a zero amplitude no longer reaches the Gram product, where inf·0
     warns "invalid value" (an error in this suite)."""
     for phase in (1.0, np.exp(0.3j)):
-        psi = np.full(8, np.sqrt(1 / 8)) * phase
-        psi[3] = np.nan
+        x = np.full((4, 2), 0.5) * phase  # rows (e, v), columns (a, b)
+        x[3, 0] = np.nan  # e = 1, v = 1, a = 0, b = 0
         for check in (check_condition_c, check_condition_d):
-            with pytest.raises(NotAStateError, match=r"psi entry \(0, 0, 1, 1\) is .*nan.*, not finite"):
-                check(PurifiedState((2, 1, 2, 2), psi, 1.0))
+            with pytest.raises(NotAStateError, match=r"x entry \(0, 0, 1, 1\) is .*nan.*, not finite"):
+                check(PurifiedState((2, 1, 2, 2), x, 1.0))
     with pytest.raises(NotAStateError, match="inf, not finite"):
-        check_condition_d(PurifiedState((1, 1, 1, 1), np.array([np.inf]), 1.0))
-    psi = np.zeros(8)
-    psi[0], psi[5] = np.inf, 0.5
-    with pytest.raises(NotAStateError, match=r"psi entry \(0, 0, 0, 0\) is inf, not finite"):
-        check_condition_c(PurifiedState((2, 1, 2, 2), psi, 1.0))
+        check_condition_d(PurifiedState((1, 1, 1, 1), np.array([[np.inf]]), 1.0))
+    x = np.zeros((4, 2))
+    x[0, 0], x[2, 1] = np.inf, 0.5
+    with pytest.raises(NotAStateError, match=r"x entry \(0, 0, 0, 0\) is inf, not finite"):
+        check_condition_c(PurifiedState((2, 1, 2, 2), x, 1.0))
 
 
 @pytest.mark.parametrize(
@@ -199,7 +218,7 @@ def test_purify_gates_trace_decreasing():
         purify(dec, half)
     ps = purify(dec, half, allow_trace_decreasing=True)
     assert ps.norm_in == pytest.approx(0.75, abs=1e-12)
-    assert abs(np.linalg.norm(ps.psi) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(ps.x) ** 2 - 2 * 1 * ps.norm_in) < 1e-12
 
 
 def test_condition_b_gates_trace_decreasing_like_purify():
@@ -262,10 +281,15 @@ def test_condition_b_residual_is_c_residual_scaled():
 
 
 def test_purify_rejects_annihilating_channel():
-    dec = Decomposition(1, 1, 1)
-    kill = Channel((np.diag([0.0, 1.0]).astype(complex),))
-    with pytest.raises(DegenerateChannelError):
-        purify(dec, kill, allow_trace_decreasing=True)
+    """Noise that kills the code sector leaves no state to renormalize:
+    purify refuses it, and so does condition b, which reads that state."""
+    for dec, kill in (
+        (Decomposition(1, 1, 1), Channel((np.diag([0.0, 1.0]).astype(complex),))),
+        (Decomposition(2, 1, 2), Channel((np.zeros((4, 4)),))),
+    ):
+        for check in (purify, check_condition_b):
+            with pytest.raises(DegenerateChannelError):
+                check(dec, kill, allow_trace_decreasing=True)
 
 
 def test_condition_b_blocks_for_bit_flip_code():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oqec
+from oqec import cli
 
 from oqec.channels import (
     PAULI_Z,
@@ -190,19 +191,6 @@ def test_schmidt_spectrum_is_the_purified_marginal_spectrum(name):
     q, _ = eig_hermitian(purify(entry.dec, entry.noise).marginal((1, 3)))
     spectrum = synthesize_schmidt_recovery(entry.dec, entry.noise).data["spectrum"]
     np.testing.assert_allclose(spectrum, q[q > SPECTRUM_CUTOFF], rtol=0, atol=1e-14)
-
-
-def test_synthesis_and_factorization_never_purify(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("recovery must read condition b's witness, not purify")
-
-    monkeypatch.setattr(oqec.conditions, "purify", forbidden)
-    monkeypatch.setattr(oqec.recovery, "purify", forbidden, raising=False)
-    for name in [*CORRECTABLE, "bacon_shor_9"]:
-        entry = get(name)
-        for synth in SYNTHESIZERS:
-            synth(entry.dec, entry.noise)
-        factorize_product(entry.dec, entry.noise)
 
 
 @pytest.mark.parametrize("q", [2e-12, 7.5e-13, 2.5e-13])
@@ -435,22 +423,44 @@ def test_factors_of_pauli_noise_are_exactly_sparse(bacon_shor_9):
     assert np.count_nonzero(depolarized.w) == 2048
 
 
-def test_synthesis_and_factorization_form_one_stacked_product(monkeypatch):
-    """Condition b's gate and the canonical errors share one E code."""
-    calls = []
-    original = Channel.stacked_product
+def test_synthesis_and_factorization_form_one_stacked_product(monkeypatch, tmp_path):
+    """One purified state serves every test and every construction: condition
+    b, `oqec check --condition all`, both synthesizers and factorize_product
+    each form the product X = E code once and its pair matrix, the Gram of
+    the (dim_v, k dim_code) reshape of X, once."""
+    products, pair_grams = [], []
+    original_product, original_gram = Channel.stacked_product, oqec.conditions.gram
 
-    def counting(self, x):
-        calls.append(self)
-        return original(self, x)
+    def counting_product(self, x):
+        products.append(self)
+        return original_product(self, x)
 
-    monkeypatch.setattr(Channel, "stacked_product", counting)
-    for name in [*CORRECTABLE, "bacon_shor_9"]:
+    def counting_gram(x):
+        pair_grams.append(x.shape)
+        return original_gram(x)
+
+    monkeypatch.setattr(Channel, "stacked_product", counting_product)
+    monkeypatch.setattr(oqec.conditions, "gram", counting_gram)
+    for name in [e.name for e in catalog()] + ["bacon_shor_9"]:
         entry = get(name)
-        for run in (*SYNTHESIZERS, factorize_product):
-            calls.clear()
-            run(entry.dec, entry.noise)
-            assert len(calls) == 1 and calls[0] is entry.noise, (name, run.__name__)
+        dec, noise = entry.dec, entry.noise
+        pair_shape = (dec.dim_v, len(noise.kraus) * dec.dim_code)
+        runs = [check_condition_b]
+        if all(entry.expected.values()):
+            runs += [*SYNTHESIZERS, factorize_product]
+        for run in runs:
+            products.clear()
+            pair_grams.clear()
+            run(dec, noise)
+            assert len(products) == 1 and products[0] is noise, (name, run.__name__)
+            assert pair_grams.count(pair_shape) == 1, (name, run.__name__, pair_grams)
+        assert cli.main(["codes", "export", name, str(tmp_path)]) == 0
+        paths = [str(tmp_path / f"{name}.{part}.json") for part in ("decomposition", "noise")]
+        products.clear()
+        pair_grams.clear()
+        assert cli.main(["check", *paths, "--condition", "all"]) == (0 if len(runs) > 1 else 1)
+        assert len(products) == 1, (name, "check")
+        assert pair_grams.count(pair_shape) == 1, (name, "check", pair_grams)
 
 
 def test_factorize_refuses_the_mismatched_catalog_entry():
