@@ -17,6 +17,7 @@ state forms the pair matrix once, and b, c and d read it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -92,7 +93,7 @@ class PurifiedState:
         rho = self._marginals.get(keep)
         if rho is None:
             da, db, dv, de = self.dims
-            dim, sq = int(np.prod([self.dims[i] for i in keep])), da * db * self.norm_in
+            dim, sq = math.prod(self.dims[i] for i in keep), da * db * self.norm_in
             if keep == _JOINT:  # conj(m), its (e, a, b) read as (a, b, e)
                 t = self._pairs.reshape(de, da * db, de, da * db).transpose(1, 0, 3, 2)
                 rho = np.divide(t.conj(), sq, order="C").reshape(dim, dim)
@@ -150,12 +151,11 @@ def _defect(ps: PurifiedState) -> tuple[np.ndarray, np.ndarray]:
     """b's blocks B_jk, the A-averages of the code-sector blocks M_jk of the
     pair matrix, and M_jk - 1_A tensor B_jk, indexed (j, a, b, k, c, d)."""
     da, db, dv, de = ps.dims
-    m = ps._pairs.reshape(de, da, db, de, da, db)
-    blocks = np.einsum("jabkad->jkbd", m) / da
-    m = m.copy()
+    m = ps._pairs.reshape(de, da, db, de, da, db).copy()
+    blocks = m.diagonal(axis1=1, axis2=4).sum(-1) / da  # indexed (j, b, k, d)
     for a in range(da):
-        m[:, a, :, :, a, :] -= blocks.transpose(0, 2, 1, 3)
-    return blocks, m
+        m[:, a, :, :, a, :] -= blocks
+    return blocks.transpose(0, 2, 1, 3), m
 
 
 def check_condition_b(
