@@ -8,14 +8,17 @@ the difference is the completeness defect.
 Pauli noise, every operator of which holds at most one nonzero per row, is
 multiplied by its nonzero cells: when no row of the (k dim_out, dim_in) flat
 stack holds two nonzeros and the nonzero count is at most 1/64 of the
-stack's size, a cached index keeps each row's one cell, the completeness
-Gram matrix is the diagonal that sums their squared magnitudes by column,
-and the stacked product (E_1; ...; E_k) x scales one row of x per row. Every
-other stack takes one BLAS product.
+stack's size, an index keeps each row's one cell, the completeness Gram
+matrix is the diagonal that sums their squared magnitudes by column, and
+the stacked product (E_1; ...; E_k) x scales one row of x per row. Every
+other stack takes one BLAS product. Noise built from its cells
+(restricted_flip, a channel file that lists at most one cell per row) is
+kept as that index alone, and its stack is formed only when kraus is read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Sequence
@@ -42,10 +45,12 @@ class Channel:
     from the real parts directly, and complex128 otherwise. Within oqec, a
     builder that has just allocated such a stack in its storage dtype, and
     keeps no other reference to it, passes _adopt=True: the stack itself is
-    made read-only and kept, with no copy. Figures that depend only on the
-    operators, the completeness Gram matrix and the index of each row's one
-    nonzero cell, are computed on first use and kept; the dense stack stays
-    the one representation. Equality and hashing are by identity.
+    made read-only and kept, with no copy; a builder that holds one cell per
+    row calls Channel._from_cells. Figures that depend only on the operators,
+    the completeness Gram matrix and the index of each row's one nonzero
+    cell, are computed on first use and kept. dim_in, dim_out and n_kraus
+    never form the stack of a channel built from its cells; kraus does, once.
+    Equality and hashing are by identity.
     """
 
     kraus: np.ndarray
@@ -69,13 +74,50 @@ class Channel:
         stack.flags.writeable = False
         object.__setattr__(self, "kraus", stack)
 
+    @classmethod
+    def _from_cells(cls, shape: tuple, cols: np.ndarray, vals: np.ndarray) -> Channel:
+        """The channel of shape (k, dim_out, dim_in) whose flat stack holds
+        vals[r] at (r, cols[r]) and zeros elsewhere; vals comes in its
+        storage dtype. When 64 nnz <= size it is kept as the index _cells
+        would form (a zero value, of either sign, becomes column 0 and value
+        0), with no stack; otherwise the stack is formed and adopted."""
+        nz = vals != 0
+        ch = object.__new__(cls)
+        cells = (np.where(nz, cols, 0).astype(np.intp, copy=False), np.where(nz, vals, 0))
+        vars(ch).update(_shape=tuple(shape), _cells=cells)
+        if 64 * np.count_nonzero(nz) > math.prod(shape):
+            return cls(ch.kraus, _adopt=True)
+        return ch
+
+    def __getattr__(self, name):
+        # reached only for a name the instance lacks: the stack of a channel
+        # built from its cells, formed here on first use and kept
+        if name != "kraus" or "_shape" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        cols, vals = self._cells
+        stack = np.zeros((len(cols), self.dim_in), vals.dtype)
+        stack[np.arange(len(cols)), cols] = vals
+        stack = stack.reshape(self._shape)
+        stack.flags.writeable = False
+        object.__setattr__(self, "kraus", stack)
+        return stack
+
+    @cached_property
+    def _shape(self) -> tuple:
+        """(n_kraus, dim_out, dim_in)."""
+        return self.kraus.shape
+
+    @property
+    def n_kraus(self) -> int:
+        return self._shape[0]
+
     @property
     def dim_in(self) -> int:
-        return self.kraus.shape[2]
+        return self._shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus.shape[1]
+        return self._shape[1]
 
     @cached_property
     def _cells(self) -> tuple | None:
@@ -93,7 +135,7 @@ class Channel:
                 return None
         at = np.flatnonzero(masks)
         rows, at_col = np.divmod(at, self.dim_in)
-        n = len(self.kraus) * self.dim_out
+        n = self.n_kraus * self.dim_out
         cols, vals = np.zeros(n, np.intp), np.zeros(n, self.kraus.dtype)
         cols[rows], vals[rows] = at_col, self.kraus.reshape(-1)[at]
         return cols, vals
@@ -111,7 +153,7 @@ class Channel:
             else:
                 cols, vals = self._cells
                 g = np.diag(np.bincount(cols, (vals.conj() * vals).real, din))
-                g = g.astype(self.kraus.dtype, copy=False)
+                g = g.astype(vals.dtype, copy=False)
             if not np.isfinite(g).all():
                 return None, np.inf
             return g, float(np.linalg.norm(g - np.eye(din)))
@@ -120,11 +162,15 @@ class Channel:
         """(E_1; ...; E_k) x for a (dim_in, n) matrix x: the (k dim_out, n)
         matrix whose block j is E_j x. One BLAS product, or, when _cells
         indexes the stack, each row's cell value times the row of x its
-        column picks."""
+        column picks, scaled in the gathered rows when their dtype holds the
+        result."""
         if self._cells is None:
             return self.kraus.reshape(-1, self.dim_in) @ x
         cols, vals = self._cells
-        return vals[:, None] * x[cols]
+        rows = x[cols]
+        if np.result_type(vals, rows) != rows.dtype:
+            return vals[:, None] * rows
+        return np.multiply(vals[:, None], rows, out=rows)
 
 
 @dataclass(frozen=True)
@@ -294,12 +340,12 @@ def restricted_flip(n: int, p: float) -> Channel:
     if not (0 <= p and n * p <= 1):
         raise ValueError(f"need 0 <= p and n*p <= 1, got n={n}, p={p}")
     dim = 2**n
-    x = np.arange(dim)
-    stack = np.zeros((n + 1, dim, dim))
-    stack[0, x, x] = np.sqrt(1 - n * p)
-    for site in range(n):  # X on site flips bit n - 1 - site of the basis index
-        stack[1 + site, x ^ (1 << (n - 1 - site)), x] = np.sqrt(p)
-    return Channel(stack, _adopt=True)
+    # row x of X on site holds its one cell in column x ^ 2^(n - 1 - site):
+    # site 0 is the most significant bit of a basis index
+    masks = np.array([0] + [1 << (n - 1 - site) for site in range(n)])
+    cols = np.arange(dim) ^ masks[:, None]
+    vals = np.repeat([np.sqrt(1 - n * p), np.sqrt(p)], [dim, n * dim])
+    return Channel._from_cells((n + 1, dim, dim), cols.reshape(-1), vals)
 
 
 def collective_unitary(n: int, terms: Sequence) -> Channel:

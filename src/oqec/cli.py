@@ -143,7 +143,7 @@ def cmd_recover(args) -> int:
     metadata = {
         **_meta(tol),
         "method": rec.method,
-        "kraus_count": len(rec.channel.kraus),
+        "kraus_count": rec.channel.n_kraus,
         "completeness_defect": chan_report.defect,
         "condition_b_residual": rec.data["condition_b_residual"],
         "verification": {
@@ -158,7 +158,7 @@ def cmd_recover(args) -> int:
         print(json.dumps(metadata, indent=1))
     else:
         print(
-            f"{rec.method} recovery: {len(rec.channel.kraus)} Kraus operators -> {out}\n"
+            f"{rec.method} recovery: {rec.channel.n_kraus} Kraus operators -> {out}\n"
             f"max infidelity {report.max_infidelity:.3e}, "
             f"B-marginal drift {report.b_marginal_drift:.3e}, "
             f"support leak {report.support_leak:.3e}"
@@ -213,7 +213,7 @@ def cmd_codes(args) -> int:
             verdict = "correctable" if all(entry.expected.values()) else "not correctable"
             print(
                 f"{entry.name}: dim_a={entry.dec.dim_a} dim_b={entry.dec.dim_b} "
-                f"dim_c={entry.dec.dim_c}, {len(entry.noise.kraus)} Kraus, {verdict}"
+                f"dim_c={entry.dec.dim_c}, {entry.noise.n_kraus} Kraus, {verdict}"
             )
         return EXIT_PASS
     entry = codes_mod.get(args.name)

@@ -18,7 +18,7 @@ state forms the pair matrix once, and b, c and d read it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -47,8 +47,11 @@ class PurifiedState:
     unnormalized, in the (dim_e dim_v, dim_ra dim_rb) layout of
     Channel.stacked_product, so psi[a, b, v, e] = x[(e, v), (a, b)] /
     sqrt(dim_ra dim_rb norm_in); norm_in is the squared norm of psi before
-    renormalization (1 for trace-preserving noise). An x with a non-finite
-    entry is rejected, naming the entry by its (R_A, R_B, V, E) index.
+    renormalization (1 for trace-preserving noise). x is copied, except
+    with _adopt=True, which purify passes for the product it has just
+    formed: that array itself is kept. Either way it is made read-only, and
+    an x with a non-finite entry is rejected, naming the entry by its
+    (R_A, R_B, V, E) index.
 
     psi is pure, so S(V') = S(R_A R_B E'), read from the smaller side. Each
     marginal is formed once, normalized (x never is) and kept read-only. The
@@ -63,10 +66,11 @@ class PurifiedState:
     x: np.ndarray
     norm_in: float
     _marginals: dict = field(default_factory=dict, init=False, repr=False)
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _adopt):
         da, db, dv, de = self.dims
-        x = np.array(self.x).reshape(-1)
+        x = (self.x if _adopt else np.array(self.x)).reshape(-1)
         if x.size != da * db * dv * de:
             raise DimensionError(f"product of size {x.size} does not match factors {self.dims}")
         if not np.isfinite(x).all():
@@ -144,7 +148,7 @@ def purify(
     norm_in = float(np.vdot(x, x).real) / dec.dim_code
     if norm_in <= SPECTRUM_CUTOFF:
         raise DegenerateChannelError("channel annihilates the code sector")
-    return PurifiedState((dec.dim_a, dec.dim_b, dec.dim_v, len(ch.kraus)), x, norm_in)
+    return PurifiedState((dec.dim_a, dec.dim_b, dec.dim_v, ch.n_kraus), x, norm_in, _adopt=True)
 
 
 def _defect(ps: PurifiedState) -> tuple[np.ndarray, np.ndarray]:
@@ -299,7 +303,7 @@ def dpi_trace(dec: Decomposition, chain: Sequence[Channel]) -> list[float]:
     values = []
     for i, ch in enumerate([None, *chain]):
         if ch is not None:
-            k, r = len(ch.kraus), m.shape[1]
+            k, r = ch.n_kraus, m.shape[1]
             m = ch.stacked_product(v_rows(m)).reshape(k, dv, da, r)
             m = m.transpose(2, 1, 0, 3).reshape(da * dv, k * r)
         if m.shape[1] < da * dv:

@@ -28,6 +28,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -103,7 +104,7 @@ def partial_trace(m: np.ndarray, dims: Iterable[int], keep: Iterable[int]) -> np
     dims = [int(d) for d in dims]
     if not dims or any(d < 1 for d in dims):
         raise DimensionError(f"invalid factor dimensions {dims}")
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     m = np.asarray(m)
     if m.shape != (total, total):
         raise DimensionError(f"matrix shape {m.shape} does not match factors {dims}")
@@ -116,7 +117,7 @@ def partial_trace(m: np.ndarray, dims: Iterable[int], keep: Iterable[int]) -> np
     for ax in reversed(traced):
         t = np.trace(t, axis1=ax, axis2=ax + n)
         n -= 1
-    d_keep = int(np.prod([dims[i] for i in sorted(keep_set)])) if keep_set else 1
+    d_keep = math.prod(dims[i] for i in keep_set)
     return t.reshape(d_keep, d_keep)
 
 

@@ -88,7 +88,7 @@ def _canonical_errors(dec, ch, tol):
             f"{report.residual:.3e} > tol={tol}",
             residual=report.residual,
         )
-    da, db, dv, de = dec.dim_a, dec.dim_b, dec.dim_v, len(ch.kraus)
+    da, db, dv, de = dec.dim_a, dec.dim_b, dec.dim_v, ch.n_kraus
     ec = report.witnesses["state"].x
     g = report.witnesses["b_blocks"].transpose(0, 2, 1, 3).reshape(de * db, de * db)
     d, mix = eig_hermitian(g)
@@ -204,7 +204,7 @@ def verify_recovery(
     ec = ch.stacked_product(code).reshape(-1, dv, dc)  # E_k code
     cr = (dag(code) @ rchan.kraus).reshape(-1, dv)  # code† R_j, stacked rows
     # x[j, a, b, k, c, d] = <a, b| R_j E_k |c, d> on the code sector
-    x = (cr @ ec.transpose(1, 0, 2).reshape(dv, -1)).reshape(-1, da, db, len(ch.kraus), da, db)
+    x = (cr @ ec.transpose(1, 0, 2).reshape(dv, -1)).reshape(-1, da, db, ch.n_kraus, da, db)
     blocks = np.einsum("jabkad->jkbd", x) / da  # C_jk
     x -= np.einsum("ac,jkbd->jabkcd", np.eye(da), blocks)  # now D_jk
     e_flat, d_flat, c_flat = ec.reshape(-1, dc), x.reshape(-1, dc), blocks.reshape(-1, db)
@@ -267,10 +267,10 @@ def extend_by_linearity(
     combined channel.
     """
     coeffs = np.asarray(coeffs)
-    if coeffs.ndim != 2 or coeffs.shape[1] != len(ch.kraus):
+    if coeffs.ndim != 2 or coeffs.shape[1] != ch.n_kraus:
         raise DimensionError(
             f"coefficient array of shape {coeffs.shape} does not match "
-            f"{len(ch.kraus)} Kraus operators"
+            f"{ch.n_kraus} Kraus operators"
         )
     if coeffs.shape[0] < 1:
         raise DimensionError("need at least one combination row")

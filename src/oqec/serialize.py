@@ -43,9 +43,13 @@ A channel is read into one (k, dim_out, dim_in) Kraus stack in its storage
 dtype, linalg.storage_dtype of every sparse im value and dense im part:
 every operator is checked, then the stack is allocated once and written,
 so no complex matrix per operator is formed, and the Channel keeps that
-very stack, with no copy. load_channel_file drops the parsed JSON tree of a
-channel file before that allocation. Frames are read the same way;
-matrix_from_json alone returns complex128.
+very stack, with no copy. A channel whose operators are all sparse, list
+at most one cell per row and no zero value, is read into the index of
+those cells instead (Channel._from_cells), and no stack is formed unless
+the cells exceed 1/64 of it; such a channel is written from its cells, to
+the bytes its stack would give. load_channel_file drops the parsed JSON
+tree of a channel file before that allocation. Frames are read the same
+way; matrix_from_json alone returns complex128.
 """
 
 from __future__ import annotations
@@ -81,6 +85,23 @@ __all__ = [
 _SPARSE_KEYS = ("shape", "rows", "cols", "re", "im")
 
 
+def _written(m: np.ndarray) -> np.ndarray:
+    """Whether each cell of the complex128 array m is written: a cell is
+    zero only when all 128 of its bits are."""
+    bits = m.view(np.uint64)  # the last axis alternates re, im
+    return (bits[..., 0::2] | bits[..., 1::2]) != 0
+
+
+def _sparse_json(shape: tuple, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> dict:
+    return {
+        "shape": list(shape),
+        "rows": rows.tolist(),
+        "cols": cols.tolist(),
+        "re": vals.real.tolist(),
+        "im": vals.imag.tolist(),
+    }
+
+
 def matrix_to_json(m: np.ndarray) -> list | dict:
     """m in the sparse form when fewer than half its cells are nonzero, else
     in the dense form. A cell is zero only when all 128 of its bits are, so
@@ -88,18 +109,10 @@ def matrix_to_json(m: np.ndarray) -> list | dict:
     m = np.ascontiguousarray(m, dtype=np.complex128)
     if m.ndim == 1:
         m = m.reshape(1, -1)
-    bits = m.view(np.uint64)  # columns alternate re, im
-    rows, cols = np.nonzero(bits[:, 0::2] | bits[:, 1::2])
+    rows, cols = np.nonzero(_written(m))
     if 2 * rows.size >= m.size:
         return np.stack([m.real, m.imag], -1).tolist()
-    vals = m[rows, cols]
-    return {
-        "shape": list(m.shape),
-        "rows": rows.tolist(),
-        "cols": cols.tolist(),
-        "re": vals.real.tolist(),
-        "im": vals.imag.tolist(),
-    }
+    return _sparse_json(m.shape, rows, cols, m[rows, cols])
 
 
 def _check_keys(obj: dict, field: str, required: tuple, optional: tuple = ()) -> None:
@@ -218,12 +231,17 @@ def _place(parts: list, field: str, dtype=None) -> np.ndarray:
         where = field if parts[0][1] is None else f"{field}.shape"
         raise FormatError(where, f"{list(shape)} is too large to allocate ({exc})") from exc
     for dest, (_, cells, re, im) in zip(out.reshape(len(parts), -1), parts):
-        at = slice(None) if cells is None else cells
-        if dest.dtype.kind == "c":
-            dest.imag[at] = im
-            dest = dest.real
-        dest[at] = re
+        _put(dest, slice(None) if cells is None else cells, re, im)
     return out
+
+
+def _put(dest: np.ndarray, at, re: np.ndarray, im: np.ndarray) -> None:
+    """Write re and im into the 1-D array dest at at, every bit kept; the
+    imaginary parts are dropped when dest is real."""
+    if dest.dtype.kind == "c":
+        dest.imag[at] = im
+        dest = dest.real
+    dest[at] = re
 
 
 def matrix_from_json(obj: Any, field: str = "matrix") -> np.ndarray:
@@ -239,11 +257,31 @@ def _int_field(obj: dict, key: str, minimum: int, field: str) -> int:
     return val
 
 
+def _cell_operators_json(ch: Channel) -> list:
+    """matrix_to_json of each operator of a channel built from its cells,
+    read from the cells: an operator's written cells are its rows' cells,
+    so its sparse form lists them in row order. An operator that takes the
+    dense form (one of at most two columns) is read from the stack."""
+    k, dout, din = ch._shape
+    cols, vals = ch._cells
+    out = []
+    for j, (c, v) in enumerate(zip(cols.reshape(k, dout), vals.astype(np.complex128).reshape(k, dout))):
+        rows = np.flatnonzero(_written(v))
+        if 2 * rows.size >= dout * din:
+            out.append(matrix_to_json(ch.kraus[j]))
+        else:
+            out.append(_sparse_json((dout, din), rows, c[rows], v[rows]))
+    return out
+
+
 def channel_to_json(ch: Channel, metadata: dict | None = None) -> dict:
+    """A channel built from its cells (one with no kraus in its __dict__)
+    is written from them, to the bytes of its stack."""
+    stack = vars(ch).get("kraus")
     out = {
         "dim_in": ch.dim_in,
         "dim_out": ch.dim_out,
-        "kraus": [matrix_to_json(e) for e in ch.kraus],
+        "kraus": _cell_operators_json(ch) if stack is None else [matrix_to_json(e) for e in stack],
     }
     if metadata is not None:
         out["metadata"] = metadata
@@ -270,10 +308,34 @@ def _channel_parts(obj: Any, field: str) -> list:
     ]
 
 
+def _cell_channel(parts: list) -> Channel | None:
+    """The channel of parts built from its cells, when every operator is
+    sparse and lists at most one cell per row, none of them zero, the cells
+    fill at most 1/64 of the stack, and numpy could address that stack;
+    else None, and _place forms the stack. A listed zero keeps its sign
+    only in the stack."""
+    (dout, din), k = parts[0][0], len(parts)
+    size = k * dout * din
+    if size > np.iinfo(np.intp).max // 16 or 64 * sum(len(p[2]) for p in parts) > size:
+        return None
+    if any(cells is None or not ((re != 0) | (im != 0)).all() for _, cells, re, im in parts):
+        return None
+    rows, at_col = np.divmod(np.concatenate([j * dout * din + p[1] for j, p in enumerate(parts)]), din)
+    if np.bincount(rows, minlength=k * dout).max() > 1:
+        return None
+    cols, vals = np.zeros(k * dout, np.intp), np.zeros(k * dout, storage_dtype(p[3] for p in parts))
+    cols[rows] = at_col
+    _put(vals, rows, np.concatenate([p[2] for p in parts]), np.concatenate([p[3] for p in parts]))
+    return Channel._from_cells((k, dout, din), cols, vals)
+
+
 def _stacked_channel(parts: list, field: str) -> Channel:
-    kraus = _place(parts, f"{field}.kraus[0]")
-    parts.clear()  # the parsed values go as soon as the stack holds them
-    return Channel(kraus, _adopt=True)  # a fresh stack in its storage dtype: kept, not copied
+    ch = _cell_channel(parts)
+    if ch is None:
+        kraus = _place(parts, f"{field}.kraus[0]")
+        parts.clear()  # the parsed values go as soon as the stack holds them
+        ch = Channel(kraus, _adopt=True)  # a fresh stack in its storage dtype: kept, not copied
+    return ch
 
 
 def channel_from_json(obj: Any, field: str = "channel") -> Channel:

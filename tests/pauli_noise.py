@@ -1,8 +1,11 @@
-"""Weight-one depolarizing noise on n qubits, built by basis index.
+"""Weight-one depolarizing noise on n qubits, built from its cells.
 
 Its Kraus operators are sqrt(1 - 3 n p) 1 and sqrt(p) X, Y and Z on each
 site, site 0 the most significant bit of a basis index: 1 + 3 n complex
 operators with one nonzero per row, the Pauli noise subsystem codes face.
+Row r of X or Y on a site holds its one cell in column r with that site's
+bit flipped, and row r of Z in column r, so the channel is kept as those
+cells and no (1 + 3 n, 2^n, 2^n) stack is formed.
 """
 
 import numpy as np
@@ -13,12 +16,14 @@ from oqec.channels import Channel
 def weight_one_depolarizing(n: int, p: float) -> Channel:
     dim = 2**n
     x = np.arange(dim)
-    stack = np.zeros((1 + 3 * n, dim, dim), dtype=np.complex128)
-    stack[0, x, x] = np.sqrt(1 - 3 * n * p)
+    cols = np.empty((1 + 3 * n, dim), np.intp)
+    vals = np.empty((1 + 3 * n, dim), np.complex128)
+    cols[0], vals[0] = x, np.sqrt(1 - 3 * n * p)
     for site in range(n):
         mask = 1 << (n - 1 - site)
         sign = 1 - 2 * ((x & mask) > 0)  # Z's eigenvalue on that site
-        stack[1 + 3 * site, x ^ mask, x] = np.sqrt(p)  # X
-        stack[2 + 3 * site, x ^ mask, x] = 1j * np.sqrt(p) * sign  # Y|0> = i|1>, Y|1> = -i|0>
-        stack[3 + 3 * site, x, x] = np.sqrt(p) * sign  # Z
-    return Channel(stack)
+        cols[1 + 3 * site], vals[1 + 3 * site] = x ^ mask, np.sqrt(p)  # X
+        # Y|0> = i|1>, Y|1> = -i|0>: the sign is the column's
+        cols[2 + 3 * site], vals[2 + 3 * site] = x ^ mask, 1j * np.sqrt(p) * sign[x ^ mask]
+        cols[3 + 3 * site], vals[3 + 3 * site] = x, np.sqrt(p) * sign  # Z
+    return Channel._from_cells((1 + 3 * n, dim, dim), cols.reshape(-1), vals.reshape(-1))

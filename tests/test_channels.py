@@ -505,6 +505,57 @@ def test_pauli_noise_at_dim_512_takes_the_cell_path_bit_for_bit(build):
     _assert_close(ch._gram[0], gram(ch.kraus.reshape(-1, ch.dim_in)))
 
 
+def _restricted_flip_stack(n, p):
+    """The stack of restricted_flip(n, p), written by index."""
+    dim = 2**n
+    x = np.arange(dim)
+    stack = np.zeros((n + 1, dim, dim))
+    stack[0, x, x] = np.sqrt(1 - n * p)
+    for site in range(n):
+        stack[1 + site, x ^ (1 << (n - 1 - site)), x] = np.sqrt(p)
+    return stack
+
+
+@pytest.mark.parametrize("n, p", [(6, 0.01), (6, 0.0), (6, 1 / 6), (5, 0.01), (3, 0.1), (1, 0.5)])
+def test_restricted_flip_is_kept_as_its_cells_from_six_qubits_on(n, p):
+    """restricted_flip(n, .) holds (n + 1) 2^n cells in a stack of
+    (n + 1) 4^n: at n = 6, 64 nnz = size and it is kept as its cells, with
+    no stack until kraus is read; below, it is the dense stack. Either way
+    its stack and its cell index are bit-identical to the stack written by
+    index and to the index Channel forms from that stack, zero rows (p = 0,
+    n p = 1) included; dim_in, dim_out and n_kraus form no stack."""
+    want = _restricted_flip_stack(n, p)
+    ch = restricted_flip(n, p)
+    assert (ch.n_kraus, ch.dim_out, ch.dim_in) == want.shape
+    assert ("kraus" in vars(ch)) == (n < 6)
+    if n >= 6:
+        cols, vals = ch._cells
+        twin = Channel(want)._cells
+        assert cols.dtype == twin[0].dtype and vals.dtype == twin[1].dtype
+        np.testing.assert_array_equal(cols, twin[0])
+        assert vals.tobytes() == twin[1].tobytes()
+    else:
+        assert ch._cells is None
+    assert ch.kraus.dtype == want.dtype and ch.kraus.tobytes() == want.tobytes()
+    assert not ch.kraus.flags.writeable
+    assert ch.kraus is ch.kraus  # formed once
+
+
+def test_a_cell_channel_forms_its_stack_only_when_kraus_is_read():
+    """Validation, the stacked product and the Kraus count of cell-built
+    noise read its cells; kraus forms the stack on first access."""
+    ch = weight_one_depolarizing(6, 0.01)
+    x = np.ones((64, 3))
+    assert validate(ch).trace_preserving
+    out = ch.stacked_product(x)
+    assert (ch.n_kraus, ch.dim_out, ch.dim_in) == (19, 64, 64)
+    assert "kraus" not in vars(ch)
+    np.testing.assert_array_equal(out, _dense_product(ch, x))
+    assert "kraus" in vars(ch) and ch.kraus.shape == (19, 64, 64)
+    with pytest.raises(AttributeError, match="no attribute 'krauss'"):
+        ch.krauss
+
+
 def test_the_cell_index_serves_pauli_noise_only():
     """The traffic the index is kept for: bacon_shor_9's bit flips and
     weight-one depolarizing noise at dim 512 are indexed; every catalog

@@ -590,6 +590,37 @@ def test_bacon_shor_9_end_to_end_through_the_cli(tmp_path):
     assert load_json_file(str(tmp_path / "fac" / "factor_unitary.json"))["metadata"]["residual"] <= 1e-10
 
 
+def test_bacon_shor_9_noise_is_never_formed_as_a_stack(tmp_path, monkeypatch, capsys):
+    """codes export -> check --condition all -> factorize on bacon_shor_9,
+    in-process, and codes list --extended: the (10, 512, 512) noise is
+    built from its cells four times, by restricted_flip and by the reader,
+    and its 21 MB stack is never formed."""
+    built, formed = [], []
+    from_cells, getattr_ = Channel._from_cells.__func__, Channel.__getattr__
+
+    def counting_from_cells(cls, shape, cols, vals):
+        built.append(tuple(shape))
+        return from_cells(cls, shape, cols, vals)
+
+    def counting_getattr(self, name):
+        if name == "kraus":
+            formed.append(vars(self).get("_shape"))
+        return getattr_(self, name)
+
+    monkeypatch.setattr(Channel, "_from_cells", classmethod(counting_from_cells))
+    monkeypatch.setattr(Channel, "__getattr__", counting_getattr)
+    dec = str(tmp_path / "bacon_shor_9.decomposition.json")
+    chan = str(tmp_path / "bacon_shor_9.noise.json")
+    assert main(["codes", "export", "bacon_shor_9", str(tmp_path)]) == 0
+    assert main(["check", dec, chan, "--condition", "all"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 3
+    assert main(["factorize", dec, chan, "--out", str(tmp_path / "fac")]) == 0
+    assert main(["codes", "list", "--extended"]) == 0
+    assert "bacon_shor_9: dim_a=2 dim_b=16 dim_c=480, 10 Kraus, correctable" in capsys.readouterr().out
+    assert built.count((10, 512, 512)) == 4
+    assert (10, 512, 512) not in formed
+
+
 def test_bacon_shor_9_under_depolarizing_noise_checks_through_the_cli(tmp_path):
     """Weight-one depolarizing noise on bacon_shor_9, p = 0.003: 28 complex
     operators with one nonzero per row, written as a channel file beside the
@@ -648,18 +679,22 @@ def test_every_verb_rejects_noise_that_is_not_trace_preserving(exported, tmp_pat
 
 def test_check_exits_two_when_an_input_cannot_be_allocated(exported, tmp_path):
     """A sparse file of about a hundred bytes declares a 16000 x 16000
-    channel; one float64 operator of that size alone takes 2.0 GB, so under a
-    1.5 GiB address-space cap reading it runs out of memory, which is an
-    input error (exit 2), not a negative verdict."""
+    channel with two cells in row 0, so it is read into a stack; one float64
+    operator of that size alone takes 2.0 GB, so under a 1.5 GiB
+    address-space cap reading it runs out of memory, which is an input
+    error (exit 2), not a negative verdict. With one cell per row the same
+    file is read into its cell index, and only its dims are refused."""
     dec, _ = exported
     n = 16000
-    sparse = {"shape": [n, n], "rows": [0], "cols": [0], "re": [1.0], "im": [0.0]}
-    bad = tmp_path / "big.json"
-    dump_json_file(str(bad), {"dim_in": n, "dim_out": n, "kraus": [sparse]})
-    proc = _oqec_subprocess("check", dec, str(bad), address_space=3 * 2**29)
-    assert proc.returncode == 2, proc.stderr[-500:]
-    assert "Unable to allocate" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    for cols, err in (([0, 1], "Unable to allocate"), ([0], f"acts on {n} -> {n}")):
+        sparse = {"shape": [n, n], "rows": [0] * len(cols), "cols": cols, "re": [1.0] * len(cols),
+                  "im": [0.0] * len(cols)}
+        bad = tmp_path / "big.json"
+        dump_json_file(str(bad), {"dim_in": n, "dim_out": n, "kraus": [sparse]})
+        proc = _oqec_subprocess("check", dec, str(bad), address_space=3 * 2**29)
+        assert proc.returncode == 2, proc.stderr[-500:]
+        assert err in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.fixture(scope="module")

@@ -190,20 +190,46 @@ def test_condition_d_rejects_a_non_finite_state():
 )
 def test_cell_and_dense_paths_give_the_same_residuals(build):
     """On bacon_shor_9 under bit flips and under weight-one depolarizing
-    noise, the channel read through its cell index and the same channel
+    noise, the channel read through its cell index and its dense twin
     forced onto BLAS give b, c and d residuals within 1e-15, all passing."""
     dec = get("bacon_shor_9").dec
     residuals = []
     for indexed in (True, False):
         ch = build()
         if not indexed:
-            ch.__dict__["_cells"] = None  # the cached index, withheld
+            ch = Channel(ch.kraus)  # the dense twin, its cached index withheld
+            ch.__dict__["_cells"] = None
         assert (ch._cells is not None) == indexed
         ps = purify(dec, ch)
         reports = [check_condition_b(dec, ch), check_condition_c(ps), check_condition_d(ps)]
         assert all(r.passed for r in reports)
         residuals.append([r.residual for r in reports])
     assert np.max(np.abs(np.subtract(*residuals))) <= 1e-15, residuals
+
+
+def test_purified_state_copies_x_unless_it_adopts_purifys_product(monkeypatch):
+    """A caller's x is copied; with _adopt=True, as purify passes for the
+    product it has just formed, that array is kept. Both are read-only,
+    and an adopted x is checked for finite entries all the same."""
+    x = np.full((4, 2), 0.5)
+    copied = PurifiedState((2, 1, 2, 2), x, 1.0)
+    adopted = PurifiedState((2, 1, 2, 2), x, 1.0, _adopt=True)
+    assert not np.shares_memory(copied.x, x) and np.shares_memory(adopted.x, x)
+    assert x.flags.writeable
+    assert not copied.x.flags.writeable and not adopted.x.flags.writeable
+    x[3, 0] = np.nan
+    with pytest.raises(NotAStateError, match=r"x entry \(0, 0, 1, 1\) is nan, not finite"):
+        PurifiedState((2, 1, 2, 2), x, 1.0, _adopt=True)
+    products, original = [], Channel.stacked_product
+
+    def product(self, code):
+        products.append(original(self, code))
+        return products[-1]
+
+    monkeypatch.setattr(Channel, "stacked_product", product)
+    entry = get("bacon_shor_9")
+    assert purify(entry.dec, entry.noise).x.base is products.pop()
+    assert purify(Decomposition(2, 2, 0), depolarizing(4, 0.1)).x.base is products.pop()
 
 
 def test_purify_rejects_wrong_dimension():

@@ -33,6 +33,7 @@ from oqec.serialize import (
     matrix_to_json,
 )
 from oqec.spaces import Decomposition
+from pauli_noise import weight_one_depolarizing
 
 
 def test_matrix_round_trip_is_exact():
@@ -459,10 +460,15 @@ def _stored(a):
     return a.dtype, a.shape, a.tobytes()
 
 
-def test_reading_the_bacon_shor_9_noise_file_forms_one_float64_stack(tmp_path):
-    """The exported noise file is read straight into the float64 stack the
-    library builds, bit for bit: the reader peaks below 2.5x that stack (the
-    stack plus the copy Channel keeps), with no complex operator beside it."""
+def _cells_bits(ch):
+    cols, vals = ch._cells
+    return cols.dtype, cols.tobytes(), _stored(vals)
+
+
+def test_reading_the_bacon_shor_9_noise_file_forms_its_cells_and_no_stack(tmp_path):
+    """The exported noise file lists one cell per row, so it is read
+    straight into the float64 cells the library builds, bit for bit, with
+    no stack: the reader peaks below 1/20 of the 21 MB stack."""
     entry = get("bacon_shor_9")
     path = str(tmp_path / "noise.json")
     dump_json_file(path, channel_to_json(entry.noise))
@@ -473,9 +479,65 @@ def test_reading_the_bacon_shor_9_noise_file_forms_one_float64_stack(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert "kraus" not in vars(ch) and "kraus" not in vars(entry.noise)
+    assert _cells_bits(ch) == _cells_bits(entry.noise)
+    assert ch._cells[1].dtype == np.float64
+    assert peak < 10 * 512 * 512 * 8 / 20, peak
     assert _stored(ch.kraus) == _stored(entry.noise.kraus)
-    assert ch.kraus.dtype == np.float64
-    assert peak < 2.5 * ch.kraus.nbytes, (peak, ch.kraus.nbytes)
+
+
+def _one_of_64_scalars():
+    """64 operators of shape (1, 1), one of them nonzero: written as one
+    dense operator and 63 empty sparse ones, so read into a stack."""
+    return Channel._from_cells((64, 1, 1), np.zeros(64, np.intp), np.eye(64)[0])
+
+
+@pytest.mark.parametrize(
+    "build, sparse",
+    [(lambda: get("bacon_shor_9").noise, True), (lambda: weight_one_depolarizing(9, 0.003), True),
+     (lambda: weight_one_depolarizing(6, 0.01), True), (_one_of_64_scalars, False)],
+    ids=["bit_flips", "depolarizing_9", "depolarizing_6", "scalars"],
+)
+def test_a_cell_channel_is_written_to_the_bytes_of_its_stack(tmp_path, build, sparse):
+    """A channel built from its cells is written from them, byte for byte
+    as its dense twin Channel(ch.kraus) is written, the -0.0 real parts of
+    the depolarizing noise's Y cells and an operator in the dense form
+    included; reading the file back gives the same cells, bit for bit. No
+    stack is formed, in writing or reading, unless an operator is written
+    in the dense form."""
+    ch = build()
+    cells = ch._cells[1]
+    assert "kraus" not in vars(ch)
+    meta = {"name": "noise"}
+    dump_json_file(str(tmp_path / "cells.json"), channel_to_json(ch, meta))
+    assert ("kraus" not in vars(ch)) == sparse
+    dump_json_file(str(tmp_path / "dense.json"), channel_to_json(Channel(ch.kraus), meta))
+    assert (tmp_path / "cells.json").read_bytes() == (tmp_path / "dense.json").read_bytes()
+    if cells.dtype.kind == "c":
+        assert np.any(np.signbit(cells.real) & (cells.real == 0))
+    back = load_channel_file(str(tmp_path / "cells.json"))
+    assert ("kraus" not in vars(back)) == sparse
+    assert _cells_bits(back) == _cells_bits(ch)
+
+
+@pytest.mark.parametrize("cell, indexed", [(-0.0, False), (complex(-0.0, 0.5), True)])
+def test_a_listed_signed_zero_is_read_back_and_written_bit_for_bit(tmp_path, cell, indexed):
+    """Two sparse 64 x 64 operators with one cell per row, within the 1/64
+    bound, the second listing one cell: a -0.0 there is a listed zero, so
+    the file is read into a stack that keeps it; a -0.0 real part of a
+    nonzero cell stays in the cell index. Either way the file is written
+    back byte for byte."""
+    stack = np.zeros((2, 64, 64), dtype=type(cell))
+    stack[0] = np.eye(64)
+    stack[1, 5, 7] = cell
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    dump_json_file(str(first), channel_to_json(Channel(stack)))
+    assert np.signbit(load_json_file(str(first))["kraus"][1]["re"])
+    ch = load_channel_file(str(first))
+    assert ("kraus" not in vars(ch)) == indexed
+    assert _stored(ch.kraus) == _stored(Channel(stack).kraus)
+    dump_json_file(str(again), channel_to_json(load_channel_file(str(first))))
+    assert first.read_bytes() == again.read_bytes()
 
 
 def test_reading_a_dense_real_channel_drops_the_parsed_numbers_before_channel_copies():
@@ -524,7 +586,9 @@ def test_reading_a_channel_file_drops_the_parsed_tree_before_the_stack(tmp_path,
 
 def test_a_read_channel_keeps_the_stack_the_reader_allocated(tmp_path, monkeypatch):
     """The reader's fresh stack becomes the channel's kraus as it is, made
-    read-only, and nothing else refers to it."""
+    read-only, and nothing else refers to it. restricted_flip(5, .) lists
+    one cell per row in sparse operators but fills more than 1/64 of its
+    stack, so it is read into the stack, not the cell index."""
     placed, original = [], oqec.serialize._place
 
     def place(*args):
@@ -533,7 +597,7 @@ def test_a_read_channel_keeps_the_stack_the_reader_allocated(tmp_path, monkeypat
 
     monkeypatch.setattr(oqec.serialize, "_place", place)
     path = str(tmp_path / "chan.json")
-    dump_json_file(path, channel_to_json(get("bacon_shor_9").noise))
+    dump_json_file(path, channel_to_json(restricted_flip(5, 0.01)))
     for ch in (load_channel_file(path), channel_from_json(load_json_file(path))):
         assert ch.kraus is placed.pop(0)
         assert not ch.kraus.flags.writeable
