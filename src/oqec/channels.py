@@ -9,9 +9,10 @@ Pauli noise, every operator of which holds at most one nonzero per row, is
 multiplied by its nonzero cells: when no row of the (k dim_out, dim_in) flat
 stack holds two nonzeros and the nonzero count is at most 1/64 of the
 stack's size, an index keeps each row's one cell, the completeness Gram
-matrix is the diagonal that sums their squared magnitudes by column, and
-the stacked product (E_1; ...; E_k) x scales one row of x per row. Every
-other stack takes one BLAS product. Noise built from its cells
+matrix is diagonal and kept as the vector of its diagonal, the cells'
+squared magnitudes summed by column, and the stacked product
+(E_1; ...; E_k) x scales one row of x per row. Every other stack takes one
+BLAS product. Noise built from its cells
 (restricted_flip, a channel file that lists at most one cell per row) is
 kept as that index alone, and its stack is formed only when kraus is read.
 """
@@ -143,20 +144,22 @@ class Channel:
     @cached_property
     def _gram(self) -> tuple:
         """(sum_j E_j† E_j, its defect ||. - 1||_F), from one product of the
-        stacked operators, or, when _cells indexes them, the diagonal whose
-        entry i sums |E[r, i]|^2 over the rows r whose cell sits in column i,
-        by one bincount. (None, inf) when the result overflows."""
+        stacked operators, or, when _cells indexes them, the matrix's
+        diagonal alone, a vector in the cells' dtype whose entry i sums
+        |E[r, i]|^2 over the rows r whose cell sits in column i, by one
+        bincount; its defect is ||. - 1|| of that vector. (None, inf) when
+        the result overflows."""
         din = self.dim_in
         with np.errstate(over="ignore", invalid="ignore"):
             if self._cells is None:
-                g = gram(self.kraus.reshape(-1, din))
+                g, one = gram(self.kraus.reshape(-1, din)), np.eye(din)
             else:
                 cols, vals = self._cells
-                g = np.diag(np.bincount(cols, (vals.conj() * vals).real, din))
-                g = g.astype(vals.dtype, copy=False)
+                g = np.bincount(cols, (vals.conj() * vals).real, din).astype(vals.dtype, copy=False)
+                one = 1.0
             if not np.isfinite(g).all():
                 return None, np.inf
-            return g, float(np.linalg.norm(g - np.eye(din)))
+            return g, float(np.linalg.norm(g - one))
 
     def stacked_product(self, x: np.ndarray) -> np.ndarray:
         """(E_1; ...; E_k) x for a (dim_in, n) matrix x: the (k dim_out, n)
@@ -186,17 +189,23 @@ def validate(ch: Channel) -> ChannelReport:
 
     The Gram matrix sum E†E is formed once per channel and reused by every
     later call: one product of the stacked operators, real for real
-    operators, or, for a stack indexed by its one cell per row, the diagonal
-    of the cells' squared magnitudes, one bincount by column. A Kraus set
-    whose Gram matrix overflows is reported as trace increasing, defect inf.
+    operators, or, for a stack indexed by its one cell per row, only its
+    diagonal, the vector of the cells' squared magnitudes summed by column
+    (one bincount), whose largest entry is the top eigenvalue; no
+    dim_in x dim_in matrix is formed then. A Kraus set whose Gram matrix
+    overflows is reported as trace increasing, defect inf.
     """
     g, defect = ch._gram
     if defect <= DEFAULT_ATOL:
         # No eigen-solve needed for a trace-preserving channel:
         # lambda_max((G+G†)/2) - 1 <= ||G - 1||_2 <= ||G - 1||_F = defect.
         return ChannelReport(trace_preserving=True, trace_nonincreasing=True, defect=defect)
-    # halves first: g + g† can overflow where g is finite
-    top = np.inf if g is None else float(np.linalg.eigvalsh(g / 2 + dag(g) / 2).max())
+    if g is None:
+        top = np.inf
+    elif g.ndim == 1:
+        top = float(g.real.max())
+    else:  # halves first: g + g† can overflow where g is finite
+        top = float(np.linalg.eigvalsh(g / 2 + dag(g) / 2).max())
     return ChannelReport(
         trace_preserving=False,
         trace_nonincreasing=top <= 1.0 + DEFAULT_ATOL,

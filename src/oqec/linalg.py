@@ -21,9 +21,11 @@ Conventions used throughout the package:
   ``SPECTRUM_CUTOFF`` is real and nonnegative (a sign for real vectors);
 * entropies are in bits (log base 2), and every positive eigenvalue counts;
 * Gram matrices x†x come from ``gram``, one real product when x is real;
-  the one exception is the completeness Gram matrix of a Channel indexed by
-  the one nonzero cell of each row, which is diagonal and sums the cells'
-  squared magnitudes by column (see ``channels``).
+  the two exceptions are the completeness Gram matrix of a Channel indexed
+  by the one nonzero cell of each row, which is diagonal and kept as the
+  vector of the cells' squared magnitudes summed by column (see
+  ``channels``), and condition b's pair matrix of a product with at most
+  1/64 nonzero entries, summed from those cells (see ``conditions``).
 """
 
 from __future__ import annotations

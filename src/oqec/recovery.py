@@ -188,8 +188,10 @@ def verify_recovery(
     Both are at their caps when t_min <= SPECTRUM_CUTOFF. X is one product
     (code† R) @ (E code). T and sum L†L are sum_k (E_k code)† H (E_k code)
     for H = G and H = G - (code† R)†(code† R) = sum R†(1 - code code†)R,
-    with G = sum R†R the recovery's cached Gram matrix, so no dim_v x dim_v
-    state is formed. Bad recoveries raise nothing; the numbers speak.
+    with G = sum R†R the recovery's cached Gram matrix (for a recovery
+    indexed by its one cell per row, the vector of G's diagonal, which
+    scales rows), so no dim_v x dim_v state is formed. Bad recoveries raise
+    nothing; the numbers speak.
     """
     rchan = rec.channel if isinstance(rec, Recovery) else rec
     if ch.dim_in != dec.dim_v or ch.dim_out != dec.dim_v:
@@ -208,8 +210,12 @@ def verify_recovery(
     blocks = np.einsum("jabkad->jkbd", x) / da  # C_jk
     x -= np.einsum("ac,jkbd->jabkcd", np.eye(da), blocks)  # now D_jk
     e_flat, d_flat, c_flat = ec.reshape(-1, dc), x.reshape(-1, dc), blocks.reshape(-1, db)
-    t = dag(e_flat) @ (g @ ec).reshape(-1, dc)
-    sum_l = dag(e_flat) @ ((g - gram(cr)) @ ec).reshape(-1, dc)
+    if g.ndim == 1:  # a cell-indexed recovery's diagonal G scales rows
+        g_ec, h = g[:, None] * ec, np.diag(g) - gram(cr)
+    else:
+        g_ec, h = g @ ec, g - gram(cr)
+    t = dag(e_flat) @ g_ec.reshape(-1, dc)
+    sum_l = dag(e_flat) @ (h @ ec).reshape(-1, dc)
     sum_d = gram(d_flat)
     # largest eigenvalues of positive matrices; rounding below 0 is clipped
     leak, delta2, c2, worst = (

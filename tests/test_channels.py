@@ -1,5 +1,8 @@
 """Kraus channels: algebra, constructors, and the Choi correspondence."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import oqec
 from oqec.channels import (
     PAULI_X,
     PAULI_Y,
@@ -427,16 +431,17 @@ def _sparse_stacks(draw):
 def test_cell_path_matches_the_dense_formulas(stack, cols, complex_x):
     """The completeness Gram matrix and the stacked product read from the
     cell index agree with the dense BLAS formulas within 1e-13, in dtype and
-    shape too; the index exists exactly when no row holds two cells and
-    64 nnz <= size."""
+    shape too, the Gram matrix as the diagonal of its kept vector; the index
+    exists exactly when no row holds two cells and 64 nnz <= size."""
     ch = Channel(stack)
     counts = _row_counts(stack)
     assert (ch._cells is not None) == (counts.max() <= 1 and 64 * counts.sum() <= stack.size)
     event("cell path" if ch._cells is not None else "dense path")
     event(f"largest row count {min(counts.max(), 2)}")
     g, defect = ch._gram
+    assert g.ndim == (1 if ch._cells is not None else 2)
     want = gram(stack.reshape(-1, stack.shape[2]))
-    _assert_close(g, want)
+    _assert_close(np.diag(g) if g.ndim == 1 else g, want)
     assert abs(defect - np.linalg.norm(want - np.eye(ch.dim_in))) <= 1e-13 * max(1.0, defect)
     rng = np.random.default_rng(cols)
     x = rng.standard_normal((ch.dim_in, cols))
@@ -446,17 +451,17 @@ def test_cell_path_matches_the_dense_formulas(stack, cols, complex_x):
 
 
 def test_the_cell_index_rule_sits_at_one_64th_of_the_stack():
-    """One cell per row: nnz equal to size / 64 is indexed, one more is not.
-    A second cell in any one row gives no index, however few cells the
-    stack holds. A stack with no nonzero cell is indexed and multiplies to
-    zeros."""
+    """One cell per row: nnz equal to size / 64 is indexed, and its Gram
+    matrix kept as its diagonal; one more is not. A second cell in any one
+    row gives no index, however few cells the stack holds. A stack with no
+    nonzero cell is indexed and multiplies to zeros."""
     stack = np.zeros((2, 64, 32))  # 128 rows, 64 = 4096 / 64 cells allowed
     stack[0, np.arange(32), np.arange(32)] = 1.0
     stack[1, 32:, 5] = 2.0
     assert _row_counts(stack).max() == 1 and 64 * _row_counts(stack).sum() == stack.size
     ch = Channel(stack)
-    assert ch._cells is not None
-    _assert_close(ch._gram[0], gram(stack.reshape(-1, 32)))
+    assert ch._cells is not None and ch._gram[0].shape == (32,)
+    _assert_close(np.diag(ch._gram[0]), gram(stack.reshape(-1, 32)))
     over = stack.copy()
     over[0, 40, 0] = 1.0
     assert Channel(over)._cells is None
@@ -470,6 +475,64 @@ def test_the_cell_index_rule_sits_at_one_64th_of_the_stack():
     assert empty._cells is not None
     assert empty._gram[1] == 4.0
     np.testing.assert_array_equal(empty.stacked_product(np.ones((16, 2))), np.zeros((48, 2)))
+
+
+def _shift_cells(n, value):
+    """The (1, n, n) channel value * (cyclic shift), built from its cells."""
+    return Channel._from_cells((1, n, n), (np.arange(n) + 1) % n, np.full(n, value))
+
+
+@pytest.mark.parametrize(
+    "value, preserving, nonincreasing", [(1.0, True, True), (0.5, False, True), (2.0, False, False)]
+)
+def test_validating_a_cell_channel_forms_no_square_matrix(value, preserving, nonincreasing):
+    """A (1, 4096, 4096) cell channel is validated from its diagonal vector:
+    the defect ||d - 1|| and the top eigenvalue max(d) need no 4096 x 4096
+    matrix (128 MiB each), so validate's traced peak stays under 1 MiB."""
+    ch = _shift_cells(4096, value)
+    tracemalloc.start()
+    try:
+        report = validate(ch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert (report.trace_preserving, report.trace_nonincreasing) == (preserving, nonincreasing)
+    assert report.defect == 64 * abs(value**2 - 1)  # sqrt(4096) |d_i - 1|, exact in binary
+
+
+_VALIDATE_DIM_16000 = """
+import resource
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 3 * 2**29 if hard == resource.RLIM_INFINITY else min(3 * 2**29, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+import numpy as np
+from oqec.channels import Channel, validate
+n = 16000
+ch = Channel._from_cells((1, n, n), (np.arange(n) + 1) % n, np.ones(n))
+report = validate(ch)
+print(report.trace_preserving, report.defect)
+"""
+
+
+def test_a_dim_16000_cell_channel_validates_in_one_and_a_half_gib():
+    """A child process validates a (1, 16000, 16000) one-cell-per-row channel
+    under a 1.5 GiB address-space cap, where one dense 16000 x 16000 float64
+    matrix alone takes 2.0 GB. BLAS runs one thread there, so the cap
+    measures the algorithm, not thread buffers."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oqec.__file__)))
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", _VALIDATE_DIM_16000], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout.split() == ["True", "0.0"]
 
 
 @pytest.mark.parametrize("entry", [1e300, 1e300j, 1e160 + 1e160j])
@@ -496,13 +559,15 @@ def test_an_overflowing_cell_gives_no_gram(entry):
 def test_pauli_noise_at_dim_512_takes_the_cell_path_bit_for_bit(build):
     """One nonzero per row: each cell product is the dense product's only
     nonzero term, so the stacked product is bit-identical to BLAS, and the
-    Gram matrix agrees within 1e-13."""
+    diagonal of the kept Gram vector agrees with the dense Gram matrix
+    within 1e-13."""
     ch = build()
     cols, vals = ch._cells
     assert len(cols) == len(ch.kraus) * ch.dim_out and np.count_nonzero(vals) == len(vals)
     x = get("bacon_shor_9").dec.code_vectors()
     np.testing.assert_array_equal(ch.stacked_product(x), _dense_product(ch, x))
-    _assert_close(ch._gram[0], gram(ch.kraus.reshape(-1, ch.dim_in)))
+    assert ch._gram[0].shape == (ch.dim_in,)
+    _assert_close(np.diag(ch._gram[0]), gram(ch.kraus.reshape(-1, ch.dim_in)))
 
 
 def _restricted_flip_stack(n, p):

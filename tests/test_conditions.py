@@ -542,6 +542,90 @@ def test_condition_d_diagonalizes_the_smaller_side(monkeypatch, kraus, side):
     assert larger not in diagonalized
 
 
+def _verdicts(dec, ch):
+    rb = check_condition_b(dec, ch)
+    ps = rb.witnesses["state"]
+    return ps, [rb, check_condition_c(ps), check_condition_d(ps)]
+
+
+@pytest.mark.parametrize("noise", ["bacon_shor_9", "depolarizing"])
+def test_the_pair_matrix_from_cells_matches_the_dense_gram(noise, monkeypatch):
+    """bacon_shor_9's X holds 1 280 nonzeros of 163 840 (real), and under the
+    weight-one depolarizing noise 3 584 of 458 752 (complex): its pair
+    matrix is summed from those cells. It equals gram of the transposed
+    reshape within 1e-14 of its largest entry (largest gap 0.0 on the real
+    X and 1.0e-18 on the complex one, measured with OpenBLAS), it is
+    float64 exactly when X has no imaginary part, and b, c and d give the
+    dense path's verdicts and, within 1e-14, its residuals."""
+    entry = get("bacon_shor_9")
+    ch = entry.noise if noise == "bacon_shor_9" else weight_one_depolarizing(9, 0.003)
+    ps, reports = _verdicts(entry.dec, ch)
+    da, db, dv, de = ps.dims
+    m = ps._pairs
+    assert conditions._cell_pairs(ps.x, dv) is not None
+    want = gram(ps.x.reshape(de, dv, da * db).transpose(1, 0, 2).reshape(dv, -1))
+    assert m.dtype == want.dtype == (np.complex128 if np.count_nonzero(ps.x.imag) else np.float64)
+    assert m.dtype == (np.float64 if noise == "bacon_shor_9" else np.complex128)
+    assert np.abs(m - want).max() <= 1e-14 * np.abs(want).max()
+    monkeypatch.setattr(conditions, "_cell_pairs", lambda x, dv: None)
+    dense_ps, dense = _verdicts(entry.dec, ch)
+    assert dense_ps._pairs.dtype == m.dtype
+    for got, ref in zip(reports, dense):
+        assert got.passed and ref.passed, (got.condition, got.residual, ref.residual)
+        assert abs(got.residual - ref.residual) <= 1e-14, (got.condition, got.residual, ref.residual)
+
+
+def _sparse_x(rng, de, dv, width, per_col, dtype):
+    """A (de dv, width) array with per_col nonzeros in each column."""
+    x = np.zeros((de * dv, width), dtype)
+    for c in range(width):
+        rows = rng.choice(de * dv, per_col, replace=False)
+        x[rows, c] = rng.standard_normal(per_col)
+        if dtype is complex:
+            x[rows, c] += 1j * rng.standard_normal(per_col)
+    return x
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "imaginary", "complex dtype, real values"])
+def test_cell_pairs_agree_with_gram_and_its_dtype(kind):
+    """_cell_pairs on random sparse X: the Gram matrix of the transposed
+    reshape within 1e-14 of its largest entry, in gram's dtype; a purely
+    imaginary X still gives a complex matrix, and a complex X with no
+    imaginary part a float64 one."""
+    rng = _rng(71)
+    de, dv, width = 5, 256, 6
+    x = _sparse_x(rng, de, dv, width, 8, complex if kind != "real" else float)
+    if kind == "imaginary":
+        x = 1j * x.imag
+    elif kind == "complex dtype, real values":
+        x = x.real + 0j
+    m = conditions._cell_pairs(x, dv)
+    want = gram(x.reshape(de, dv, width).transpose(1, 0, 2).reshape(dv, -1))
+    assert m is not None and m.dtype == want.dtype and m.shape == want.shape
+    assert m.dtype == (np.float64 if kind in ("real", "complex dtype, real values") else np.complex128)
+    assert np.abs(m - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_cell_pairs_take_x_with_at_most_one_64th_nonzero():
+    """X takes the cell path exactly when at most 1/64 of its entries are
+    nonzero, as a Channel's cell index does; the pairs within V rows,
+    sum_v n_v^2, are then at most dim_v n^2 / 64, even with every cell
+    crowded into the fewest rows. One cell more, or a dense X, goes to
+    gram, and so does an X of fewer than 64 rows, uncounted."""
+    de, dv, width = 2, 128, 32  # n = 64; 8192 entries, 128 cells allowed
+    x = np.zeros((de * dv, width))
+    x[:4, :] = 1.0  # 128 cells in the rows (e, v) = (0, 0..3): 4 * 32^2 pairs
+    per_v = np.count_nonzero(x.reshape(de, dv, width), axis=(0, 2))
+    assert 64 * np.count_nonzero(x) == x.size and 64 * per_v @ per_v <= dv * 64**2
+    m = conditions._cell_pairs(x, dv)
+    np.testing.assert_array_equal(m, gram(x.reshape(de, dv, width).transpose(1, 0, 2).reshape(dv, -1)))
+    x[200, 0] = 1.0
+    assert conditions._cell_pairs(x, dv) is None
+    assert conditions._cell_pairs(_rng(72).standard_normal((de * dv, width)), dv) is None
+    one_cell = np.zeros((63, 64))
+    one_cell[0, 0] = 1.0
+    assert conditions._cell_pairs(one_cell, 63) is None
+
 def test_marginals_are_formed_once_and_read_only(monkeypatch):
     """Conditions c then d on one purified state share one Gram product, the
     joint: the R_A and R_B E marginals are its partial traces, each formed

@@ -13,12 +13,16 @@ import oqec
 from oqec import cli
 
 from oqec.channels import (
+    PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     Channel,
     apply,
     depolarizing,
     identity,
     random_channel,
+    single_qubit_on,
+    unitary,
     validate,
 )
 from oqec.codes import catalog, get
@@ -303,6 +307,26 @@ def test_verify_recovery_rejects_overflowing_kraus_sets():
                 verify_recovery(entry.dec, noise, recovery)
 
 
+@pytest.mark.parametrize("noise", ["bacon_shor_9", "depolarizing"])
+def test_verify_recovery_scales_rows_by_a_cell_recovery_gram(noise):
+    """The identity and the Pauli permutations X and Y on one site of the
+    dim_v 512 code are cell-indexed recoveries, whose Gram matrix is kept as
+    its diagonal; the report equals, to rounding, the one computed from the
+    dense np.diag of that vector (bit for bit on this build)."""
+    entry = get("bacon_shor_9")
+    ch = entry.noise if noise == "bacon_shor_9" else weight_one_depolarizing(9, 0.003)
+    flips = [single_qubit_on(9, site, unitary(p)) for site, p in ((0, PAULI_X), (4, PAULI_Y))]
+    for rec in [identity(512), *flips]:
+        g, defect = rec._gram
+        assert g.shape == (512,)
+        twin = Channel(rec.kraus)
+        vars(twin)["_gram"] = (np.diag(g), defect)
+        got, want = verify_recovery(entry.dec, ch, rec), verify_recovery(entry.dec, ch, twin)
+        assert got.max_infidelity > 0.05
+        for field in ("max_infidelity", "b_marginal_drift", "support_leak"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= 1e-13, (field, got, want)
+
+
 def _rebuilt(fac, da):
     """The channel code -> V with Kraus operators w (1_A tensor N_l)."""
     return Channel(fac.w @ kron(np.eye(da), fac.n_b.kraus))
@@ -427,24 +451,33 @@ def test_synthesis_and_factorization_form_one_stacked_product(monkeypatch, tmp_p
     """One purified state serves every test and every construction: condition
     b, `oqec check --condition all`, both synthesizers and factorize_product
     each form the product X = E code once and its pair matrix, the Gram of
-    the (dim_v, k dim_code) reshape of X, once."""
+    the (dim_v, k dim_code) reshape of X, exactly once: from X's cells on
+    bacon_shor_9, by the dense product on every catalog entry."""
     products, pair_grams = [], []
     original_product, original_gram = Channel.stacked_product, oqec.conditions.gram
+    original_cells = oqec.conditions._cell_pairs
 
     def counting_product(self, x):
         products.append(self)
         return original_product(self, x)
 
     def counting_gram(x):
-        pair_grams.append(x.shape)
+        pair_grams.append(("dense", x.shape))
         return original_gram(x)
+
+    def counting_cells(x, dv):
+        m = original_cells(x, dv)
+        if m is not None:
+            pair_grams.append(("cells", (dv, x.size // dv)))
+        return m
 
     monkeypatch.setattr(Channel, "stacked_product", counting_product)
     monkeypatch.setattr(oqec.conditions, "gram", counting_gram)
+    monkeypatch.setattr(oqec.conditions, "_cell_pairs", counting_cells)
     for name in [e.name for e in catalog()] + ["bacon_shor_9"]:
         entry = get(name)
         dec, noise = entry.dec, entry.noise
-        pair_shape = (dec.dim_v, len(noise.kraus) * dec.dim_code)
+        pair = ("cells" if name == "bacon_shor_9" else "dense", (dec.dim_v, noise.n_kraus * dec.dim_code))
         runs = [check_condition_b]
         if all(entry.expected.values()):
             runs += [*SYNTHESIZERS, factorize_product]
@@ -453,14 +486,14 @@ def test_synthesis_and_factorization_form_one_stacked_product(monkeypatch, tmp_p
             pair_grams.clear()
             run(dec, noise)
             assert len(products) == 1 and products[0] is noise, (name, run.__name__)
-            assert pair_grams.count(pair_shape) == 1, (name, run.__name__, pair_grams)
+            assert pair_grams == [pair], (name, run.__name__, pair_grams)
         assert cli.main(["codes", "export", name, str(tmp_path)]) == 0
         paths = [str(tmp_path / f"{name}.{part}.json") for part in ("decomposition", "noise")]
         products.clear()
         pair_grams.clear()
         assert cli.main(["check", *paths, "--condition", "all"]) == (0 if len(runs) > 1 else 1)
         assert len(products) == 1, (name, "check")
-        assert pair_grams.count(pair_shape) == 1, (name, "check", pair_grams)
+        assert [g for g in pair_grams if g[1] == pair[1]] == [pair], (name, "check", pair_grams)
 
 
 def test_factorize_refuses_the_mismatched_catalog_entry():
