@@ -5,21 +5,14 @@ rho -> sum_j E_j rho E_j†, stored as one (k, dim_out, dim_in) array. Trace
 preservation means sum_j E_j† E_j equals the identity; the Frobenius norm of
 the difference is the completeness defect.
 
-Pauli noise, every operator of which holds at most one nonzero per row, is
-multiplied by its nonzero cells: when no row of the (k dim_out, dim_in) flat
-stack holds two nonzeros and the nonzero count is at most 1/64 of the
-stack's size, an index keeps each row's one cell, the completeness Gram
-matrix is diagonal and kept as the vector of its diagonal, the cells'
-squared magnitudes summed by column, and the stacked product
-(E_1; ...; E_k) x scales one row of x per row. Every other stack takes one
-BLAS product. Noise built from its cells
-(restricted_flip, a channel file that lists at most one cell per row) is
-kept as that index alone, and its stack is formed only when kraus is read.
+Pauli noise, with at most one nonzero per row, is kept as the linalg.Cells
+store of its (k dim_out, dim_in) flat stack: its completeness Gram matrix
+is the vector of its diagonal, and its stacked product scales rows. Noise
+built from its cells forms its stack only when kraus is read.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Sequence
@@ -27,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import DEFAULT_ATOL, dag, gram, kron, storage_stack, unitarity_defect
+from .linalg import DEFAULT_ATOL, Cells, dag, gram, kron, storage_stack, unitarity_defect
 
 ID2 = np.eye(2)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -47,10 +40,10 @@ class Channel:
     builder that has just allocated such a stack in its storage dtype, and
     keeps no other reference to it, passes _adopt=True: the stack itself is
     made read-only and kept, with no copy; a builder that holds one cell per
-    row calls Channel._from_cells. Figures that depend only on the operators,
-    the completeness Gram matrix and the index of each row's one nonzero
-    cell, are computed on first use and kept. dim_in, dim_out and n_kraus
-    never form the stack of a channel built from its cells; kraus does, once.
+    row calls Channel._from_cells. The completeness Gram matrix and the
+    store of the cells are computed on first use and kept. dim_in, dim_out
+    and n_kraus never form the stack of a channel built from its cells;
+    kraus does, once.
     Equality and hashing are by identity.
     """
 
@@ -78,16 +71,27 @@ class Channel:
     @classmethod
     def _from_cells(cls, shape: tuple, cols: np.ndarray, vals: np.ndarray) -> Channel:
         """The channel of shape (k, dim_out, dim_in) whose flat stack holds
-        vals[r] at (r, cols[r]) and zeros elsewhere; vals comes in its
-        storage dtype. When 64 nnz <= size it is kept as the index _cells
-        would form (a zero value, of either sign, becomes column 0 and value
-        0), with no stack; otherwise the stack is formed and adopted."""
-        nz = vals != 0
+        vals[r] (storage dtype; a zero of either sign is no cell) at (r,
+        cols[r]): its store, or its stack when the density rule refuses it."""
+        rows = np.flatnonzero(vals)
+        cols, vals = cols[rows], vals[rows]
+        ch = cls._from_sorted(shape, rows, cols, vals)
+        if ch is None:  # 64 nnz > size
+            stack = np.zeros((shape[0] * shape[1], shape[2]), vals.dtype)
+            stack[rows, cols] = vals
+            ch = cls(stack.reshape(shape), _adopt=True)
+        return ch
+
+    @classmethod
+    def _from_sorted(cls, shape: tuple, rows, cols, vals) -> Channel | None:
+        """The channel kept as the store of its flat stack's row-sorted cells,
+        with no stack; None if a row holds two (checked first) or 64 nnz > size."""
+        n = shape[0] * shape[1]
+        cells = None if (np.diff(rows) == 0).any() else Cells.build((n, shape[2]), rows, cols, vals)
+        if cells is None:
+            return None
         ch = object.__new__(cls)
-        cells = (np.where(nz, cols, 0).astype(np.intp, copy=False), np.where(nz, vals, 0))
         vars(ch).update(_shape=tuple(shape), _cells=cells)
-        if 64 * np.count_nonzero(nz) > math.prod(shape):
-            return cls(ch.kraus, _adopt=True)
         return ch
 
     def __getattr__(self, name):
@@ -95,10 +99,7 @@ class Channel:
         # built from its cells, formed here on first use and kept
         if name != "kraus" or "_shape" not in vars(self):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        cols, vals = self._cells
-        stack = np.zeros((len(cols), self.dim_in), vals.dtype)
-        stack[np.arange(len(cols)), cols] = vals
-        stack = stack.reshape(self._shape)
+        stack = self._cells.dense().reshape(self._shape)
         stack.flags.writeable = False
         object.__setattr__(self, "kraus", stack)
         return stack
@@ -121,42 +122,22 @@ class Channel:
         return self._shape[1]
 
     @cached_property
-    def _cells(self) -> tuple | None:
-        """(cols, vals): the column and the value of each row's nonzero cell
-        in the (k dim_out, dim_in) flat stack, column 0 and value 0 for an
-        empty row. None when a row holds two nonzeros or 64 nnz exceeds the
-        stack's size, which the counts decide, operator by operator, before
-        any index is formed."""
-        masks, nnz = [], 0
-        for e in self.kraus:
-            masks.append(e != 0)
-            counts = np.count_nonzero(masks[-1], axis=1)
-            nnz += int(counts.sum())
-            if counts.max(initial=0) > 1 or 64 * nnz > self.kraus.size:
-                return None
-        at = np.flatnonzero(masks)
-        rows, at_col = np.divmod(at, self.dim_in)
-        n = self.n_kraus * self.dim_out
-        cols, vals = np.zeros(n, np.intp), np.zeros(n, self.kraus.dtype)
-        cols[rows], vals[rows] = at_col, self.kraus.reshape(-1)[at]
-        return cols, vals
+    def _cells(self) -> Cells | None:
+        """The store of the flat stack when _from_sorted keeps it, else None."""
+        found = Cells.scan(self.kraus.reshape(-1, self.dim_in))
+        ch = None if found is None else Channel._from_sorted(self._shape, *found)
+        return None if ch is None else ch._cells
 
     @cached_property
     def _gram(self) -> tuple:
-        """(sum_j E_j† E_j, its defect ||. - 1||_F), from one product of the
-        stacked operators, or, when _cells indexes them, the matrix's
-        diagonal alone, a vector in the cells' dtype whose entry i sums
-        |E[r, i]|^2 over the rows r whose cell sits in column i, by one
-        bincount; its defect is ||. - 1|| of that vector. (None, inf) when
-        the result overflows."""
+        """(sum_j E_j† E_j, its defect ||. - 1||_F), one product of the stack
+        or the vector of its diagonal from _cells; (None, inf) on overflow."""
         din = self.dim_in
         with np.errstate(over="ignore", invalid="ignore"):
             if self._cells is None:
                 g, one = gram(self.kraus.reshape(-1, din)), np.eye(din)
             else:
-                cols, vals = self._cells
-                g = np.bincount(cols, (vals.conj() * vals).real, din).astype(vals.dtype, copy=False)
-                one = 1.0
+                g, one = self._cells.gram(), 1.0
             if not np.isfinite(g).all():
                 return None, np.inf
             return g, float(np.linalg.norm(g - one))
@@ -164,16 +145,10 @@ class Channel:
     def stacked_product(self, x: np.ndarray) -> np.ndarray:
         """(E_1; ...; E_k) x for a (dim_in, n) matrix x: the (k dim_out, n)
         matrix whose block j is E_j x. One BLAS product, or, when _cells
-        indexes the stack, each row's cell value times the row of x its
-        column picks, scaled in the gathered rows when their dtype holds the
-        result."""
+        holds the stack, the store's gathered product."""
         if self._cells is None:
             return self.kraus.reshape(-1, self.dim_in) @ x
-        cols, vals = self._cells
-        rows = x[cols]
-        if np.result_type(vals, rows) != rows.dtype:
-            return vals[:, None] * rows
-        return np.multiply(vals[:, None], rows, out=rows)
+        return self._cells.product(x)
 
 
 @dataclass(frozen=True)
@@ -189,11 +164,10 @@ def validate(ch: Channel) -> ChannelReport:
 
     The Gram matrix sum E†E is formed once per channel and reused by every
     later call: one product of the stacked operators, real for real
-    operators, or, for a stack indexed by its one cell per row, only its
-    diagonal, the vector of the cells' squared magnitudes summed by column
-    (one bincount), whose largest entry is the top eigenvalue; no
-    dim_in x dim_in matrix is formed then. A Kraus set whose Gram matrix
-    overflows is reported as trace increasing, defect inf.
+    operators, or, for a stack kept as its cells, the vector of its
+    diagonal, whose largest entry is the top eigenvalue, with no
+    dim_in x dim_in matrix. A Kraus set whose Gram matrix overflows is
+    reported as trace increasing, defect inf.
     """
     g, defect = ch._gram
     if defect <= DEFAULT_ATOL:

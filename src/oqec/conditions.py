@@ -12,8 +12,8 @@ of V = (A tensor B) + C, each a test of one matrix, the pair matrix of E code:
 The purified state behind them lives on R_A tensor R_B tensor V tensor E in
 that factor order, where R_A and R_B mirror A and B and E is the noise
 environment with one axis per Kraus operator. purify forms E code once, its
-state forms the pair matrix once, from E code's nonzero cells when they
-are few, and b, c and d read it.
+state forms the pair matrix once, from E code's linalg.Cells store when
+the density rule admits one, and its defect once, and b, c and d read them.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import DegenerateChannelError, DimensionError, NotAStateError
 from .linalg import (
     DEFAULT_ATOL,
     SPECTRUM_CUTOFF,
+    Cells,
     gram,
     partial_trace,
     von_neumann_entropy,
@@ -85,13 +86,36 @@ class PurifiedState:
     @cached_property
     def _pairs(self) -> np.ndarray:
         """m[(j, a, b), (k, c, d)] = <a, b| E_j† E_k |c, d>, read-only: the
-        Gram matrix of X_V, from x's cells when _cell_pairs takes it."""
-        da, db, dv, de = self.dims
-        m = _cell_pairs(self.x, dv)
-        if m is None:
-            m = gram(self.x.reshape(de, dv, da * db).transpose(1, 0, 2).reshape(dv, -1))
+        Gram matrix of X_V[v, (e, c)] = x[(e, v), c], by gram, or from the
+        store of X_V when the density rule admits one: x's cells regrouped
+        by v, where only cells of one row v pair up."""
+        dv, de = self.dims[2:]
+        found = Cells.scan(self.x)
+        if found is None:
+            m = gram(self.x.reshape(de, dv, -1).transpose(1, 0, 2).reshape(dv, -1))
+        else:  # x's cells ascend in (e, v), then c: sorted stably by v, (e, c) ascends
+            r, c, val = found
+            by_v = np.argsort(r % dv, kind="stable")
+            e, v = np.divmod(r[by_v], dv)
+            m = Cells.build((dv, self.x.size // dv), v, e * self.x.shape[1] + c[by_v], val[by_v]).gram()
+            m = np.diag(m) if m.ndim == 1 else m  # a vector when one cell per row v
         m.flags.writeable = False
         return m
+
+    @cached_property
+    def _defect(self) -> tuple[np.ndarray, np.ndarray]:
+        """(blocks, pair), read-only: b's blocks B_jk, the A-averages of the
+        code-sector blocks M_jk of the pair matrix, indexed (j, k, b, d), and
+        the (k, k) pair deviations ||M_jk - 1_A tensor B_jk||_F."""
+        da, db, dv, de = self.dims
+        m = self._pairs.reshape(de, da, db, de, da, db).copy()
+        blocks = m.diagonal(axis1=1, axis2=4).sum(-1) / da  # indexed (j, b, k, d)
+        for a in range(da):
+            m[:, a, :, :, a, :] -= blocks
+        pair = np.sqrt(np.einsum("jabkcd,jabkcd->jk", m.conj(), m).real)
+        blocks = blocks.transpose(0, 2, 1, 3)
+        blocks.flags.writeable = pair.flags.writeable = False
+        return blocks, pair
 
     def marginal(self, keep: Iterable[int]) -> np.ndarray:
         """Density matrix of the kept factors (0=R_A, 1=R_B, 2=V, 3=E), read-only."""
@@ -119,54 +143,6 @@ class PurifiedState:
             rho.flags.writeable = False
             self._marginals[keep] = rho
         return rho
-
-
-def _cell_pairs(x: np.ndarray, dv: int) -> np.ndarray | None:
-    """X_V† X_V for X_V[v, (e, c)] = x[(e, v), c], summed from x's nonzero
-    cells, or None when x is not sparse enough for that to pay.
-
-    Entry ((j, c), (k, d)) sums conj(x[(j, v), c]) x[(k, v), d] over v, so
-    only pairs of cells in one row v count: sum_v n_v^2 products for n_v
-    cells in row v, against dim_v n^2 for gram's dense product, n the width
-    of X_V. The cells are taken when at most 1/64 of x's entries are
-    nonzero, the bound of a Channel's cell index; then, as n_v <= n, the
-    pair work is at most n nnz <= dim_v n^2 / 64. Pauli noise on a code
-    whose vectors are sparse, such as bacon_shor_9, passes. Two cheap
-    refusals come first. An x of fewer than 64 rows goes to gram
-    uncounted, as every catalog entry's does: a column of it that holds a
-    nonzero, as every column of E code does for trace-preserving noise, is
-    more than 1/64 nonzero. A dense x is refused by the count of its first
-    size/64 + 1 entries alone. The cells are grouped by v in x's own (e, v)
-    layout, and their products summed by one bincount per real or
-    imaginary part. As with gram, the result is complex exactly when a cell
-    has an imaginary part.
-    """
-    flat, most = x.reshape(-1), x.size // 64
-    if x.shape[0] < 64 or np.count_nonzero(flat[: most + 1]) > most:
-        return None
-    nz = flat != 0
-    count = np.count_nonzero(nz)
-    if count > most:
-        return None
-    nab = x.shape[1]
-    n = x.size // dv
-    at = np.flatnonzero(nz)  # ascending (e, v, c)
-    e, v = np.divmod(at // nab, dv)
-    per_v = np.bincount(v, minlength=dv)
-    by_v = np.argsort(v, kind="stable")  # within a row v, ascending (e, c)
-    cells, col = flat[at[by_v]], (e * nab + at % nab)[by_v]
-    # the pairs (left, right) of row v: its n_v cells, each repeated n_v
-    # times, against that row's cells in turn
-    reps = np.repeat(per_v, per_v)
-    left = np.repeat(np.arange(count), reps)
-    shift = np.repeat(np.cumsum(per_v) - per_v, per_v) - (np.cumsum(reps) - reps)
-    right = np.arange(len(left)) + np.repeat(shift, reps)
-    entry = col[left] * n + col[right]
-    w = cells[left].conj() * cells[right]
-    m = np.bincount(entry, w.real, n * n)
-    if np.iscomplexobj(cells) and np.count_nonzero(cells.imag):
-        m = m + 1j * np.bincount(entry, w.imag, n * n)
-    return m.reshape(n, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,17 +179,6 @@ def purify(
     return PurifiedState((dec.dim_a, dec.dim_b, dec.dim_v, ch.n_kraus), x, norm_in, _adopt=True)
 
 
-def _defect(ps: PurifiedState) -> tuple[np.ndarray, np.ndarray]:
-    """b's blocks B_jk, the A-averages of the code-sector blocks M_jk of the
-    pair matrix, and M_jk - 1_A tensor B_jk, indexed (j, a, b, k, c, d)."""
-    da, db, dv, de = ps.dims
-    m = ps._pairs.reshape(de, da, db, de, da, db).copy()
-    blocks = m.diagonal(axis1=1, axis2=4).sum(-1) / da  # indexed (j, b, k, d)
-    for a in range(da):
-        m[:, a, :, :, a, :] -= blocks
-    return blocks.transpose(0, 2, 1, 3), m
-
-
 def check_condition_b(
     dec: Decomposition,
     ch: Channel,
@@ -233,8 +198,7 @@ def check_condition_b(
     code sector raises DegenerateChannelError.
     """
     ps = purify(dec, ch, allow_trace_decreasing=allow_trace_decreasing)
-    blocks, diff = _defect(ps)
-    pair = np.sqrt(np.einsum("jabkcd,jabkcd->jk", diff.conj(), diff).real)
+    blocks, pair = ps._defect
     worst = np.unravel_index(np.argmax(pair), pair.shape)
     residual = float(np.linalg.norm(pair))
     return ConditionReport(
@@ -259,11 +223,11 @@ def check_condition_c(ps: PurifiedState, tol: float = DEFAULT_ATOL) -> Condition
     1_A / dim_a is the input R_A marginal; renormalized trace-decreasing
     noise can move the observed one, the witness rho_ra, away from it. Entry
     by entry the difference is b's M_jk - 1_A tensor B_jk over
-    dim_a dim_b norm_in, and that is how it is computed, so
+    dim_a dim_b norm_in, and it is read from b's pair deviations, so
     residual_b = dim_a dim_b norm_in residual_c by construction.
     """
     da, db = ps.dims[:2]
-    residual = float(np.linalg.norm(_defect(ps)[1])) / (da * db * ps.norm_in)
+    residual = float(np.linalg.norm(ps._defect[1])) / (da * db * ps.norm_in)
     return ConditionReport(
         condition="c",
         passed=residual <= tol,

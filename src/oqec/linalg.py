@@ -20,17 +20,21 @@ Conventions used throughout the package:
 * eigenvector phases are fixed so the first component of magnitude above
   ``SPECTRUM_CUTOFF`` is real and nonnegative (a sign for real vectors);
 * entropies are in bits (log base 2), and every positive eigenvalue counts;
-* Gram matrices x†x come from ``gram``, one real product when x is real;
-  the two exceptions are the completeness Gram matrix of a Channel indexed
-  by the one nonzero cell of each row, which is diagonal and kept as the
-  vector of the cells' squared magnitudes summed by column (see
-  ``channels``), and condition b's pair matrix of a product with at most
-  1/64 nonzero entries, summed from those cells (see ``conditions``).
+* Gram matrices x†x come from ``gram``, one real product when x is real,
+  or, for a matrix held as a ``Cells`` store, from its cells.
+
+A matrix with few nonzeros, such as Pauli noise and E code for it on a
+subsystem code, is held as a ``Cells`` store in ELLPACK layout (Rice and
+Boisvert, 1985): a (rows, w) array of columns and one of values, each row's
+cells in ascending column order, shorter rows padded with column 0 and
+value 0. The one density rule: a store is built, and a matrix scanned for
+its cells, only when 64 nnz <= size; else the matrix stays dense.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -83,6 +87,83 @@ def gram(x: np.ndarray) -> np.ndarray:
         return dag(x) @ x
     r = np.ascontiguousarray(x.real, dtype=np.float64)
     return r.T @ r
+
+
+def _most_cells(size: int) -> int:
+    """The density rule, coded here alone: 64 nnz <= size."""
+    return size // 64
+
+
+@dataclass(frozen=True, eq=False)
+class Cells:
+    """A (rows, n) matrix as the (rows, w) cols and vals of the layout above,
+    vals in its dtype; Cells(cols[i:j], vals[i:j], n) holds rows i to j."""
+
+    cols: np.ndarray
+    vals: np.ndarray
+    n: int
+
+    @classmethod
+    def build(cls, shape: tuple, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> Cells | None:
+        """The store of the shape matrix holding vals[i] at (rows[i], cols[i]),
+        nonzero cells sorted by row, then column; None when 64 nnz > size."""
+        if len(vals) > _most_cells(math.prod(shape)):
+            return None
+        counts = np.bincount(rows, minlength=shape[0])
+        slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+        width = int(counts.max(initial=0))
+        store = cls(np.zeros((shape[0], width), np.intp), np.zeros((shape[0], width), vals.dtype), shape[1])
+        store.cols[rows, slot], store.vals[rows, slot] = cols, vals
+        return store
+
+    @staticmethod
+    def scan(a: np.ndarray) -> tuple | None:
+        """A 2-D array's nonzero (rows, cols, vals), row-major as build takes
+        them; None when 64 nnz > size, a dense array by its first size/64 + 1."""
+        flat, most = a.reshape(-1), _most_cells(a.size)
+        if np.count_nonzero(flat[: most + 1]) > most:
+            return None
+        nz = flat != 0
+        if np.count_nonzero(nz) > most:
+            return None
+        at = np.flatnonzero(nz)
+        return (*np.divmod(at, a.shape[1]), flat[at])
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """self @ x for a dense (n, m) x: the rows of x the cells' columns
+        pick, scaled in place when their dtype allows, summed per row."""
+        cols, vals = self.cols, self.vals
+        if cols.shape[1] == 1:  # the gathered rows are the result, with no sum
+            cols, vals = cols[:, 0], vals[:, 0]
+        rows = x[cols]
+        if np.result_type(vals, rows) != rows.dtype:
+            rows = vals[..., None] * rows
+        else:
+            np.multiply(vals[..., None], rows, out=rows)
+        return rows if rows.ndim == 2 else rows.sum(1)
+
+    def gram(self) -> np.ndarray:
+        """self† self: at width <= 1 its diagonal alone, one bincount of |v|^2
+        by column, else the (n, n) matrix, one bincount per real or imaginary
+        part over each row's w^2 pairs; complex as gram's would be."""
+        cols, vals, n = self.cols, self.vals, self.n
+        imaginary = np.iscomplexobj(vals) and np.count_nonzero(vals.imag)
+        if cols.shape[1] <= 1:
+            d = np.bincount(cols.reshape(-1), (vals.conj() * vals).real.reshape(-1), n)
+            return d.astype(np.complex128 if imaginary else np.float64, copy=False)  # int64 if no cell
+        entry = (cols[:, :, None] * n + cols[:, None, :]).reshape(-1)
+        pairs = (vals.conj()[:, :, None] * vals[:, None, :]).reshape(-1)
+        m = np.bincount(entry, pairs.real, n * n)
+        if imaginary:
+            m = m + 1j * np.bincount(entry, pairs.imag, n * n)
+        return m.reshape(n, n)
+
+    def dense(self) -> np.ndarray:
+        """The (rows, n) matrix, in vals' dtype."""
+        out = np.zeros((len(self.cols), self.n), self.vals.dtype)
+        rows, slot = np.nonzero(self.vals)
+        out[rows, self.cols[rows, slot]] = self.vals[rows, slot]
+        return out
 
 
 def unitarity_defect(m: np.ndarray) -> float:

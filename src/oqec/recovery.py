@@ -188,10 +188,10 @@ def verify_recovery(
     Both are at their caps when t_min <= SPECTRUM_CUTOFF. X is one product
     (code† R) @ (E code). T and sum L†L are sum_k (E_k code)† H (E_k code)
     for H = G and H = G - (code† R)†(code† R) = sum R†(1 - code code†)R,
-    with G = sum R†R the recovery's cached Gram matrix (for a recovery
-    indexed by its one cell per row, the vector of G's diagonal, which
-    scales rows), so no dim_v x dim_v state is formed. Bad recoveries raise
-    nothing; the numbers speak.
+    with G = sum R†R the recovery's cached Gram matrix (for a recovery kept
+    as its cells, the vector of its diagonal, which scales rows). The second
+    H E_k code is G E_k code - (code† R)† X_k, so no dim_v x dim_v matrix is
+    formed. Bad recoveries raise nothing; the numbers speak.
     """
     rchan = rec.channel if isinstance(rec, Recovery) else rec
     if ch.dim_in != dec.dim_v or ch.dim_out != dec.dim_v:
@@ -205,18 +205,14 @@ def verify_recovery(
     code = dec.code_vectors()
     ec = ch.stacked_product(code).reshape(-1, dv, dc)  # E_k code
     cr = (dag(code) @ rchan.kraus).reshape(-1, dv)  # code† R_j, stacked rows
-    # x[j, a, b, k, c, d] = <a, b| R_j E_k |c, d> on the code sector
-    x = (cr @ ec.transpose(1, 0, 2).reshape(dv, -1)).reshape(-1, da, db, ch.n_kraus, da, db)
+    x = cr @ ec.transpose(1, 0, 2).reshape(dv, -1)  # <a, b| R_j E_k |c, d>, rows (j, a, b)
+    g_ec = g[:, None] * ec if g.ndim == 1 else g @ ec  # a cell recovery's diagonal G scales rows
+    h_ec = g_ec - (dag(cr) @ x).reshape(dv, -1, dc).transpose(1, 0, 2)
+    t, sum_l = (dag(ec.reshape(-1, dc)) @ y.reshape(-1, dc) for y in (g_ec, h_ec))
+    x = x.reshape(-1, da, db, ch.n_kraus, da, db)  # indexed (j, a, b, k, c, d)
     blocks = np.einsum("jabkad->jkbd", x) / da  # C_jk
     x -= np.einsum("ac,jkbd->jabkcd", np.eye(da), blocks)  # now D_jk
-    e_flat, d_flat, c_flat = ec.reshape(-1, dc), x.reshape(-1, dc), blocks.reshape(-1, db)
-    if g.ndim == 1:  # a cell-indexed recovery's diagonal G scales rows
-        g_ec, h = g[:, None] * ec, np.diag(g) - gram(cr)
-    else:
-        g_ec, h = g @ ec, g - gram(cr)
-    t = dag(e_flat) @ g_ec.reshape(-1, dc)
-    sum_l = dag(e_flat) @ (h @ ec).reshape(-1, dc)
-    sum_d = gram(d_flat)
+    sum_d, c_flat = gram(x.reshape(-1, dc)), blocks.reshape(-1, db)
     # largest eigenvalues of positive matrices; rounding below 0 is clipped
     leak, delta2, c2, worst = (
         max(0.0, float(np.linalg.eigvalsh(h)[-1]))

@@ -43,10 +43,9 @@ A channel is read into one (k, dim_out, dim_in) Kraus stack in its storage
 dtype, linalg.storage_dtype of every sparse im value and dense im part:
 every operator is checked, then the stack is allocated once and written,
 so no complex matrix per operator is formed, and the Channel keeps that
-very stack, with no copy. A channel whose operators are all sparse, list
-at most one cell per row and no zero value, is read into the index of
-those cells instead (Channel._from_cells), and no stack is formed unless
-the cells exceed 1/64 of it; such a channel is written from its cells, to
+very stack, with no copy, or, when its operators are all sparse, list no
+zero value and Channel._from_sorted takes their cells, into their store (see
+linalg.Cells), with no stack; such a channel is written from its cells, to
 the bytes its stack would give. load_channel_file drops the parsed JSON
 tree of a channel file before that allocation. Frames are read the same
 way; matrix_from_json alone returns complex128.
@@ -65,7 +64,7 @@ import numpy as np
 from .channels import Channel
 from .conditions import ConditionReport
 from .errors import DimensionError, FormatError
-from .linalg import storage_dtype
+from .linalg import Cells, storage_dtype
 from .spaces import Decomposition
 
 __all__ = [
@@ -85,13 +84,6 @@ __all__ = [
 _SPARSE_KEYS = ("shape", "rows", "cols", "re", "im")
 
 
-def _written(m: np.ndarray) -> np.ndarray:
-    """Whether each cell of the complex128 array m is written: a cell is
-    zero only when all 128 of its bits are."""
-    bits = m.view(np.uint64)  # the last axis alternates re, im
-    return (bits[..., 0::2] | bits[..., 1::2]) != 0
-
-
 def _sparse_json(shape: tuple, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> dict:
     return {
         "shape": list(shape),
@@ -109,7 +101,8 @@ def matrix_to_json(m: np.ndarray) -> list | dict:
     m = np.ascontiguousarray(m, dtype=np.complex128)
     if m.ndim == 1:
         m = m.reshape(1, -1)
-    rows, cols = np.nonzero(_written(m))
+    bits = m.view(np.uint64)  # the last axis alternates re, im
+    rows, cols = np.nonzero((bits[..., 0::2] | bits[..., 1::2]) != 0)
     if 2 * rows.size >= m.size:
         return np.stack([m.real, m.imag], -1).tolist()
     return _sparse_json(m.shape, rows, cols, m[rows, cols])
@@ -258,19 +251,17 @@ def _int_field(obj: dict, key: str, minimum: int, field: str) -> int:
 
 
 def _cell_operators_json(ch: Channel) -> list:
-    """matrix_to_json of each operator of a channel built from its cells,
-    read from the cells: an operator's written cells are its rows' cells,
-    so its sparse form lists them in row order. An operator that takes the
-    dense form (one of at most two columns) is read from the stack."""
+    """matrix_to_json of each operator of a channel kept as its cells, read
+    from the block of the store holding its rows, in either form."""
     k, dout, din = ch._shape
-    cols, vals = ch._cells
-    out = []
-    for j, (c, v) in enumerate(zip(cols.reshape(k, dout), vals.astype(np.complex128).reshape(k, dout))):
-        rows = np.flatnonzero(_written(v))
+    cells, out = ch._cells, []
+    for j in range(0, k * dout, dout):
+        block = Cells(cells.cols[j : j + dout], cells.vals[j : j + dout], din)
+        rows, slot = np.nonzero(block.vals)
         if 2 * rows.size >= dout * din:
-            out.append(matrix_to_json(ch.kraus[j]))
+            out.append(matrix_to_json(block.dense()))
         else:
-            out.append(_sparse_json((dout, din), rows, c[rows], v[rows]))
+            out.append(_sparse_json((dout, din), rows, block.cols[rows, slot], block.vals[rows, slot]))
     return out
 
 
@@ -308,33 +299,25 @@ def _channel_parts(obj: Any, field: str) -> list:
     ]
 
 
-def _cell_channel(parts: list) -> Channel | None:
-    """The channel of parts built from its cells, when every operator is
-    sparse and lists at most one cell per row, none of them zero, the cells
-    fill at most 1/64 of the stack, and numpy could address that stack;
-    else None, and _place forms the stack. A listed zero keeps its sign
-    only in the stack."""
-    (dout, din), k = parts[0][0], len(parts)
-    size = k * dout * din
-    if size > np.iinfo(np.intp).max // 16 or 64 * sum(len(p[2]) for p in parts) > size:
-        return None
-    if any(cells is None or not ((re != 0) | (im != 0)).all() for _, cells, re, im in parts):
-        return None
-    rows, at_col = np.divmod(np.concatenate([j * dout * din + p[1] for j, p in enumerate(parts)]), din)
-    if np.bincount(rows, minlength=k * dout).max() > 1:
-        return None
-    cols, vals = np.zeros(k * dout, np.intp), np.zeros(k * dout, storage_dtype(p[3] for p in parts))
-    cols[rows] = at_col
-    _put(vals, rows, np.concatenate([p[2] for p in parts]), np.concatenate([p[3] for p in parts]))
-    return Channel._from_cells((k, dout, din), cols, vals)
-
-
 def _stacked_channel(parts: list, field: str) -> Channel:
-    ch = _cell_channel(parts)
+    """The channel of parts: its cells' store when every operator is sparse,
+    lists no zero (whose sign only a stack keeps), numpy could address the
+    stack and Channel._from_sorted takes them; else that stack, adopted."""
+    (dout, din), k = parts[0][0], len(parts)
+    ch = None
+    if k * dout * din <= np.iinfo(np.intp).max // 16 and all(
+        cells is not None and ((re != 0) | (im != 0)).all() for _, cells, re, im in parts
+    ):
+        flat = np.concatenate([j * dout * din + p[1] for j, p in enumerate(parts)])
+        order = np.argsort(flat, kind="stable")
+        vals = np.zeros(len(flat), storage_dtype(p[3] for p in parts))
+        _put(vals, slice(None), *(np.concatenate([p[i] for p in parts])[order] for i in (2, 3)))
+        rows, cols = np.divmod(flat[order], din)
+        ch = Channel._from_sorted((k, dout, din), rows, cols, vals)
     if ch is None:
         kraus = _place(parts, f"{field}.kraus[0]")
         parts.clear()  # the parsed values go as soon as the stack holds them
-        ch = Channel(kraus, _adopt=True)  # a fresh stack in its storage dtype: kept, not copied
+        ch = Channel(kraus, _adopt=True)
     return ch
 
 

@@ -562,7 +562,7 @@ def test_pauli_noise_at_dim_512_takes_the_cell_path_bit_for_bit(build):
     diagonal of the kept Gram vector agrees with the dense Gram matrix
     within 1e-13."""
     ch = build()
-    cols, vals = ch._cells
+    cols, vals = ch._cells.cols, ch._cells.vals
     assert len(cols) == len(ch.kraus) * ch.dim_out and np.count_nonzero(vals) == len(vals)
     x = get("bacon_shor_9").dec.code_vectors()
     np.testing.assert_array_equal(ch.stacked_product(x), _dense_product(ch, x))
@@ -594,11 +594,11 @@ def test_restricted_flip_is_kept_as_its_cells_from_six_qubits_on(n, p):
     assert (ch.n_kraus, ch.dim_out, ch.dim_in) == want.shape
     assert ("kraus" in vars(ch)) == (n < 6)
     if n >= 6:
-        cols, vals = ch._cells
+        cols, vals = ch._cells.cols, ch._cells.vals
         twin = Channel(want)._cells
-        assert cols.dtype == twin[0].dtype and vals.dtype == twin[1].dtype
-        np.testing.assert_array_equal(cols, twin[0])
-        assert vals.tobytes() == twin[1].tobytes()
+        assert cols.dtype == twin.cols.dtype and vals.dtype == twin.vals.dtype
+        np.testing.assert_array_equal(cols, twin.cols)
+        assert vals.tobytes() == twin.vals.tobytes()
     else:
         assert ch._cells is None
     assert ch.kraus.dtype == want.dtype and ch.kraus.tobytes() == want.tobytes()

@@ -596,18 +596,20 @@ def test_bacon_shor_9_noise_is_never_formed_as_a_stack(tmp_path, monkeypatch, ca
     built from its cells four times, by restricted_flip and by the reader,
     and its 21 MB stack is never formed."""
     built, formed = [], []
-    from_cells, getattr_ = Channel._from_cells.__func__, Channel.__getattr__
+    from_sorted, getattr_ = Channel._from_sorted.__func__, Channel.__getattr__
 
-    def counting_from_cells(cls, shape, cols, vals):
-        built.append(tuple(shape))
-        return from_cells(cls, shape, cols, vals)
+    def counting_from_sorted(cls, shape, rows, cols, vals):
+        ch = from_sorted(cls, shape, rows, cols, vals)
+        if ch is not None:
+            built.append(tuple(shape))
+        return ch
 
     def counting_getattr(self, name):
         if name == "kraus":
             formed.append(vars(self).get("_shape"))
         return getattr_(self, name)
 
-    monkeypatch.setattr(Channel, "_from_cells", classmethod(counting_from_cells))
+    monkeypatch.setattr(Channel, "_from_sorted", classmethod(counting_from_sorted))
     monkeypatch.setattr(Channel, "__getattr__", counting_getattr)
     dec = str(tmp_path / "bacon_shor_9.decomposition.json")
     chan = str(tmp_path / "bacon_shor_9.noise.json")

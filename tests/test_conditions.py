@@ -6,6 +6,8 @@ that formula as an independent oracle. The factored dpi_trace is checked
 against the dense reference in dense_dpi.py.
 """
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from oqec.conditions import (
     purify,
 )
 from oqec.errors import DegenerateChannelError, DimensionError, NotAStateError
-from oqec.linalg import dag, gram, haar_unitary, kron, von_neumann_entropy
+from oqec.linalg import Cells, dag, gram, haar_unitary, kron, von_neumann_entropy
 from oqec.recovery import synthesize_schmidt_recovery
 from oqec.spaces import Decomposition
 
@@ -562,17 +564,26 @@ def test_the_pair_matrix_from_cells_matches_the_dense_gram(noise, monkeypatch):
     ps, reports = _verdicts(entry.dec, ch)
     da, db, dv, de = ps.dims
     m = ps._pairs
-    assert conditions._cell_pairs(ps.x, dv) is not None
+    assert Cells.scan(ps.x) is not None
     want = gram(ps.x.reshape(de, dv, da * db).transpose(1, 0, 2).reshape(dv, -1))
     assert m.dtype == want.dtype == (np.complex128 if np.count_nonzero(ps.x.imag) else np.float64)
     assert m.dtype == (np.float64 if noise == "bacon_shor_9" else np.complex128)
     assert np.abs(m - want).max() <= 1e-14 * np.abs(want).max()
-    monkeypatch.setattr(conditions, "_cell_pairs", lambda x, dv: None)
+    monkeypatch.setattr(conditions, "Cells", types.SimpleNamespace(scan=lambda a: None))
     dense_ps, dense = _verdicts(entry.dec, ch)
     assert dense_ps._pairs.dtype == m.dtype
     for got, ref in zip(reports, dense):
         assert got.passed and ref.passed, (got.condition, got.residual, ref.residual)
         assert abs(got.residual - ref.residual) <= 1e-14, (got.condition, got.residual, ref.residual)
+
+
+def _cell_pairs(x, dv):
+    """The pair matrix X_V† X_V of x, X_V[v, (e, c)] = x[(e, v), c], as
+    PurifiedState._pairs sums it from x's store, or None when the density
+    rule refuses that store and _pairs takes gram."""
+    if Cells.scan(x) is None:
+        return None
+    return PurifiedState((1, x.shape[1], dv, x.shape[0] // dv), x, 1.0)._pairs
 
 
 def _sparse_x(rng, de, dv, width, per_col, dtype):
@@ -588,7 +599,7 @@ def _sparse_x(rng, de, dv, width, per_col, dtype):
 
 @pytest.mark.parametrize("kind", ["real", "complex", "imaginary", "complex dtype, real values"])
 def test_cell_pairs_agree_with_gram_and_its_dtype(kind):
-    """_cell_pairs on random sparse X: the Gram matrix of the transposed
+    """The pair matrix from the store of random sparse X: the Gram matrix of the transposed
     reshape within 1e-14 of its largest entry, in gram's dtype; a purely
     imaginary X still gives a complex matrix, and a complex X with no
     imaginary part a float64 one."""
@@ -599,7 +610,7 @@ def test_cell_pairs_agree_with_gram_and_its_dtype(kind):
         x = 1j * x.imag
     elif kind == "complex dtype, real values":
         x = x.real + 0j
-    m = conditions._cell_pairs(x, dv)
+    m = _cell_pairs(x, dv)
     want = gram(x.reshape(de, dv, width).transpose(1, 0, 2).reshape(dv, -1))
     assert m is not None and m.dtype == want.dtype and m.shape == want.shape
     assert m.dtype == (np.float64 if kind in ("real", "complex dtype, real values") else np.complex128)
@@ -611,20 +622,21 @@ def test_cell_pairs_take_x_with_at_most_one_64th_nonzero():
     nonzero, as a Channel's cell index does; the pairs within V rows,
     sum_v n_v^2, are then at most dim_v n^2 / 64, even with every cell
     crowded into the fewest rows. One cell more, or a dense X, goes to
-    gram, and so does an X of fewer than 64 rows, uncounted."""
+    gram. The rule alone decides, whatever the number of rows: an X of 63
+    rows with one cell is taken by the store."""
     de, dv, width = 2, 128, 32  # n = 64; 8192 entries, 128 cells allowed
     x = np.zeros((de * dv, width))
     x[:4, :] = 1.0  # 128 cells in the rows (e, v) = (0, 0..3): 4 * 32^2 pairs
     per_v = np.count_nonzero(x.reshape(de, dv, width), axis=(0, 2))
     assert 64 * np.count_nonzero(x) == x.size and 64 * per_v @ per_v <= dv * 64**2
-    m = conditions._cell_pairs(x, dv)
+    m = _cell_pairs(x, dv)
     np.testing.assert_array_equal(m, gram(x.reshape(de, dv, width).transpose(1, 0, 2).reshape(dv, -1)))
     x[200, 0] = 1.0
-    assert conditions._cell_pairs(x, dv) is None
-    assert conditions._cell_pairs(_rng(72).standard_normal((de * dv, width)), dv) is None
+    assert _cell_pairs(x, dv) is None
+    assert _cell_pairs(_rng(72).standard_normal((de * dv, width)), dv) is None
     one_cell = np.zeros((63, 64))
     one_cell[0, 0] = 1.0
-    assert conditions._cell_pairs(one_cell, 63) is None
+    np.testing.assert_array_equal(_cell_pairs(one_cell, 63), gram(one_cell))
 
 def test_marginals_are_formed_once_and_read_only(monkeypatch):
     """Conditions c then d on one purified state share one Gram product, the

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oqec.linalg
 from oqec.errors import DimensionError, NotAStateError, NotHermitianError
 from oqec.linalg import (
     _WHOLE_MAX,
+    Cells,
     complete_basis,
     dag,
     eig_hermitian,
@@ -467,3 +468,92 @@ def test_random_density_matrix_rank_control():
     rho = random_density_matrix(6, _rng(59), rank=2)
     spectrum = require_state(rho)
     assert np.sum(spectrum > 1e-10) == 2
+
+
+@st.composite
+def _cell_matrices(draw):
+    """(a, width): a real or complex matrix whose rows hold 0 to width
+    nonzero cells, width 0 to 4 and at least one row at width, with empty
+    rows, -0.0 entries that are no cells and, when complex, cells of -0.0
+    real or imaginary part; on both sides of the density rule."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, n = draw(st.sampled_from([1, 8, 64, 130])), draw(st.sampled_from([4, 8, 64, 130]))
+    width = draw(st.integers(0, 4))
+    dtype = draw(st.sampled_from([np.float64, np.complex128]))
+    a = np.zeros((rows, n), dtype)
+    counts = rng.integers(0, width + 1, rows) * (rng.random(rows) < draw(st.sampled_from([0.05, 0.5, 1.0])))
+    counts[rng.integers(rows)] = width
+    for r, c in enumerate(counts):
+        at = rng.choice(n, c, replace=False)
+        a[r, at] = rng.standard_normal(c)
+        if dtype is np.complex128:
+            a[r, at] += 1j * rng.standard_normal(c)
+    if dtype is np.complex128 and counts.any():
+        r = int(np.flatnonzero(counts)[0])
+        c = int(np.flatnonzero(a[r])[0])
+        a[r, c] = complex(-0.0, a[r, c].imag) if draw(st.booleans()) else complex(a[r, c].real, -0.0)
+    a[(a == 0) & (rng.random(a.shape) < 0.3)] = -0.0
+    return a, width
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_cell_matrices(), cols=st.integers(1, 3), complex_x=st.booleans())
+def test_cell_store_matches_dense_numpy(case, cols, complex_x):
+    """A matrix's nonzero cells are scanned, and their store built, exactly
+    when 64 nnz <= size; scan gives the cells np.nonzero does, and the
+    store has one row of each array per matrix row, of width the most
+    cells in a row. Its dense matrix is a, bit for bit except that -0.0
+    entries, no cells, come back +0.0; its product with x is a @ x, and
+    its Gram matrix a† a (the diagonal alone at width <= 1), within 1e-13
+    of the largest entry and in numpy's and gram's dtypes."""
+    a, width = case
+    nz = a != 0
+    r, c = np.nonzero(nz)
+    found, store = Cells.scan(a), Cells.build(a.shape, r, c, a[r, c])
+    assert (found is not None) == (store is not None) == (64 * np.count_nonzero(nz) <= a.size)
+    event(f"width {width}" if store is not None else "refused")
+    if store is None:
+        return
+    for got, want in zip(found, (r, c, a[r, c])):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert store.cols.shape == store.vals.shape == (len(a), width) and store.n == a.shape[1]
+    dense = store.dense()
+    assert dense.dtype == a.dtype and dense.tobytes() == np.where(nz, a, 0).astype(a.dtype).tobytes()
+    rng = np.random.default_rng(cols)
+    x = rng.standard_normal((a.shape[1], cols))
+    if complex_x:
+        x = x + 1j * rng.standard_normal(x.shape)
+    got, want = store.product(x), a @ x
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+    got, want = store.gram(), gram(a)
+    if width <= 1:
+        np.testing.assert_array_equal(np.diag(np.diag(want)), want)
+        got = np.diag(got)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+
+
+class _Unmasked(np.ndarray):
+    """An array whose nonzero mask may not be taken."""
+
+    def __ne__(self, other):
+        raise AssertionError("the whole array was scanned")
+
+
+def test_a_dense_matrix_is_refused_by_its_prefix_count():
+    """64 nnz <= size is the one rule: a (64, 64) matrix holds at most 64
+    cells, and 65 are refused by scan and build alike. A dense matrix is
+    refused by the count of its first size/64 + 1 entries, before a mask
+    of the whole is taken; a sparse one needs that mask."""
+    at_rule = np.zeros((64, 64))
+    at_rule.reshape(-1)[::64] = 1.0
+    assert Cells.scan(at_rule) is not None
+    over = at_rule.copy()
+    over[0, 1] = 1.0
+    r, c = np.nonzero(over)
+    assert Cells.scan(over) is None and Cells.build(over.shape, r, c, over[r, c]) is None
+    dense = _rng(3).standard_normal((64, 64))
+    assert Cells.scan(dense.view(_Unmasked)) is None
+    with pytest.raises(AssertionError, match="whole array"):
+        Cells.scan(at_rule.view(_Unmasked))

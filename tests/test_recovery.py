@@ -30,6 +30,7 @@ from oqec.conditions import check_condition_b, purify
 from oqec.errors import DimensionError, NotCorrectableError
 from oqec.linalg import (
     SPECTRUM_CUTOFF,
+    Cells,
     dag,
     eig_hermitian,
     haar_unitary,
@@ -455,7 +456,7 @@ def test_synthesis_and_factorization_form_one_stacked_product(monkeypatch, tmp_p
     bacon_shor_9, by the dense product on every catalog entry."""
     products, pair_grams = [], []
     original_product, original_gram = Channel.stacked_product, oqec.conditions.gram
-    original_cells = oqec.conditions._cell_pairs
+    original_cells = Cells.gram
 
     def counting_product(self, x):
         products.append(self)
@@ -465,15 +466,15 @@ def test_synthesis_and_factorization_form_one_stacked_product(monkeypatch, tmp_p
         pair_grams.append(("dense", x.shape))
         return original_gram(x)
 
-    def counting_cells(x, dv):
-        m = original_cells(x, dv)
-        if m is not None:
-            pair_grams.append(("cells", (dv, x.size // dv)))
+    def counting_cells(self):
+        m = original_cells(self)
+        if m.ndim == 2:  # a Channel's completeness Gram is a vector
+            pair_grams.append(("cells", (len(self.cols), self.n)))
         return m
 
     monkeypatch.setattr(Channel, "stacked_product", counting_product)
     monkeypatch.setattr(oqec.conditions, "gram", counting_gram)
-    monkeypatch.setattr(oqec.conditions, "_cell_pairs", counting_cells)
+    monkeypatch.setattr(Cells, "gram", counting_cells)
     for name in [e.name for e in catalog()] + ["bacon_shor_9"]:
         entry = get(name)
         dec, noise = entry.dec, entry.noise
