@@ -5,10 +5,12 @@ rho -> sum_j E_j rho E_j†, stored as one (k, dim_out, dim_in) array. Trace
 preservation means sum_j E_j† E_j equals the identity; the Frobenius norm of
 the difference is the completeness defect.
 
-Pauli noise, with at most one nonzero per row, is kept as the linalg.Cells
-store of its (k dim_out, dim_in) flat stack: its completeness Gram matrix
-is the vector of its diagonal, and its stacked product scales rows. Noise
-built from its cells forms its stack only when kraus is read.
+A channel is kept as the linalg.Cells store of its (k dim_out, dim_in)
+flat stack only where its cells are listed: restricted_flip, identity and
+the channel reader list those of Pauli noise, at most one nonzero per row.
+Its completeness Gram matrix is then the vector of its diagonal, its
+stacked product scales rows, and its stack is formed only when kraus is
+read. A channel built from a stack keeps it and never looks for cells.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import DEFAULT_ATOL, Cells, dag, gram, kron, storage_stack, unitarity_defect
+from .linalg import DEFAULT_ATOL, Cells, _haar_isometry, dag, gram, kron, storage_stack, unitarity_defect
 
 ID2 = np.eye(2)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -39,11 +41,12 @@ class Channel:
     from the real parts directly, and complex128 otherwise. Within oqec, a
     builder that has just allocated such a stack in its storage dtype, and
     keeps no other reference to it, passes _adopt=True: the stack itself is
-    made read-only and kept, with no copy; a builder that holds one cell per
-    row calls Channel._from_cells. The completeness Gram matrix and the
-    store of the cells are computed on first use and kept. dim_in, dim_out
-    and n_kraus never form the stack of a channel built from its cells;
-    kraus does, once.
+    made read-only and kept, with no copy. A builder that holds one cell
+    per row calls Channel._from_cells; only it and _from_sorted make a
+    store, and Channel(kraus) keeps _cells None, so even a stack of one
+    cell per row takes BLAS. The completeness Gram matrix is computed on
+    first use and kept. dim_in, dim_out and n_kraus never form the stack
+    of a channel built from its cells; kraus does, once.
     Equality and hashing are by identity.
     """
 
@@ -66,7 +69,7 @@ class Channel:
                     )
             stack = storage_stack(ops)
         stack.flags.writeable = False
-        object.__setattr__(self, "kraus", stack)
+        vars(self).update(kraus=stack, _shape=stack.shape, _cells=None)
 
     @classmethod
     def _from_cells(cls, shape: tuple, cols: np.ndarray, vals: np.ndarray) -> Channel:
@@ -97,17 +100,12 @@ class Channel:
     def __getattr__(self, name):
         # reached only for a name the instance lacks: the stack of a channel
         # built from its cells, formed here on first use and kept
-        if name != "kraus" or "_shape" not in vars(self):
+        if name != "kraus" or vars(self).get("_cells") is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         stack = self._cells.dense().reshape(self._shape)
         stack.flags.writeable = False
         object.__setattr__(self, "kraus", stack)
         return stack
-
-    @cached_property
-    def _shape(self) -> tuple:
-        """(n_kraus, dim_out, dim_in)."""
-        return self.kraus.shape
 
     @property
     def n_kraus(self) -> int:
@@ -120,13 +118,6 @@ class Channel:
     @property
     def dim_out(self) -> int:
         return self._shape[1]
-
-    @cached_property
-    def _cells(self) -> Cells | None:
-        """The store of the flat stack when _from_sorted keeps it, else None."""
-        found = Cells.scan(self.kraus.reshape(-1, self.dim_in))
-        ch = None if found is None else Channel._from_sorted(self._shape, *found)
-        return None if ch is None else ch._cells
 
     @cached_property
     def _gram(self) -> tuple:
@@ -244,7 +235,7 @@ def choi(ch: Channel) -> np.ndarray:
 def identity(dim: int) -> Channel:
     if dim < 1:
         raise DimensionError("dim must be >= 1")
-    return Channel((np.eye(dim),))
+    return Channel._from_cells((1, dim, dim), np.arange(dim), np.ones(dim))
 
 
 def unitary(u: np.ndarray) -> Channel:
@@ -361,10 +352,5 @@ def random_channel(dim: int, k: int, seed: int) -> Channel:
     """
     if dim < 1 or k < 1:
         raise DimensionError(f"need dim >= 1 and k >= 1, got ({dim}, {k})")
-    rng = np.random.default_rng(seed)
-    g = (rng.standard_normal((k * dim, dim)) + 1j * rng.standard_normal((k * dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(g)
-    ph = np.diagonal(r).copy()
-    ph /= np.abs(ph)
-    w = q * ph.conjugate()
+    w = _haar_isometry(k * dim, dim, np.random.default_rng(seed))
     return Channel(w.reshape(k, dim, dim))

@@ -10,8 +10,8 @@ Conventions used throughout the package:
 * composite indices are row-major: the factor pair (a, b) maps to
   ``a * dim_b + b``, matching ``numpy.kron`` and C-order ``reshape``;
 * eigenvalues are returned in descending order;
-* ``eig_hermitian`` and ``require_state`` (so every entropy) take spectra
-  per connected component of a matrix's exact nonzero pattern, symmetrized
+* ``eig_hermitian`` and ``require_state`` (so every entropy) take spectra,
+  through one routine, per connected component of a matrix's exact nonzero pattern, symmetrized
   and with no threshold, one batched LAPACK call per component size: the
   components are exact invariant subspaces, so the spectrum is the whole
   matrix's and each eigenvector is exactly zero outside its component. A
@@ -28,7 +28,9 @@ subsystem code, is held as a ``Cells`` store in ELLPACK layout (Rice and
 Boisvert, 1985): a (rows, w) array of columns and one of values, each row's
 cells in ascending column order, shorter rows padded with column 0 and
 value 0. The one density rule: a store is built, and a matrix scanned for
-its cells, only when 64 nnz <= size; else the matrix stays dense.
+its cells, only when 64 nnz <= size; else the matrix stays dense. A
+channel's store comes only from cells its builder lists; Cells.scan
+searches E code alone, for the pair matrix.
 """
 
 from __future__ import annotations
@@ -166,12 +168,19 @@ class Cells:
         return out
 
 
+def _isometry_defect(m: np.ndarray) -> float:
+    """||m†m - 1||_F for a matrix m, with no overflow warning: an entry such
+    as 1e300 gives inf or nan, which no tolerance admits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(gram(m) - np.eye(m.shape[1])))
+
+
 def unitarity_defect(m: np.ndarray) -> float:
     """Frobenius distance of m†m from the identity."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    return float(np.linalg.norm(gram(m) - np.eye(m.shape[0])))
+    return _isometry_defect(m)
 
 
 def partial_trace(m: np.ndarray, dims: Iterable[int], keep: Iterable[int]) -> np.ndarray:
@@ -249,22 +258,33 @@ def _components(m: np.ndarray) -> list[np.ndarray] | None:
     return [g.reshape(-1, sizes[g[0]]) for g in np.split(order, bounds)]
 
 
-def _symmetric_parts(
-    m: np.ndarray,
-) -> tuple[float, list[np.ndarray] | None, list[np.ndarray]]:
-    """(defect, groups, blocks) for a square m: defect is ||m - m†||_F, and
-    blocks holds (m + m†)/2 restricted to the components of _components, one
-    (count, size, size) stack per array of index rows in groups. A matrix of
-    size at most _WHOLE_MAX, with no zero entry, or of one component is one
-    block, the whole matrix, and groups is None. Entries outside the
-    components are 0 in m and m†, so the blockwise defect is the whole one
-    up to the order of summation."""
+def _spectrum(m: np.ndarray, vectors: bool, error: type, what: str) -> tuple:
+    """(w, v) of a square m Hermitian within DEFAULT_ATOL: its eigenvalues
+    and eigenvectors, or (w ascending, None) unless vectors. m is taken
+    whole, w ascending, or per component of _components, one batched LAPACK
+    call per component size, eigenpair k of component r of a group in
+    column start + r size + k. ||m - m†||_F, summed per component, above
+    DEFAULT_ATOL raises error; a nan defect needs a non-finite entry."""
     groups = _components(m) if m.shape[0] > _WHOLE_MAX else None
     if groups is None:
-        return np.linalg.norm(m - dag(m)), None, [(m + dag(m)) / 2]
-    blocks = [m[ix[:, :, None], ix[:, None, :]] for ix in groups]
-    defect = np.linalg.norm([np.linalg.norm(b - dag(b)) for b in blocks])
-    return defect, groups, [(b + dag(b)) / 2 for b in blocks]
+        defect, blocks = np.linalg.norm(m - dag(m)), [(m + dag(m)) / 2]
+    else:
+        blocks = [m[ix[:, :, None], ix[:, None, :]] for ix in groups]
+        defect = np.linalg.norm([np.linalg.norm(b - dag(b)) for b in blocks])
+        blocks = [(b + dag(b)) / 2 for b in blocks]
+    if defect > DEFAULT_ATOL:
+        raise error(f"{what}not Hermitian within atol={DEFAULT_ATOL} (defect {defect:.3e})")
+    if groups is None:
+        return np.linalg.eigh(blocks[0]) if vectors else (np.linalg.eigvalsh(blocks[0]), None)
+    if not vectors:
+        return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks])), None
+    pairs = [np.linalg.eigh(b) for b in blocks]
+    v, start = np.zeros(m.shape, pairs[0][1].dtype), 0
+    for ix, (_, vecs) in zip(groups, pairs):
+        count, size = ix.shape
+        v[ix[:, :, None], np.arange(start, start + count * size).reshape(count, 1, size)] = vecs
+        start += count * size
+    return np.concatenate([p[0].ravel() for p in pairs]), v
 
 
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,34 +294,14 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     as orthonormal columns with the phase convention above. Inside a
     degenerate eigenspace the basis is whichever one LAPACK returns: the same
     for the same input and build, but not canonical, so callers may rely only
-    on the subspace it spans.
-
-    Above _WHOLE_MAX rows, a matrix with a zero entry is split into the
-    connected components of its exact nonzero pattern, and each component is
-    diagonalized on its own, one batched eigh per component size. The
-    components are exact invariant subspaces, so each eigenvector is exactly
-    zero outside its component, and no tolerance is involved.
+    on the subspace it spans. Above _WHOLE_MAX rows, a matrix with a zero
+    entry is diagonalized per connected component, as the module docstring
+    says, so each eigenvector is exactly zero outside its component.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    defect, groups, blocks = _symmetric_parts(m)
-    if defect > DEFAULT_ATOL:
-        raise NotHermitianError(
-            f"matrix is not Hermitian within atol={DEFAULT_ATOL} (defect {defect:.3e})"
-        )
-    if groups is None:
-        w, v = np.linalg.eigh(blocks[0])
-    else:  # eigenpair k of component r of a group lands in column start + r * size + k
-        pairs = [np.linalg.eigh(b) for b in blocks]
-        w = np.concatenate([p[0].ravel() for p in pairs])
-        v = np.zeros(m.shape, pairs[0][1].dtype)
-        start = 0
-        for ix, (_, vecs) in zip(groups, pairs):
-            count, size = ix.shape
-            cols = np.arange(start, start + count * size).reshape(count, 1, size)
-            v[ix[:, :, None], cols] = vecs
-            start += count * size
+    w, v = _spectrum(m, True, NotHermitianError, "matrix is ")
     order = np.argsort(-w, kind="stable")
     return w[order], _fix_phases(v[:, order])
 
@@ -312,11 +312,9 @@ def require_state(rho: np.ndarray) -> np.ndarray:
     Raises NotAStateError if an entry of rho is not finite (checked before
     any arithmetic), rho is not Hermitian within DEFAULT_ATOL, has an
     eigenvalue below -DEFAULT_ATOL, or its trace differs from 1 by more than
-    DEFAULT_ATOL. Each check is written so that a nan fails it. As in
-    eig_hermitian, a matrix above _WHOLE_MAX rows with a zero entry has its
-    Hermiticity defect and its spectrum taken per connected component of its
-    exact nonzero pattern; the finiteness and trace checks are on the whole
-    matrix.
+    DEFAULT_ATOL; a nan fails every check. As in eig_hermitian, the
+    Hermiticity defect and the spectrum are taken per connected component;
+    the finiteness and trace checks are on the whole matrix.
     """
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -325,16 +323,7 @@ def require_state(rho: np.ndarray) -> np.ndarray:
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise NotAStateError(f"entry ({i}, {j}) is {rho[i, j]}, not finite")
-    herm_defect, groups, blocks = _symmetric_parts(rho)
-    herm_defect = float(herm_defect)
-    if not herm_defect <= DEFAULT_ATOL:
-        raise NotAStateError(
-            f"not Hermitian within atol={DEFAULT_ATOL} (defect {herm_defect:.3e})"
-        )
-    if groups is None:
-        w = np.linalg.eigvalsh(blocks[0])  # ascending
-    else:
-        w = np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks]))
+    w = _spectrum(rho, False, NotAStateError, "")[0]  # ascending
     if not w[0] >= -DEFAULT_ATOL:
         raise NotAStateError(f"negative eigenvalue {w[0]:.3e} below -atol")
     tr = float(np.real(np.trace(rho)))
@@ -376,7 +365,13 @@ def complete_basis(cols: np.ndarray, dim: int) -> np.ndarray:
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary, deterministic for a given generator state."""
-    g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    return _haar_isometry(dim, dim, rng)
+
+
+def _haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed (rows, cols) isometry, rows >= cols: the Q factor of
+    a complex Gaussian matrix, each column's phase fixed by R's diagonal."""
+    g = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
     q, r = np.linalg.qr(g)
     ph = np.diagonal(r).copy()
     ph /= np.abs(ph)

@@ -84,28 +84,27 @@ __all__ = [
 _SPARSE_KEYS = ("shape", "rows", "cols", "re", "im")
 
 
-def _sparse_json(shape: tuple, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> dict:
-    return {
-        "shape": list(shape),
-        "rows": rows.tolist(),
-        "cols": cols.tolist(),
-        "re": vals.real.tolist(),
-        "im": vals.imag.tolist(),
-    }
+def _wire_form(shape: tuple, rows: np.ndarray, cols: np.ndarray, vals, dense) -> list | dict:
+    """The shape matrix with nonzero cells (rows, cols), row-major: in the
+    sparse form, of their values vals(), when fewer than half its cells are
+    nonzero, else in the dense form of dense(), the matrix itself."""
+    if 2 * len(rows) >= shape[0] * shape[1]:
+        m = dense()
+        return np.stack([m.real, m.imag], -1).tolist()
+    vals = vals()
+    parts = (list(shape), rows.tolist(), cols.tolist(), vals.real.tolist(), vals.imag.tolist())
+    return dict(zip(_SPARSE_KEYS, parts))
 
 
 def matrix_to_json(m: np.ndarray) -> list | dict:
-    """m in the sparse form when fewer than half its cells are nonzero, else
-    in the dense form. A cell is zero only when all 128 of its bits are, so
-    a cell with a -0.0 part is written."""
+    """m in the wire form _wire_form picks. A cell is zero only when all 128
+    of its bits are, so a cell with a -0.0 part is written."""
     m = np.ascontiguousarray(m, dtype=np.complex128)
     if m.ndim == 1:
         m = m.reshape(1, -1)
     bits = m.view(np.uint64)  # the last axis alternates re, im
     rows, cols = np.nonzero((bits[..., 0::2] | bits[..., 1::2]) != 0)
-    if 2 * rows.size >= m.size:
-        return np.stack([m.real, m.imag], -1).tolist()
-    return _sparse_json(m.shape, rows, cols, m[rows, cols])
+    return _wire_form(m.shape, rows, cols, lambda: m[rows, cols], lambda: m)
 
 
 def _check_keys(obj: dict, field: str, required: tuple, optional: tuple = ()) -> None:
@@ -250,30 +249,20 @@ def _int_field(obj: dict, key: str, minimum: int, field: str) -> int:
     return val
 
 
-def _cell_operators_json(ch: Channel) -> list:
-    """matrix_to_json of each operator of a channel kept as its cells, read
-    from the block of the store holding its rows, in either form."""
-    k, dout, din = ch._shape
-    cells, out = ch._cells, []
-    for j in range(0, k * dout, dout):
-        block = Cells(cells.cols[j : j + dout], cells.vals[j : j + dout], din)
-        rows, slot = np.nonzero(block.vals)
-        if 2 * rows.size >= dout * din:
-            out.append(matrix_to_json(block.dense()))
-        else:
-            out.append(_sparse_json((dout, din), rows, block.cols[rows, slot], block.vals[rows, slot]))
-    return out
-
-
 def channel_to_json(ch: Channel, metadata: dict | None = None) -> dict:
-    """A channel built from its cells (one with no kraus in its __dict__)
-    is written from them, to the bytes of its stack."""
-    stack = vars(ch).get("kraus")
-    out = {
-        "dim_in": ch.dim_in,
-        "dim_out": ch.dim_out,
-        "kraus": _cell_operators_json(ch) if stack is None else [matrix_to_json(e) for e in stack],
-    }
+    """A channel kept as its cells is written from the block of its store
+    that holds each operator's rows, to the bytes of its stack."""
+    k, dout, din = ch._shape
+    if ch._cells is None:
+        kraus = [matrix_to_json(e) for e in ch.kraus]
+    else:
+        kraus = []
+        for j in range(0, k * dout, dout):
+            block = Cells(ch._cells.cols[j : j + dout], ch._cells.vals[j : j + dout], din)
+            rows, slot = np.nonzero(block.vals)
+            cols, vals = block.cols[rows, slot], block.vals[rows, slot]
+            kraus.append(_wire_form((dout, din), rows, cols, lambda: vals, block.dense))
+    out = {"dim_in": din, "dim_out": dout, "kraus": kraus}
     if metadata is not None:
         out["metadata"] = metadata
     return out

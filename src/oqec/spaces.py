@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import DEFAULT_ATOL, dag, gram, kron, require_state, storage_stack
+from .linalg import DEFAULT_ATOL, _isometry_defect, dag, kron, require_state, storage_stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,10 +44,8 @@ class Decomposition:
                 raise DimensionError(
                     f"frame shape {f.shape} is not ({self.dim_v}, k) with {self.dim_code} <= k <= dim_v"
                 )
-            # an entry such as 1e300 overflows f† f; a nan defect fails too
-            with np.errstate(over="ignore", invalid="ignore"):
-                defect = np.linalg.norm(gram(f) - np.eye(f.shape[1]))
-            if not defect <= DEFAULT_ATOL:
+            defect = _isometry_defect(f)
+            if not defect <= DEFAULT_ATOL:  # a nan defect fails too
                 raise DimensionError(f"frame columns are not orthonormal (defect {defect:.3e})")
             f = storage_stack([f[:, : self.dim_code]])[0]
             f.flags.writeable = False

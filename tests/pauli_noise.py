@@ -6,6 +6,9 @@ operators with one nonzero per row, the Pauli noise subsystem codes face.
 Row r of X or Y on a site holds its one cell in column r with that site's
 bit flipped, and row r of Z in column r, so the channel is kept as those
 cells and no (1 + 3 n, 2^n, 2^n) stack is formed.
+
+kept_as_cells rebuilds any stack from its cells, as a builder that lists
+them would: Channel(stack) itself never looks for them.
 """
 
 import numpy as np
@@ -27,3 +30,12 @@ def weight_one_depolarizing(n: int, p: float) -> Channel:
         cols[2 + 3 * site], vals[2 + 3 * site] = x ^ mask, 1j * np.sqrt(p) * sign[x ^ mask]
         cols[3 + 3 * site], vals[3 + 3 * site] = x, np.sqrt(p) * sign  # Z
     return Channel._from_cells((1 + 3 * n, dim, dim), cols.reshape(-1), vals.reshape(-1))
+
+
+def kept_as_cells(stack: np.ndarray) -> Channel | None:
+    """Channel._from_sorted of the row-major nonzero cells of a (k, dim_out,
+    dim_in) stack: the channel kept as its store, or None when a row holds
+    two cells or 64 nnz > size. A zero of either sign is no cell."""
+    flat = np.asarray(stack).reshape(-1, stack.shape[2])
+    rows, cols = np.nonzero(flat)
+    return Channel._from_sorted(stack.shape, rows, cols, flat[rows, cols])

@@ -36,8 +36,9 @@ from oqec.codes import catalog, get
 from oqec.errors import DimensionError
 from oqec.linalg import dag, gram, haar_unitary, kron
 from oqec.recovery import synthesize_schmidt_recovery, synthesize_universal_recovery
+from oqec.spaces import Decomposition
 from choi_oracle import choi_distance
-from pauli_noise import weight_one_depolarizing
+from pauli_noise import kept_as_cells, weight_one_depolarizing
 from random_states import random_density_matrix
 
 
@@ -302,6 +303,36 @@ def test_unitary_constructor_rejects_nonunitary():
         unitary(np.full((2, 2), np.nan))  # a nan defect fails too
 
 
+@pytest.mark.parametrize("entry", [1e300, 1e300j])
+def test_an_overflowing_matrix_is_refused_as_not_unitary_with_no_warning(entry):
+    """An entry of 1e300 is finite but overflows m†m: unitary,
+    collective_unitary and the frame check of Decomposition, which share
+    one guarded defect, refuse the matrix with their own errors, and numpy
+    warns of no overflow, with warnings raised as errors."""
+    huge = np.full((2, 2), entry)
+    frame = np.eye(4, dtype=type(entry))
+    frame[0, 0] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionError, match="not unitary"):
+            unitary(huge)
+        with pytest.raises(ValueError, match="each term must carry a unitary matrix"):
+            collective_unitary(2, [(1.0, huge)])
+        with pytest.raises(DimensionError, match="frame columns are not orthonormal"):
+            Decomposition(2, 2, 0, frame=frame)
+
+
+def test_a_large_identity_is_kept_as_its_cells():
+    """identity(dim) is built from its cells: from dim 64 on it keeps its
+    store and a diagonal Gram vector, below that its stack; either way its
+    stack is np.eye's, bit for bit."""
+    for dim, kept in ((63, False), (64, True), (512, True)):
+        ch = identity(dim)
+        assert (ch._cells is not None) == kept
+        assert ch._gram[0].shape == ((dim,) if kept else (dim, dim))
+        assert ch.kraus.tobytes() == np.eye(dim).tobytes() and ch.kraus.dtype == np.float64
+
+
 def test_single_qubit_on_places_site_leftmost_first():
     ch = single_qubit_on(2, 0, unitary(PAULI_X))
     np.testing.assert_allclose(ch.kraus[0], kron(PAULI_X, np.eye(2)), atol=1e-15)
@@ -432,10 +463,14 @@ def test_cell_path_matches_the_dense_formulas(stack, cols, complex_x):
     """The completeness Gram matrix and the stacked product read from the
     cell index agree with the dense BLAS formulas within 1e-13, in dtype and
     shape too, the Gram matrix as the diagonal of its kept vector; the index
-    exists exactly when no row holds two cells and 64 nnz <= size."""
-    ch = Channel(stack)
+    is kept from the stack's cells exactly when no row holds two cells and
+    64 nnz <= size, and Channel(stack) never keeps one."""
+    dense = Channel(stack)
+    assert dense._cells is None
+    ch = kept_as_cells(dense.kraus)
     counts = _row_counts(stack)
-    assert (ch._cells is not None) == (counts.max() <= 1 and 64 * counts.sum() <= stack.size)
+    assert (ch is not None) == (counts.max() <= 1 and 64 * counts.sum() <= stack.size)
+    ch = dense if ch is None else ch
     event("cell path" if ch._cells is not None else "dense path")
     event(f"largest row count {min(counts.max(), 2)}")
     g, defect = ch._gram
@@ -459,19 +494,19 @@ def test_the_cell_index_rule_sits_at_one_64th_of_the_stack():
     stack[0, np.arange(32), np.arange(32)] = 1.0
     stack[1, 32:, 5] = 2.0
     assert _row_counts(stack).max() == 1 and 64 * _row_counts(stack).sum() == stack.size
-    ch = Channel(stack)
+    ch = kept_as_cells(stack)
     assert ch._cells is not None and ch._gram[0].shape == (32,)
     _assert_close(np.diag(ch._gram[0]), gram(stack.reshape(-1, 32)))
     over = stack.copy()
     over[0, 40, 0] = 1.0
-    assert Channel(over)._cells is None
+    assert kept_as_cells(over) is None
     sparse = np.zeros((2, 64, 32))
     sparse[0, 0, 0] = 1.0
     for r in range(128):  # sparse plus one more cell: row r's second when r = 0
         pair = sparse.copy()
         pair.reshape(-1, 32)[r, 1] = 1.0
-        assert (Channel(pair)._cells is None) == (r == 0)
-    empty = Channel(np.zeros((3, 16, 16)))
+        assert (kept_as_cells(pair) is None) == (r == 0)
+    empty = kept_as_cells(np.zeros((3, 16, 16)))
     assert empty._cells is not None
     assert empty._gram[1] == 4.0
     np.testing.assert_array_equal(empty.stacked_product(np.ones((16, 2))), np.zeros((48, 2)))
@@ -542,7 +577,7 @@ def test_an_overflowing_cell_gives_no_gram(entry):
     stack = np.zeros((2, 64, 64), dtype=complex)
     stack[0] = np.eye(64)
     stack[1, 5, 7] = entry
-    ch = Channel(stack)
+    ch = kept_as_cells(Channel(stack).kraus)
     assert ch._cells is not None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -587,7 +622,7 @@ def test_restricted_flip_is_kept_as_its_cells_from_six_qubits_on(n, p):
     (n + 1) 4^n: at n = 6, 64 nnz = size and it is kept as its cells, with
     no stack until kraus is read; below, it is the dense stack. Either way
     its stack and its cell index are bit-identical to the stack written by
-    index and to the index Channel forms from that stack, zero rows (p = 0,
+    index and to the index kept from that stack's cells, zero rows (p = 0,
     n p = 1) included; dim_in, dim_out and n_kraus form no stack."""
     want = _restricted_flip_stack(n, p)
     ch = restricted_flip(n, p)
@@ -595,7 +630,7 @@ def test_restricted_flip_is_kept_as_its_cells_from_six_qubits_on(n, p):
     assert ("kraus" in vars(ch)) == (n < 6)
     if n >= 6:
         cols, vals = ch._cells.cols, ch._cells.vals
-        twin = Channel(want)._cells
+        twin = kept_as_cells(want)._cells
         assert cols.dtype == twin.cols.dtype and vals.dtype == twin.vals.dtype
         np.testing.assert_array_equal(cols, twin.cols)
         assert vals.tobytes() == twin.vals.tobytes()

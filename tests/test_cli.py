@@ -103,6 +103,26 @@ def test_check_writes_report_file(exported, tmp_path):
     assert len(payload["conditions"]) == 3
 
 
+def test_a_text_mode_check_reduces_no_report_to_json(exported, monkeypatch, capsys):
+    """Without --json or --out, check builds no JSON payload: it never calls
+    condition_report_to_json, and prints one line per condition from the
+    reports' verdicts, residuals and tolerances, as it always has."""
+    dec, chan = exported
+    assert main(["check", dec, chan, "--json"]) == 0
+    reports = json.loads(capsys.readouterr().out)["conditions"]
+
+    def forbidden(report):
+        raise AssertionError("a text-mode check reduced a report to JSON")
+
+    monkeypatch.setattr(oqec.cli, "condition_report_to_json", forbidden)
+    assert main(["check", dec, chan]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"condition {r['condition']}: {'PASS' if r['passed'] else 'FAIL'} "
+        f"(residual {r['residual']:.3e}, tol {r['tol']:g})\n"
+        for r in reports
+    )
+
+
 @pytest.fixture
 def dumped(monkeypatch):
     """Every (path, obj) the CLI hands dump_json_file, in call order."""

@@ -199,8 +199,7 @@ def test_cell_and_dense_paths_give_the_same_residuals(build):
     for indexed in (True, False):
         ch = build()
         if not indexed:
-            ch = Channel(ch.kraus)  # the dense twin, its cached index withheld
-            ch.__dict__["_cells"] = None
+            ch = Channel(ch.kraus)  # the dense twin, which keeps no index
         assert (ch._cells is not None) == indexed
         ps = purify(dec, ch)
         reports = [check_condition_b(dec, ch), check_condition_c(ps), check_condition_d(ps)]
@@ -455,6 +454,33 @@ def test_dpi_trace_monotone_on_random_chains():
         ]
         vals = dpi_trace(dec, chain)
         assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
+
+
+_EXTENDED = catalog(extended=True)
+_CORRECTABLE = [e for e in _EXTENDED if all(e.expected.values())]
+
+
+@pytest.mark.parametrize(
+    "dec, noise",
+    [(e.dec, e.noise) for e in _EXTENDED] + [(get("bacon_shor_9").dec, weight_one_depolarizing(9, 0.003))],
+    ids=[e.name for e in _EXTENDED] + ["depolarizing"],
+)
+def test_dpi_trace_after_the_noise_is_log_dim_a_less_d_gap(dec, noise):
+    """The coherent information S(V') - S(R_A V') after E is log2(dim_a)
+    less condition d's gap log2(dim_a) + S(R_B E') - S(V'), as S(R_A V') =
+    S(R_B E') on the pure state; the two routes agree within 1e-12."""
+    gap = check_condition_d(purify(dec, noise)).witnesses["gap"]
+    assert abs(dpi_trace(dec, [noise])[1] - (np.log2(dec.dim_a) - gap)) <= 1e-12
+
+
+@pytest.mark.parametrize("entry", _CORRECTABLE, ids=[e.name for e in _CORRECTABLE])
+def test_dpi_trace_returns_to_log_dim_a_after_the_schmidt_recovery(entry):
+    """On every correctable catalog entry, E followed by its Schmidt
+    recovery gives back the input's log2(dim_a) within 1e-12."""
+    rec = synthesize_schmidt_recovery(entry.dec, entry.noise).channel
+    values = dpi_trace(entry.dec, [entry.noise, rec])
+    assert abs(values[0] - np.log2(entry.dec.dim_a)) <= 1e-12
+    assert abs(values[2] - np.log2(entry.dec.dim_a)) <= 1e-12
 
 
 def test_dpi_trace_strictly_decreasing_through_depolarizing():

@@ -48,7 +48,7 @@ from oqec.recovery import (
 )
 from oqec.spaces import Decomposition, embed_state
 from choi_oracle import choi_distance
-from pauli_noise import weight_one_depolarizing
+from pauli_noise import kept_as_cells, weight_one_depolarizing
 from random_states import random_density_matrix
 
 CORRECTABLE = [e.name for e in catalog() if all(e.expected.values())]
@@ -311,12 +311,14 @@ def test_verify_recovery_rejects_overflowing_kraus_sets():
 @pytest.mark.parametrize("noise", ["bacon_shor_9", "depolarizing"])
 def test_verify_recovery_scales_rows_by_a_cell_recovery_gram(noise):
     """The identity and the Pauli permutations X and Y on one site of the
-    dim_v 512 code are cell-indexed recoveries, whose Gram matrix is kept as
-    its diagonal; the report equals, to rounding, the one computed from the
-    dense np.diag of that vector (bit for bit on this build)."""
+    dim_v 512 code, built from their cells, are cell-indexed recoveries,
+    whose Gram matrix is kept as its diagonal; the report equals, to
+    rounding, the one computed from the dense np.diag of that vector (bit
+    for bit on this build)."""
     entry = get("bacon_shor_9")
     ch = entry.noise if noise == "bacon_shor_9" else weight_one_depolarizing(9, 0.003)
-    flips = [single_qubit_on(9, site, unitary(p)) for site, p in ((0, PAULI_X), (4, PAULI_Y))]
+    flips = [single_qubit_on(9, site, unitary(p)).kraus for site, p in ((0, PAULI_X), (4, PAULI_Y))]
+    flips = [kept_as_cells(stack) for stack in flips]
     for rec in [identity(512), *flips]:
         g, defect = rec._gram
         assert g.shape == (512,)
@@ -326,6 +328,24 @@ def test_verify_recovery_scales_rows_by_a_cell_recovery_gram(noise):
         assert got.max_infidelity > 0.05
         for field in ("max_infidelity", "b_marginal_drift", "support_leak"):
             assert abs(getattr(got, field) - getattr(want, field)) <= 1e-13, (field, got, want)
+
+
+def test_validating_a_bacon_shor_9_recovery_never_scans_for_cells(monkeypatch):
+    """Both recoveries synthesized for bacon_shor_9 hold many cells per row
+    and keep their stacks: validating and verifying them takes BLAS and
+    never calls Cells.scan, which would mask the whole stack."""
+    entry = get("bacon_shor_9")
+    synths = (synthesize_schmidt_recovery, synthesize_universal_recovery)
+    recs = [synth(entry.dec, entry.noise).channel for synth in synths]
+
+    def forbidden(a):
+        raise AssertionError("Cells.scan ran")
+
+    monkeypatch.setattr(Cells, "scan", staticmethod(forbidden))
+    for rec in recs:
+        assert rec._cells is None
+        assert validate(rec).trace_preserving
+        assert verify_recovery(entry.dec, entry.noise, rec).max_infidelity <= 1e-9
 
 
 def _rebuilt(fac, da):

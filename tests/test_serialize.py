@@ -505,7 +505,8 @@ def test_a_cell_channel_is_written_to_the_bytes_of_its_stack(tmp_path, build, sp
     included; reading the file back gives the same cells, bit for bit. No
     stack is formed in writing, where an operator in the dense form is
     formed from its own cells, nor in reading, unless an operator is
-    written in the dense form."""
+    written in the dense form: that file reads back as the stack, bit for
+    bit."""
     ch = build()
     cells = ch._cells.vals
     assert "kraus" not in vars(ch)
@@ -518,7 +519,10 @@ def test_a_cell_channel_is_written_to_the_bytes_of_its_stack(tmp_path, build, sp
         assert np.any(np.signbit(cells.real) & (cells.real == 0))
     back = load_channel_file(str(tmp_path / "cells.json"))
     assert ("kraus" not in vars(back)) == sparse
-    assert _cells_bits(back) == _cells_bits(ch)
+    if sparse:
+        assert _cells_bits(back) == _cells_bits(ch)
+    else:
+        assert back._cells is None and _stored(back.kraus) == _stored(ch.kraus)
 
 
 @pytest.mark.parametrize("cell, indexed", [(-0.0, False), (complex(-0.0, 0.5), True)])
