@@ -11,9 +11,11 @@ of V = (A tensor B) + C, each a test of one matrix, the pair matrix of E code:
 
 The purified state behind them lives on R_A tensor R_B tensor V tensor E in
 that factor order, where R_A and R_B mirror A and B and E is the noise
-environment with one axis per Kraus operator. purify forms E code once, its
-state forms the pair matrix once, from E code's linalg.Cells store when
-the density rule admits one, and its defect once, and b, c and d read them.
+environment with one axis per Kraus operator. purify forms E code once: as
+the composition of the noise's and the frame's linalg.Cells stores when both
+hold one, else by one product. Its state forms the pair matrix once, as its
+nonzero entries summed from those cells or by one Gram product, and its
+defect once, and b, c and d read them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +33,8 @@ from .linalg import (
     DEFAULT_ATOL,
     SPECTRUM_CUTOFF,
     Cells,
+    _entries_entropy,
+    _summed,
     gram,
     partial_trace,
     von_neumann_entropy,
@@ -39,6 +43,14 @@ from .spaces import Decomposition
 
 
 _JOINT = (0, 1, 3)  # R_A R_B E, the complement of V
+
+
+def _not_finite(dims, i: int, value) -> NotAStateError:
+    """The error naming x's flat entry i, in (e, v, a, b) order, by its
+    (R_A, R_B, V, E) index."""
+    da, db, dv, de = dims
+    e, v, a, b = (int(j) for j in np.unravel_index(i, (de, dv, da, db)))
+    return NotAStateError(f"x entry {(a, b, v, e)} is {value}, not finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +67,13 @@ class PurifiedState:
     an x with a non-finite entry is rejected, naming the entry by its
     (R_A, R_B, V, E) index.
 
+    A state built by _from_cells holds X as its linalg.Cells store instead,
+    checked cell by cell in the same words, and forms x only when x is
+    read. Its pair matrix is then kept as its nonzero entries, and b's
+    blocks and deviations, every marginal without V and d's spectrum of the
+    joint are read from those entries; no array of the pair matrix's size
+    is formed unless the joint itself is asked for.
+
     psi is pure, so S(V') = S(R_A R_B E'), read from the smaller side. Each
     marginal is formed once, normalized (x never is) and kept read-only. The
     joint rho'_{R_A R_B E} is condition b's pair matrix m = X_V† X_V, X_V the
@@ -68,6 +87,7 @@ class PurifiedState:
     x: np.ndarray
     norm_in: float
     _marginals: dict = field(default_factory=dict, init=False, repr=False)
+    _cells: Optional[Cells] = field(default=None, init=False, repr=False)
     _adopt: InitVar[bool] = False
 
     def __post_init__(self, _adopt):
@@ -77,43 +97,88 @@ class PurifiedState:
             raise DimensionError(f"product of size {x.size} does not match factors {self.dims}")
         if not np.isfinite(x).all():
             i = int(np.argmin(np.isfinite(x)))
-            e, v, a, b = (int(j) for j in np.unravel_index(i, (de, dv, da, db)))
-            raise NotAStateError(f"x entry {(a, b, v, e)} is {x[i]}, not finite")
+            raise _not_finite(self.dims, i, x[i])
         x = x.reshape(de * dv, da * db)
         x.flags.writeable = False
         object.__setattr__(self, "x", x)
 
+    @classmethod
+    def _from_cells(cls, dims: tuple, cells: Cells, norm_in: float, form_x) -> PurifiedState:
+        """The state whose X is held as cells, rows (e, v) and columns (a, b);
+        form_x() gives the array x on its first read."""
+        finite = np.isfinite(cells.vals)
+        if not finite.all():
+            r, slot = np.nonzero(~finite)
+            at = r * cells.n + cells.cols[r, slot]  # flat indices in x
+            first = int(np.argmin(at))  # x's first in row-major order, as __post_init__ finds it
+            raise _not_finite(dims, int(at[first]), cells.vals[r[first], slot[first]])
+        ps = object.__new__(cls)
+        vars(ps).update(dims=tuple(dims), norm_in=norm_in, _marginals={}, _cells=cells, _form_x=form_x)
+        return ps
+
+    def __getattr__(self, name):
+        # reached only for a name the instance lacks: x of a state built
+        # from its cells, formed here on first read and kept
+        if name != "x" or "_form_x" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        da, db, dv, de = self.dims
+        x = vars(self).pop("_form_x")().reshape(de * dv, da * db)
+        x.flags.writeable = False
+        object.__setattr__(self, "x", x)
+        return x
+
     @cached_property
-    def _pairs(self) -> np.ndarray:
+    def _pairs(self):
         """m[(j, a, b), (k, c, d)] = <a, b| E_j† E_k |c, d>, read-only: the
-        Gram matrix of X_V[v, (e, c)] = x[(e, v), c], by gram, or from the
-        store of X_V when the density rule admits one: x's cells regrouped
-        by v, where only cells of one row v pair up."""
+        Gram matrix of X_V[v, (e, c)] = x[(e, v), c], by gram, or, for a
+        state held as cells, its nonzero entries (i, j, m), row-major, from
+        X_V's store, whose row v holds the cells of X's rows (e, v)."""
         dv, de = self.dims[2:]
-        found = Cells.scan(self.x)
-        if found is None:
+        if self._cells is None:
             m = gram(self.x.reshape(de, dv, -1).transpose(1, 0, 2).reshape(dv, -1))
-        else:  # x's cells ascend in (e, v), then c: sorted stably by v, (e, c) ascends
-            r, c, val = found
-            by_v = np.argsort(r % dv, kind="stable")
-            e, v = np.divmod(r[by_v], dv)
-            m = Cells.build((dv, self.x.size // dv), v, e * self.x.shape[1] + c[by_v], val[by_v]).gram()
-            m = np.diag(m) if m.ndim == 1 else m  # a vector when one cell per row v
-        m.flags.writeable = False
-        return m
+            m.flags.writeable = False
+            return m
+        cols, vals, n = self._cells.cols, self._cells.vals, self._cells.n
+        cols = cols.reshape(de, dv, -1) + n * np.arange(de)[:, None, None]  # column (e, c) of X_V
+        by_v = [a.reshape(de, dv, -1).transpose(1, 0, 2).reshape(dv, -1) for a in (cols, vals)]
+        pairs = Cells(*by_v, de * n).pairs()
+        for a in pairs:
+            a.flags.writeable = False
+        return pairs
 
     @cached_property
     def _defect(self) -> tuple[np.ndarray, np.ndarray]:
         """(blocks, pair), read-only: b's blocks B_jk, the A-averages of the
         code-sector blocks M_jk of the pair matrix, indexed (j, k, b, d), and
-        the (k, k) pair deviations ||M_jk - 1_A tensor B_jk||_F."""
+        the (k, k) pair deviations ||M_jk - 1_A tensor B_jk||_F. From pair
+        entries, each deviation is summed entry by entry over the union of
+        the supports of M and 1_A tensor B, so a zero residual is not the
+        difference of two large norms."""
         da, db, dv, de = self.dims
-        m = self._pairs.reshape(de, da, db, de, da, db).copy()
-        blocks = m.diagonal(axis1=1, axis2=4).sum(-1) / da  # indexed (j, b, k, d)
-        for a in range(da):
-            m[:, a, :, :, a, :] -= blocks
-        pair = np.sqrt(np.einsum("jabkcd,jabkcd->jk", m.conj(), m).real)
-        blocks = blocks.transpose(0, 2, 1, 3)
+        if self._cells is None:
+            m = self._pairs.reshape(de, da, db, de, da, db).copy()
+            blocks = m.diagonal(axis1=1, axis2=4).sum(-1) / da  # indexed (j, b, k, d)
+            for a in range(da):
+                m[:, a, :, :, a, :] -= blocks
+            pair = np.sqrt(np.einsum("jabkcd,jabkcd->jk", m.conj(), m).real)
+            blocks = blocks.transpose(0, 2, 1, 3)
+        else:
+            i, j, m = self._pairs
+            (ej, aj, bj), (ek, ak, bk) = (np.unravel_index(t, (de, da, db)) for t in (i, j))
+            diagonal = aj == ak
+            at = (((ej * de + ek) * db + bj) * db + bk)[diagonal]  # flat (j, k, b, d)
+            blocks = np.zeros(de * de * db * db, m.dtype)
+            np.add.at(blocks, at, m[diagonal])
+            blocks /= da
+            dev = m.copy()
+            dev[diagonal] -= blocks[at]
+            # B's cell (j, k, b, d) sits at dim_a entries (j, a, b), (k, a, d) of
+            # 1_A tensor B; at each of them that M lacks, the deviation is -B
+            cell, count = np.unique(at, return_counts=True)
+            outside = (da - count) * np.abs(blocks[cell]) ** 2
+            pair = np.bincount(ej * de + ek, np.abs(dev) ** 2, de * de)
+            pair = np.sqrt(pair + np.bincount(cell // (db * db), outside, de * de)).reshape(de, de)
+            blocks = blocks.reshape(de, de, db, db)
         blocks.flags.writeable = pair.flags.writeable = False
         return blocks, pair
 
@@ -126,7 +191,23 @@ class PurifiedState:
         if rho is None:
             da, db, dv, de = self.dims
             dim, sq = math.prod(self.dims[i] for i in keep), da * db * self.norm_in
-            if keep == _JOINT:  # conj(m), its (e, a, b) read as (a, b, e)
+            if self._cells is not None and 2 not in keep:
+                # the pair entries conj(m) / sq whose traced factors agree, at
+                # the kept factors' index, summed in pair order as the
+                # partial trace of the joint sums them
+                i, j, m = self._pairs
+                fi, fj = (dict(zip((3, 0, 1), np.unravel_index(t, (de, da, db)))) for t in (i, j))
+                same = np.ones(len(m), bool)
+                r = c = 0
+                for f in _JOINT:
+                    if f in keep:
+                        r, c = r * self.dims[f] + fi[f], c * self.dims[f] + fj[f]
+                    else:
+                        same &= fi[f] == fj[f]
+                key, vals = _summed((r * dim + c)[same], np.divide(m[same].conj(), sq))
+                rho = np.zeros((dim, dim), vals.dtype)
+                rho.flat[key] = vals
+            elif keep == _JOINT:  # conj(m), its (e, a, b) read as (a, b, e)
                 t = self._pairs.reshape(de, da * db, de, da * db).transpose(1, 0, 3, 2)
                 rho = np.divide(t.conj(), sq, order="C").reshape(dim, dim)
             elif 2 in keep:
@@ -172,11 +253,23 @@ def purify(
             f"channel acts on {ch.dim_in} -> {ch.dim_out}, decomposition has dim_v={dec.dim_v}"
         )
     require_valid(ch, allow_trace_decreasing=allow_trace_decreasing)
-    x = ch.stacked_product(dec.code_vectors())  # rows (e, v), columns (a, b)
-    norm_in = float(np.vdot(x, x).real) / dec.dim_code
+    dims = (dec.dim_a, dec.dim_b, dec.dim_v, ch.n_kraus)
+    cells = None if ch._cells is None or dec._cells is None else ch._cells.compose(dec._cells)
+    # norm_in sums X's nonzero cells, row-major, whenever the density rule
+    # admits them, so X composed from cells and the same X formed densely
+    # give the same bits, whatever BLAS does with the zeros
+    if cells is None:
+        x = ch.stacked_product(dec.code_vectors())  # rows (e, v), columns (a, b)
+        found = Cells.scan(x)
+        vals = x if found is None else found[2]
+    else:
+        vals = cells.vals[cells.vals != 0]
+    norm_in = float(np.vdot(vals, vals).real) / dec.dim_code
     if norm_in <= SPECTRUM_CUTOFF:
         raise DegenerateChannelError("channel annihilates the code sector")
-    return PurifiedState((dec.dim_a, dec.dim_b, dec.dim_v, ch.n_kraus), x, norm_in, _adopt=True)
+    if cells is None:
+        return PurifiedState(dims, x, norm_in, _adopt=True)
+    return PurifiedState._from_cells(dims, cells, norm_in, lambda: ch.stacked_product(dec.code_vectors()))
 
 
 def check_condition_b(
@@ -254,7 +347,13 @@ def check_condition_d(ps: PurifiedState, tol: float = DEFAULT_ATOL) -> Condition
     """
     da, db, dv, de = ps.dims
     s_a = float(np.log2(da))
-    s_v = von_neumann_entropy(ps.marginal(_JOINT if da * db * de <= dv else (2,)))
+    if da * db * de > dv:
+        s_v = von_neumann_entropy(ps.marginal((2,)))
+    elif ps._cells is None:
+        s_v = von_neumann_entropy(ps.marginal(_JOINT))
+    else:  # the joint is conj(m) / sq with its factors reordered: the same spectrum
+        i, j, m = ps._pairs
+        s_v = _entries_entropy(da * db * de, i, j, np.divide(m.conj(), da * db * ps.norm_in))
     s_rbe = von_neumann_entropy(ps.marginal((1, 3)))
     gap = s_a + s_rbe - s_v
     return ConditionReport(

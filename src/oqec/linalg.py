@@ -11,8 +11,10 @@ Conventions used throughout the package:
   ``a * dim_b + b``, matching ``numpy.kron`` and C-order ``reshape``;
 * eigenvalues are returned in descending order;
 * ``eig_hermitian`` and ``require_state`` (so every entropy) take spectra,
-  through one routine, per connected component of a matrix's exact nonzero pattern, symmetrized
-  and with no threshold, one batched LAPACK call per component size: the
+  through one routine, per connected component of a matrix's exact nonzero
+  pattern, symmetrized and with no threshold (labelled by ``_groups`` from
+  the pattern's (i, j) lists, which a matrix kept as its nonzero entries
+  gives directly), one batched LAPACK call per component size: the
   components are exact invariant subspaces, so the spectrum is the whole
   matrix's and each eigenvector is exactly zero outside its component. A
   matrix of at most ``_WHOLE_MAX`` rows, with no zero entry, or of one
@@ -21,16 +23,20 @@ Conventions used throughout the package:
   ``SPECTRUM_CUTOFF`` is real and nonnegative (a sign for real vectors);
 * entropies are in bits (log base 2), and every positive eigenvalue counts;
 * Gram matrices x†x come from ``gram``, one real product when x is real,
-  or, for a matrix held as a ``Cells`` store, from its cells.
+  or, for a matrix held as a ``Cells`` store, from its cells: the diagonal
+  vector at one cell per row, else the nonzero entries.
 
-A matrix with few nonzeros, such as Pauli noise and E code for it on a
-subsystem code, is held as a ``Cells`` store in ELLPACK layout (Rice and
-Boisvert, 1985): a (rows, w) array of columns and one of values, each row's
-cells in ascending column order, shorter rows padded with column 0 and
-value 0. The one density rule: a store is built, and a matrix scanned for
-its cells, only when 64 nnz <= size; else the matrix stays dense. A
-channel's store comes only from cells its builder lists; Cells.scan
-searches E code alone, for the pair matrix.
+A matrix with few nonzeros, such as Pauli noise, a subsystem code's frame
+and E code for them, is held as a ``Cells`` store in ELLPACK layout (Rice
+and Boisvert, 1985): a (rows, w) array of columns and one of values, shorter
+rows padded with value 0. The one density rule: a store is built, composed
+or scanned for, only when 64 nnz <= size; else the matrix stays dense. A
+channel's store comes only from cells its builder lists, and Cells.scan
+searches a decomposition's frame, once, and an E code formed densely, for
+the cells its norm is summed from. E code's store is the composition of
+the channel's and the frame's, and its Gram matrix, condition b's pair
+matrix, is kept as its nonzero entries, whose spectra _entries_entropy
+takes per component.
 """
 
 from __future__ import annotations
@@ -108,7 +114,8 @@ class Cells:
     @classmethod
     def build(cls, shape: tuple, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> Cells | None:
         """The store of the shape matrix holding vals[i] at (rows[i], cols[i]),
-        nonzero cells sorted by row, then column; None when 64 nnz > size."""
+        nonzero cells sorted by row, then column, each row's cells in that
+        order and padded with column 0; None when 64 nnz > size."""
         if len(vals) > _most_cells(math.prod(shape)):
             return None
         counts = np.bincount(rows, minlength=shape[0])
@@ -144,21 +151,45 @@ class Cells:
             np.multiply(vals[..., None], rows, out=rows)
         return rows if rows.ndim == 2 else rows.sum(1)
 
+    def compose(self, other: Cells) -> Cells | None:
+        """self @ other as a store, w1 w2 cells per row: cell (r, u, s) of
+        self becomes s times each cell of other's row u, one product per
+        cell, as the gathered product forms it; None when 64 nnz > size."""
+        rows = len(self.cols)
+        vals = (self.vals[..., None] * other.vals[self.cols]).reshape(rows, -1)
+        if np.count_nonzero(vals) > _most_cells(rows * other.n):
+            return None
+        return Cells(other.cols[self.cols].reshape(rows, -1), vals, other.n)
+
+    def pairs(self) -> tuple:
+        """self† self as its nonzero entries (i, j, m), row-major: each row's
+        nonzero cells paired, conj(v_p) v_q at (c_p, c_q), and equal (i, j)
+        summed by _summed; m complex as gram's would be."""
+        r, slot = np.nonzero(self.vals)  # row-major, so each row's cells are contiguous
+        c, v = self.cols[r, slot], self.vals[r, slot]
+        if v.dtype.kind == "c" and not np.count_nonzero(v.imag):
+            v = v.real
+        counts = np.bincount(r, minlength=len(self.cols))
+        size = counts[r]  # cells in p's row: p heads the pairs (p, q), q in that row
+        p = np.repeat(np.arange(len(r)), size)
+        first = (np.cumsum(counts) - counts)[r]  # the first cell of p's row
+        q = np.arange(len(p)) + np.repeat(first - (np.cumsum(size) - size), size)
+        key, m = _summed(c[p] * self.n + c[q], v[p].conj() * v[q])
+        return (*np.divmod(key, self.n), m)
+
     def gram(self) -> np.ndarray:
         """self† self: at width <= 1 its diagonal alone, one bincount of |v|^2
-        by column, else the (n, n) matrix, one bincount per real or imaginary
-        part over each row's w^2 pairs; complex as gram's would be."""
+        by column, else the (n, n) matrix holding the entries of pairs;
+        complex as gram's would be."""
         cols, vals, n = self.cols, self.vals, self.n
+        if cols.shape[1] > 1:
+            i, j, m = self.pairs()
+            out = np.zeros((n, n), m.dtype)
+            out[i, j] = m
+            return out
         imaginary = np.iscomplexobj(vals) and np.count_nonzero(vals.imag)
-        if cols.shape[1] <= 1:
-            d = np.bincount(cols.reshape(-1), (vals.conj() * vals).real.reshape(-1), n)
-            return d.astype(np.complex128 if imaginary else np.float64, copy=False)  # int64 if no cell
-        entry = (cols[:, :, None] * n + cols[:, None, :]).reshape(-1)
-        pairs = (vals.conj()[:, :, None] * vals[:, None, :]).reshape(-1)
-        m = np.bincount(entry, pairs.real, n * n)
-        if imaginary:
-            m = m + 1j * np.bincount(entry, pairs.imag, n * n)
-        return m.reshape(n, n)
+        d = np.bincount(cols.reshape(-1), (vals.conj() * vals).real.reshape(-1), n)
+        return d.astype(np.complex128 if imaginary else np.float64, copy=False)  # int64 if no cell
 
     def dense(self) -> np.ndarray:
         """The (rows, n) matrix, in vals' dtype."""
@@ -166,6 +197,18 @@ class Cells:
         rows, slot = np.nonzero(self.vals)
         out[rows, self.cols[rows, slot]] = self.vals[rows, slot]
         return out
+
+
+def _summed(key: np.ndarray, vals: np.ndarray) -> tuple:
+    """(k, t): the distinct keys ascending and, for each, the sum of its
+    vals in their given order, by one stable sort and reduceat; keys whose
+    sum is exactly 0 are dropped."""
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], vals[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    key, vals = key[first], np.add.reduceat(vals, first)
+    kept = vals != 0
+    return key[kept], vals[kept]
 
 
 def _isometry_defect(m: np.ndarray) -> float:
@@ -226,22 +269,27 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
 
 
 def _components(m: np.ndarray) -> list[np.ndarray] | None:
-    """Connected components of a square matrix's exact nonzero pattern,
-    symmetrized: i ~ j when m[i, j] or m[j, i] is not exactly 0, with no
-    threshold. Returns one (count, size) array per distinct component size,
-    sizes ascending, each row one component's indices in ascending order;
-    None when m is one component, at once when it has no zero entry.
-
-    Each sweep lowers every label to the least label among its pattern
-    neighbours, one reduceat over the row-sorted list of nonzeros, and then
-    replaces each label by its label's label until that is stable."""
+    """_groups of a square matrix's exact nonzero pattern, symmetrized: i ~ j
+    when m[i, j] or m[j, i] is not exactly 0, with no threshold; None at
+    once when m has no zero entry."""
     mask = m != 0
     if mask.all():
         return None
-    i, j = np.divmod(np.flatnonzero(mask | mask.T), m.shape[0])
+    return _groups(m.shape[0], *np.divmod(np.flatnonzero(mask | mask.T), m.shape[0]))
+
+
+def _groups(n: int, i: np.ndarray, j: np.ndarray) -> list[np.ndarray] | None:
+    """Connected components of the pattern of an n x n matrix listed by its
+    (i, j), symmetric and sorted by i. Returns one (count, size) array per
+    distinct component size, sizes ascending, each row one component's
+    indices in ascending order; None when the pattern is one component.
+
+    Each sweep lowers every label to the least label among its pattern
+    neighbours, one reduceat over the row-sorted list, and then replaces
+    each label by its label's label until that is stable."""
     starts = np.flatnonzero(np.diff(i, prepend=-1))
     rows = i[starts]
-    label = np.arange(m.shape[0])
+    label = np.arange(n)
     while True:
         low = label.copy()
         low[rows] = np.minimum(label[rows], np.minimum.reduceat(label[j], starts))
@@ -260,16 +308,23 @@ def _components(m: np.ndarray) -> list[np.ndarray] | None:
 
 def _spectrum(m: np.ndarray, vectors: bool, error: type, what: str) -> tuple:
     """(w, v) of a square m Hermitian within DEFAULT_ATOL: its eigenvalues
-    and eigenvectors, or (w ascending, None) unless vectors. m is taken
-    whole, w ascending, or per component of _components, one batched LAPACK
-    call per component size, eigenpair k of component r of a group in
-    column start + r size + k. ||m - m†||_F, summed per component, above
-    DEFAULT_ATOL raises error; a nan defect needs a non-finite entry."""
+    and eigenvectors, or (w ascending, None) unless vectors; m is taken
+    whole, or per component of _components above _WHOLE_MAX rows."""
     groups = _components(m) if m.shape[0] > _WHOLE_MAX else None
+    blocks = [m] if groups is None else [m[ix[:, :, None], ix[:, None, :]] for ix in groups]
+    return _block_spectrum(blocks, groups, m.shape[0], vectors, error, what)
+
+
+def _block_spectrum(blocks: list, groups, n: int, vectors: bool, error: type, what: str) -> tuple:
+    """_spectrum of the n x n matrix given as [m] whole (groups None), w
+    ascending, or as the (count, size, size) blocks of groups, one batched
+    LAPACK call per component size, eigenpair k of component r of a group
+    in column start + r size + k. ||m - m†||_F, summed per component, above
+    DEFAULT_ATOL raises error; a nan defect needs a non-finite entry."""
     if groups is None:
+        m = blocks[0]
         defect, blocks = np.linalg.norm(m - dag(m)), [(m + dag(m)) / 2]
     else:
-        blocks = [m[ix[:, :, None], ix[:, None, :]] for ix in groups]
         defect = np.linalg.norm([np.linalg.norm(b - dag(b)) for b in blocks])
         blocks = [(b + dag(b)) / 2 for b in blocks]
     if defect > DEFAULT_ATOL:
@@ -279,7 +334,7 @@ def _spectrum(m: np.ndarray, vectors: bool, error: type, what: str) -> tuple:
     if not vectors:
         return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks])), None
     pairs = [np.linalg.eigh(b) for b in blocks]
-    v, start = np.zeros(m.shape, pairs[0][1].dtype), 0
+    v, start = np.zeros((n, n), pairs[0][1].dtype), 0
     for ix, (_, vecs) in zip(groups, pairs):
         count, size = ix.shape
         v[ix[:, :, None], np.arange(start, start + count * size).reshape(count, 1, size)] = vecs
@@ -323,10 +378,15 @@ def require_state(rho: np.ndarray) -> np.ndarray:
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise NotAStateError(f"entry ({i}, {j}) is {rho[i, j]}, not finite")
-    w = _spectrum(rho, False, NotAStateError, "")[0]  # ascending
+    w = _spectrum(rho, False, NotAStateError, "")[0]
+    return _state_spectrum(w, float(np.real(np.trace(rho))))
+
+
+def _state_spectrum(w: np.ndarray, tr: float) -> np.ndarray:
+    """require_state's last two checks on the ascending spectrum w of a
+    matrix of trace tr; returns w descending."""
     if not w[0] >= -DEFAULT_ATOL:
         raise NotAStateError(f"negative eigenvalue {w[0]:.3e} below -atol")
-    tr = float(np.real(np.trace(rho)))
     if not abs(tr - 1.0) <= DEFAULT_ATOL:
         raise NotAStateError(f"trace {tr!r} differs from 1 beyond atol={DEFAULT_ATOL}")
     return w[::-1]
@@ -336,9 +396,34 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy in bits. -w log2 w tends to 0 as w does, so every
     positive eigenvalue contributes, however small, and only w <= 0 gives 0.
     A pure state gives +0.0, never -0.0."""
-    w = require_state(rho)
+    return _bits(require_state(rho))
+
+
+def _bits(w: np.ndarray) -> float:
     w = w[w > 0]
     return float(0.0 - np.dot(w, np.log2(w)))
+
+
+def _entries_entropy(n: int, i: np.ndarray, j: np.ndarray, vals: np.ndarray) -> float:
+    """von_neumann_entropy of the n x n matrix holding vals at (i, j), each
+    (i, j) listed once, with require_state's checks: its spectrum is taken
+    per component of _groups of the pattern and its transpose (one block
+    of n rows when that is one component), and its trace is the diagonal's."""
+    finite = np.isfinite(vals)
+    if not finite.all():
+        p = int(np.argmin(finite))
+        raise NotAStateError(f"entry ({i[p]}, {j[p]}) is {vals[p]}, not finite")
+    pattern = np.divmod(np.sort(np.concatenate([i * n + j, j * n + i])), n)
+    groups = _groups(n, *pattern) or [np.arange(n)[None]]
+    at, blocks = np.empty((3, n), np.intp), []  # each index's group, component and slot
+    for g, ix in enumerate(groups):
+        at[0, ix], at[1, ix], at[2, ix] = g, np.arange(len(ix))[:, None], np.arange(ix.shape[1])
+        blocks.append(np.zeros((len(ix), ix.shape[1], ix.shape[1]), vals.dtype))
+    for g, b in enumerate(blocks):
+        e = at[0, i] == g
+        b[at[1, i[e]], at[2, i[e]], at[2, j[e]]] = vals[e]
+    w = _block_spectrum(blocks, groups, n, False, NotAStateError, "")[0]
+    return _bits(_state_spectrum(w, float(np.real(vals[i == j].sum()))))
 
 
 def complete_basis(cols: np.ndarray, dim: int) -> np.ndarray:

@@ -204,7 +204,13 @@ def verify_recovery(
     da, db, dv, dc = dec.dim_a, dec.dim_b, dec.dim_v, dec.dim_code
     code = dec.code_vectors()
     ec = ch.stacked_product(code).reshape(-1, dv, dc)  # E_k code
-    cr = (dag(code) @ rchan.kraus).reshape(-1, dv)  # code† R_j, stacked rows
+    if rchan._cells is None:
+        cr = (dag(code) @ rchan.kraus).reshape(-1, dv)  # code† R_j, stacked rows
+    else:  # (code† R_j)[:, u] sums conj(code[v]) R_j[v, u] over the cells (v, u) of R_j
+        cells, (j, v) = rchan._cells, np.divmod(np.arange(rchan.n_kraus * dv), dv)
+        cr = np.zeros((len(v), dc), np.result_type(code, cells.vals))  # row (j, u): column u of code† R_j
+        np.add.at(cr, (j * dv)[:, None] + cells.cols, cells.vals[..., None] * code.conj()[v, None, :])
+        cr = cr.reshape(-1, dv, dc).transpose(0, 2, 1).reshape(-1, dv)
     x = cr @ ec.transpose(1, 0, 2).reshape(dv, -1)  # <a, b| R_j E_k |c, d>, rows (j, a, b)
     g_ec = g[:, None] * ec if g.ndim == 1 else g @ ec  # a cell recovery's diagonal G scales rows
     h_ec = g_ec - (dag(cr) @ x).reshape(dv, -1, dc).transpose(1, 0, 2)

@@ -9,23 +9,28 @@ matrix with orthonormal columns, dim_a * dim_b <= k <= dim_v, whose column
 a * dim_b + b is the code vector for (a, b). Only those first dim_a * dim_b
 columns are kept, float64 when every imaginary part is ±0.0 and complex128
 otherwise; C is their orthogonal complement, which no condition reads.
+The code vectors' linalg.Cells store, such as a CSS code's frame of at most
+one nonzero per row, is found by one Cells.scan on first use and kept; it
+lets purify compose E code from the cells of Pauli noise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import DEFAULT_ATOL, _isometry_defect, dag, kron, require_state, storage_stack
+from .linalg import DEFAULT_ATOL, Cells, _isometry_defect, dag, kron, require_state, storage_stack
 
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """V = (A tensor B) + C with an optional frame, kept as its dim_v x dim_code code isometry.
-    Equality and hashing are by identity."""
+    """V = (A tensor B) + C with an optional frame, kept as its dim_v x dim_code code isometry,
+    and, from first use, as that isometry's Cells store when the density
+    rule admits one. Equality and hashing are by identity."""
 
     dim_a: int
     dim_b: int
@@ -58,6 +63,13 @@ class Decomposition:
     @property
     def dim_code(self) -> int:
         return self.dim_a * self.dim_b
+
+    @cached_property
+    def _cells(self) -> Optional[Cells]:
+        """The store of code_vectors(), or None when 64 nnz > size."""
+        code = self.code_vectors()
+        found = Cells.scan(code)
+        return None if found is None else Cells.build(code.shape, *found)
 
     def code_vectors(self) -> np.ndarray:
         """dim_v x (dim_a*dim_b) matrix; column a*dim_b + b is the (a, b) code vector."""

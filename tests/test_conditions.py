@@ -6,7 +6,7 @@ that formula as an independent oracle. The factored dpi_trace is checked
 against the dense reference in dense_dpi.py.
 """
 
-import types
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +35,7 @@ from oqec.spaces import Decomposition
 from condition_b_oracle import condition_b_oracle, gram_blocks
 from dense_dpi import dense_dpi_trace
 from pauli_noise import weight_one_depolarizing
+from stabilizer_oracle import GAUGE, STABILIZERS, correctable, mask, pauli_channel
 
 
 def _rng(seed=0):
@@ -211,7 +212,9 @@ def test_cell_and_dense_paths_give_the_same_residuals(build):
 def test_purified_state_copies_x_unless_it_adopts_purifys_product(monkeypatch):
     """A caller's x is copied; with _adopt=True, as purify passes for the
     product it has just formed, that array is kept. Both are read-only,
-    and an adopted x is checked for finite entries all the same."""
+    and an adopted x is checked for finite entries all the same. A state
+    composed from cells, as bacon_shor_9's, forms its product on the first
+    read of x, by stacked_product, and adopts and keeps it."""
     x = np.full((4, 2), 0.5)
     copied = PurifiedState((2, 1, 2, 2), x, 1.0)
     adopted = PurifiedState((2, 1, 2, 2), x, 1.0, _adopt=True)
@@ -229,7 +232,10 @@ def test_purified_state_copies_x_unless_it_adopts_purifys_product(monkeypatch):
 
     monkeypatch.setattr(Channel, "stacked_product", product)
     entry = get("bacon_shor_9")
-    assert purify(entry.dec, entry.noise).x.base is products.pop()
+    ps = purify(entry.dec, entry.noise)  # X composed from cells: no product yet
+    assert ps._cells is not None and not products and "x" not in vars(ps)
+    assert ps.x.base is products.pop() and ps.x is ps.x and not products
+    assert not ps.x.flags.writeable
     assert purify(Decomposition(2, 2, 0), depolarizing(4, 0.1)).x.base is products.pop()
 
 
@@ -576,28 +582,40 @@ def _verdicts(dec, ch):
     return ps, [rb, check_condition_c(ps), check_condition_d(ps)]
 
 
+def _dense_pairs(ps):
+    """The (n, n) pair matrix of a state held as cells, from its entries,
+    which must be row-major, each (i, j) once, and nonzero."""
+    i, j, m = ps._pairs
+    n = ps.dims[0] * ps.dims[1] * ps.dims[3]
+    key = i * n + j
+    assert np.all(np.diff(key) > 0) and np.count_nonzero(m) == len(m)
+    out = np.zeros((n, n), m.dtype)
+    out[i, j] = m
+    return out
+
+
 @pytest.mark.parametrize("noise", ["bacon_shor_9", "depolarizing"])
-def test_the_pair_matrix_from_cells_matches_the_dense_gram(noise, monkeypatch):
+def test_the_pair_matrix_from_cells_matches_the_dense_gram(noise):
     """bacon_shor_9's X holds 1 280 nonzeros of 163 840 (real), and under the
-    weight-one depolarizing noise 3 584 of 458 752 (complex): its pair
-    matrix is summed from those cells. It equals gram of the transposed
-    reshape within 1e-14 of its largest entry (largest gap 0.0 on the real
-    X and 1.0e-18 on the complex one, measured with OpenBLAS), it is
-    float64 exactly when X has no imaginary part, and b, c and d give the
-    dense path's verdicts and, within 1e-14, its residuals."""
+    weight-one depolarizing noise 3 584 of 458 752 (complex): it is composed
+    from the noise's and the frame's cells, and its pair matrix is kept as
+    its nonzero entries, summed from those cells. They equal gram of the
+    transposed reshape within 1e-14 of its largest entry (largest gap 0.0
+    on the real X and 1.0e-18 on the complex one, measured with OpenBLAS),
+    they are float64 exactly when X has no imaginary part, and b, c and d
+    give the dense twin's verdicts and, within 1e-14, its residuals."""
     entry = get("bacon_shor_9")
     ch = entry.noise if noise == "bacon_shor_9" else weight_one_depolarizing(9, 0.003)
     ps, reports = _verdicts(entry.dec, ch)
     da, db, dv, de = ps.dims
-    m = ps._pairs
-    assert Cells.scan(ps.x) is not None
+    assert ps._cells is not None
+    m = _dense_pairs(ps)
     want = gram(ps.x.reshape(de, dv, da * db).transpose(1, 0, 2).reshape(dv, -1))
     assert m.dtype == want.dtype == (np.complex128 if np.count_nonzero(ps.x.imag) else np.float64)
     assert m.dtype == (np.float64 if noise == "bacon_shor_9" else np.complex128)
     assert np.abs(m - want).max() <= 1e-14 * np.abs(want).max()
-    monkeypatch.setattr(conditions, "Cells", types.SimpleNamespace(scan=lambda a: None))
-    dense_ps, dense = _verdicts(entry.dec, ch)
-    assert dense_ps._pairs.dtype == m.dtype
+    dense_ps, dense = _verdicts(entry.dec, Channel(ch.kraus))
+    assert dense_ps._cells is None and dense_ps._pairs.dtype == m.dtype
     for got, ref in zip(reports, dense):
         assert got.passed and ref.passed, (got.condition, got.residual, ref.residual)
         assert abs(got.residual - ref.residual) <= 1e-14, (got.condition, got.residual, ref.residual)
@@ -605,11 +623,13 @@ def test_the_pair_matrix_from_cells_matches_the_dense_gram(noise, monkeypatch):
 
 def _cell_pairs(x, dv):
     """The pair matrix X_V† X_V of x, X_V[v, (e, c)] = x[(e, v), c], as
-    PurifiedState._pairs sums it from x's store, or None when the density
-    rule refuses that store and _pairs takes gram."""
-    if Cells.scan(x) is None:
+    PurifiedState._pairs sums it from the store of x, or None when the
+    density rule refuses that store."""
+    found = Cells.scan(x)
+    if found is None:
         return None
-    return PurifiedState((1, x.shape[1], dv, x.shape[0] // dv), x, 1.0)._pairs
+    ps = PurifiedState._from_cells((1, x.shape[1], dv, x.shape[0] // dv), Cells.build(x.shape, *found), 1.0, None)
+    return _dense_pairs(ps)
 
 
 def _sparse_x(rng, de, dv, width, per_col, dtype):
@@ -760,3 +780,154 @@ def test_dpi_trace_matches_dense_reference_on_random_chains(seed, links, kraus):
     dec = Decomposition(da, db, dc, frame=haar_unitary(dv, rng))
     chain = [random_channel(dv, kraus, seed=seed + 7 * i) for i in range(links)]
     _dpi_agrees_with_dense(dec, chain)
+
+
+def _twin_gaps(dec, ch, **kw):
+    """b, c and d on the cell route and on the dense twin Channel(ch.kraus):
+    the verdicts of each, the residual gaps, and the gaps of b's and c's
+    witnesses."""
+    out = []
+    for noise in (ch, Channel(ch.kraus)):
+        rb = check_condition_b(dec, noise, **kw)
+        ps = purify(dec, noise, **kw)
+        out.append((ps, [rb, check_condition_c(ps), check_condition_d(ps)]))
+    (ps, cell), (twin_ps, dense) = out
+    assert ps._cells is not None and twin_ps._cells is None
+    gaps = [abs(a.residual - b.residual) for a, b in zip(cell, dense)]
+    witness = [
+        np.abs(cell[0].witnesses[k] - dense[0].witnesses[k]).max() for k in ("b_blocks", "pair_residuals")
+    ] + [np.abs(cell[1].witnesses[k] - dense[1].witnesses[k]).max() for k in ("rho_ra", "rho_rbe")]
+    return [r.passed for r in cell], [r.passed for r in dense], gaps, witness
+
+
+def test_the_cell_route_matches_the_dense_twin_off_pauli_and_trace_decreasing_noise():
+    """Cell noise of total weight 0.8, allowed as trace decreasing, is
+    renormalized alike on both routes, on a correctable set and on one that
+    fails; and diagonal noise that reads the logical value, sqrt(p) on the
+    strings of logical 0, gives blocks M_jk whose A-diagonal holds a = 0
+    only, so half of 1_A tensor B_jk lies outside M's support. Each time b,
+    c and d give the twin's verdicts and residuals within 1e-14, and
+    b_blocks, pair_residuals, rho'_{R_A} and rho'_{R_B E} are the twin's
+    within 1e-15."""
+    dec = get("bacon_shor_9").dec
+    zero = dec.code_vectors()[:, :16].any(axis=1)  # the strings of logical 0
+    reads = np.sqrt(np.concatenate([1 - 0.3 * zero, 0.3 * zero]))
+    cases = [(pauli_channel(paulis, 0.8 * np.array([0.5, 0.3, 0.2])), True, passes) for paulis, passes in (
+        ([(0, 0), (mask([(0, 0)]), 0), (0, mask([(1, 1)]))], True),
+        ([(0, 0), (mask([(0, 0)]), 0), (mask([(0, 1), (0, 2)]), 0)], False),
+    )]
+    cases.append((Channel._from_cells((2, 512, 512), np.tile(np.arange(512), 2), reads), False, False))
+    for ch, decreasing, passes in cases:
+        if decreasing:
+            with pytest.raises(ValueError, match="decreases trace"):
+                purify(dec, ch)
+        cell, dense, gaps, witness = _twin_gaps(dec, ch, allow_trace_decreasing=decreasing)
+        assert cell == dense == [passes] * 3
+        assert max(gaps) <= 1e-14 and max(witness) <= 1e-15, (gaps, witness)
+
+
+def test_the_cell_route_forms_no_dense_x_and_no_pair_array():
+    """On bacon_shor_9, b, then purify, c and d hold X as its cells from
+    start to end: neither state forms x, and the traced peak of the four
+    calls stays under 2.5 MiB, where the dense x alone takes 1.25 MiB and
+    the dense pair matrix 0.8 MiB (5.7 MiB when both were formed)."""
+    entry = get("bacon_shor_9")
+    dec, noise = entry.dec, entry.noise
+    # the frame's store and the noise's Gram are found once and kept, by any earlier call
+    assert dec._cells is not None and noise._gram[0] is not None
+    tracemalloc.start()
+    try:
+        rb = check_condition_b(dec, noise)
+        ps = purify(dec, noise)
+        rc, rd = check_condition_c(ps), check_condition_d(ps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rb.passed and rc.passed and rd.passed
+    for state in (rb.witnesses["state"], ps):
+        assert state._cells is not None and "x" not in vars(state)
+    assert peak < 2.5 * 2**20, peak / 2**20
+
+
+def test_the_cell_route_refuses_degenerate_and_non_finite_states():
+    """A cell channel that maps the code sector to 0 is refused as the dense
+    one is, and a store holding a nan or inf cell is refused naming the same
+    (R_A, R_B, V, E) entry that the dense state names for that x."""
+    dec = get("bacon_shor_9").dec
+    outside = int(np.flatnonzero(~dec.code_vectors().any(axis=1))[0])  # a row the frame leaves empty
+    vals = np.zeros(512)
+    vals[7] = 1.0
+    kill = Channel._from_cells((1, 512, 512), np.full(512, outside), vals)
+    assert kill._cells is not None
+    for check in (purify, check_condition_b):
+        with pytest.raises(DegenerateChannelError):
+            check(dec, kill, allow_trace_decreasing=True)
+    for bad in (np.nan, np.inf, complex(0.5, np.inf)):
+        x = np.zeros((4 * 64, 2), type(bad))  # rows (e, v), columns (a, b): dims (2, 1, 64, 4)
+        x[[3, 70, 200], [1, 0, 1]] = 0.5
+        x[200, 1] = bad  # e = 3, v = 8, a = 1, b = 0
+        with pytest.raises(NotAStateError) as dense:
+            PurifiedState((2, 1, 64, 4), x, 1.0)
+        store = Cells.build(x.shape, *np.nonzero(x), x[np.nonzero(x)])
+        with pytest.raises(NotAStateError) as cells:
+            PurifiedState._from_cells((2, 1, 64, 4), store, 1.0, None)
+        assert str(cells.value) == str(dense.value) and "(1, 0, 8, 3)" in str(cells.value)
+
+
+_LOGICAL = [(mask([(0, 0), (0, 1), (0, 2)]), 0), (0, mask([(0, 0), (1, 0), (2, 0)]))]
+_POOL = [(0, 0), (mask([(0, 0)]), 0), (0, mask([(1, 1)])), (mask([(2, 2)]), mask([(2, 2)]))]
+
+
+def _pauli_set(seed):
+    """2 to 4 Paulis, each an error of _POOL times a random gauge element,
+    and with probability 0.3 times logical X or Z; random positive weights."""
+    rng = _rng(seed)
+    paulis = []
+    for _ in range(rng.integers(2, 5)):
+        x, z = _POOL[rng.integers(len(_POOL))]
+        for gx, gz in GAUGE:
+            if rng.random() < 0.5:
+                x, z = x ^ gx, z ^ gz
+        if rng.random() < 0.3:
+            lx, lz = _LOGICAL[rng.integers(2)]
+            x, z = x ^ lx, z ^ lz
+        paulis.append((x, z))
+    weights = rng.uniform(0.2, 1.0, len(paulis))
+    return paulis, weights / weights.sum()
+
+
+def test_the_stabilizer_groups_act_on_the_frame_as_stated():
+    """The oracle's groups are read from bacon_shor_9's frame, not from b:
+    every stabilizer fixes every code column, and every gauge generator
+    keeps the code span and acts on it as 1_A tensor g_B."""
+    code = get("bacon_shor_9").dec.code_vectors()
+    for s in STABILIZERS:
+        np.testing.assert_array_equal(pauli_channel([s], [1.0]).stacked_product(code), code)
+    for g in GAUGE:
+        moved = pauli_channel([g], [1.0]).stacked_product(code)
+        block = dag(code) @ moved
+        assert np.abs(moved - code @ block).max() <= 1e-14
+        g_b = (block[:16, :16] + block[16:, 16:]) / 2
+        assert np.abs(block - kron(np.eye(2), g_b)).max() <= 1e-14
+        assert np.abs(g_b).max() > 0.5
+
+
+def test_b_c_and_d_agree_with_the_stabilizer_oracle():
+    """On 40 seeded Pauli sets on bacon_shor_9, built as cells with random
+    weights and Y phases, and on sets built to fail (X(0,0) beside
+    X(0,1) X(0,2), whose product is logical X, and Z(0,0) beside Z(1,0)
+    Z(2,0), logical Z), b, c and d each give the stabilizer verdict, at
+    least 10 times each way, and the dense twin's residuals within 1e-14."""
+    dec = get("bacon_shor_9").dec
+    sets = [_pauli_set(seed) for seed in range(40)]
+    sets += [([(0, 0), (mask([(0, 0)]), 0), (mask([(0, 1), (0, 2)]), 0)], [0.6, 0.2, 0.2]),
+             ([(0, 0), (0, mask([(0, 0)])), (0, mask([(1, 0), (2, 0)]))], [0.6, 0.2, 0.2])]
+    outcomes = []
+    for paulis, weights in sets:
+        want = correctable(paulis)
+        cell, dense, gaps, _ = _twin_gaps(dec, pauli_channel(paulis, weights))
+        assert cell == dense == [want] * 3, (paulis, cell, dense)
+        assert max(gaps) <= 1e-14, (paulis, gaps)
+        outcomes.append(want)
+    assert outcomes[-2:] == [False, False]
+    assert min(sum(outcomes), len(outcomes) - sum(outcomes)) >= 10, sum(outcomes)

@@ -557,3 +557,99 @@ def test_a_dense_matrix_is_refused_by_its_prefix_count():
     assert Cells.scan(dense.view(_Unmasked)) is None
     with pytest.raises(AssertionError, match="whole array"):
         Cells.scan(at_rule.view(_Unmasked))
+
+
+def _entries(m):
+    """The nonzero entries (i, j, m[i, j]) of a square matrix, row-major."""
+    i, j = np.nonzero(m)
+    return i, j, m[i, j]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    sizes=st.lists(st.integers(1, 7), min_size=1, max_size=30),
+    seed=st.integers(0, 2**16),
+    complex_=st.booleans(),
+)
+def test_entry_spectra_match_the_dense_entropy(sizes, seed, complex_):
+    """A permuted block-diagonal state given by its nonzero entries: _groups
+    of its (i, j) lists finds the components _components finds in its mask,
+    at any size, and _entries_entropy is its von Neumann entropy within
+    1e-13, one component of n rows taken as one block."""
+    m, blocks = _permuted_block_state(sizes, np.random.default_rng(seed), complex_)
+    n = len(m)
+    i, j, vals = _entries(m)
+    groups = oqec.linalg._groups(n, i, j)
+    if len(blocks) == 1:
+        assert groups is None
+    else:
+        found = sorted(tuple(row) for ix in groups for row in ix)
+        assert found == sorted(tuple(b) for b in blocks)
+        if n > _WHOLE_MAX:
+            assert [g.tolist() for g in groups] == [g.tolist() for g in oqec.linalg._components(m)]
+    want = -sum(w * np.log2(w) for w in np.linalg.eigvalsh(m) if w > 0)
+    assert abs(oqec.linalg._entries_entropy(n, i, j, vals) - want) <= 1e-13
+
+
+def test_entry_spectra_keep_require_states_checks():
+    """_entries_entropy refuses what require_state refuses, in its words: a
+    non-finite entry (named by its index), a Hermitian defect across two
+    components, a negative eigenvalue inside one, and a trace off 1."""
+    rho, blocks = _permuted_block_state([3] * 30, _rng(71), True)
+    n, (i, j) = len(rho), (blocks[0][0], blocks[1][0])
+    lone = rho.copy()
+    lone[i, j] = 1e-6  # m[j, i] stays 0: i and j join one component
+    negative = rho.copy()
+    negative[i, i] -= 1.0
+    negative[j, j] += 1.0
+    bad = rho.copy()
+    bad[j, i] = np.nan
+    for m, message in [
+        (lone, "not Hermitian within atol=1e-09 \\(defect 1.414e-06\\)"),
+        (negative, "negative eigenvalue -.* below -atol"),
+        (2 * rho, "trace .* differs from 1 beyond atol"),
+        (bad, f"entry \\({j}, {i}\\) is .*nan.*, not finite"),
+    ]:
+        with pytest.raises(NotAStateError, match=message):
+            require_state(m)
+        with pytest.raises(NotAStateError, match=message):
+            oqec.linalg._entries_entropy(n, *_entries(m))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_cell_matrices(), complex_=st.booleans(), seed=st.integers(0, 2**16))
+def test_composed_and_paired_cells_match_dense_numpy(case, complex_, seed):
+    """A one-cell-per-row store composed with a store of any width is the
+    store of the dense product, each cell one product as the gathered
+    product forms it, so bit for bit that product's nonzeros, or None when
+    64 nnz > size; pairs are the nonzero entries of gram, row-major, within
+    1e-13 of its largest entry and in its dtype."""
+    a, width = case
+    rng = np.random.default_rng(seed)
+    r, c = np.nonzero(a)
+    other = Cells.build(a.shape, r, c, a[r, c])
+    if other is None:
+        return
+    rows = 2 * len(a)
+    cols = rng.integers(0, len(a), rows)
+    vals = rng.standard_normal(rows) * (rng.random(rows) < 0.8)
+    if complex_:
+        vals = vals * np.exp(2j * np.pi * rng.random(rows))
+    first = Cells(cols[:, None], vals[:, None], len(a))
+    want = vals[:, None] * a[cols]  # the gathered product of first with a
+    composed = first.compose(other)
+    event("refused" if composed is None else f"width {width}")
+    if 64 * np.count_nonzero(want) > want.size:
+        assert composed is None
+        return
+    assert composed.cols.shape == (rows, width) and composed.n == a.shape[1]
+    got = composed.dense()
+    assert got.dtype == want.dtype and got.tobytes() == np.where(want != 0, want, 0).astype(want.dtype).tobytes()
+    pi, pj, pm = composed.pairs()
+    n = a.shape[1]
+    assert np.all(np.diff(pi * n + pj) > 0) and np.count_nonzero(pm) == len(pm)
+    dense_gram = gram(want)
+    assert pm.dtype == dense_gram.dtype
+    paired = np.zeros_like(dense_gram)
+    paired[pi, pj] = pm
+    assert np.abs(paired - dense_gram).max() <= 1e-13 * max(np.abs(dense_gram).max(), 1.0)

@@ -131,3 +131,20 @@ def test_embed_state_validates_inputs():
     with pytest.raises(DimensionError):
         embed_state(dec, np.eye(3) / 3, good)
 
+
+
+def test_a_sparse_frame_is_kept_as_its_cells_found_once(monkeypatch):
+    """bacon_shor_9's frame holds 128 nonzeros of 16 384, at most one per
+    row: its store is found by one Cells.scan on first use and kept, and its
+    dense form is the frame. A dense frame keeps no store."""
+    import oqec.linalg
+    from oqec.codes import get
+
+    dec = get("bacon_shor_9").dec
+    scans, original = [], oqec.linalg.Cells.scan
+    monkeypatch.setattr(oqec.linalg.Cells, "scan", staticmethod(lambda a: scans.append(a.shape) or original(a)))
+    store = dec._cells
+    assert store is dec._cells and scans == [(512, 32)]
+    assert store.cols.shape == (512, 1) and np.count_nonzero(store.vals) == 128
+    np.testing.assert_array_equal(store.dense(), dec.frame)
+    assert Decomposition(2, 2, 3, frame=haar_unitary(7, _rng(5)))._cells is None
