@@ -15,7 +15,8 @@ environment with one axis per Kraus operator. purify forms E code once: as
 the composition of the noise's and the frame's linalg.Cells stores when both
 hold one, else by one product. Its state forms the pair matrix once, as its
 nonzero entries summed from those cells or by one Gram product, and its
-defect once, and b, c and d read them.
+defect once, and b, c and d read them; a state held as cells densifies its
+store when x itself is read, and forms no second product.
 """
 
 from __future__ import annotations
@@ -68,19 +69,18 @@ class PurifiedState:
     (R_A, R_B, V, E) index.
 
     A state built by _from_cells holds X as its linalg.Cells store instead,
-    checked cell by cell in the same words, and forms x only when x is
-    read. Its pair matrix is then kept as its nonzero entries, and b's
-    blocks and deviations, every marginal without V and d's spectrum of the
-    joint are read from those entries; no array of the pair matrix's size
-    is formed unless the joint itself is asked for.
+    checked cell by cell in the same words, and x is that store densified,
+    only when x is read. Its pair matrix is then kept as its nonzero
+    entries, and b's blocks and deviations, every marginal without V and
+    d's spectrum of the joint are read from those entries; no array of the
+    pair matrix's size is formed unless the joint itself is asked for.
 
-    psi is pure, so S(V') = S(R_A R_B E'), read from the smaller side. Each
-    marginal is formed once, normalized (x never is) and kept read-only. The
-    joint rho'_{R_A R_B E} is condition b's pair matrix m = X_V† X_V, X_V the
-    (dim_v, dim_e dim_ra dim_rb) reshape of x, formed once and kept,
-    conjugated with (E, R_A R_B) swapped. Every other marginal that keeps V
-    is a Gram product of the (kept, rest) reshape of x; every other
-    marginal of R_A, R_B and E is a partial trace of the joint.
+    Each marginal is formed once, normalized (x never is) and kept
+    read-only. The joint rho'_{R_A R_B E} is condition b's pair matrix m =
+    X_V† X_V, X_V the (dim_v, dim_e dim_ra dim_rb) reshape of x, formed once
+    and kept, conjugated with (E, R_A R_B) swapped. Every other marginal
+    that keeps V is a Gram product of the (kept, rest) reshape of x; every
+    other marginal of R_A, R_B and E is a partial trace of the joint.
     """
 
     dims: tuple[int, int, int, int]
@@ -103,26 +103,23 @@ class PurifiedState:
         object.__setattr__(self, "x", x)
 
     @classmethod
-    def _from_cells(cls, dims: tuple, cells: Cells, norm_in: float, form_x) -> PurifiedState:
-        """The state whose X is held as cells, rows (e, v) and columns (a, b);
-        form_x() gives the array x on its first read."""
-        finite = np.isfinite(cells.vals)
-        if not finite.all():
-            r, slot = np.nonzero(~finite)
-            at = r * cells.n + cells.cols[r, slot]  # flat indices in x
-            first = int(np.argmin(at))  # x's first in row-major order, as __post_init__ finds it
-            raise _not_finite(dims, int(at[first]), cells.vals[r[first], slot[first]])
+    def _from_cells(cls, dims: tuple, cells: Cells, norm_in: float) -> PurifiedState:
+        """The state whose X is held as cells, rows (e, v) and columns (a, b)."""
+        if not np.isfinite(cells.vals).all():
+            r, c, v = cells.entries()
+            p = int(np.argmin(np.isfinite(v)))  # x's first in row-major order, as __post_init__ finds it
+            raise _not_finite(dims, int(r[p]) * cells.n + int(c[p]), v[p])
         ps = object.__new__(cls)
-        vars(ps).update(dims=tuple(dims), norm_in=norm_in, _marginals={}, _cells=cells, _form_x=form_x)
+        vars(ps).update(dims=tuple(dims), norm_in=norm_in, _marginals={}, _cells=cells)
         return ps
 
     def __getattr__(self, name):
         # reached only for a name the instance lacks: x of a state built
-        # from its cells, formed here on first read and kept
-        if name != "x" or "_form_x" not in vars(self):
+        # from its cells, densified here on first read and kept
+        if name != "x" or vars(self).get("_cells") is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         da, db, dv, de = self.dims
-        x = vars(self).pop("_form_x")().reshape(de * dv, da * db)
+        x = self._cells.dense().reshape(de * dv, da * db)
         x.flags.writeable = False
         object.__setattr__(self, "x", x)
         return x
@@ -269,7 +266,7 @@ def purify(
         raise DegenerateChannelError("channel annihilates the code sector")
     if cells is None:
         return PurifiedState(dims, x, norm_in, _adopt=True)
-    return PurifiedState._from_cells(dims, cells, norm_in, lambda: ch.stacked_product(dec.code_vectors()))
+    return PurifiedState._from_cells(dims, cells, norm_in)
 
 
 def check_condition_b(
@@ -335,21 +332,18 @@ def check_condition_d(ps: PurifiedState, tol: float = DEFAULT_ATOL) -> Condition
 
     The signed gap log2(dim_a) + S(R_B E') - S(V') is nonnegative up to
     rounding (subadditivity); the report residual is its magnitude. psi is
-    pure, so S(V') = S(R_A R_B E'): entropy_v is read from whichever of the
-    two marginals is smaller (dim_v against dim_a dim_b dim_e, the joint on a
-    tie, which condition c shares), and require_state checks that matrix.
-    rho'_{R_B E} is the joint's partial trace either way, so when V is the
-    smaller side d forms the joint without diagonalizing it. Both spectra are
-    taken per connected component of the matrix's exact nonzero pattern
-    (Pauli errors of different syndromes reach orthogonal subspaces), except
-    on matrices of at most 64 rows, with no zero entry, or of one component,
-    which are diagonalized whole; see linalg.
+    pure, so S(V') = S(R_A R_B E'): entropy_v is the joint's entropy, with
+    require_state's checks, from the dense joint, of which rho'_{R_B E} is
+    a partial trace, or, for a state held as cells, from its pair entries.
+    The V marginal is never formed. Both spectra are taken per connected
+    component of the matrix's exact nonzero pattern (Pauli errors of
+    different syndromes reach orthogonal subspaces), except on matrices of
+    at most 64 rows, with no zero entry, or of one component, which are
+    diagonalized whole; see linalg.
     """
-    da, db, dv, de = ps.dims
+    da, db, _, de = ps.dims
     s_a = float(np.log2(da))
-    if da * db * de > dv:
-        s_v = von_neumann_entropy(ps.marginal((2,)))
-    elif ps._cells is None:
+    if ps._cells is None:
         s_v = von_neumann_entropy(ps.marginal(_JOINT))
     else:  # the joint is conj(m) / sq with its factors reordered: the same spectrum
         i, j, m = ps._pairs

@@ -24,7 +24,8 @@ Conventions used throughout the package:
 * entropies are in bits (log base 2), and every positive eigenvalue counts;
 * Gram matrices x†x come from ``gram``, one real product when x is real,
   or, for a matrix held as a ``Cells`` store, from its cells: the diagonal
-  vector at one cell per row, else the nonzero entries.
+  vector (``Cells.gram``) at one cell per row, else the nonzero entries
+  (``Cells.pairs``).
 
 A matrix with few nonzeros, such as Pauli noise, a subsystem code's frame
 and E code for them, is held as a ``Cells`` store in ELLPACK layout (Rice
@@ -36,7 +37,9 @@ searches a decomposition's frame, once, and an E code formed densely, for
 the cells its norm is summed from. E code's store is the composition of
 the channel's and the frame's, and its Gram matrix, condition b's pair
 matrix, is kept as its nonzero entries, whose spectra _entries_entropy
-takes per component.
+takes per component. A store's nonzero cells are read through
+Cells.entries alone, and its dense matrix alone gives a cell channel's
+stack and a cell state's x.
 """
 
 from __future__ import annotations
@@ -165,8 +168,7 @@ class Cells:
         """self† self as its nonzero entries (i, j, m), row-major: each row's
         nonzero cells paired, conj(v_p) v_q at (c_p, c_q), and equal (i, j)
         summed by _summed; m complex as gram's would be."""
-        r, slot = np.nonzero(self.vals)  # row-major, so each row's cells are contiguous
-        c, v = self.cols[r, slot], self.vals[r, slot]
+        r, c, v = self.entries()  # row-major, so each row's cells are contiguous
         if v.dtype.kind == "c" and not np.count_nonzero(v.imag):
             v = v.real
         counts = np.bincount(r, minlength=len(self.cols))
@@ -178,24 +180,25 @@ class Cells:
         return (*np.divmod(key, self.n), m)
 
     def gram(self) -> np.ndarray:
-        """self† self: at width <= 1 its diagonal alone, one bincount of |v|^2
-        by column, else the (n, n) matrix holding the entries of pairs;
-        complex as gram's would be."""
-        cols, vals, n = self.cols, self.vals, self.n
-        if cols.shape[1] > 1:
-            i, j, m = self.pairs()
-            out = np.zeros((n, n), m.dtype)
-            out[i, j] = m
-            return out
-        imaginary = np.iscomplexobj(vals) and np.count_nonzero(vals.imag)
-        d = np.bincount(cols.reshape(-1), (vals.conj() * vals).real.reshape(-1), n)
+        """The diagonal of self† self, one bincount of |v|^2 by column: all
+        of it at width <= 1, as for a channel's store; complex as gram's
+        would be."""
+        imaginary = np.iscomplexobj(self.vals) and np.count_nonzero(self.vals.imag)
+        d = np.bincount(self.cols.reshape(-1), (self.vals.conj() * self.vals).real.reshape(-1), self.n)
         return d.astype(np.complex128 if imaginary else np.float64, copy=False)  # int64 if no cell
+
+    def entries(self) -> tuple:
+        """The nonzero cells as (rows, cols, vals), row by row, each row in
+        slot order: row-major for a store build makes, and for one compose
+        makes with such a store on the right and a channel's on the left."""
+        rows, slot = np.nonzero(self.vals)
+        return rows, self.cols[rows, slot], self.vals[rows, slot]
 
     def dense(self) -> np.ndarray:
         """The (rows, n) matrix, in vals' dtype."""
         out = np.zeros((len(self.cols), self.n), self.vals.dtype)
-        rows, slot = np.nonzero(self.vals)
-        out[rows, self.cols[rows, slot]] = self.vals[rows, slot]
+        rows, cols, vals = self.entries()
+        out[rows, cols] = vals
         return out
 
 

@@ -207,9 +207,10 @@ def verify_recovery(
     if rchan._cells is None:
         cr = (dag(code) @ rchan.kraus).reshape(-1, dv)  # code† R_j, stacked rows
     else:  # (code† R_j)[:, u] sums conj(code[v]) R_j[v, u] over the cells (v, u) of R_j
-        cells, (j, v) = rchan._cells, np.divmod(np.arange(rchan.n_kraus * dv), dv)
-        cr = np.zeros((len(v), dc), np.result_type(code, cells.vals))  # row (j, u): column u of code† R_j
-        np.add.at(cr, (j * dv)[:, None] + cells.cols, cells.vals[..., None] * code.conj()[v, None, :])
+        r, u, vals = rchan._cells.entries()
+        j, v = np.divmod(r, dv)
+        cr = np.zeros((rchan.n_kraus * dv, dc), np.result_type(code, vals))
+        np.add.at(cr, j * dv + u, vals[:, None] * code.conj()[v])  # row (j, u): column u of code† R_j
         cr = cr.reshape(-1, dv, dc).transpose(0, 2, 1).reshape(-1, dv)
     x = cr @ ec.transpose(1, 0, 2).reshape(dv, -1)  # <a, b| R_j E_k |c, d>, rows (j, a, b)
     g_ec = g[:, None] * ec if g.ndim == 1 else g @ ec  # a cell recovery's diagonal G scales rows

@@ -259,8 +259,7 @@ def channel_to_json(ch: Channel, metadata: dict | None = None) -> dict:
         kraus = []
         for j in range(0, k * dout, dout):
             block = Cells(ch._cells.cols[j : j + dout], ch._cells.vals[j : j + dout], din)
-            rows, slot = np.nonzero(block.vals)
-            cols, vals = block.cols[rows, slot], block.vals[rows, slot]
+            rows, cols, vals = block.entries()
             kraus.append(_wire_form((dout, din), rows, cols, lambda: vals, block.dense))
     out = {"dim_in": din, "dim_out": dout, "kraus": kraus}
     if metadata is not None:

@@ -213,8 +213,9 @@ def test_purified_state_copies_x_unless_it_adopts_purifys_product(monkeypatch):
     """A caller's x is copied; with _adopt=True, as purify passes for the
     product it has just formed, that array is kept. Both are read-only,
     and an adopted x is checked for finite entries all the same. A state
-    composed from cells, as bacon_shor_9's, forms its product on the first
-    read of x, by stacked_product, and adopts and keeps it."""
+    composed from cells, as bacon_shor_9's, densifies its store on the
+    first read of x, with no stacked_product call, and keeps it: the same
+    array as the product, entry for entry."""
     x = np.full((4, 2), 0.5)
     copied = PurifiedState((2, 1, 2, 2), x, 1.0)
     adopted = PurifiedState((2, 1, 2, 2), x, 1.0, _adopt=True)
@@ -232,10 +233,11 @@ def test_purified_state_copies_x_unless_it_adopts_purifys_product(monkeypatch):
 
     monkeypatch.setattr(Channel, "stacked_product", product)
     entry = get("bacon_shor_9")
-    ps = purify(entry.dec, entry.noise)  # X composed from cells: no product yet
+    ps = purify(entry.dec, entry.noise)  # X composed from cells: no product, then or later
     assert ps._cells is not None and not products and "x" not in vars(ps)
-    assert ps.x.base is products.pop() and ps.x is ps.x and not products
-    assert not ps.x.flags.writeable
+    assert ps.x is ps.x and not products and not ps.x.flags.writeable
+    want = original(entry.noise, entry.dec.code_vectors())
+    assert ps.x.dtype == want.dtype and np.array_equal(ps.x, want)
     assert purify(Decomposition(2, 2, 0), depolarizing(4, 0.1)).x.base is products.pop()
 
 
@@ -462,19 +464,53 @@ def test_dpi_trace_monotone_on_random_chains():
         assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
 
 
+_LOGICAL = [(mask([(0, 0), (0, 1), (0, 2)]), 0), (0, mask([(0, 0), (1, 0), (2, 0)]))]
+_POOL = [(0, 0), (mask([(0, 0)]), 0), (0, mask([(1, 1)])), (mask([(2, 2)]), mask([(2, 2)]))]
+
+
+def _pauli_set(seed):
+    """2 to 4 Paulis, each an error of _POOL times a random gauge element,
+    and with probability 0.3 times logical X or Z; random positive weights."""
+    rng = _rng(seed)
+    paulis = []
+    for _ in range(rng.integers(2, 5)):
+        x, z = _POOL[rng.integers(len(_POOL))]
+        for gx, gz in GAUGE:
+            if rng.random() < 0.5:
+                x, z = x ^ gx, z ^ gz
+        if rng.random() < 0.3:
+            lx, lz = _LOGICAL[rng.integers(2)]
+            x, z = x ^ lx, z ^ lz
+        paulis.append((x, z))
+    weights = rng.uniform(0.2, 1.0, len(paulis))
+    return paulis, weights / weights.sum()
+
+
+# 40 seeded sets, then two built to fail: X(0,0) beside X(0,1) X(0,2), whose
+# product is logical X, and Z(0,0) beside Z(1,0) Z(2,0), logical Z
+_ORACLE_SETS = [_pauli_set(seed) for seed in range(40)] + [
+    ([(0, 0), (mask([(0, 0)]), 0), (mask([(0, 1), (0, 2)]), 0)], [0.6, 0.2, 0.2]),
+    ([(0, 0), (0, mask([(0, 0)])), (0, mask([(1, 0), (2, 0)]))], [0.6, 0.2, 0.2]),
+]
+
+
 _EXTENDED = catalog(extended=True)
 _CORRECTABLE = [e for e in _EXTENDED if all(e.expected.values())]
 
 
 @pytest.mark.parametrize(
     "dec, noise",
-    [(e.dec, e.noise) for e in _EXTENDED] + [(get("bacon_shor_9").dec, weight_one_depolarizing(9, 0.003))],
-    ids=[e.name for e in _EXTENDED] + ["depolarizing"],
+    [(e.dec, e.noise) for e in _EXTENDED]
+    + [(get("bacon_shor_9").dec, weight_one_depolarizing(9, 0.003))]
+    + [(get("bacon_shor_9").dec, pauli_channel(*pauli_set)) for pauli_set in _ORACLE_SETS],
+    ids=[e.name for e in _EXTENDED] + ["depolarizing"] + [f"oracle_{i}" for i in range(len(_ORACLE_SETS))],
 )
 def test_dpi_trace_after_the_noise_is_log_dim_a_less_d_gap(dec, noise):
     """The coherent information S(V') - S(R_A V') after E is log2(dim_a)
     less condition d's gap log2(dim_a) + S(R_B E') - S(V'), as S(R_A V') =
-    S(R_B E') on the pure state; the two routes agree within 1e-12."""
+    S(R_B E') on the pure state; the two routes agree within 1e-12, on the
+    extended catalog, under weight-one depolarizing noise and on the
+    stabilizer oracle's 42 Pauli sets on bacon_shor_9."""
     gap = check_condition_d(purify(dec, noise)).witnesses["gap"]
     assert abs(dpi_trace(dec, [noise])[1] - (np.log2(dec.dim_a) - gap)) <= 1e-12
 
@@ -542,9 +578,9 @@ def _entropy_instances():
 
 
 def test_condition_d_entropy_v_matches_v_marginal():
-    """S(V') = S(R_A R_B E') for the pure psi: entropy_v, from whichever
-    side is smaller, equals the entropy of the V marginal, and so does the
-    other side."""
+    """S(V') = S(R_A R_B E') for the pure psi: entropy_v, read from the
+    joint, equals the entropy of the V marginal on either side of dim_v =
+    dim_a dim_b dim_e, and so does the joint's own entropy."""
     sides = set()
     for dec, ch in _entropy_instances():
         ps = purify(dec, ch)
@@ -555,14 +591,13 @@ def test_condition_d_entropy_v_matches_v_marginal():
     assert sides == {True, False}
 
 
-@pytest.mark.parametrize("kraus, side", [(2, (4, 16)), (9, (16, 18))])
-def test_condition_d_diagonalizes_the_smaller_side(monkeypatch, kraus, side):
+@pytest.mark.parametrize("kraus, joint", [(2, 4), (9, 18)])
+def test_condition_d_diagonalizes_the_joint_never_the_v_marginal(monkeypatch, kraus, joint):
     """With dim_v 16, two Kraus operators give a joint of dimension 4 < 16 and
-    nine give 18 > 16; d diagonalizes the smaller of the two and the R_B E
-    marginal (dimension kraus), never the larger side."""
+    nine give 18 > 16; either way d diagonalizes the joint and the R_B E
+    marginal (dimension kraus), never the V marginal."""
     dec = Decomposition(2, 1, 14, frame=haar_unitary(16, _rng(47)))
     ps = purify(dec, random_channel(16, kraus, seed=48))
-    smaller, larger = side  # dimensions of the joint and V marginals, sorted
     diagonalized = []
     original = oqec.linalg.require_state
 
@@ -572,8 +607,8 @@ def test_condition_d_diagonalizes_the_smaller_side(monkeypatch, kraus, side):
 
     monkeypatch.setattr(oqec.linalg, "require_state", recording)
     check_condition_d(ps)
-    assert sorted(diagonalized) == sorted([smaller, kraus])
-    assert larger not in diagonalized
+    assert sorted(diagonalized) == sorted([joint, kraus])
+    assert 16 not in diagonalized
 
 
 def _verdicts(dec, ch):
@@ -595,7 +630,7 @@ def _dense_pairs(ps):
 
 
 @pytest.mark.parametrize("noise", ["bacon_shor_9", "depolarizing"])
-def test_the_pair_matrix_from_cells_matches_the_dense_gram(noise):
+def test_the_pair_matrix_from_cells_matches_the_dense_gram(monkeypatch, noise):
     """bacon_shor_9's X holds 1 280 nonzeros of 163 840 (real), and under the
     weight-one depolarizing noise 3 584 of 458 752 (complex): it is composed
     from the noise's and the frame's cells, and its pair matrix is kept as
@@ -603,12 +638,18 @@ def test_the_pair_matrix_from_cells_matches_the_dense_gram(noise):
     transposed reshape within 1e-14 of its largest entry (largest gap 0.0
     on the real X and 1.0e-18 on the complex one, measured with OpenBLAS),
     they are float64 exactly when X has no imaginary part, and b, c and d
-    give the dense twin's verdicts and, within 1e-14, its residuals."""
+    give the dense twin's verdicts and, within 1e-14, its residuals; d's
+    exactly. Under the depolarizing noise dim_v 512 is below dim_a dim_b
+    dim_e = 896, and still b, c and d form no dense x and pass no 512-row
+    matrix to require_state: d reads S(V') from the pair entries."""
     entry = get("bacon_shor_9")
     ch = entry.noise if noise == "bacon_shor_9" else weight_one_depolarizing(9, 0.003)
+    rows, require_state = [], oqec.linalg.require_state
+    monkeypatch.setattr(oqec.linalg, "require_state", lambda rho: rows.append(len(rho)) or require_state(rho))
     ps, reports = _verdicts(entry.dec, ch)
     da, db, dv, de = ps.dims
-    assert ps._cells is not None
+    assert ps._cells is not None and "x" not in vars(ps)
+    assert rows and 512 not in rows, rows
     m = _dense_pairs(ps)
     want = gram(ps.x.reshape(de, dv, da * db).transpose(1, 0, 2).reshape(dv, -1))
     assert m.dtype == want.dtype == (np.complex128 if np.count_nonzero(ps.x.imag) else np.float64)
@@ -619,6 +660,7 @@ def test_the_pair_matrix_from_cells_matches_the_dense_gram(noise):
     for got, ref in zip(reports, dense):
         assert got.passed and ref.passed, (got.condition, got.residual, ref.residual)
         assert abs(got.residual - ref.residual) <= 1e-14, (got.condition, got.residual, ref.residual)
+    assert reports[2].residual == dense[2].residual
 
 
 def _cell_pairs(x, dv):
@@ -628,7 +670,7 @@ def _cell_pairs(x, dv):
     found = Cells.scan(x)
     if found is None:
         return None
-    ps = PurifiedState._from_cells((1, x.shape[1], dv, x.shape[0] // dv), Cells.build(x.shape, *found), 1.0, None)
+    ps = PurifiedState._from_cells((1, x.shape[1], dv, x.shape[0] // dv), Cells.build(x.shape, *found), 1.0)
     return _dense_pairs(ps)
 
 
@@ -870,30 +912,8 @@ def test_the_cell_route_refuses_degenerate_and_non_finite_states():
             PurifiedState((2, 1, 64, 4), x, 1.0)
         store = Cells.build(x.shape, *np.nonzero(x), x[np.nonzero(x)])
         with pytest.raises(NotAStateError) as cells:
-            PurifiedState._from_cells((2, 1, 64, 4), store, 1.0, None)
+            PurifiedState._from_cells((2, 1, 64, 4), store, 1.0)
         assert str(cells.value) == str(dense.value) and "(1, 0, 8, 3)" in str(cells.value)
-
-
-_LOGICAL = [(mask([(0, 0), (0, 1), (0, 2)]), 0), (0, mask([(0, 0), (1, 0), (2, 0)]))]
-_POOL = [(0, 0), (mask([(0, 0)]), 0), (0, mask([(1, 1)])), (mask([(2, 2)]), mask([(2, 2)]))]
-
-
-def _pauli_set(seed):
-    """2 to 4 Paulis, each an error of _POOL times a random gauge element,
-    and with probability 0.3 times logical X or Z; random positive weights."""
-    rng = _rng(seed)
-    paulis = []
-    for _ in range(rng.integers(2, 5)):
-        x, z = _POOL[rng.integers(len(_POOL))]
-        for gx, gz in GAUGE:
-            if rng.random() < 0.5:
-                x, z = x ^ gx, z ^ gz
-        if rng.random() < 0.3:
-            lx, lz = _LOGICAL[rng.integers(2)]
-            x, z = x ^ lx, z ^ lz
-        paulis.append((x, z))
-    weights = rng.uniform(0.2, 1.0, len(paulis))
-    return paulis, weights / weights.sum()
 
 
 def test_the_stabilizer_groups_act_on_the_frame_as_stated():
@@ -919,11 +939,8 @@ def test_b_c_and_d_agree_with_the_stabilizer_oracle():
     Z(2,0), logical Z), b, c and d each give the stabilizer verdict, at
     least 10 times each way, and the dense twin's residuals within 1e-14."""
     dec = get("bacon_shor_9").dec
-    sets = [_pauli_set(seed) for seed in range(40)]
-    sets += [([(0, 0), (mask([(0, 0)]), 0), (mask([(0, 1), (0, 2)]), 0)], [0.6, 0.2, 0.2]),
-             ([(0, 0), (0, mask([(0, 0)])), (0, mask([(1, 0), (2, 0)]))], [0.6, 0.2, 0.2])]
     outcomes = []
-    for paulis, weights in sets:
+    for paulis, weights in _ORACLE_SETS:
         want = correctable(paulis)
         cell, dense, gaps, _ = _twin_gaps(dec, pauli_channel(paulis, weights))
         assert cell == dense == [want] * 3, (paulis, cell, dense)

@@ -502,10 +502,12 @@ def test_cell_store_matches_dense_numpy(case, cols, complex_x):
     """A matrix's nonzero cells are scanned, and their store built, exactly
     when 64 nnz <= size; scan gives the cells np.nonzero does, and the
     store has one row of each array per matrix row, of width the most
-    cells in a row. Its dense matrix is a, bit for bit except that -0.0
-    entries, no cells, come back +0.0; its product with x is a @ x, and
-    its Gram matrix a† a (the diagonal alone at width <= 1), within 1e-13
-    of the largest entry and in numpy's and gram's dtypes."""
+    cells in a row. Its entries are the cells np.nonzero finds in its
+    dense matrix, row-major, and that matrix is a, bit for bit except that
+    -0.0 entries, no cells, come back +0.0; its product with x is a @ x,
+    and a† a is its Gram diagonal at width <= 1, else its pairs placed in
+    an (n, n) matrix, within 1e-13 of the largest entry and in numpy's and
+    gram's dtypes."""
     a, width = case
     nz = a != 0
     r, c = np.nonzero(nz)
@@ -519,6 +521,9 @@ def test_cell_store_matches_dense_numpy(case, cols, complex_x):
     assert store.cols.shape == store.vals.shape == (len(a), width) and store.n == a.shape[1]
     dense = store.dense()
     assert dense.dtype == a.dtype and dense.tobytes() == np.where(nz, a, 0).astype(a.dtype).tobytes()
+    at = np.nonzero(dense)
+    for got, want in zip(store.entries(), (*at, dense[at])):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     rng = np.random.default_rng(cols)
     x = rng.standard_normal((a.shape[1], cols))
     if complex_x:
@@ -526,10 +531,14 @@ def test_cell_store_matches_dense_numpy(case, cols, complex_x):
     got, want = store.product(x), a @ x
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
-    got, want = store.gram(), gram(a)
+    want = gram(a)
     if width <= 1:
         np.testing.assert_array_equal(np.diag(np.diag(want)), want)
-        got = np.diag(got)
+        got = np.diag(store.gram())
+    else:
+        i, j, m = store.pairs()
+        got = np.zeros(want.shape, m.dtype)
+        got[i, j] = m
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
 
