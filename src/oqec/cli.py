@@ -16,6 +16,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .channels import Channel, require_valid, validate
 from .conditions import (
@@ -102,14 +104,14 @@ def cmd_check(args) -> int:
             check = check_condition_c if cond == "c" else check_condition_d
             reports.append(check(ps, tol))
     passed = all(r.passed for r in reports)
-    if args.json or args.out:  # the witnesses' list trees are built only to be written
+    if args.json or args.out:  # the witnesses' trees are built only to be written
         payload = {
             "meta": _meta(tol),
             "conditions": [condition_report_to_json(r) for r in reports],
             "passed": passed,
         }
-    if args.json:
-        print(json.dumps(payload, indent=1))
+    if args.json:  # a dense witness is an array, printed as its tolist()
+        print(json.dumps(payload, indent=1, default=np.ndarray.tolist))
     else:
         for r in reports:
             verdict = "PASS" if r.passed else "FAIL"

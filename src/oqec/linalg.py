@@ -195,9 +195,14 @@ class Cells:
         return rows, self.cols[rows, slot], self.vals[rows, slot]
 
     def dense(self) -> np.ndarray:
-        """The (rows, n) matrix, in vals' dtype."""
+        """The (rows, n) matrix, in vals' dtype: cells that compose put in
+        one column of a row summed, as product and pairs sum them, and a
+        cell listed once placed bit for bit."""
         out = np.zeros((len(self.cols), self.n), self.vals.dtype)
         rows, cols, vals = self.entries()
+        if self.cols.shape[1] > 1:
+            key, vals = _summed(rows * self.n + cols, vals)
+            rows, cols = np.divmod(key, self.n)
         out[rows, cols] = vals
         return out
 

@@ -21,17 +21,26 @@ are nonzero, and the dense form otherwise; the reader accepts either (an
 object is sparse, an array dense). A cell counts as zero only when all 128
 bits of it are zero, so a -0.0 part keeps its cell.
 
-A file holds json.dumps(obj, separators=(",", ":")) plus a newline: compact,
-no whitespace. The writer streams it: it walks objects and arrays of
-matrices and encodes each dense matrix row, flat array or scalar with one
-json.dumps call, so the text of a whole file is never in memory. It
-writes to a new sibling file that replaces the target only once complete,
-so a failed write leaves the target as it was. Python's json module emits
-shortest-round-trip decimals, so a dump/load cycle reproduces every float
-bit-exactly in both forms, including -0.0 and subnormals. Numbers must be
-finite: the reader rejects NaN/Infinity tokens and any value outside the
-float range, and every rejection is a FormatError naming the file or the
-field.
+The *_to_json functions return trees for dump_json_file. A dense matrix in
+them is a read-only (rows, cols, 2) float64 array of its (re, im) parts: a
+view of a read-only complex128 source, such as the stacks of a Channel, a
+Decomposition or a PurifiedState, else a copy, so no later change to the
+source reaches the file. json.dumps(tree) raises TypeError on such an array
+unless given default=np.ndarray.tolist, and the readers take only parsed
+JSON. A sparse matrix is lists.
+
+A file holds json.dumps(obj, separators=(",", ":")) of the listed tree plus a
+newline: compact, no whitespace. The writer streams it: it walks objects and
+arrays of matrices, takes a dense matrix from its array to the file one
+row's tolist() at a time, and encodes each such row, flat array or scalar
+with one json.dumps call, so neither the text of a whole file nor a per-cell
+tree of it is ever in memory. It writes to a new sibling file that replaces
+the target only once complete, so a failed write leaves the target as it
+was. Python's json module emits shortest-round-trip decimals, so a
+dump/load cycle reproduces every float bit-exactly in both forms, including
+-0.0 and subnormals. Numbers must be finite: the reader rejects NaN/Infinity
+tokens and any value outside the float range, and every rejection is a
+FormatError naming the file or the field.
 
 A matrix is checked one level at a time: dense rows (non-empty, of one
 length), then cells ([re, im] pairs), then numbers; sparse keys and shape,
@@ -84,27 +93,32 @@ __all__ = [
 _SPARSE_KEYS = ("shape", "rows", "cols", "re", "im")
 
 
-def _wire_form(shape: tuple, rows: np.ndarray, cols: np.ndarray, vals, dense) -> list | dict:
+def _wire_form(shape: tuple, rows: np.ndarray, cols: np.ndarray, vals, dense) -> np.ndarray | dict:
     """The shape matrix with nonzero cells (rows, cols), row-major: in the
     sparse form, of their values vals(), when fewer than half its cells are
-    nonzero, else in the dense form of dense(), the matrix itself."""
+    nonzero, else in the dense form of dense(), the matrix itself, which
+    nothing else may change: the read-only (rows, cols, 2) float64 array of
+    its (re, im) parts, a view of it when it is complex128."""
     if 2 * len(rows) >= shape[0] * shape[1]:
-        m = dense()
-        return np.stack([m.real, m.imag], -1).tolist()
+        z = np.ascontiguousarray(dense(), np.complex128)
+        z.flags.writeable = False
+        return z.view(np.float64).reshape(*shape, 2)
     vals = vals()
     parts = (list(shape), rows.tolist(), cols.tolist(), vals.real.tolist(), vals.imag.tolist())
     return dict(zip(_SPARSE_KEYS, parts))
 
 
-def matrix_to_json(m: np.ndarray) -> list | dict:
-    """m in the wire form _wire_form picks. A cell is zero only when all 128
+def matrix_to_json(m: np.ndarray) -> np.ndarray | dict:
+    """m in the wire form _wire_form picks, dense as a view of m when m is
+    read-only complex128, else of a copy. A cell is zero only when all 128
     of its bits are, so a cell with a -0.0 part is written."""
-    m = np.ascontiguousarray(m, dtype=np.complex128)
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    bits = m.view(np.uint64)  # the last axis alternates re, im
+    z = np.ascontiguousarray(m, dtype=np.complex128)
+    if z.ndim == 1:
+        z = z.reshape(1, -1)
+    bits = z.view(np.uint64)  # the last axis alternates re, im
     rows, cols = np.nonzero((bits[..., 0::2] | bits[..., 1::2]) != 0)
-    return _wire_form(m.shape, rows, cols, lambda: m[rows, cols], lambda: m)
+    shared = z.flags.writeable and isinstance(m, np.ndarray) and np.may_share_memory(z, m)
+    return _wire_form(z.shape, rows, cols, lambda: z[rows, cols], lambda: z.copy() if shared else z)
 
 
 def _check_keys(obj: dict, field: str, required: tuple, optional: tuple = ()) -> None:
@@ -407,25 +421,29 @@ def load_json_file(path: str, field: str = "file") -> Any:
             gc.enable()
 
 
-_compact = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps(obj, separators=(",", ":"))
+# json.dumps(tree, separators=(",", ":")) of the listed form of a tree
+_compact = json.JSONEncoder(separators=(",", ":"), default=np.ndarray.tolist).encode
 
 
 def _is_array_of_containers(obj: Any) -> bool:
     """Whether obj is an array that _write_compact writes element by
-    element: one of objects, or of arrays of arrays (a list of matrices, a
-    dense matrix). A dense row, whose cells are [re, im] pairs, and any
-    array of scalars are one piece. Only the first element is looked at;
-    the text is the same either way, only the size of a piece changes."""
+    element: one of objects or matrices, or of arrays of arrays (a list of
+    matrices). Any array of scalars is one piece. Only the first element is
+    looked at; the text is the same either way, only the size of a piece
+    changes."""
     first = obj[0] if isinstance(obj, (list, tuple)) and obj else None
-    return isinstance(first, dict) or (
+    return isinstance(first, (dict, np.ndarray)) or (
         isinstance(first, (list, tuple)) and bool(first) and isinstance(first[0], (dict, list, tuple))
     )
 
 
 def _write_compact(obj: Any, write) -> None:
     """Pass the text of _compact(obj) to write in pieces, each made by one
-    json.dumps call: a dense matrix row, a flat array or a scalar."""
-    if isinstance(obj, dict):
+    json.dumps call: a row of a matrix array, from its tolist(), a flat
+    array or a scalar."""
+    if isinstance(obj, np.ndarray) and obj.ndim:  # a matrix: only one row is ever listed
+        items, ends = (("", row.tolist()) for row in obj), "[]"
+    elif isinstance(obj, dict):
         # a one-key object encodes the key exactly as json.dumps does inside
         # obj: "key": with non-str keys converted, or the TypeError it raises
         items, ends = ((_compact({key: 0})[1:-2], value) for key, value in obj.items()), "{}"
@@ -442,10 +460,11 @@ def _write_compact(obj: Any, write) -> None:
 
 
 def dump_json_file(path: str, obj: Any) -> None:
-    """Write obj to path as json.dumps(obj, separators=(",", ":")) + "\\n",
-    byte for byte, streamed: each dense matrix row, flat array or scalar is
-    encoded by one json.dumps call, which runs the C encoder, and written at
-    once, so no file's whole text is held in memory.
+    """Write obj to path as json.dumps(obj, separators=(",", ":"),
+    default=np.ndarray.tolist) + "\\n", byte for byte, streamed: each row of
+    a matrix array, listed alone, each flat array and each scalar is encoded
+    by one json.dumps call, which runs the C encoder, and written at once, so
+    no file's whole text is held in memory.
 
     The text goes to a new sibling file, created with the permission bits
     open(path, "w") gives, which replaces path once the last byte is

@@ -30,6 +30,7 @@ from oqec.serialize import (
     matrix_from_json,
 )
 from oqec.spaces import Decomposition
+from listed import compact_text
 from pauli_noise import weight_one_depolarizing
 
 
@@ -139,7 +140,7 @@ def dumped(monkeypatch):
 def _assert_written_as_compact_dumps(calls):
     for path, obj in calls:
         with open(path, "rb") as fh:
-            assert fh.read() == (json.dumps(obj, separators=(",", ":")) + "\n").encode(), path
+            assert fh.read() == (compact_text(obj) + "\n").encode(), path
 
 
 @pytest.mark.parametrize("name", [e.name for e in catalog(extended=True)])
@@ -157,6 +158,21 @@ def test_check_out_report_is_compact_json_dumps_byte_for_byte(exported, tmp_path
     calls = [(path, obj) for path, obj in dumped if path == out]
     assert len(calls) == 1 and len(calls[0][1]["conditions"]) == 3
     _assert_written_as_compact_dumps(calls)
+
+
+def test_check_json_and_out_on_a_dense_entry_list_its_arrays(tmp_path, dumped, capsys):
+    """On ns_3qubit_collective the witnesses are dense, so the payload holds
+    arrays: --json prints json.dumps(payload, indent=1) of its listed form
+    and --out writes the compact text of the same tree."""
+    assert main(["codes", "export", "ns_3qubit_collective", str(tmp_path)]) == 0
+    dec, chan = (str(tmp_path / f"ns_3qubit_collective.{kind}.json") for kind in ("decomposition", "noise"))
+    capsys.readouterr()
+    out = str(tmp_path / "report.json")
+    assert main(["check", dec, chan, "--condition", "all", "--json", "--out", out]) == 0
+    (path, payload), = [(path, obj) for path, obj in dumped if path == out]
+    assert type(payload["conditions"][1]["witnesses"]["rho_rbe"]) is np.ndarray
+    assert capsys.readouterr().out == json.dumps(payload, indent=1, default=lambda a: a.tolist()) + "\n"
+    _assert_written_as_compact_dumps([(path, payload)])
 
 
 def test_check_dim_mismatch_is_input_error(exported, tmp_path, capsys):

@@ -543,6 +543,24 @@ def test_cell_store_matches_dense_numpy(case, cols, complex_x):
     assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
 
 
+def test_dense_sums_the_cells_compose_puts_in_one_column_of_a_row():
+    """A left store of width 2 composed with one holding (0, 5) = 2 and
+    (1, 5) = 3 lists two cells at (0, 5); dense sums them to 5, as a @ b,
+    product and pairs do."""
+    a, b = np.zeros((128, 128)), np.zeros((128, 128))
+    a[0, :2] = 1.0
+    b[0, 5], b[1, 5], b[2, 7] = 2.0, 3.0, -0.5
+    a[3, 2] = -1.0
+    left, right = (Cells.build(m.shape, *np.nonzero(m), m[np.nonzero(m)]) for m in (a, b))
+    composed = left.compose(right)
+    assert composed.cols.shape[1] == 2 and (composed.cols[0] == 5).all()
+    got = composed.dense()
+    assert got.dtype == (a @ b).dtype and np.array_equal(got, a @ b)
+    assert got[0, 5] == 5.0 == composed.product(np.eye(128))[0, 5]
+    i, j, m = composed.pairs()
+    assert list(zip(i, j, m)) == [(5, 5, 25.0), (7, 7, 0.25)]
+
+
 class _Unmasked(np.ndarray):
     """An array whose nonzero mask may not be taken."""
 

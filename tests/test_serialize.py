@@ -33,13 +33,14 @@ from oqec.serialize import (
     matrix_to_json,
 )
 from oqec.spaces import Decomposition
+from listed import compact_text, parsed
 from pauli_noise import weight_one_depolarizing
 
 
 def test_matrix_round_trip_is_exact():
     rng = np.random.default_rng(1)
     m = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    np.testing.assert_array_equal(matrix_from_json(matrix_to_json(m)), m)
+    np.testing.assert_array_equal(matrix_from_json(parsed(matrix_to_json(m))), m)
 
 
 def test_matrix_from_json_names_bad_cell():
@@ -60,20 +61,20 @@ def test_complex_entries_reject_booleans():
 
 def test_channel_round_trip_is_exact():
     ch = random_channel(3, 2, seed=4)
-    back = channel_from_json(channel_to_json(ch))
+    back = channel_from_json(parsed(channel_to_json(ch)))
     assert back.dim_in == ch.dim_in and back.dim_out == ch.dim_out
     for a, b in zip(ch.kraus, back.kraus):
         np.testing.assert_array_equal(a, b)
 
 
 def test_channel_json_carries_metadata():
-    obj = channel_to_json(random_channel(2, 1, seed=0), metadata={"origin": "test"})
+    obj = parsed(channel_to_json(random_channel(2, 1, seed=0), metadata={"origin": "test"}))
     assert obj["metadata"] == {"origin": "test"}
     assert channel_from_json(obj).dim_in == 2
 
 
 def test_channel_from_json_checks_declared_dims():
-    obj = channel_to_json(random_channel(2, 2, seed=3))
+    obj = parsed(channel_to_json(random_channel(2, 2, seed=3)))
     obj["dim_out"] = 3
     with pytest.raises(FormatError) as err:
         channel_from_json(obj)
@@ -88,20 +89,20 @@ def test_channel_from_json_requires_fields():
 
 def test_decomposition_round_trip_with_frame():
     dec = Decomposition(2, 3, 1, frame=haar_unitary(7, np.random.default_rng(5)))
-    back = decomposition_from_json(decomposition_to_json(dec))
+    back = decomposition_from_json(parsed(decomposition_to_json(dec)))
     assert (back.dim_a, back.dim_b, back.dim_c) == (2, 3, 1)
     np.testing.assert_array_equal(back.frame, dec.frame)
 
 
 def test_decomposition_round_trip_without_frame():
-    back = decomposition_from_json(decomposition_to_json(Decomposition(2, 2, 3)))
+    back = decomposition_from_json(parsed(decomposition_to_json(Decomposition(2, 2, 3))))
     assert back.frame is None
     assert back.dim_v == 7
 
 
 def test_decomposition_from_json_checks_frame_shape():
-    obj = decomposition_to_json(Decomposition(2, 1, 0))
-    obj["frame"] = matrix_to_json(np.eye(3))
+    obj = parsed(decomposition_to_json(Decomposition(2, 1, 0)))
+    obj["frame"] = parsed(matrix_to_json(np.eye(3)))
     with pytest.raises(FormatError):
         decomposition_from_json(obj)
 
@@ -201,14 +202,14 @@ def test_matrix_from_json_rejects_non_finite_cells(cell):
     "mutate, field",
     [
         (lambda obj: obj["kraus"][1][2][3].__setitem__(0, False), "channel.kraus[1][2][3]"),
-        (lambda obj: obj["kraus"].__setitem__(1, matrix_to_json(np.eye(3))), "channel.kraus[1]"),
+        (lambda obj: obj["kraus"].__setitem__(1, parsed(matrix_to_json(np.eye(3)))), "channel.kraus[1]"),
         (lambda obj: obj["kraus"].__setitem__(0, "I"), "channel.kraus[0]"),
         (lambda obj: obj.__setitem__("dim_in", 5), "channel.kraus[0]"),
     ],
     ids=["bool entry", "misshapen operator", "operator not an array", "dim_in disagrees"],
 )
 def test_channel_from_json_names_first_bad_field(mutate, field):
-    obj = channel_to_json(random_channel(4, 2, seed=2))
+    obj = parsed(channel_to_json(random_channel(4, 2, seed=2)))
     mutate(obj)
     with pytest.raises(FormatError) as err:
         channel_from_json(obj)
@@ -221,7 +222,7 @@ def _dense_form(m):
 
 
 def test_decomposition_from_json_names_bad_frame_cell():
-    obj = decomposition_to_json(Decomposition(2, 1, 1, frame=np.eye(3)))
+    obj = parsed(decomposition_to_json(Decomposition(2, 1, 1, frame=np.eye(3))))
     obj["frame"] = _dense_form(np.eye(3))
     obj["frame"][2][0] = [0.0, None]
     with pytest.raises(FormatError) as err:
@@ -295,7 +296,7 @@ def test_dump_json_file_writes_compact_json(tmp_path):
 
 
 def _compact_bytes(obj):
-    return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
+    return (compact_text(obj) + "\n").encode()
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, -2.5e-308, 1.7e308])
@@ -335,23 +336,29 @@ def test_written_file_is_compact_json_dumps_byte_for_byte(tmp_path, obj):
         {"t": ((1, 2), ([3.0, 4.0],)), "": [[["x", None]]]},
         "\U0001d11e",
         -0.0,
+        np.array([[[1.0, -0.0], [5e-324, 1.7976931348623157e308]]]),
+        [np.zeros((2, 1, 2)), {"m": np.full((1, 3, 2), -2.5)}, []],
+        {"empty": np.zeros((0, 3, 2)), "flat": np.array([0.5, -0.0]), "scalar": np.array(3.0)},
     ],
 )
 def test_written_file_matches_compact_json_dumps_on_edge_cases(tmp_path, obj):
-    """Empty containers, non-str keys, tuples and a matrix with an empty
-    sibling are written as json.dumps writes them."""
+    """Empty containers, non-str keys, tuples, a matrix with an empty
+    sibling and arrays of any shape, a matrix's among them, are written as
+    json.dumps writes their listed form."""
     path = tmp_path / "edge.json"
     dump_json_file(str(path), obj)
     assert path.read_bytes() == _compact_bytes(obj)
 
 
 def test_dumping_a_dense_complex_channel_streams_its_rows(tmp_path):
-    """The (3, 128, 128) complex channel is 2.2 MB of text; the writer holds
-    one row of it at a time, so it peaks below 1 MiB beyond the tree."""
-    tree = channel_to_json(random_channel(128, 3, seed=5))
+    """The (3, 128, 128) complex channel is 2.2 MB of text; its tree views
+    the stack and the writer lists one row of it at a time, so making the
+    tree and writing it peak below 1 MiB together."""
+    ch = random_channel(128, 3, seed=5)
     path = tmp_path / "chan.json"
     tracemalloc.start()
     try:
+        tree = channel_to_json(ch)
         dump_json_file(str(path), tree)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -429,13 +436,62 @@ def test_load_json_file_restores_gc_state(tmp_path, enabled, text):
 
 def test_writer_picks_sparse_below_half_nonzero():
     assert type(matrix_to_json(np.diag([1.0, 0.0]))) is dict
-    assert type(matrix_to_json(np.eye(2))) is list  # exactly half nonzero
-    assert type(matrix_to_json(np.full((2, 2), -0.0))) is list  # -0.0 is not zero
+    assert type(matrix_to_json(np.eye(2))) is np.ndarray  # exactly half nonzero
+    assert type(matrix_to_json(np.full((2, 2), -0.0))) is np.ndarray  # -0.0 is not zero
     assert type(matrix_to_json(_mostly_zero())) is dict
     entry = get("bacon_shor_9")
     assert all(type(k) is dict for k in channel_to_json(entry.noise)["kraus"])
     assert type(decomposition_to_json(entry.dec)["frame"]) is dict
-    assert all(type(k) is list for k in channel_to_json(random_channel(64, 3, seed=21))["kraus"])
+    assert all(type(k) is np.ndarray for k in channel_to_json(random_channel(64, 3, seed=21))["kraus"])
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+def test_a_dense_channel_is_written_as_json_dumps_of_its_listed_form(tmp_path, dtype):
+    """A dense Kraus stack, complex or stored as float64, is written byte
+    for byte as json.dumps writes its tree listed and as it writes the
+    [re, im] lists of the stack itself, -0.0 and the extremes included."""
+    rng = np.random.default_rng(11)
+    ops = rng.normal(size=(3, 16, 16)).astype(dtype)
+    if dtype == np.complex128:
+        ops.imag = rng.normal(size=ops.shape)
+    ops[0, 0, :4] = -0.0, 5e-324, -1.7976931348623157e308, 2.0**53
+    ch = Channel(ops)
+    assert ch.kraus.dtype == dtype
+    meta = {"origin": "test"}
+    tree = channel_to_json(ch, meta)
+    assert all(type(k) is np.ndarray for k in tree["kraus"])
+    path = tmp_path / "chan.json"
+    dump_json_file(str(path), tree)
+    assert path.read_bytes() == _compact_bytes(tree)
+    listed = {"dim_in": 16, "dim_out": 16, "kraus": [_dense_form(k) for k in ch.kraus], "metadata": meta}
+    assert path.read_bytes() == _compact_bytes(listed)
+
+
+def test_no_tree_aliases_a_writable_matrix(tmp_path):
+    """A dense tree is a read-only array: a view of a read-only stack, a
+    frame or a witness of a purified state, and a copy of a writable matrix,
+    so a change to that matrix after matrix_to_json does not reach the file."""
+    rng = np.random.default_rng(12)
+    complex_m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    real_m, flat_m = rng.normal(size=(4, 4)), rng.normal(size=4) + 1j
+    sources = [complex_m, real_m, flat_m]
+    trees = [matrix_to_json(m) for m in sources]
+    before = [_compact_bytes(_dense_form(np.atleast_2d(m))) for m in sources]
+    for m in sources:
+        m[...] = 7.0
+    for i, (tree, text) in enumerate(zip(trees, before)):
+        assert type(tree) is np.ndarray and not tree.flags.writeable
+        assert not np.shares_memory(tree, sources[i])
+        dump_json_file(str(tmp_path / "m.json"), tree)
+        assert (tmp_path / "m.json").read_bytes() == text, i
+    ch = random_channel(8, 2, seed=3)
+    assert all(np.shares_memory(k, ch.kraus) for k in channel_to_json(ch)["kraus"])
+    dec = Decomposition(2, 1, 1, frame=haar_unitary(3, rng))
+    assert np.shares_memory(decomposition_to_json(dec)["frame"], dec.frame)
+    entry = get("ns_3qubit_collective")
+    rc = check_condition_c(purify(entry.dec, entry.noise))
+    witnesses = condition_report_to_json(rc)["witnesses"]
+    assert all(np.shares_memory(witnesses[key], rc.witnesses[key]) for key in ("rho_ra", "rho_rbe"))
 
 
 def test_dense_files_of_catalog_entries_load_identically(tmp_path):
@@ -623,7 +679,7 @@ def _mixed_kraus():
 
 
 def _exported(name):
-    return lambda: channel_to_json(get(name).noise)["kraus"]
+    return lambda: parsed(channel_to_json(get(name).noise))["kraus"]
 
 
 EXPORTS = [e.name for e in catalog()] + ["bacon_shor_9"]
