@@ -194,6 +194,13 @@ def require_valid(ch: Channel, *, allow_trace_decreasing: bool = False) -> Chann
     raise ValueError(f"Kraus set {change} trace (completeness defect {report.defect:.3e})")
 
 
+def require_on(ch: Channel, dim: int, what: str) -> None:
+    """Gate for operations on V, and the one place that words its refusal:
+    DimensionError "<what> acts on <dim_in> -> <dim_out>, expected dim_v=<dim>"."""
+    if ch.dim_in != dim or ch.dim_out != dim:
+        raise DimensionError(f"{what} acts on {ch.dim_in} -> {ch.dim_out}, expected dim_v={dim}")
+
+
 def apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho)
     if rho.shape != (ch.dim_in, ch.dim_in):

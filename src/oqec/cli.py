@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channels import Channel, require_valid, validate
+from .channels import Channel, require_on, require_valid, validate
 from .conditions import (
     check_condition_b,
     check_condition_c,
@@ -72,11 +72,7 @@ def _load_channel(path, field, dec):
     """A channel file on the decomposition's V; every verb needs it trace
     preserving. The Gram matrix require_valid forms is cached for later gates."""
     ch = load_channel_file(path, field)
-    if ch.dim_in != dec.dim_v or ch.dim_out != dec.dim_v:
-        raise FormatError(
-            field,
-            f"acts on {ch.dim_in} -> {ch.dim_out} but the decomposition has dim_v={dec.dim_v}",
-        )
+    require_on(ch, dec.dim_v, field)
     try:
         require_valid(ch)
     except ValueError as exc:

@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .channels import Channel, require_valid
+from .channels import Channel, require_on, require_valid
 from .errors import DegenerateChannelError, DimensionError, NotAStateError
 from .linalg import (
     DEFAULT_ATOL,
@@ -70,17 +70,13 @@ class PurifiedState:
 
     A state built by _from_cells holds X as its linalg.Cells store instead,
     checked cell by cell in the same words, and x is that store densified,
-    only when x is read. Its pair matrix is then kept as its nonzero
-    entries, and b's blocks and deviations, every marginal without V and
-    d's spectrum of the joint are read from those entries; no array of the
-    pair matrix's size is formed unless the joint itself is asked for.
+    only when x is read.
 
-    Each marginal is formed once, normalized (x never is) and kept
-    read-only. The joint rho'_{R_A R_B E} is condition b's pair matrix m =
-    X_V† X_V, X_V the (dim_v, dim_e dim_ra dim_rb) reshape of x, formed once
-    and kept, conjugated with (E, R_A R_B) swapped. Every other marginal
-    that keeps V is a Gram product of the (kept, rest) reshape of x; every
-    other marginal of R_A, R_B and E is a partial trace of the joint.
+    b's blocks and deviations, every marginal without V and d's spectrum
+    are read from condition b's pair matrix m, formed once (see _pairs);
+    conj(m) / (dim_ra dim_rb norm_in) is the joint rho'_{R_A R_B E} with
+    (E, R_A R_B) swapped, which no verdict forms. Each marginal is formed
+    once, normalized (x never is) and kept read-only.
     """
 
     dims: tuple[int, int, int, int]
@@ -180,7 +176,8 @@ class PurifiedState:
         return blocks, pair
 
     def marginal(self, keep: Iterable[int]) -> np.ndarray:
-        """Density matrix of the kept factors (0=R_A, 1=R_B, 2=V, 3=E), read-only."""
+        """Density matrix of the kept factors (0=R_A, 1=R_B, 2=V, 3=E), read-only:
+        without V, a partial trace of the pair matrix; with V, a Gram product of x."""
         keep = tuple(sorted(set(int(i) for i in keep)))
         if any(i < 0 or i > 3 for i in keep) or not keep:
             raise DimensionError(f"keep indices {list(keep)} out of range")
@@ -189,9 +186,8 @@ class PurifiedState:
             da, db, dv, de = self.dims
             dim, sq = math.prod(self.dims[i] for i in keep), da * db * self.norm_in
             if self._cells is not None and 2 not in keep:
-                # the pair entries conj(m) / sq whose traced factors agree, at
-                # the kept factors' index, summed in pair order as the
-                # partial trace of the joint sums them
+                # the pair entries conj(m) / sq whose traced factors agree,
+                # summed in pair order at the kept factors' index
                 i, j, m = self._pairs
                 fi, fj = (dict(zip((3, 0, 1), np.unravel_index(t, (de, da, db)))) for t in (i, j))
                 same = np.ones(len(m), bool)
@@ -204,20 +200,18 @@ class PurifiedState:
                 key, vals = _summed((r * dim + c)[same], np.divide(m[same].conj(), sq))
                 rho = np.zeros((dim, dim), vals.dtype)
                 rho.flat[key] = vals
-            elif keep == _JOINT:  # conj(m), its (e, a, b) read as (a, b, e)
-                t = self._pairs.reshape(de, da * db, de, da * db).transpose(1, 0, 3, 2)
-                rho = np.divide(t.conj(), sq, order="C").reshape(dim, dim)
             elif 2 in keep:
                 rest = [i for i in range(4) if i not in keep]
                 t = self.x.reshape(de, dv, da, db).transpose(2, 3, 1, 0)  # (a, b, v, e)
                 mat = t.transpose(list(keep) + rest).reshape(dim, -1)
                 rho = gram(mat.T).conj() / sq  # mat mat† = conj((mat^T)† mat^T)
-            else:  # trace out the joint's other factors, last first
-                t = self.marginal(_JOINT).reshape([self.dims[i] for i in _JOINT] * 2)
-                for ax in (2, 1, 0):
-                    if _JOINT[ax] not in keep:
-                        t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
-                rho = t.reshape(dim, dim)
+            else:  # one einsum over m's axes (e, a, b, f, c, d), kept rows read as
+                # (a, b, e); a traced factor's column axis takes its row axis's index
+                row = {3: 0, 0: 1, 1: 2}
+                col = [row[f] + 3 * (f in keep) for f in (3, 0, 1)]
+                out = [row[f] for f in keep] + [row[f] + 3 for f in keep]
+                t = np.einsum(self._pairs.reshape([de, da, db] * 2), [0, 1, 2, *col], out)
+                rho = (t.conj() / sq).reshape(dim, dim)
             rho.flags.writeable = False
             self._marginals[keep] = rho
         return rho
@@ -245,10 +239,7 @@ def purify(
     (explicitly allowed) the marginals are renormalized by the state's
     squared norm before renormalization, kept in norm_in.
     """
-    if ch.dim_in != dec.dim_v or ch.dim_out != dec.dim_v:
-        raise DimensionError(
-            f"channel acts on {ch.dim_in} -> {ch.dim_out}, decomposition has dim_v={dec.dim_v}"
-        )
+    require_on(ch, dec.dim_v, "channel")
     require_valid(ch, allow_trace_decreasing=allow_trace_decreasing)
     dims = (dec.dim_a, dec.dim_b, dec.dim_v, ch.n_kraus)
     cells = None if ch._cells is None or dec._cells is None else ch._cells.compose(dec._cells)
@@ -333,21 +324,22 @@ def check_condition_d(ps: PurifiedState, tol: float = DEFAULT_ATOL) -> Condition
     The signed gap log2(dim_a) + S(R_B E') - S(V') is nonnegative up to
     rounding (subadditivity); the report residual is its magnitude. psi is
     pure, so S(V') = S(R_A R_B E'): entropy_v is the joint's entropy, with
-    require_state's checks, from the dense joint, of which rho'_{R_B E} is
-    a partial trace, or, for a state held as cells, from its pair entries.
-    The V marginal is never formed. Both spectra are taken per connected
+    require_state's checks, read from conj(m) / (dim_a dim_b norm_in), m
+    the pair matrix, dense or as its entries: that is the joint with its
+    factors reordered, so it has the joint's spectrum. Neither the V
+    marginal nor the joint is formed. Both spectra are taken per connected
     component of the matrix's exact nonzero pattern (Pauli errors of
     different syndromes reach orthogonal subspaces), except on matrices of
     at most 64 rows, with no zero entry, or of one component, which are
     diagonalized whole; see linalg.
     """
     da, db, _, de = ps.dims
-    s_a = float(np.log2(da))
+    s_a, sq = float(np.log2(da)), da * db * ps.norm_in
     if ps._cells is None:
-        s_v = von_neumann_entropy(ps.marginal(_JOINT))
-    else:  # the joint is conj(m) / sq with its factors reordered: the same spectrum
+        s_v = von_neumann_entropy(ps._pairs.conj() / sq)
+    else:
         i, j, m = ps._pairs
-        s_v = _entries_entropy(da * db * de, i, j, np.divide(m.conj(), da * db * ps.norm_in))
+        s_v = _entries_entropy(da * db * de, i, j, m.conj() / sq)
     s_rbe = von_neumann_entropy(ps.marginal((1, 3)))
     gap = s_a + s_rbe - s_v
     return ConditionReport(
@@ -394,10 +386,7 @@ def dpi_trace(dec: Decomposition, chain: Sequence[Channel]) -> list[float]:
     """
     da, db, dv = dec.dim_a, dec.dim_b, dec.dim_v
     for i, ch in enumerate(chain):
-        if ch.dim_in != dv or ch.dim_out != dv:
-            raise DimensionError(
-                f"chain[{i}] acts on {ch.dim_in} -> {ch.dim_out}, expected dim_v={dv}"
-            )
+        require_on(ch, dv, f"chain[{i}]")
         try:
             require_valid(ch)
         except ValueError as exc:

@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .channels import Channel, require_valid
+from .channels import Channel, require_on, require_valid
 from .conditions import check_condition_b
 from .errors import DimensionError, NotCorrectableError
 from .linalg import (
@@ -194,10 +194,8 @@ def verify_recovery(
     formed. Bad recoveries raise nothing; the numbers speak.
     """
     rchan = rec.channel if isinstance(rec, Recovery) else rec
-    if ch.dim_in != dec.dim_v or ch.dim_out != dec.dim_v:
-        raise DimensionError("noise channel does not act on dim_v")
-    if rchan.dim_in != dec.dim_v or rchan.dim_out != dec.dim_v:
-        raise DimensionError("recovery channel does not act on dim_v")
+    require_on(ch, dec.dim_v, "noise channel")
+    require_on(rchan, dec.dim_v, "recovery channel")
     g = rchan._gram[0]
     if g is None or ch._gram[0] is None:  # finite entries such as 1e300 overflow
         raise ValueError("Kraus set overflows: its sum E†E is not finite")

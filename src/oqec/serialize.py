@@ -364,7 +364,9 @@ def decomposition_from_json(obj: Any, field: str = "decomposition") -> Decomposi
 
 
 def condition_report_to_json(report: ConditionReport) -> dict:
-    """Report with witnesses reduced to JSON-friendly pieces."""
+    """Report with witnesses reduced to JSON-friendly pieces: b's blocks one
+    per pair "j,k", its state and pair deviations left out; c's and d's
+    witnesses as their checkers list them, arrays through matrix_to_json."""
     out = {
         "condition": report.condition,
         "passed": report.passed,
@@ -382,17 +384,9 @@ def condition_report_to_json(report: ConditionReport) -> dict:
                 for k, b in enumerate(row)
             },
         }
-    elif report.condition == "c":
+    else:
         out["witnesses"] = {
-            "rho_ra": matrix_to_json(wit["rho_ra"]),
-            "rho_rbe": matrix_to_json(wit["rho_rbe"]),
-        }
-    elif report.condition == "d":
-        out["witnesses"] = {
-            "entropy_a": wit["entropy_a"],
-            "entropy_v": wit["entropy_v"],
-            "entropy_rbe": wit["entropy_rbe"],
-            "gap": wit["gap"],
+            name: matrix_to_json(w) if isinstance(w, np.ndarray) else w for name, w in wit.items()
         }
     return out
 

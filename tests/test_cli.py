@@ -424,14 +424,17 @@ def test_check_rejects_non_finite_channel(exported, tmp_path, capsys, token, fie
     assert "Traceback" not in err
 
 
-def _oqec_subprocess(*argv, address_space=None):
+def _oqec_subprocess(*argv, address_space=None, blas_threads=None):
     """Run the CLI in a child process, so that numpy warnings reach stderr.
 
     With address_space (bytes), the child runs under that RLIMIT_AS with one
     BLAS thread, so that the cap measures the algorithm, not thread buffers.
+    With blas_threads, OpenBLAS runs on that many threads.
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(oqec.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
     limit = None
     if address_space is not None:
         env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -713,6 +716,41 @@ def test_every_verb_rejects_noise_that_is_not_trace_preserving(exported, tmp_pat
     err = capsys.readouterr().err
     assert f"error: {field}: Kraus set {change} trace" in err
     assert "allow_trace_decreasing" not in err
+
+
+@pytest.mark.parametrize("verb", ["check", "recover", "factorize", "dpi"])
+def test_every_verb_refuses_a_channel_off_v_naming_its_field_and_both_sizes(exported, tmp_path, capsys, verb):
+    """bit_flip_3 has dim_v 8, so a channel on 4 is an input error whose
+    message names the file's field, the sizes it acts on and dim_v."""
+    dec, chan = exported
+    small = str(tmp_path / "small.json")
+    dump_json_file(small, channel_to_json(depolarizing(4, 0.5)))
+    if verb == "dpi":
+        argv, field = ["dpi", dec, chan, small], "channel[1]"
+    else:
+        argv, field = [verb, dec, small, "--out", str(tmp_path / "out")], "channel"
+    assert main(argv) == 2
+    assert f"error: {field} acts on 4 -> 4, expected dim_v=8" in capsys.readouterr().err
+
+
+def test_check_and_factorize_on_bacon_shor_9_are_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    """README: on the cell route b, c and d are summed from the cells in a
+    fixed order, and factorize's files do not depend on the BLAS thread
+    count either. check --condition all --json and both factorize files,
+    each from a child process, are the same byte for byte at one and two
+    OpenBLAS threads."""
+    assert _oqec_subprocess("codes", "export", "bacon_shor_9", str(tmp_path)).returncode == 0
+    dec = str(tmp_path / "bacon_shor_9.decomposition.json")
+    chan = str(tmp_path / "bacon_shor_9.noise.json")
+    outputs = []
+    for threads in (1, 2):
+        check = _oqec_subprocess("check", dec, chan, "--condition", "all", "--json", blas_threads=threads)
+        assert check.returncode == 0, check.stderr[-500:]
+        fac = tmp_path / f"factor.{threads}"
+        proc = _oqec_subprocess("factorize", dec, chan, "--out", str(fac), blas_threads=threads)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        outputs.append([check.stdout.encode()] + [(fac / f).read_bytes() for f in ("factor_unitary.json", "factor_channel_b.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_check_exits_two_when_an_input_cannot_be_allocated(exported, tmp_path):

@@ -28,7 +28,7 @@ from oqec.conditions import (
     purify,
 )
 from oqec.errors import DegenerateChannelError, DimensionError, NotAStateError
-from oqec.linalg import Cells, dag, gram, haar_unitary, kron, von_neumann_entropy
+from oqec.linalg import Cells, dag, gram, haar_unitary, kron, partial_trace, von_neumann_entropy
 from oqec.recovery import synthesize_schmidt_recovery
 from oqec.spaces import Decomposition
 
@@ -244,6 +244,18 @@ def test_purified_state_copies_x_unless_it_adopts_purifys_product(monkeypatch):
 def test_purify_rejects_wrong_dimension():
     with pytest.raises(DimensionError):
         purify(Decomposition(2, 2, 0), identity(3))
+
+
+def test_purify_and_dpi_trace_refuse_a_channel_off_v_naming_it_and_both_sizes():
+    """channels.require_on is the one gate for a channel on V: purify's
+    refusal names "channel", dpi_trace's the link, and both give the sizes
+    the channel acts on and dim_v."""
+    dec = get("bit_flip_3").dec
+    for off, sizes in ((identity(4), "4 -> 4"), (Channel((np.eye(4, 8),)), "8 -> 4")):
+        with pytest.raises(DimensionError, match=rf"^channel acts on {sizes}, expected dim_v=8$"):
+            purify(dec, off)
+        with pytest.raises(DimensionError, match=rf"^chain\[1\] acts on {sizes}, expected dim_v=8$"):
+            dpi_trace(dec, [identity(8), off])
 
 
 def test_purify_gates_trace_decreasing():
@@ -617,6 +629,34 @@ def _verdicts(dec, ch):
     return ps, [rb, check_condition_c(ps), check_condition_d(ps)]
 
 
+def _dense_instances():
+    """Every extended catalog entry whose state is held dense, and a dim_v
+    128 random instance."""
+    out = [pytest.param(e.dec, e.noise, id=e.name) for e in catalog(extended=True)
+           if purify(e.dec, e.noise)._cells is None]
+    dec = Decomposition(2, 2, 124, frame=haar_unitary(128, _rng(61)))
+    return out + [pytest.param(dec, random_channel(128, 3, seed=62), id="random_dim128")]
+
+
+@pytest.mark.parametrize("dec, ch", _dense_instances())
+def test_dense_reads_of_the_pair_matrix_match_the_joint_oracle(monkeypatch, dec, ch):
+    """On a dense state each of the seven marginals without V is one einsum
+    over the pair matrix, and d reads S(V') from conj(m) itself: each
+    marginal equals linalg.partial_trace of the Gram-block oracle's joint
+    within 1e-15, and entropy_v that joint's entropy within 1e-14. b, c and
+    d never ask for the joint."""
+    requested, marginal = [], PurifiedState.marginal
+    monkeypatch.setattr(PurifiedState, "marginal", lambda ps, keep: requested.append(tuple(sorted(keep))) or marginal(ps, keep))
+    ps, (_, _, rd) = _verdicts(dec, ch)
+    assert ps._cells is None and requested
+    assert (0, 1, 3) not in requested, requested
+    joint = _joint_marginal_oracle(dec, ch)
+    for keep in [(0,), (1,), (3,), (0, 1), (0, 3), (1, 3), (0, 1, 3)]:
+        want = partial_trace(joint, [dec.dim_a, dec.dim_b, len(ch.kraus)], keep=[(0, 1, 3).index(f) for f in keep])
+        np.testing.assert_allclose(ps.marginal(keep), want, rtol=0, atol=1e-15, err_msg=str(keep))
+    assert abs(rd.witnesses["entropy_v"] - von_neumann_entropy(joint)) <= 1e-14
+
+
 def _dense_pairs(ps):
     """The (n, n) pair matrix of a state held as cells, from its entries,
     which must be row-major, each (i, j) once, and nonzero."""
@@ -728,10 +768,10 @@ def test_cell_pairs_take_x_with_at_most_one_64th_nonzero():
 
 def test_marginals_are_formed_once_and_read_only(monkeypatch):
     """Conditions c then d on one purified state share one Gram product, the
-    joint: the R_A and R_B E marginals are its partial traces, each formed
-    once, and the same read-only array comes back on every request. On
-    bit_flip_3 the joint (2 * 1 * 4) ties with dim_v 8, and d takes the
-    joint."""
+    pair matrix: the R_A and R_B E marginals are its partial traces, each
+    formed once, and the same read-only array comes back on every request.
+    On bit_flip_3 the pair matrix (2 * 1 * 4) ties with dim_v 8, and d reads
+    S(V') from it."""
     entry = get("bit_flip_3")
     ps = purify(entry.dec, entry.noise)
     formed = []

@@ -308,6 +308,17 @@ def test_verify_recovery_rejects_overflowing_kraus_sets():
                 verify_recovery(entry.dec, noise, recovery)
 
 
+def test_verify_recovery_refuses_a_noise_or_recovery_off_v_naming_it_and_both_sizes():
+    """channels.require_on gates both channels: the refusal names which one,
+    the sizes it acts on and dim_v."""
+    entry = get("bit_flip_3")
+    rec = synthesize_schmidt_recovery(entry.dec, entry.noise)
+    with pytest.raises(DimensionError, match=r"^noise channel acts on 4 -> 4, expected dim_v=8$"):
+        verify_recovery(entry.dec, identity(4), rec)
+    with pytest.raises(DimensionError, match=r"^recovery channel acts on 8 -> 4, expected dim_v=8$"):
+        verify_recovery(entry.dec, entry.noise, Channel((np.eye(4, 8),)))
+
+
 @pytest.mark.parametrize("noise", ["bacon_shor_9", "depolarizing"])
 def test_verify_recovery_scales_rows_by_a_cell_recovery_gram(noise):
     """The identity and the Pauli permutations X and Y on one site of the
