@@ -178,27 +178,29 @@ def validate(ch: Channel) -> ChannelReport:
     )
 
 
-def require_valid(ch: Channel, *, allow_trace_decreasing: bool = False) -> ChannelReport:
-    """Gate for operations that assume a physical channel, and the one place
-    that words its refusal: "Kraus set decreases|increases trace
-    (completeness defect ...)".
+def require_valid(ch: Channel, what: str, *, allow_trace_decreasing: bool = False) -> ChannelReport:
+    """Gate for operations that assume a physical channel. With require_on it
+    is the only code that words a channel refusal, as "<what>: <problem>":
+    ValueError "<what>: Kraus set decreases|increases trace (completeness
+    defect ...)", the defect "overflows" when sum E†E is not finite.
 
     Trace-preserving channels always pass. Trace-decreasing ones pass only
     when explicitly allowed (downstream code renormalizes); trace-increasing
-    Kraus sets are always rejected.
+    Kraus sets, overflowing ones among them, are always rejected.
     """
     report = validate(ch)
     if report.trace_preserving or (allow_trace_decreasing and report.trace_nonincreasing):
         return report
     change = "decreases" if report.trace_nonincreasing else "increases"
-    raise ValueError(f"Kraus set {change} trace (completeness defect {report.defect:.3e})")
+    defect = "overflows" if report.defect == np.inf else f"{report.defect:.3e}"
+    raise ValueError(f"{what}: Kraus set {change} trace (completeness defect {defect})")
 
 
 def require_on(ch: Channel, dim: int, what: str) -> None:
-    """Gate for operations on V, and the one place that words its refusal:
-    DimensionError "<what> acts on <dim_in> -> <dim_out>, expected dim_v=<dim>"."""
+    """Gate for operations on V, worded as require_valid's refusals are:
+    DimensionError "<what>: acts on <dim_in> -> <dim_out>, expected dim_v=<dim>"."""
     if ch.dim_in != dim or ch.dim_out != dim:
-        raise DimensionError(f"{what} acts on {ch.dim_in} -> {ch.dim_out}, expected dim_v={dim}")
+        raise DimensionError(f"{what}: acts on {ch.dim_in} -> {ch.dim_out}, expected dim_v={dim}")
 
 
 def apply(ch: Channel, rho: np.ndarray) -> np.ndarray:

@@ -3,9 +3,13 @@
 Verbs: check, recover, factorize, dpi, codes. Exit codes: 0 for a positive
 verdict, 1 for a negative one (condition failed, not correctable, residual
 over tolerance, monotonicity violated), 2 for usage or input errors (noise
-that is not trace preserving, an input too large to allocate). --tol sets
+off V or not trace preserving, an input too large to allocate). --tol sets
 the tolerance, DEFAULT_ATOL when it is absent; it must be finite and
 positive.
+
+A verb only loads files: purify or dpi_trace gates the channel it reads,
+naming the file's field ("channel" or "channel[i]"), and main alone maps
+errors to exit codes, each printed as one "error: " line on stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channels import Channel, require_on, require_valid, validate
+from .channels import Channel, validate
 from .conditions import (
     check_condition_b,
     check_condition_c,
@@ -27,7 +31,7 @@ from .conditions import (
     dpi_trace,
     purify,
 )
-from .errors import FormatError, NotCorrectableError
+from .errors import NotCorrectableError
 from .linalg import DEFAULT_ATOL
 from .recovery import (
     factorize_product,
@@ -68,21 +72,12 @@ def _meta(tol: float) -> dict:
     }
 
 
-def _load_channel(path, field, dec):
-    """A channel file on the decomposition's V; every verb needs it trace
-    preserving. The Gram matrix require_valid forms is cached for later gates."""
-    ch = load_channel_file(path, field)
-    require_on(ch, dec.dim_v, field)
-    try:
-        require_valid(ch)
-    except ValueError as exc:
-        raise FormatError(field, str(exc)) from None
-    return ch
+def _load_decomposition(args):
+    return decomposition_from_json(load_json_file(args.decomposition, "decomposition"), "decomposition")
 
 
 def _load_pair(args):
-    dec = decomposition_from_json(load_json_file(args.decomposition, "decomposition"), "decomposition")
-    return dec, _load_channel(args.channel, "channel", dec)
+    return _load_decomposition(args), load_channel_file(args.channel, "channel")
 
 
 def cmd_check(args) -> int:
@@ -128,11 +123,7 @@ def cmd_recover(args) -> int:
         if args.method == "schmidt"
         else synthesize_universal_recovery
     )
-    try:
-        rec = synth(dec, ch, tol=tol)
-    except NotCorrectableError as exc:
-        print(f"not correctable: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    rec = synth(dec, ch, tol=tol)
     chan_report = validate(rec.channel)  # forms the Gram matrix verify_recovery reads
     report = verify_recovery(dec, ch, rec)
     ok = (
@@ -169,11 +160,7 @@ def cmd_recover(args) -> int:
 def cmd_factorize(args) -> int:
     tol = _tolerance(args)
     dec, ch = _load_pair(args)
-    try:
-        fac = factorize_product(dec, ch, tol=tol)
-    except NotCorrectableError as exc:
-        print(f"not factorizable: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    fac = factorize_product(dec, ch, tol=tol)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     w_path = os.path.join(outdir, "factor_unitary.json")
@@ -190,8 +177,8 @@ def cmd_factorize(args) -> int:
 
 def cmd_dpi(args) -> int:
     tol = _tolerance(args)
-    dec = decomposition_from_json(load_json_file(args.decomposition, "decomposition"), "decomposition")
-    chain = [_load_channel(path, f"channel[{i}]", dec) for i, path in enumerate(args.channels)]
+    dec = _load_decomposition(args)
+    chain = [load_channel_file(path, f"channel[{i}]") for i, path in enumerate(args.channels)]
     values = dpi_trace(dec, chain)
     monotone = all(values[i + 1] <= values[i] + tol for i in range(len(values) - 1))
     payload = {"meta": _meta(tol), "coherent_information": values, "monotone": monotone}
@@ -288,7 +275,7 @@ def main(argv=None) -> int:
     except NotCorrectableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (FormatError, OSError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -240,7 +240,7 @@ def purify(
     squared norm before renormalization, kept in norm_in.
     """
     require_on(ch, dec.dim_v, "channel")
-    require_valid(ch, allow_trace_decreasing=allow_trace_decreasing)
+    require_valid(ch, "channel", allow_trace_decreasing=allow_trace_decreasing)
     dims = (dec.dim_a, dec.dim_b, dec.dim_v, ch.n_kraus)
     cells = None if ch._cells is None or dec._cells is None else ch._cells.compose(dec._cells)
     # norm_in sums X's nonzero cells, row-major, whenever the density rule
@@ -371,8 +371,9 @@ def dpi_trace(dec: Decomposition, chain: Sequence[Channel]) -> list[float]:
     applies each (trace-preserving) channel in turn to the V half, recording
     -S(R_A|V) = S(V) - S(R_A V) before the chain and after every step. Data
     processing makes the returned list non-increasing up to numerical slack.
-    A link that is not trace preserving raises ValueError naming chain[i],
-    whether it increases or decreases trace, and its completeness defect.
+    Link i is refused as channel[i], the name the CLI gives its i-th file:
+    DimensionError off V, ValueError when it is not trace preserving, with
+    whether it increases or decreases trace and its completeness defect.
 
     The R_A V state is held factored, rho = M M† with M of shape
     (dim_a dim_v, r), r = dim_b at the start. A step with k Kraus operators is
@@ -386,11 +387,8 @@ def dpi_trace(dec: Decomposition, chain: Sequence[Channel]) -> list[float]:
     """
     da, db, dv = dec.dim_a, dec.dim_b, dec.dim_v
     for i, ch in enumerate(chain):
-        require_on(ch, dv, f"chain[{i}]")
-        try:
-            require_valid(ch)
-        except ValueError as exc:
-            raise ValueError(f"chain[{i}]: {exc}") from None
+        require_on(ch, dv, f"channel[{i}]")
+        require_valid(ch, f"channel[{i}]")
     # m[(a, v), b] = code[v, (a, b)] / sqrt(da db), so m m† is the input state
     m = dec.code_vectors().reshape(dv, da, db).transpose(1, 0, 2).reshape(da * dv, db)
     m = m / np.sqrt(da * db)

@@ -191,14 +191,14 @@ def verify_recovery(
     with G = sum R†R the recovery's cached Gram matrix (for a recovery kept
     as its cells, the vector of its diagonal, which scales rows). The second
     H E_k code is G E_k code - (code† R)† X_k, so no dim_v x dim_v matrix is
-    formed. Bad recoveries raise nothing; the numbers speak.
+    formed. A noise or recovery channel off V or increasing trace is refused
+    by that name; other bad recoveries raise nothing; the numbers speak.
     """
     rchan = rec.channel if isinstance(rec, Recovery) else rec
-    require_on(ch, dec.dim_v, "noise channel")
-    require_on(rchan, dec.dim_v, "recovery channel")
+    for what, c in (("noise channel", ch), ("recovery channel", rchan)):
+        require_on(c, dec.dim_v, what)
+        require_valid(c, what, allow_trace_decreasing=True)  # so sum E†E is finite
     g = rchan._gram[0]
-    if g is None or ch._gram[0] is None:  # finite entries such as 1e300 overflow
-        raise ValueError("Kraus set overflows: its sum E†E is not finite")
     da, db, dv, dc = dec.dim_a, dec.dim_b, dec.dim_v, dec.dim_code
     code = dec.code_vectors()
     ec = ch.stacked_product(code).reshape(-1, dv, dc)  # E_k code
@@ -282,5 +282,5 @@ def extend_by_linearity(
     if coeffs.shape[0] < 1:
         raise DimensionError("need at least one combination row")
     combined = Channel(np.tensordot(coeffs, ch.kraus, axes=1))
-    require_valid(combined, allow_trace_decreasing=True)
+    require_valid(combined, "combined channel", allow_trace_decreasing=True)
     return verify_recovery(dec, combined, rec)

@@ -118,8 +118,9 @@ def test_validate_reports_overflowing_gram_as_trace_increasing(entry, monkeypatc
         rep = validate(Channel(ops))
         assert not rep.trace_preserving
         assert not rep.trace_nonincreasing
-        with pytest.raises(ValueError, match="increases trace"):
-            require_valid(Channel(ops), allow_trace_decreasing=True)
+        # the defect, |entry|^2, is formed as the root of its square, which overflows
+        with pytest.raises(ValueError, match=r"^noise: Kraus set increases trace \(completeness defect overflows\)$"):
+            require_valid(Channel(ops), "noise", allow_trace_decreasing=True)
 
 
 def test_validate_trace_preserving():
@@ -131,17 +132,17 @@ def test_validate_trace_preserving():
 
 def test_require_valid_gates_trace_decreasing():
     half = Channel((0.5 * np.eye(2, dtype=complex),))
-    with pytest.raises(ValueError, match=r"^Kraus set decreases trace \(completeness defect 1\.061e\+00\)$"):
-        require_valid(half)
-    rep = require_valid(half, allow_trace_decreasing=True)
+    with pytest.raises(ValueError, match=r"^half: Kraus set decreases trace \(completeness defect 1\.061e\+00\)$"):
+        require_valid(half, "half")
+    rep = require_valid(half, "half", allow_trace_decreasing=True)
     assert not rep.trace_preserving
     assert rep.trace_nonincreasing
 
 
 def test_require_valid_always_rejects_trace_increasing():
     grow = Channel((1.5 * np.eye(2, dtype=complex),))
-    with pytest.raises(ValueError, match=r"^Kraus set increases trace \(completeness defect "):
-        require_valid(grow, allow_trace_decreasing=True)
+    with pytest.raises(ValueError, match=r"^grow: Kraus set increases trace \(completeness defect 1\.768e\+00\)$"):
+        require_valid(grow, "grow", allow_trace_decreasing=True)
 
 
 @pytest.mark.parametrize(

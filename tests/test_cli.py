@@ -212,6 +212,23 @@ def test_recover_uncorrectable_exits_one(exported_bad, tmp_path, capsys):
     assert "not correctable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["recover"], ["recover", "--method", "universal"], ["factorize"]],
+                         ids=["recover schmidt", "recover universal", "factorize"])
+def test_a_negative_recover_or_factorize_exits_one_with_one_error_line_and_no_file(exported_bad, tmp_path, capsys, argv):
+    """bitflip_3_vs_z fails condition b: main maps the library's
+    NotCorrectableError to exit 1 and one "error: " line, with no traceback,
+    and neither verb writes its output file or directory."""
+    dec, chan = exported_bad
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([*argv, dec, chan, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "not correctable" in captured.err and "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_factorize_product_channel(tmp_path):
     dec_path = str(tmp_path / "dec.json")
     chan_path = str(tmp_path / "chan.json")
@@ -721,16 +738,43 @@ def test_every_verb_rejects_noise_that_is_not_trace_preserving(exported, tmp_pat
 @pytest.mark.parametrize("verb", ["check", "recover", "factorize", "dpi"])
 def test_every_verb_refuses_a_channel_off_v_naming_its_field_and_both_sizes(exported, tmp_path, capsys, verb):
     """bit_flip_3 has dim_v 8, so a channel on 4 is an input error whose
-    message names the file's field, the sizes it acts on and dim_v."""
+    message names the file's field, the sizes it acts on and dim_v. The CLI
+    has no gate of its own, and the library call that reads the channel
+    checks V before the trace, so a channel on 4 that also halves the trace
+    is refused for its size too; no verb writes its output."""
     dec, chan = exported
     small = str(tmp_path / "small.json")
-    dump_json_file(small, channel_to_json(depolarizing(4, 0.5)))
-    if verb == "dpi":
-        argv, field = ["dpi", dec, chan, small], "channel[1]"
-    else:
-        argv, field = [verb, dec, small, "--out", str(tmp_path / "out")], "channel"
-    assert main(argv) == 2
-    assert f"error: {field} acts on 4 -> 4, expected dim_v=8" in capsys.readouterr().err
+    out = tmp_path / "out"
+    for off in (depolarizing(4, 0.5), Channel((np.sqrt(0.5) * np.eye(4),))):
+        dump_json_file(small, channel_to_json(off))
+        if verb == "dpi":
+            argv, field = ["dpi", dec, chan, small, "--out", str(out)], "channel[1]"
+        else:
+            argv, field = [verb, dec, small, "--out", str(out)], "channel"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {field}: acts on 4 -> 4, expected dim_v=8\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "scale, dim, problem",
+    [(1.0, 4, "acts on 4 -> 4, expected dim_v=8"), (0.5, 8, "Kraus set decreases trace (completeness defect 1.414e+00)")],
+    ids=["off V", "trace decreasing"],
+)
+def test_dpi_refuses_a_bad_first_file_before_a_good_one_as_channel_0(exported, tmp_path, capsys, scale, dim, problem):
+    """dpi_trace gates its links in order, so a bad first file is refused
+    as channel[0] though a good one follows. Every file is parsed before
+    any is gated: a second file that does not parse is refused first."""
+    dec, chan = exported
+    bad = str(tmp_path / "bad.json")
+    dump_json_file(bad, channel_to_json(Channel((np.sqrt(scale) * np.eye(dim),))))
+    assert main(["dpi", dec, bad, chan]) == 2
+    assert capsys.readouterr().err == f"error: channel[0]: {problem}\n"
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    assert main(["dpi", dec, bad, str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: channel[1]:{broken}: invalid JSON") and err.count("\n") == 1
 
 
 def test_check_and_factorize_on_bacon_shor_9_are_the_same_bytes_at_one_and_two_blas_threads(tmp_path):

@@ -252,9 +252,9 @@ def test_purify_and_dpi_trace_refuse_a_channel_off_v_naming_it_and_both_sizes():
     the channel acts on and dim_v."""
     dec = get("bit_flip_3").dec
     for off, sizes in ((identity(4), "4 -> 4"), (Channel((np.eye(4, 8),)), "8 -> 4")):
-        with pytest.raises(DimensionError, match=rf"^channel acts on {sizes}, expected dim_v=8$"):
+        with pytest.raises(DimensionError, match=rf"^channel: acts on {sizes}, expected dim_v=8$"):
             purify(dec, off)
-        with pytest.raises(DimensionError, match=rf"^chain\[1\] acts on {sizes}, expected dim_v=8$"):
+        with pytest.raises(DimensionError, match=rf"^channel\[1\]: acts on {sizes}, expected dim_v=8$"):
             dpi_trace(dec, [identity(8), off])
 
 
@@ -554,7 +554,7 @@ def test_dpi_trace_requires_trace_preserving_links(scale, change):
         dpi_trace(dec, [identity(2), bad])
     message = str(exc.value)
     defect = np.sqrt(2) * abs(scale - 1)
-    assert message == f"chain[1]: Kraus set {change} trace (completeness defect {defect:.3e})"
+    assert message == f"channel[1]: Kraus set {change} trace (completeness defect {defect:.3e})"
     assert "allow_trace_decreasing" not in message
 
 

@@ -313,9 +313,9 @@ def test_verify_recovery_refuses_a_noise_or_recovery_off_v_naming_it_and_both_si
     the sizes it acts on and dim_v."""
     entry = get("bit_flip_3")
     rec = synthesize_schmidt_recovery(entry.dec, entry.noise)
-    with pytest.raises(DimensionError, match=r"^noise channel acts on 4 -> 4, expected dim_v=8$"):
+    with pytest.raises(DimensionError, match=r"^noise channel: acts on 4 -> 4, expected dim_v=8$"):
         verify_recovery(entry.dec, identity(4), rec)
-    with pytest.raises(DimensionError, match=r"^recovery channel acts on 8 -> 4, expected dim_v=8$"):
+    with pytest.raises(DimensionError, match=r"^recovery channel: acts on 8 -> 4, expected dim_v=8$"):
         verify_recovery(entry.dec, entry.noise, Channel((np.eye(4, 8),)))
 
 
@@ -606,7 +606,7 @@ def test_extend_by_linearity_validates_coefficients():
     rec = synthesize_schmidt_recovery(entry.dec, entry.noise)
     with pytest.raises(DimensionError):
         extend_by_linearity(entry.dec, entry.noise, rec, np.ones((1, 3)))
-    with pytest.raises(ValueError, match="^Kraus set increases trace"):
+    with pytest.raises(ValueError, match=r"^combined channel: Kraus set increases trace \(completeness defect "):
         extend_by_linearity(entry.dec, entry.noise, rec, 5.0 * np.ones((1, 4)))
 
 
