@@ -124,7 +124,7 @@ def cmd_recover(args) -> int:
         else synthesize_universal_recovery
     )
     rec = synth(dec, ch, tol=tol)
-    chan_report = validate(rec.channel)  # forms the Gram matrix verify_recovery reads
+    chan_report = validate(rec.channel)  # the metadata's completeness_defect
     report = verify_recovery(dec, ch, rec)
     ok = (
         report.max_infidelity <= tol

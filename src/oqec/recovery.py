@@ -191,13 +191,15 @@ def verify_recovery(
     with G = sum R†R the recovery's cached Gram matrix (for a recovery kept
     as its cells, the vector of its diagonal, which scales rows). The second
     H E_k code is G E_k code - (code† R)† X_k, so no dim_v x dim_v matrix is
-    formed. A noise or recovery channel off V or increasing trace is refused
-    by that name; other bad recoveries raise nothing; the numbers speak.
+    formed. A noise or recovery channel off V, or whose sum E†E overflows,
+    is refused by that name; other bad channels, trace-increasing ones among
+    them, raise nothing; the numbers speak.
     """
     rchan = rec.channel if isinstance(rec, Recovery) else rec
     for what, c in (("noise channel", ch), ("recovery channel", rchan)):
         require_on(c, dec.dim_v, what)
-        require_valid(c, what, allow_trace_decreasing=True)  # so sum E†E is finite
+        if c._gram[0] is None:  # finite entries such as 1e300 overflow sum E†E
+            require_valid(c, what)  # refused as increasing trace, defect "overflows"
     g = rchan._gram[0]
     da, db, dv, dc = dec.dim_a, dec.dim_b, dec.dim_v, dec.dim_code
     code = dec.code_vectors()

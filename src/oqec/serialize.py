@@ -398,7 +398,7 @@ def load_json_file(path: str, field: str = "file") -> Any:
     lists, none of which can be part of a cycle, and rescanning them as they
     pile up costs more than the parse itself.
     """
-    where = f"{field}:{path}"
+    where = f"{field}: {path}"
 
     def reject_constant(token: str):
         raise FormatError(where, f"non-finite number {token} is not allowed")

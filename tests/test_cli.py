@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oqec
-from oqec.channels import Channel, depolarizing, random_channel
+from oqec.channels import PAULI_Z, Channel, depolarizing, random_channel
 from oqec.cli import main
 from oqec.codes import catalog, get
 from oqec.conditions import check_condition_b, check_condition_c, check_condition_d, purify
@@ -210,6 +210,25 @@ def test_recover_uncorrectable_exits_one(exported_bad, tmp_path, capsys):
     out = str(tmp_path / "rec.json")
     assert main(["recover", dec, chan, "--out", out]) == 1
     assert "not correctable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["schmidt", "universal"])
+def test_recover_at_a_loose_tol_on_nearly_correctable_noise_writes_its_recovery(tmp_path, capsys, method):
+    """bit_flip_3 plus a Z error at Kraus amplitude 1e-6 passes b at tol
+    1e-5. recover synthesizes and scores a recovery for it: exit 0, nothing
+    on stderr, and the file holds the channel with its completeness defect."""
+    entry = get("bit_flip_3")
+    eps = 1e-6
+    noise = Channel([*np.sqrt(1 - eps**2) * entry.noise.kraus, eps * kron(PAULI_Z, np.eye(4))])
+    dec, chan, out = (str(tmp_path / name) for name in ("dec.json", "noise.json", "rec.json"))
+    dump_json_file(dec, decomposition_to_json(entry.dec))
+    dump_json_file(chan, channel_to_json(noise))
+    assert main(["recover", dec, chan, "--method", method, "--tol", "1e-5", "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    payload = load_json_file(out)
+    assert payload["metadata"]["completeness_defect"] <= 1e-9
+    assert payload["metadata"]["verification"]["b_marginal_drift"] <= 1e-5
+    assert channel_from_json(payload).n_kraus == payload["metadata"]["kraus_count"]
 
 
 @pytest.mark.parametrize("argv", [["recover"], ["recover", "--method", "universal"], ["factorize"]],
@@ -774,7 +793,7 @@ def test_dpi_refuses_a_bad_first_file_before_a_good_one_as_channel_0(exported, t
     broken.write_text("{")
     assert main(["dpi", dec, bad, str(broken)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: channel[1]:{broken}: invalid JSON") and err.count("\n") == 1
+    assert err.startswith(f"error: channel[1]: {broken}: invalid JSON") and err.count("\n") == 1
 
 
 def test_check_and_factorize_on_bacon_shor_9_are_the_same_bytes_at_one_and_two_blas_threads(tmp_path):

@@ -303,9 +303,23 @@ def test_verify_recovery_rejects_overflowing_kraus_sets():
     huge[0, 0, 0] = 1e300
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for noise, recovery in [(Channel(huge), rec), (entry.noise, Channel(huge))]:
-            with pytest.raises(ValueError, match="overflows"):
+        for what, noise, recovery in [("noise", Channel(huge), rec), ("recovery", entry.noise, Channel(huge))]:
+            with pytest.raises(ValueError, match=rf"^{what} channel: Kraus set increases trace \(completeness defect overflows\)$"):
                 verify_recovery(entry.dec, noise, recovery)
+
+
+def test_verify_recovery_scores_a_finite_trace_increasing_noise_or_recovery():
+    """Only an overflowing sum E†E is refused: a noise or recovery that
+    increases trace by a finite amount is scored, and the figures show it."""
+    entry = get("bit_flip_3")
+    rec = synthesize_schmidt_recovery(entry.dec, entry.noise).channel
+    grow = lambda c: Channel(np.sqrt(2) * np.array(c.kraus))  # noqa: E731
+    assert not validate(grow(rec)).trace_nonincreasing
+    exact = verify_recovery(entry.dec, entry.noise, rec)
+    for noise, recovery in [(grow(entry.noise), rec), (entry.noise, grow(rec))]:
+        report = verify_recovery(entry.dec, noise, recovery)
+        assert report.max_infidelity == pytest.approx(exact.max_infidelity, abs=1e-12)
+        assert report.support_leak == pytest.approx(exact.support_leak, abs=1e-12)
 
 
 def test_verify_recovery_refuses_a_noise_or_recovery_off_v_naming_it_and_both_sizes():

@@ -415,7 +415,7 @@ def test_load_json_file_rejects_non_finite_tokens(tmp_path, token):
     path.write_text(f'{{"dim_in": 1, "dim_out": 1, "kraus": [[[[{token}, 0.0]]]]}}')
     with pytest.raises(FormatError) as err:
         load_json_file(str(path), field="channel")
-    assert err.value.field == f"channel:{path}"
+    assert err.value.field == f"channel: {path}"
     assert token in str(err.value)
 
 
