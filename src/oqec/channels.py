@@ -131,7 +131,8 @@ class Channel:
                 g, one = self._cells.gram(), 1.0
             if not np.isfinite(g).all():
                 return None, np.inf
-            return g, float(np.linalg.norm(g - one))
+            sq = np.square((g - one).view(np.float64))  # summed as purify sums norm_in: by numpy, not BLAS
+            return g, float(np.sqrt(np.sum(sq[sq != 0])))
 
     def stacked_product(self, x: np.ndarray) -> np.ndarray:
         """(E_1; ...; E_k) x for a (dim_in, n) matrix x: the (k dim_out, n)
@@ -182,7 +183,8 @@ def require_valid(ch: Channel, what: str, *, allow_trace_decreasing: bool = Fals
     """Gate for operations that assume a physical channel. With require_on it
     is the only code that words a channel refusal, as "<what>: <problem>":
     ValueError "<what>: Kraus set decreases|increases trace (completeness
-    defect ...)", the defect "overflows" when sum E†E is not finite.
+    defect ...)", the defect "overflows" when sum E†E is not finite, or
+    "<what>: Kraus entry (j, r, c) is <value>, not finite" for the first such.
 
     Trace-preserving channels always pass. Trace-decreasing ones pass only
     when explicitly allowed (downstream code renormalizes); trace-increasing
@@ -191,6 +193,14 @@ def require_valid(ch: Channel, what: str, *, allow_trace_decreasing: bool = Fals
     report = validate(ch)
     if report.trace_preserving or (allow_trace_decreasing and report.trace_nonincreasing):
         return report
+    if ch._gram[0] is None:  # sum E†E is not finite: name the first non-finite entry, if any
+        held = ch.kraus.reshape(-1, ch.dim_in) if ch._cells is None else ch._cells.vals  # a store: one cell a row
+        bad = np.argwhere(~np.isfinite(held))
+        if len(bad):
+            row, at = bad[0]
+            j, r = divmod(int(row), ch.dim_out)
+            c = at if ch._cells is None else ch._cells.cols[row, at]
+            raise ValueError(f"{what}: Kraus entry {(j, r, int(c))} is {held[row, at]}, not finite")
     change = "decreases" if report.trace_nonincreasing else "increases"
     defect = "overflows" if report.defect == np.inf else f"{report.defect:.3e}"
     raise ValueError(f"{what}: Kraus set {change} trace (completeness defect {defect})")

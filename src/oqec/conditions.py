@@ -237,22 +237,19 @@ def purify(
     the code sector: R_A mirrors A, R_B mirrors B. Each Kraus operator is
     tagged by one environment basis vector. For trace-decreasing noise
     (explicitly allowed) the marginals are renormalized by the state's
-    squared norm before renormalization, kept in norm_in.
+    squared norm before renormalization, kept in norm_in: ||X||^2 / dim_code,
+    one numpy sum of the nonzero squares of X's parts as stored, x or the
+    store's values, so no BLAS thread count changes its bits, and X held
+    as one cell per row and X formed densely give the same bits.
     """
     require_on(ch, dec.dim_v, "channel")
     require_valid(ch, "channel", allow_trace_decreasing=allow_trace_decreasing)
     dims = (dec.dim_a, dec.dim_b, dec.dim_v, ch.n_kraus)
     cells = None if ch._cells is None or dec._cells is None else ch._cells.compose(dec._cells)
-    # norm_in sums X's nonzero cells, row-major, whenever the density rule
-    # admits them, so X composed from cells and the same X formed densely
-    # give the same bits, whatever BLAS does with the zeros
     if cells is None:
         x = ch.stacked_product(dec.code_vectors())  # rows (e, v), columns (a, b)
-        found = Cells.scan(x)
-        vals = x if found is None else found[2]
-    else:
-        vals = cells.vals[cells.vals != 0]
-    norm_in = float(np.vdot(vals, vals).real) / dec.dim_code
+    sq = np.square((x if cells is None else cells.vals).view(np.float64))  # |v|^2 = re^2 + im^2
+    norm_in = float(np.sum(sq[sq != 0])) / dec.dim_code  # X's cells and X formed densely: the same terms
     if norm_in <= SPECTRUM_CUTOFF:
         raise DegenerateChannelError("channel annihilates the code sector")
     if cells is None:

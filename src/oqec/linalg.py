@@ -30,16 +30,15 @@ Conventions used throughout the package:
 A matrix with few nonzeros, such as Pauli noise, a subsystem code's frame
 and E code for them, is held as a ``Cells`` store in ELLPACK layout (Rice
 and Boisvert, 1985): a (rows, w) array of columns and one of values, shorter
-rows padded with value 0. The one density rule: a store is built, composed
-or scanned for, only when 64 nnz <= size; else the matrix stays dense. A
-channel's store comes only from cells its builder lists, and Cells.scan
-searches a decomposition's frame, once, and an E code formed densely, for
-the cells its norm is summed from. E code's store is the composition of
-the channel's and the frame's, and its Gram matrix, condition b's pair
-matrix, is kept as its nonzero entries, whose spectra _entries_entropy
-takes per component. A store's nonzero cells are read through
-Cells.entries alone, and its dense matrix alone gives a cell channel's
-stack and a cell state's x.
+rows padded with value 0. The one density rule: a store is built or
+composed only when 64 nnz <= size; else the matrix stays dense. Every
+store comes from Cells.build or Cells.compose: a channel's from the cells
+its builder lists, a decomposition's from its frame's np.nonzero, once.
+E code's store is the composition of the channel's and the frame's, and
+its Gram matrix, condition b's pair matrix, is kept as its nonzero
+entries, whose spectra _entries_entropy takes per component. A store's
+nonzero cells are read through Cells.entries alone, and its dense matrix
+alone gives a cell channel's stack and a cell state's x.
 """
 
 from __future__ import annotations
@@ -127,19 +126,6 @@ class Cells:
         store = cls(np.zeros((shape[0], width), np.intp), np.zeros((shape[0], width), vals.dtype), shape[1])
         store.cols[rows, slot], store.vals[rows, slot] = cols, vals
         return store
-
-    @staticmethod
-    def scan(a: np.ndarray) -> tuple | None:
-        """A 2-D array's nonzero (rows, cols, vals), row-major as build takes
-        them; None when 64 nnz > size, a dense array by its first size/64 + 1."""
-        flat, most = a.reshape(-1), _most_cells(a.size)
-        if np.count_nonzero(flat[: most + 1]) > most:
-            return None
-        nz = flat != 0
-        if np.count_nonzero(nz) > most:
-            return None
-        at = np.flatnonzero(nz)
-        return (*np.divmod(at, a.shape[1]), flat[at])
 
     def product(self, x: np.ndarray) -> np.ndarray:
         """self @ x for a dense (n, m) x: the rows of x the cells' columns
@@ -393,7 +379,7 @@ def require_state(rho: np.ndarray) -> np.ndarray:
 def _state_spectrum(w: np.ndarray, tr: float) -> np.ndarray:
     """require_state's last two checks on the ascending spectrum w of a
     matrix of trace tr; returns w descending."""
-    if not w[0] >= -DEFAULT_ATOL:
+    if w.size and not w[0] >= -DEFAULT_ATOL:  # a 0 x 0 matrix has no eigenvalue, and trace 0
         raise NotAStateError(f"negative eigenvalue {w[0]:.3e} below -atol")
     if not abs(tr - 1.0) <= DEFAULT_ATOL:
         raise NotAStateError(f"trace {tr!r} differs from 1 beyond atol={DEFAULT_ATOL}")

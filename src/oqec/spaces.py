@@ -10,8 +10,8 @@ a * dim_b + b is the code vector for (a, b). Only those first dim_a * dim_b
 columns are kept, float64 when every imaginary part is ±0.0 and complex128
 otherwise; C is their orthogonal complement, which no condition reads.
 The code vectors' linalg.Cells store, such as a CSS code's frame of at most
-one nonzero per row, is found by one Cells.scan on first use and kept; it
-lets purify compose E code from the cells of Pauli noise.
+one nonzero per row, is built from their np.nonzero on first use and kept;
+it lets purify compose E code from the cells of Pauli noise.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import DEFAULT_ATOL, Cells, _isometry_defect, dag, kron, require_state, storage_stack
+from .linalg import DEFAULT_ATOL, Cells, _isometry_defect, _most_cells, dag, kron, require_state, storage_stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +66,13 @@ class Decomposition:
 
     @cached_property
     def _cells(self) -> Optional[Cells]:
-        """The store of code_vectors(), or None when 64 nnz > size."""
+        """The store of code_vectors(), or None when 64 nnz > size: counted
+        first, so a dense frame takes no index arrays."""
         code = self.code_vectors()
-        found = Cells.scan(code)
-        return None if found is None else Cells.build(code.shape, *found)
+        if np.count_nonzero(code) > _most_cells(code.size):
+            return None
+        rows, cols = np.nonzero(code)
+        return Cells.build(code.shape, rows, cols, code[rows, cols])
 
     def code_vectors(self) -> np.ndarray:
         """dim_v x (dim_a*dim_b) matrix; column a*dim_b + b is the (a, b) code vector."""

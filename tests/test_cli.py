@@ -816,6 +816,23 @@ def test_check_and_factorize_on_bacon_shor_9_are_the_same_bytes_at_one_and_two_b
     assert outputs[0] == outputs[1]
 
 
+def test_recover_on_bacon_shor_9_is_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    """The completeness defect in recover's metadata is one numpy sum, so
+    the file recover writes, by either method, and its stdout are the same
+    byte for byte from a child process at one and at two OpenBLAS threads."""
+    assert _oqec_subprocess("codes", "export", "bacon_shor_9", str(tmp_path)).returncode == 0
+    dec = str(tmp_path / "bacon_shor_9.decomposition.json")
+    chan = str(tmp_path / "bacon_shor_9.noise.json")
+    out = tmp_path / "recovery.json"
+    for method in ("schmidt", "universal"):
+        outputs = []
+        for threads in (1, 2):
+            proc = _oqec_subprocess("recover", dec, chan, "--method", method, "--out", str(out), blas_threads=threads)
+            assert proc.returncode == 0, proc.stderr[-500:]
+            outputs.append((proc.stdout.encode(), out.read_bytes()))
+        assert outputs[0] == outputs[1], method
+
+
 def test_check_exits_two_when_an_input_cannot_be_allocated(exported, tmp_path):
     """A sparse file of about a hundred bytes declares a 16000 x 16000
     channel with two cells in row 0, so it is read into a stack; one float64

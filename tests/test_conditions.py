@@ -6,6 +6,9 @@ that formula as an independent oracle. The factored dpi_trace is checked
 against the dense reference in dense_dpi.py.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -64,6 +67,43 @@ def test_purify_shapes_and_norm():
     assert ps.x.shape == (4 * 8, 2)  # rows (e, v), columns (a, b)
     assert abs(np.linalg.norm(ps.x) ** 2 - 2 * 1 * ps.norm_in) < 1e-12
     assert ps.norm_in == pytest.approx(1.0, abs=1e-12)
+
+
+_NORM_IN_BY_SEED = """
+import numpy as np
+from oqec.channels import Channel, random_channel
+from oqec.conditions import purify
+from oqec.linalg import haar_unitary, kron
+from oqec.spaces import Decomposition
+for seed in range(8):
+    rng = np.random.default_rng(seed)
+    frame = haar_unitary(64, rng)
+    n_b = random_channel(32, 3, seed=seed + 10_000)
+    u_ab = haar_unitary(64, rng)
+    ch = Channel([frame @ u_ab @ kron(np.eye(2), nk) @ frame.conj().T for nk in n_b.kraus])
+    print(repr(purify(Decomposition(2, 32, 0, frame=frame), ch).norm_in))
+"""
+
+
+def test_norm_in_of_a_dense_product_is_the_same_bits_at_one_and_two_blas_threads():
+    """norm_in is one numpy sum, which no BLAS thread splits: on seeds 0-7
+    of a dense instance shaped as the bench's product_64 (dim_a 2, dim_b
+    32, dim_c 0, 3 Kraus operators, an X of 12 288 entries), a child
+    process at one OpenBLAS thread and one at two print the same reprs."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oqec.__file__)))
+    printed = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            "OPENBLAS_NUM_THREADS": threads,
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", _NORM_IN_BY_SEED], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr[-500:]
+        printed.append(proc.stdout.split())
+    assert len(printed[0]) == 8 and printed[0] == printed[1]
 
 
 def test_purify_v_marginal_is_channel_output():
@@ -244,6 +284,28 @@ def test_purified_state_copies_x_unless_it_adopts_purifys_product(monkeypatch):
 def test_purify_rejects_wrong_dimension():
     with pytest.raises(DimensionError):
         purify(Decomposition(2, 2, 0), identity(3))
+
+
+def test_purify_names_the_first_non_finite_kraus_entry():
+    """A nan or inf Kraus entry makes sum E†E non-finite; purify refuses the
+    channel naming the first such entry by its (j, r, c) index, from the
+    stack or, for a channel kept as its cells, from the cells alone, as it
+    never forms the stack. A finite 1e300 still reads as an overflow."""
+    with pytest.raises(ValueError, match=r"^channel: Kraus entry \(0, 0, 0\) is nan, not finite$"):
+        purify(Decomposition(2, 1, 0), Channel([[[np.nan, 0], [0, 1]]]))
+    stack = np.zeros((2, 2, 2), complex)
+    stack[0, 1, 0], stack[1, 0, 1] = complex(1, np.inf), np.nan
+    with pytest.raises(ValueError, match=r"^channel: Kraus entry \(0, 1, 0\) is \(1\+infj\), not finite$"):
+        purify(Decomposition(2, 1, 0), Channel(stack))
+    vals = np.full(128, 0.5**0.5)
+    vals[70] = np.inf
+    cells = Channel._from_cells((2, 64, 64), np.arange(128) % 64, vals)
+    assert cells._cells is not None
+    with pytest.raises(ValueError, match=r"^channel: Kraus entry \(1, 6, 6\) is inf, not finite$"):
+        purify(Decomposition(2, 32, 0), cells)
+    assert "kraus" not in vars(cells)
+    with pytest.raises(ValueError, match=r"^channel: Kraus set increases trace \(completeness defect overflows\)$"):
+        purify(Decomposition(2, 1, 0), Channel([[[1e300, 0], [0, 1]]]))
 
 
 def test_purify_and_dpi_trace_refuse_a_channel_off_v_naming_it_and_both_sizes():
@@ -679,9 +741,10 @@ def test_the_pair_matrix_from_cells_matches_the_dense_gram(monkeypatch, noise):
     on the real X and 1.0e-18 on the complex one, measured with OpenBLAS),
     they are float64 exactly when X has no imaginary part, and b, c and d
     give the dense twin's verdicts and, within 1e-14, its residuals; d's
-    exactly. Under the depolarizing noise dim_v 512 is below dim_a dim_b
-    dim_e = 896, and still b, c and d form no dense x and pass no 512-row
-    matrix to require_state: d reads S(V') from the pair entries."""
+    exactly, as norm_in, which both sum from the same nonzero terms. Under
+    the depolarizing noise dim_v 512 is below dim_a dim_b dim_e = 896, and
+    still b, c and d form no dense x and pass no 512-row matrix to
+    require_state: d reads S(V') from the pair entries."""
     entry = get("bacon_shor_9")
     ch = entry.noise if noise == "bacon_shor_9" else weight_one_depolarizing(9, 0.003)
     rows, require_state = [], oqec.linalg.require_state
@@ -697,6 +760,7 @@ def test_the_pair_matrix_from_cells_matches_the_dense_gram(monkeypatch, noise):
     assert np.abs(m - want).max() <= 1e-14 * np.abs(want).max()
     dense_ps, dense = _verdicts(entry.dec, Channel(ch.kraus))
     assert dense_ps._cells is None and dense_ps._pairs.dtype == m.dtype
+    assert ps.norm_in == dense_ps.norm_in
     for got, ref in zip(reports, dense):
         assert got.passed and ref.passed, (got.condition, got.residual, ref.residual)
         assert abs(got.residual - ref.residual) <= 1e-14, (got.condition, got.residual, ref.residual)
@@ -707,11 +771,11 @@ def _cell_pairs(x, dv):
     """The pair matrix X_V† X_V of x, X_V[v, (e, c)] = x[(e, v), c], as
     PurifiedState._pairs sums it from the store of x, or None when the
     density rule refuses that store."""
-    found = Cells.scan(x)
-    if found is None:
+    rows, cols = np.nonzero(x)
+    store = Cells.build(x.shape, rows, cols, x[rows, cols])
+    if store is None:
         return None
-    ps = PurifiedState._from_cells((1, x.shape[1], dv, x.shape[0] // dv), Cells.build(x.shape, *found), 1.0)
-    return _dense_pairs(ps)
+    return _dense_pairs(PurifiedState._from_cells((1, x.shape[1], dv, x.shape[0] // dv), store, 1.0))
 
 
 def _sparse_x(rng, de, dv, width, per_col, dtype):

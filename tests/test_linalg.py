@@ -355,6 +355,15 @@ def test_require_state_rejects_bad_inputs():
         require_state(np.diag([0.7, 0.7]).astype(complex))  # trace 1.4
 
 
+def test_an_empty_matrix_is_not_a_state():
+    """A 0 x 0 matrix has no eigenvalue and trace 0, which differs from 1:
+    NotAStateError, not an IndexError from an empty spectrum."""
+    for rho in (np.zeros((0, 0)), np.zeros((0, 0), complex)):
+        for check in (require_state, von_neumann_entropy):
+            with pytest.raises(NotAStateError, match="^trace 0.0 differs from 1"):
+                check(rho)
+
+
 def test_require_state_rejects_non_finite_entries():
     """A non-finite entry is named and rejected before any arithmetic, so no
     RuntimeWarning (an error under this suite's settings) and no LAPACK call."""
@@ -499,25 +508,22 @@ def _cell_matrices(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(case=_cell_matrices(), cols=st.integers(1, 3), complex_x=st.booleans())
 def test_cell_store_matches_dense_numpy(case, cols, complex_x):
-    """A matrix's nonzero cells are scanned, and their store built, exactly
-    when 64 nnz <= size; scan gives the cells np.nonzero does, and the
-    store has one row of each array per matrix row, of width the most
-    cells in a row. Its entries are the cells np.nonzero finds in its
-    dense matrix, row-major, and that matrix is a, bit for bit except that
-    -0.0 entries, no cells, come back +0.0; its product with x is a @ x,
-    and a† a is its Gram diagonal at width <= 1, else its pairs placed in
-    an (n, n) matrix, within 1e-13 of the largest entry and in numpy's and
-    gram's dtypes."""
+    """A matrix's store is built from the cells np.nonzero finds exactly
+    when 64 nnz <= size; it has one row of each array per matrix row, of
+    width the most cells in a row. Its entries are the cells np.nonzero
+    finds in its dense matrix, row-major, and that matrix is a, bit for bit
+    except that -0.0 entries, no cells, come back +0.0; its product with x
+    is a @ x, and a† a is its Gram diagonal at width <= 1, else its pairs
+    placed in an (n, n) matrix, within 1e-13 of the largest entry and in
+    numpy's and gram's dtypes."""
     a, width = case
     nz = a != 0
     r, c = np.nonzero(nz)
-    found, store = Cells.scan(a), Cells.build(a.shape, r, c, a[r, c])
-    assert (found is not None) == (store is not None) == (64 * np.count_nonzero(nz) <= a.size)
+    store = Cells.build(a.shape, r, c, a[r, c])
+    assert (store is not None) == (64 * np.count_nonzero(nz) <= a.size)
     event(f"width {width}" if store is not None else "refused")
     if store is None:
         return
-    for got, want in zip(found, (r, c, a[r, c])):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert store.cols.shape == store.vals.shape == (len(a), width) and store.n == a.shape[1]
     dense = store.dense()
     assert dense.dtype == a.dtype and dense.tobytes() == np.where(nz, a, 0).astype(a.dtype).tobytes()
@@ -561,29 +567,17 @@ def test_dense_sums_the_cells_compose_puts_in_one_column_of_a_row():
     assert list(zip(i, j, m)) == [(5, 5, 25.0), (7, 7, 0.25)]
 
 
-class _Unmasked(np.ndarray):
-    """An array whose nonzero mask may not be taken."""
-
-    def __ne__(self, other):
-        raise AssertionError("the whole array was scanned")
-
-
-def test_a_dense_matrix_is_refused_by_its_prefix_count():
+def test_build_takes_64_cells_of_a_64_by_64_matrix_and_refuses_65():
     """64 nnz <= size is the one rule: a (64, 64) matrix holds at most 64
-    cells, and 65 are refused by scan and build alike. A dense matrix is
-    refused by the count of its first size/64 + 1 entries, before a mask
-    of the whole is taken; a sparse one needs that mask."""
+    cells, and 65 are refused."""
     at_rule = np.zeros((64, 64))
     at_rule.reshape(-1)[::64] = 1.0
-    assert Cells.scan(at_rule) is not None
+    r, c = np.nonzero(at_rule)
+    assert Cells.build(at_rule.shape, r, c, at_rule[r, c]) is not None
     over = at_rule.copy()
     over[0, 1] = 1.0
     r, c = np.nonzero(over)
-    assert Cells.scan(over) is None and Cells.build(over.shape, r, c, over[r, c]) is None
-    dense = _rng(3).standard_normal((64, 64))
-    assert Cells.scan(dense.view(_Unmasked)) is None
-    with pytest.raises(AssertionError, match="whole array"):
-        Cells.scan(at_rule.view(_Unmasked))
+    assert Cells.build(over.shape, r, c, over[r, c]) is None
 
 
 def _entries(m):

@@ -308,6 +308,18 @@ def test_verify_recovery_rejects_overflowing_kraus_sets():
                 verify_recovery(entry.dec, noise, recovery)
 
 
+def test_verify_recovery_names_a_non_finite_kraus_entry():
+    """A nan Kraus entry makes sum E†E non-finite too; verification refuses
+    such a noise or recovery by that name and the entry's (j, r, c) index."""
+    entry = get("bit_flip_3")
+    rec = synthesize_schmidt_recovery(entry.dec, entry.noise).channel
+    bad = np.array(entry.noise.kraus)
+    bad[1, 2, 3] = np.nan
+    for what, noise, recovery in [("noise", Channel(bad), rec), ("recovery", entry.noise, Channel(bad))]:
+        with pytest.raises(ValueError, match=rf"^{what} channel: Kraus entry \(1, 2, 3\) is nan, not finite$"):
+            verify_recovery(entry.dec, noise, recovery)
+
+
 def test_verify_recovery_scores_a_finite_trace_increasing_noise_or_recovery():
     """Only an overflowing sum E†E is refused: a noise or recovery that
     increases trace by a finite amount is scored, and the figures show it."""
@@ -381,22 +393,20 @@ def test_verify_recovery_reads_a_cell_recovery_through_its_store(noise):
             assert abs(getattr(got, field) - getattr(want, field)) <= tol, (field, got, want)
 
 
-def test_validating_a_bacon_shor_9_recovery_never_scans_for_cells(monkeypatch):
+def test_validating_a_bacon_shor_9_recovery_never_builds_cells(monkeypatch):
     """Both recoveries synthesized for bacon_shor_9 hold many cells per row
     and keep their stacks: validating and verifying them takes BLAS and
-    never calls Cells.scan, which would mask the whole stack."""
+    never calls Cells.build, which would look for cells in the stack."""
     entry = get("bacon_shor_9")
     synths = (synthesize_schmidt_recovery, synthesize_universal_recovery)
     recs = [synth(entry.dec, entry.noise).channel for synth in synths]
-
-    def forbidden(a):
-        raise AssertionError("Cells.scan ran")
-
-    monkeypatch.setattr(Cells, "scan", staticmethod(forbidden))
+    builds, original = [], Cells.build.__func__
+    monkeypatch.setattr(Cells, "build", classmethod(lambda cls, *a: builds.append(a[0]) or original(cls, *a)))
     for rec in recs:
         assert rec._cells is None
         assert validate(rec).trace_preserving
         assert verify_recovery(entry.dec, entry.noise, rec).max_infidelity <= 1e-9
+    assert builds == []
 
 
 def _rebuilt(fac, da):

@@ -133,18 +133,22 @@ def test_embed_state_validates_inputs():
 
 
 
-def test_a_sparse_frame_is_kept_as_its_cells_found_once(monkeypatch):
+def test_a_sparse_frame_is_kept_as_its_cells_built_once(monkeypatch):
     """bacon_shor_9's frame holds 128 nonzeros of 16 384, at most one per
-    row: its store is found by one Cells.scan on first use and kept, and its
-    dense form is the frame. A dense frame keeps no store."""
+    row: its store is built by one Cells.build call on first use and kept,
+    and its dense form is the frame. A dense frame keeps no store, and its
+    nonzeros are counted before any build."""
     import oqec.linalg
     from oqec.codes import get
 
     dec = get("bacon_shor_9").dec
-    scans, original = [], oqec.linalg.Cells.scan
-    monkeypatch.setattr(oqec.linalg.Cells, "scan", staticmethod(lambda a: scans.append(a.shape) or original(a)))
+    builds, original = [], oqec.linalg.Cells.build.__func__
+    monkeypatch.setattr(
+        oqec.linalg.Cells, "build", classmethod(lambda cls, *a: builds.append(a[0]) or original(cls, *a))
+    )
     store = dec._cells
-    assert store is dec._cells and scans == [(512, 32)]
+    assert store is dec._cells and builds == [(512, 32)]
     assert store.cols.shape == (512, 1) and np.count_nonzero(store.vals) == 128
     np.testing.assert_array_equal(store.dense(), dec.frame)
     assert Decomposition(2, 2, 3, frame=haar_unitary(7, _rng(5)))._cells is None
+    assert builds == [(512, 32)]
