@@ -6,11 +6,12 @@ preservation means sum_j E_j† E_j equals the identity; the Frobenius norm of
 the difference is the completeness defect.
 
 A channel is kept as the linalg.Cells store of its (k dim_out, dim_in)
-flat stack only where its cells are listed: restricted_flip, identity and
-the channel reader list those of Pauli noise, at most one nonzero per row.
-Its completeness Gram matrix is then the vector of its diagonal, its
-stacked product scales rows, and its stack is formed only when kraus is
-read. A channel built from a stack keeps it and never looks for cells.
+flat stack only where its cells are listed: restricted_flip, identity,
+depolarizing and the channel reader list those of monomial operators, at
+most one nonzero per row. Its completeness Gram matrix is then the vector
+of its diagonal, its stacked product scales rows, and its stack is formed
+only when kraus is read. A channel built from a stack keeps it and never
+looks for cells.
 """
 
 from __future__ import annotations
@@ -34,30 +35,30 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 class Channel:
     """Immutable Kraus-form channel.
 
-    Built from any non-empty sequence of equal-shape matrices (a tuple, a
-    list, or a (k, dim_out, dim_in) array); kraus holds a read-only copy as one
-    (k, dim_out, dim_in) array, so len, iteration and indexing give the
-    operators. The copy is float64 when every imaginary part is ±0.0, built
-    from the real parts directly, and complex128 otherwise. Within oqec, a
-    builder that has just allocated such a stack in its storage dtype, and
-    keeps no other reference to it, passes _adopt=True: the stack itself is
-    made read-only and kept, with no copy. A builder that holds one cell
-    per row calls Channel._from_cells; only it and _from_sorted make a
-    store, and Channel(kraus) keeps _cells None, so even a stack of one
-    cell per row takes BLAS. The completeness Gram matrix is computed on
-    first use and kept. dim_in, dim_out and n_kraus never form the stack
-    of a channel built from its cells; kraus does, once.
+    Built from any non-empty sequence ops of equal-shape matrices (a tuple,
+    a list, or a (k, dim_out, dim_in) array), passed by position; kraus holds
+    a read-only copy as one (k, dim_out, dim_in) array, so len, iteration
+    and indexing give the operators. The copy is float64 when every
+    imaginary part is ±0.0, built from the real parts directly, and
+    complex128 otherwise. Within oqec, a builder that has just allocated
+    such a stack in its storage dtype, and keeps no other reference to it,
+    passes _adopt=True: the stack itself is made read-only and kept, with
+    no copy. A builder that holds one cell per row calls Channel._from_cells;
+    only it and _from_sorted make a store, and Channel(ops) keeps _cells
+    None, so even a stack of one cell per row takes BLAS. kraus and the
+    completeness Gram matrix are cached properties, each formed once; kraus
+    is held from construction unless the channel is kept as its cells.
     Equality and hashing are by identity.
     """
 
-    kraus: np.ndarray
+    ops: InitVar[Sequence]
     _adopt: InitVar[bool] = False
 
-    def __post_init__(self, _adopt):
+    def __post_init__(self, ops, _adopt):
         if _adopt:
-            stack = self.kraus
+            stack = ops
         else:
-            ops = [np.asarray(op) for op in self.kraus]
+            ops = [np.asarray(op) for op in ops]
             if not ops:
                 raise DimensionError("channel needs at least one Kraus operator")
             for i, op in enumerate(ops):
@@ -97,14 +98,12 @@ class Channel:
         vars(ch).update(_shape=tuple(shape), _cells=cells)
         return ch
 
-    def __getattr__(self, name):
-        # reached only for a name the instance lacks: the stack of a channel
-        # built from its cells, formed here on first use and kept
-        if name != "kraus" or vars(self).get("_cells") is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @cached_property
+    def kraus(self) -> np.ndarray:
+        """The read-only stack; reached only for a channel kept as its
+        cells, whose store is densified here on first read."""
         stack = self._cells.dense().reshape(self._shape)
         stack.flags.writeable = False
-        object.__setattr__(self, "kraus", stack)
         return stack
 
     @property
@@ -277,33 +276,23 @@ def phase_flip(p: float) -> Channel:
     return Channel((np.sqrt(1 - p) * ID2, np.sqrt(p) * PAULI_Z))
 
 
-def _weyl_ops(dim: int) -> list:
-    """The dim^2 shift-and-clock unitaries X^j Z^k."""
-    omega = np.exp(2j * np.pi / dim)
-    shift = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(dim):
-        shift[(i + 1) % dim, i] = 1.0
-    clock = np.diag(omega ** np.arange(dim))
-    ops = []
-    xj = np.eye(dim, dtype=np.complex128)
-    for _ in range(dim):
-        zk = np.eye(dim, dtype=np.complex128)
-        for _ in range(dim):
-            ops.append(xj @ zk)
-            zk = zk @ clock
-        xj = xj @ shift
-    return ops
-
-
 def depolarizing(dim: int, p: float) -> Channel:
-    """rho -> (1-p) rho + p * tr(rho) * 1/dim."""
+    """rho -> (1-p) rho + p * tr(rho) * 1/dim: Kraus sqrt(1 - p) 1, then
+    sqrt(p)/dim X^j Z^k as operator 1 + j dim + k, with X|c> = |c+1> and
+    Z|c> = w^c |c>, w = exp(2 pi i/dim). X^j Z^k|c> = w^(kc) |c+j>, so row
+    r of that operator holds one cell, in column (r - j) mod dim; the cells
+    are listed, and kept as a store from dim 64 on."""
     if dim < 2:
         raise DimensionError("depolarizing needs dim >= 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing strength must be in [0, 1], got {p}")
-    ops = [np.sqrt(1 - p) * np.eye(dim)]
-    ops += [np.sqrt(p) / dim * w for w in _weyl_ops(dim)]
-    return Channel(tuple(ops))
+    r = np.arange(dim)
+    j, k = np.divmod(np.arange(dim * dim)[:, None], dim)
+    c = (r - j) % dim
+    weyl = np.sqrt(p) / dim * np.exp(2j * np.pi * (k * c % dim) / dim)
+    vals = np.concatenate([np.full(dim, np.sqrt(1 - p)), weyl.reshape(-1)])
+    cols = np.concatenate([r, c.reshape(-1)])
+    return Channel._from_cells((1 + dim * dim, dim, dim), cols, storage_stack([vals])[0])  # float64 at p = 0
 
 
 def single_qubit_on(n: int, site: int, ch: Channel) -> Channel:
@@ -364,7 +353,8 @@ def collective_unitary(n: int, terms: Sequence) -> Channel:
 
 
 def random_channel(dim: int, k: int, seed: int) -> Channel:
-    """Seed-deterministic random trace-preserving channel with k Kraus operators.
+    """Random trace-preserving channel with k Kraus operators: the same
+    bits for the same seed, BLAS build and thread count, as haar_unitary.
 
     Stacks k Gaussian dim x dim blocks and orthonormalizes the stack into an
     isometry, so sum E†E = 1 holds exactly up to rounding.

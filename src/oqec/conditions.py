@@ -16,7 +16,7 @@ the composition of the noise's and the frame's linalg.Cells stores when both
 hold one, else by one product. Its state forms the pair matrix once, as its
 nonzero entries summed from those cells or by one Gram product, and its
 defect once, and b, c and d read them; a state held as cells densifies its
-store when x itself is read, and forms no second product.
+store when x itself is read, once, and forms no second product.
 """
 
 from __future__ import annotations
@@ -46,31 +46,31 @@ from .spaces import Decomposition
 _JOINT = (0, 1, 3)  # R_A R_B E, the complement of V
 
 
-def _not_finite(dims, i: int, value) -> NotAStateError:
-    """The error naming x's flat entry i, in (e, v, a, b) order, by its
-    (R_A, R_B, V, E) index."""
+def _not_finite(dims, flat: np.ndarray, vals: np.ndarray) -> NotAStateError:
+    """The error naming the first non-finite of vals, x's entries at the
+    flat indices flat in (e, v, a, b) order, by its (R_A, R_B, V, E) index."""
     da, db, dv, de = dims
-    e, v, a, b = (int(j) for j in np.unravel_index(i, (de, dv, da, db)))
-    return NotAStateError(f"x entry {(a, b, v, e)} is {value}, not finite")
+    p = int(np.argmin(np.isfinite(vals)))
+    e, v, a, b = (int(j) for j in np.unravel_index(flat[p], (de, dv, da, db)))
+    return NotAStateError(f"x entry {(a, b, v, e)} is {vals[p]}, not finite")
 
 
 @dataclass(frozen=True, eq=False)
 class PurifiedState:
     """Joint pure state of reference, system, and environment after the noise.
 
-    dims is (dim_ra, dim_rb, dim_v, dim_e); x is the product X = E code,
+    dims is (dim_ra, dim_rb, dim_v, dim_e); product is X = E code,
     unnormalized, in the (dim_e dim_v, dim_ra dim_rb) layout of
     Channel.stacked_product, so psi[a, b, v, e] = x[(e, v), (a, b)] /
     sqrt(dim_ra dim_rb norm_in); norm_in is the squared norm of psi before
-    renormalization (1 for trace-preserving noise). x is copied, except
-    with _adopt=True, which purify passes for the product it has just
-    formed: that array itself is kept. Either way it is made read-only, and
-    an x with a non-finite entry is rejected, naming the entry by its
-    (R_A, R_B, V, E) index.
-
-    A state built by _from_cells holds X as its linalg.Cells store instead,
-    checked cell by cell in the same words, and x is that store densified,
-    only when x is read.
+    renormalization (1 for trace-preserving noise). product is X, of
+    exactly that shape, dense or as its linalg.Cells store. A dense X
+    is copied, except with _adopt=True, which purify passes for the product
+    it has just formed: that array itself is kept. A store is kept as
+    _cells. Either is checked once: an X with a non-finite entry is
+    rejected, naming the entry by its (R_A, R_B, V, E) index. x is a
+    cached property, read-only: a dense X from construction, a store
+    densified on first read.
 
     b's blocks and deviations, every marginal without V and d's spectrum
     are read from condition b's pair matrix m, formed once (see _pairs);
@@ -80,44 +80,37 @@ class PurifiedState:
     """
 
     dims: tuple[int, int, int, int]
-    x: np.ndarray
+    product: InitVar[np.ndarray | Cells]
     norm_in: float
     _marginals: dict = field(default_factory=dict, init=False, repr=False)
     _cells: Optional[Cells] = field(default=None, init=False, repr=False)
     _adopt: InitVar[bool] = False
 
-    def __post_init__(self, _adopt):
+    def __post_init__(self, product, _adopt):
         da, db, dv, de = self.dims
-        x = (self.x if _adopt else np.array(self.x)).reshape(-1)
-        if x.size != da * db * dv * de:
-            raise DimensionError(f"product of size {x.size} does not match factors {self.dims}")
+        shape = (de * dv, da * db)
+        cells = product if isinstance(product, Cells) else None
+        got = np.shape(product) if cells is None else (len(cells.cols), cells.n)
+        if got != shape:
+            raise DimensionError(f"product of shape {got} does not match factors {self.dims}")
+        if cells is not None:
+            if not np.isfinite(cells.vals).all():
+                r, c, v = cells.entries()  # row-major, as x's flat order
+                raise _not_finite(self.dims, r * cells.n + c, v)
+            vars(self)["_cells"] = cells
+            return
+        x = (product if _adopt else np.array(product)).reshape(shape)  # a view: an adopted array stays writeable
         if not np.isfinite(x).all():
-            i = int(np.argmin(np.isfinite(x)))
-            raise _not_finite(self.dims, i, x[i])
-        x = x.reshape(de * dv, da * db)
+            raise _not_finite(self.dims, np.arange(x.size), x.reshape(-1))
         x.flags.writeable = False
-        object.__setattr__(self, "x", x)
+        vars(self)["x"] = x
 
-    @classmethod
-    def _from_cells(cls, dims: tuple, cells: Cells, norm_in: float) -> PurifiedState:
-        """The state whose X is held as cells, rows (e, v) and columns (a, b)."""
-        if not np.isfinite(cells.vals).all():
-            r, c, v = cells.entries()
-            p = int(np.argmin(np.isfinite(v)))  # x's first in row-major order, as __post_init__ finds it
-            raise _not_finite(dims, int(r[p]) * cells.n + int(c[p]), v[p])
-        ps = object.__new__(cls)
-        vars(ps).update(dims=tuple(dims), norm_in=norm_in, _marginals={}, _cells=cells)
-        return ps
-
-    def __getattr__(self, name):
-        # reached only for a name the instance lacks: x of a state built
-        # from its cells, densified here on first read and kept
-        if name != "x" or vars(self).get("_cells") is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        da, db, dv, de = self.dims
-        x = self._cells.dense().reshape(de * dv, da * db)
+    @cached_property
+    def x(self) -> np.ndarray:
+        """X, read-only; reached only for a state held as its store, which
+        is densified here on first read."""
+        x = self._cells.dense()
         x.flags.writeable = False
-        object.__setattr__(self, "x", x)
         return x
 
     @cached_property
@@ -246,15 +239,12 @@ def purify(
     require_valid(ch, "channel", allow_trace_decreasing=allow_trace_decreasing)
     dims = (dec.dim_a, dec.dim_b, dec.dim_v, ch.n_kraus)
     cells = None if ch._cells is None or dec._cells is None else ch._cells.compose(dec._cells)
-    if cells is None:
-        x = ch.stacked_product(dec.code_vectors())  # rows (e, v), columns (a, b)
+    x = ch.stacked_product(dec.code_vectors()) if cells is None else cells  # rows (e, v), columns (a, b)
     sq = np.square((x if cells is None else cells.vals).view(np.float64))  # |v|^2 = re^2 + im^2
     norm_in = float(np.sum(sq[sq != 0])) / dec.dim_code  # X's cells and X formed densely: the same terms
     if norm_in <= SPECTRUM_CUTOFF:
         raise DegenerateChannelError("channel annihilates the code sector")
-    if cells is None:
-        return PurifiedState(dims, x, norm_in, _adopt=True)
-    return PurifiedState._from_cells(dims, cells, norm_in)
+    return PurifiedState(dims, x, norm_in, _adopt=True)
 
 
 def check_condition_b(
@@ -377,7 +367,8 @@ def dpi_trace(dec: Decomposition, chain: Sequence[Channel]) -> list[float]:
     one product of their stack with M, so r becomes k r. M M† and M† M share
     their nonzero spectrum, so S(R_A V) is read from the smaller one. S(V) is
     read from the smaller Gram matrix of X, the (dim_v, dim_a r) reshape of M;
-    when M M† is the side formed, X X† is its partial trace over R_A.
+    when M M† is the side formed, the value is coherent_info of M M†, whose
+    V marginal X X† is its partial trace over R_A.
     require_state checks every matrix that is diagonalized. When r exceeds
     dim_a dim_v and another step follows, one eigh of M M† compresses M to
     dim_a dim_v columns, every eigenvalue kept (clipped at 0).
@@ -402,10 +393,10 @@ def dpi_trace(dec: Decomposition, chain: Sequence[Channel]) -> list[float]:
         if m.shape[1] < da * dv:
             x = v_rows(m)
             g_rv, g_v = gram(m), gram(x.T).conj() if dv <= x.shape[1] else gram(x)
-        else:  # m m† is the smaller side, and its R_A trace is v_rows(m) v_rows(m)†
+            values.append(von_neumann_entropy(g_v) - von_neumann_entropy(g_rv))
+        else:  # m m† is the smaller side: the state itself
             g_rv = gram(m.T).conj()
-            g_v = np.trace(g_rv.reshape(da, dv, da, dv), axis1=0, axis2=2)
-        values.append(von_neumann_entropy(g_v) - von_neumann_entropy(g_rv))
+            values.append(coherent_info(g_rv, da, dv))
         if m.shape[1] > da * dv and i < len(chain):
             w, u = np.linalg.eigh(g_rv)
             m = u * np.sqrt(np.clip(w, 0.0, None))

@@ -443,7 +443,8 @@ def complete_basis(cols: np.ndarray, dim: int) -> np.ndarray:
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary, deterministic for a given generator state."""
+    """Haar-distributed unitary: the same bits for the same generator
+    state, BLAS build and thread count (LAPACK's QR varies with the last)."""
     return _haar_isometry(dim, dim, rng)
 
 

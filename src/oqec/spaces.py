@@ -9,9 +9,10 @@ matrix with orthonormal columns, dim_a * dim_b <= k <= dim_v, whose column
 a * dim_b + b is the code vector for (a, b). Only those first dim_a * dim_b
 columns are kept, float64 when every imaginary part is ±0.0 and complex128
 otherwise; C is their orthogonal complement, which no condition reads.
-The code vectors' linalg.Cells store, such as a CSS code's frame of at most
-one nonzero per row, is built from their np.nonzero on first use and kept;
-it lets purify compose E code from the cells of Pauli noise.
+The code vectors, read-only, and their linalg.Cells store, such as a CSS
+code's frame of at most one nonzero per row, from their np.nonzero, are
+each formed on first use and kept; the store lets purify compose E code
+from the cells of Pauli noise.
 """
 
 from __future__ import annotations
@@ -74,13 +75,17 @@ class Decomposition:
         rows, cols = np.nonzero(code)
         return Cells.build(code.shape, rows, cols, code[rows, cols])
 
+    @cached_property
+    def _code(self) -> np.ndarray:
+        """The kept frame, or the canonical code vectors, formed here once."""
+        code = np.eye(self.dim_v, self.dim_code) if self.frame is None else self.frame
+        code.flags.writeable = False
+        return code
+
     def code_vectors(self) -> np.ndarray:
-        """dim_v x (dim_a*dim_b) matrix; column a*dim_b + b is the (a, b) code vector."""
-        if self.frame is not None:
-            return self.frame.copy()
-        out = np.zeros((self.dim_v, self.dim_code))
-        out[: self.dim_code, :] = np.eye(self.dim_code)
-        return out
+        """dim_v x (dim_a*dim_b) matrix, read-only and the same array on every
+        call; column a*dim_b + b is the (a, b) code vector."""
+        return self._code
 
 
 def projector_p(dec: Decomposition) -> np.ndarray:

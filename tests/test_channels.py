@@ -64,6 +64,13 @@ def test_channel_dims_and_immutability():
         ch.kraus[0][0, 0] = 9.0
 
 
+@pytest.mark.parametrize("dim", [64, 128])
+def test_random_channel_gives_the_same_bits_for_a_seed_in_one_process(dim):
+    """The same seed, BLAS build and thread count give the same bits, at
+    sizes where BLAS splits the QR's sums."""
+    assert random_channel(dim, 3, 1).kraus.tobytes() == random_channel(dim, 3, 1).kraus.tobytes()
+
+
 def test_kraus_is_one_read_only_stack():
     ch = random_channel(3, 4, seed=5)
     assert isinstance(ch.kraus, np.ndarray)
@@ -288,6 +295,28 @@ def test_depolarizing_action_oracle():
         rho = random_density_matrix(d, rng)
         out = apply(depolarizing(d, p), rho)
         np.testing.assert_allclose(out, (1 - p) * rho + p * np.eye(d) / d, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 64])
+def test_depolarizing_lists_the_weyl_operators(d):
+    """Operator 1 + j d + k of depolarizing(d, p) is sqrt(p)/d X^j Z^k, within
+    1e-14 of the matrix powers of the shift X|c> = |c+1> and the clock
+    Z|c> = w^c |c>; operator 0 is sqrt(1 - p) 1. From d = 64 on the channel
+    is kept as its cells, one per row, and its stack is formed only on read."""
+    p = 0.3
+    shift = np.roll(np.eye(d), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    want = [np.sqrt(1 - p) * np.eye(d)] + [
+        np.sqrt(p) / d * np.linalg.matrix_power(shift, j) @ np.linalg.matrix_power(clock, k)
+        for j in range(d)
+        for k in range(d)
+    ]
+    ch = depolarizing(d, p)
+    assert (ch._cells is not None) == (d == 64) and ch.n_kraus == 1 + d * d
+    assert "kraus" not in vars(ch) or d < 64
+    assert ch.kraus.dtype == np.complex128
+    assert np.abs(ch.kraus - np.array(want)).max() <= 1e-14
+    assert validate(ch).trace_preserving
 
 
 def test_depolarizing_validates_probability():

@@ -669,9 +669,10 @@ def test_bacon_shor_9_noise_is_never_formed_as_a_stack(tmp_path, monkeypatch, ca
     """codes export -> check --condition all -> factorize on bacon_shor_9,
     in-process, and codes list --extended: the (10, 512, 512) noise is
     built from its cells four times, by restricted_flip and by the reader,
-    and its 21 MB stack is never formed."""
+    and its 21 MB stack is never formed: the cached property kraus never
+    runs its function, which forms a cell channel's stack."""
     built, formed = [], []
-    from_sorted, getattr_ = Channel._from_sorted.__func__, Channel.__getattr__
+    from_sorted, form = Channel._from_sorted.__func__, Channel.__dict__["kraus"].func
 
     def counting_from_sorted(cls, shape, rows, cols, vals):
         ch = from_sorted(cls, shape, rows, cols, vals)
@@ -679,13 +680,12 @@ def test_bacon_shor_9_noise_is_never_formed_as_a_stack(tmp_path, monkeypatch, ca
             built.append(tuple(shape))
         return ch
 
-    def counting_getattr(self, name):
-        if name == "kraus":
-            formed.append(vars(self).get("_shape"))
-        return getattr_(self, name)
+    def counting_form(self):
+        formed.append(self._shape)
+        return form(self)
 
     monkeypatch.setattr(Channel, "_from_sorted", classmethod(counting_from_sorted))
-    monkeypatch.setattr(Channel, "__getattr__", counting_getattr)
+    monkeypatch.setattr(Channel.__dict__["kraus"], "func", counting_form)
     dec = str(tmp_path / "bacon_shor_9.decomposition.json")
     chan = str(tmp_path / "bacon_shor_9.noise.json")
     assert main(["codes", "export", "bacon_shor_9", str(tmp_path)]) == 0

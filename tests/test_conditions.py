@@ -281,6 +281,25 @@ def test_purified_state_copies_x_unless_it_adopts_purifys_product(monkeypatch):
     assert purify(Decomposition(2, 2, 0), depolarizing(4, 0.1)).x.base is products.pop()
 
 
+def test_purified_state_refuses_a_product_whose_shape_does_not_match_dims():
+    """PurifiedState takes X as its store too, and checks it as it checks a
+    dense X: a store of (dim_e dim_v, dim_ra dim_rb) is kept as _cells, with
+    x densified from it on first read, and a store or a dense X whose rows
+    or width differ, though its size may match, is refused: a transposed X
+    is not read as another state."""
+    x = np.zeros((4 * 64, 2))  # rows (e, v), columns (a, b): dims (2, 1, 64, 4)
+    x[[3, 70, 200], [1, 0, 1]] = 0.5
+    store = Cells.build(x.shape, *np.nonzero(x), x[np.nonzero(x)])
+    ps = PurifiedState((2, 1, 64, 4), store, 1.0)
+    assert ps._cells is store and "x" not in vars(ps)
+    np.testing.assert_array_equal(ps.x, x)
+    for dims in ((2, 2, 64, 4), (2, 1, 64, 2), (1, 1, 64, 8)):  # width 4, 128 rows, (512, 1)
+        with pytest.raises(DimensionError, match=r"^product of shape \(256, 2\) does not match factors"):
+            PurifiedState(dims, store, 1.0)
+    with pytest.raises(DimensionError, match=r"^product of shape \(2, 256\) does not match factors"):
+        PurifiedState((2, 1, 64, 4), x.T, 1.0)
+
+
 def test_purify_rejects_wrong_dimension():
     with pytest.raises(DimensionError):
         purify(Decomposition(2, 2, 0), identity(3))
@@ -775,7 +794,7 @@ def _cell_pairs(x, dv):
     store = Cells.build(x.shape, rows, cols, x[rows, cols])
     if store is None:
         return None
-    return _dense_pairs(PurifiedState._from_cells((1, x.shape[1], dv, x.shape[0] // dv), store, 1.0))
+    return _dense_pairs(PurifiedState((1, x.shape[1], dv, x.shape[0] // dv), store, 1.0))
 
 
 def _sparse_x(rng, de, dv, width, per_col, dtype):
@@ -900,8 +919,11 @@ def test_dpi_trace_compresses_between_steps_only(monkeypatch, steps):
 
 
 def test_dpi_trace_forms_no_lifted_channel_or_dense_state(monkeypatch):
-    """The factored trace never lifts a channel with np.kron, applies one
-    with channels.apply, or takes coherent_info's dense partial trace."""
+    """The factored trace never lifts a channel with np.kron or applies one
+    with channels.apply. coherent_info, and through it partial_trace, is
+    reached only where M M† is the smaller side, on the dim_a dim_v = 16
+    row state itself: after depolarizing(8)'s 65 operators and after the
+    recovery's, not at the start or after the 4-operator noise."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("called on the factored DPI path")
@@ -911,10 +933,14 @@ def test_dpi_trace_forms_no_lifted_channel_or_dense_state(monkeypatch):
     chain = [entry.noise, depolarizing(8, 0.3), rec.channel]
     expected = dense_dpi_trace(entry.dec, chain)
     assert not hasattr(conditions, "kron")  # np.kron covers every lift
-    for module, name in ((np, "kron"), (oqec.channels, "apply"), (conditions, "coherent_info"),
-                         (conditions, "partial_trace")):
+    for module, name in ((np, "kron"), (oqec.channels, "apply")):
         monkeypatch.setattr(module, name, forbidden)
+    seen = {"coherent_info": [], "partial_trace": []}
+    for name, calls in seen.items():
+        original = getattr(conditions, name)
+        monkeypatch.setattr(conditions, name, lambda m, *a, f=original, c=calls, **k: c.append(m.shape) or f(m, *a, **k))
     assert np.max(np.abs(np.subtract(dpi_trace(entry.dec, chain), expected))) <= 1e-12
+    assert seen == {"coherent_info": [(16, 16)] * 2, "partial_trace": [(16, 16)] * 2}
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -1016,7 +1042,7 @@ def test_the_cell_route_refuses_degenerate_and_non_finite_states():
             PurifiedState((2, 1, 64, 4), x, 1.0)
         store = Cells.build(x.shape, *np.nonzero(x), x[np.nonzero(x)])
         with pytest.raises(NotAStateError) as cells:
-            PurifiedState._from_cells((2, 1, 64, 4), store, 1.0)
+            PurifiedState((2, 1, 64, 4), store, 1.0)
         assert str(cells.value) == str(dense.value) and "(1, 0, 8, 3)" in str(cells.value)
 
 

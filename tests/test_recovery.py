@@ -271,6 +271,21 @@ def test_verify_recovery_reports_bad_recovery_without_raising():
     assert rep.max_infidelity > 1e-2
 
 
+def test_verify_recovery_caps_both_figures_when_a_code_input_is_annihilated():
+    """t_min <= SPECTRUM_CUTOFF: a noise that sends some code input to 0
+    leaves max_infidelity and b_marginal_drift at their caps, 1 and sqrt 2,
+    and support_leak at its own value, 0 here, as neither noise leaves the
+    code sector. One noise is the single operator 1 - code code†, which
+    kills the whole code sector, the other 1 - c_0 c_0†, which kills only
+    code vector 0."""
+    entry = get("bit_flip_3")
+    code = entry.dec.code_vectors()
+    for kill in (code, code[:, :1]):
+        noise = Channel((np.eye(8) - kill @ dag(kill),))
+        rep = verify_recovery(entry.dec, noise, identity(8))
+        assert (rep.max_infidelity, rep.b_marginal_drift, rep.support_leak) == (1.0, 2**0.5, 0.0)
+
+
 def test_verify_recovery_samples_nothing_and_ignores_trials_and_seed(monkeypatch):
     """The figures come from the code-sector blocks alone: no state is
     sampled or pushed through a channel, and the trials and seed keywords,

@@ -93,6 +93,19 @@ def test_frame_is_read_only():
         dec.frame[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("frame", [None, haar_unitary(7, _rng(29))], ids=["canonical", "framed"])
+def test_code_vectors_are_one_read_only_array(frame):
+    """code_vectors() is formed once: every call gives the same array, a
+    framed decomposition's being its kept frame, and writing into it raises."""
+    dec = Decomposition(2, 3, 1, frame=frame)
+    code = dec.code_vectors()
+    assert dec.code_vectors() is code and not code.flags.writeable
+    assert frame is None or code is dec.frame
+    with pytest.raises(ValueError):
+        code[0, 0] = 5.0
+    np.testing.assert_array_equal(code, np.eye(7)[:, :6] if frame is None else frame[:, :6])
+
+
 def test_projector_idempotent_with_code_rank():
     dec = Decomposition(2, 2, 3, frame=haar_unitary(7, _rng(9)))
     p = projector_p(dec)
