@@ -43,11 +43,12 @@ class Channel:
     complex128 otherwise. Within oqec, a builder that has just allocated
     such a stack in its storage dtype, and keeps no other reference to it,
     passes _adopt=True: the stack itself is made read-only and kept, with
-    no copy. A builder that holds one cell per row calls Channel._from_cells;
-    only it and _from_sorted make a store, and Channel(ops) keeps _cells
-    None, so even a stack of one cell per row takes BLAS. kraus and the
-    completeness Gram matrix are cached properties, each formed once; kraus
-    is held from construction unless the channel is kept as its cells.
+    no copy. A builder or reader that holds one cell per row calls
+    Channel._from_cells, the one code that makes a store or chooses the
+    stack instead; Channel(ops) keeps _cells None, so even a stack of one
+    cell per row takes BLAS. kraus and the completeness Gram matrix are
+    cached properties, each formed once; kraus is held from construction
+    unless the channel is kept as its cells.
     Equality and hashing are by identity.
     """
 
@@ -76,24 +77,16 @@ class Channel:
     def _from_cells(cls, shape: tuple, cols: np.ndarray, vals: np.ndarray) -> Channel:
         """The channel of shape (k, dim_out, dim_in) whose flat stack holds
         vals[r] (storage dtype; a zero of either sign is no cell) at (r,
-        cols[r]): its store, or its stack when the density rule refuses it."""
+        cols[r]): kept as its store, with no stack, or, when the density
+        rule refuses the store, as that stack, adopted."""
         rows = np.flatnonzero(vals)
         cols, vals = cols[rows], vals[rows]
-        ch = cls._from_sorted(shape, rows, cols, vals)
-        if ch is None:  # 64 nnz > size
-            stack = np.zeros((shape[0] * shape[1], shape[2]), vals.dtype)
+        flat = (shape[0] * shape[1], shape[2])
+        cells = Cells.build(flat, rows, cols, vals)
+        if cells is None:  # 64 nnz > size
+            stack = np.zeros(flat, vals.dtype)
             stack[rows, cols] = vals
-            ch = cls(stack.reshape(shape), _adopt=True)
-        return ch
-
-    @classmethod
-    def _from_sorted(cls, shape: tuple, rows, cols, vals) -> Channel | None:
-        """The channel kept as the store of its flat stack's row-sorted cells,
-        with no stack; None if a row holds two (checked first) or 64 nnz > size."""
-        n = shape[0] * shape[1]
-        cells = None if (np.diff(rows) == 0).any() else Cells.build((n, shape[2]), rows, cols, vals)
-        if cells is None:
-            return None
+            return cls(stack.reshape(shape), _adopt=True)
         ch = object.__new__(cls)
         vars(ch).update(_shape=tuple(shape), _cells=cells)
         return ch

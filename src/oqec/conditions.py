@@ -70,13 +70,15 @@ class PurifiedState:
     _cells. Either is checked once: an X with a non-finite entry is
     rejected, naming the entry by its (R_A, R_B, V, E) index. x is a
     cached property, read-only: a dense X from construction, a store
-    densified on first read.
+    densified on first read. Only the dense _pairs route and the
+    synthesizers read x.
 
-    b's blocks and deviations, every marginal without V and d's spectrum
-    are read from condition b's pair matrix m, formed once (see _pairs);
-    conj(m) / (dim_ra dim_rb norm_in) is the joint rho'_{R_A R_B E} with
-    (E, R_A R_B) swapped, which no verdict forms. Each marginal is formed
-    once, normalized (x never is) and kept read-only.
+    b's blocks and deviations, every marginal (none keeps V) and d's
+    spectrum are read from condition b's pair matrix m, formed once (see
+    _pairs); conj(m) / (dim_ra dim_rb norm_in) is the joint
+    rho'_{R_A R_B E} with (E, R_A R_B) swapped, which no verdict forms.
+    Each marginal is formed once, normalized (x never is) and kept
+    read-only.
     """
 
     dims: tuple[int, int, int, int]
@@ -169,16 +171,17 @@ class PurifiedState:
         return blocks, pair
 
     def marginal(self, keep: Iterable[int]) -> np.ndarray:
-        """Density matrix of the kept factors (0=R_A, 1=R_B, 2=V, 3=E), read-only:
-        without V, a partial trace of the pair matrix; with V, a Gram product of x."""
+        """Density matrix of the kept factors among 0=R_A, 1=R_B and 3=E,
+        read-only: a partial trace of the pair matrix, dense or as its
+        entries. V (factor 2) is out of range, as any other index is."""
         keep = tuple(sorted(set(int(i) for i in keep)))
-        if any(i < 0 or i > 3 for i in keep) or not keep:
+        if not keep or any(i not in _JOINT for i in keep):
             raise DimensionError(f"keep indices {list(keep)} out of range")
         rho = self._marginals.get(keep)
         if rho is None:
-            da, db, dv, de = self.dims
+            da, db, _, de = self.dims
             dim, sq = math.prod(self.dims[i] for i in keep), da * db * self.norm_in
-            if self._cells is not None and 2 not in keep:
+            if self._cells is not None:
                 # the pair entries conj(m) / sq whose traced factors agree,
                 # summed in pair order at the kept factors' index
                 i, j, m = self._pairs
@@ -193,11 +196,6 @@ class PurifiedState:
                 key, vals = _summed((r * dim + c)[same], np.divide(m[same].conj(), sq))
                 rho = np.zeros((dim, dim), vals.dtype)
                 rho.flat[key] = vals
-            elif 2 in keep:
-                rest = [i for i in range(4) if i not in keep]
-                t = self.x.reshape(de, dv, da, db).transpose(2, 3, 1, 0)  # (a, b, v, e)
-                mat = t.transpose(list(keep) + rest).reshape(dim, -1)
-                rho = gram(mat.T).conj() / sq  # mat mat† = conj((mat^T)† mat^T)
             else:  # one einsum over m's axes (e, a, b, f, c, d), kept rows read as
                 # (a, b, e); a traced factor's column axis takes its row axis's index
                 row = {3: 0, 0: 1, 1: 2}

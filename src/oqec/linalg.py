@@ -31,10 +31,11 @@ A matrix with few nonzeros, such as Pauli noise, a subsystem code's frame
 and E code for them, is held as a ``Cells`` store in ELLPACK layout (Rice
 and Boisvert, 1985): a (rows, w) array of columns and one of values, shorter
 rows padded with value 0. The one density rule: a store is built or
-composed only when 64 nnz <= size; else the matrix stays dense. Every
-store comes from Cells.build or Cells.compose: a channel's from the cells
-its builder lists, a decomposition's from its frame's np.nonzero, once.
-E code's store is the composition of the channel's and the frame's, and
+composed only when 64 nnz <= size; else the matrix stays dense. Two
+callers alone call Cells.build: Channel._from_cells, with the one cell
+per row that a channel builder or the channel reader lists, and
+Decomposition._cells, with its frame's np.nonzero, once. E code's store
+is the composition (Cells.compose) of the channel's and the frame's, and
 its Gram matrix, condition b's pair matrix, is kept as its nonzero
 entries, whose spectra _entries_entropy takes per component. A store's
 nonzero cells are read through Cells.entries alone, and its dense matrix

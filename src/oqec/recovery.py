@@ -67,7 +67,8 @@ class VerificationReport:
     max_infidelity: on 1 - <x| tr_B R(E(x x† tensor y y†)) |x> over pure
     product inputs, the output renormalized by its trace; at most 1.
     b_marginal_drift: on the Frobenius distance of the renormalized recovered
-    B marginals of two inputs that differ only on A; at most sqrt 2.
+    B marginals of two inputs that differ only on A, each divided by the
+    whole output trace; at most sqrt 2, and 0 at dim_b = 1 if none leaks.
     support_leak: on the trace (so the norm) of the output outside the code.
     """
 
@@ -99,14 +100,19 @@ def _canonical_errors(dec, ch, tol):
     return report.residual, d[keep] / db, canonical, ec
 
 
-def _recovery_channel(code_s: np.ndarray, families: np.ndarray) -> Channel:
+def _recovery_channel(code_s: np.ndarray, families: np.ndarray, residual: float) -> Channel:
     """The decoders code_s f_m† of the (m, dim_v, dim_a) families f_m, then
     the projector L L† onto the complement of their span when that is not
     empty, each written into its slot of one stack, which Channel adopts
     without a copy. The stack takes the factors' dtype, and is made float64
-    when complex factors give real operators, its storage dtype either way."""
+    when complex factors give real operators, its storage dtype either way.
+    Families that V cannot hold raise NotCorrectableError with b's residual."""
     dv, m = code_s.shape[0], len(families)
-    leftover = complete_basis(families.transpose(1, 0, 2).reshape(dv, -1), dv)
+    try:
+        leftover = complete_basis(families.transpose(1, 0, 2).reshape(dv, -1), dv)
+    except DimensionError as exc:  # too many or dependent columns: b passed only at a loose tol
+        need = f"kept Schmidt rank {m} needs {m * families.shape[2]} columns in dim_v={dv} ({exc})"
+        raise NotCorrectableError(f"noise is not correctable on this decomposition: {need}", residual) from exc
     shape = (m + (leftover.shape[1] > 0), dv, dv)
     stack = np.empty(shape, np.result_type(code_s, families, leftover))
     np.matmul(code_s, dag(families), out=stack[:m])
@@ -128,13 +134,13 @@ def synthesize_schmidt_recovery(
     (j, b=0). One more Kraus operator, the projector onto the directions
     outside every family, completes the channel.
 
-    Raises NotCorrectableError when the algebraic test fails at tol.
+    Raises NotCorrectableError if b fails at tol or its families do not fit V.
     """
     residual, q, canonical, _ = _canonical_errors(dec, ch, tol)
     family = canonical / np.sqrt(dec.dim_b * q)[:, None, None]
     code_s = dec.code_vectors()[:, ::dec.dim_b]  # columns (j, b=0)
     data = {"spectrum": q, "condition_b_residual": residual}
-    return Recovery(channel=_recovery_channel(code_s, family), method="schmidt", data=data)
+    return Recovery(channel=_recovery_channel(code_s, family, residual), method="schmidt", data=data)
 
 
 def synthesize_universal_recovery(
@@ -144,14 +150,14 @@ def synthesize_universal_recovery(
     Kraus operators (embed at b=0) W_m†, plus the projector onto the
     complement of their ranges when that is not empty.
 
-    Raises NotCorrectableError when the algebraic test fails at tol.
+    Raises NotCorrectableError if b fails at tol or its families do not fit V.
     """
     residual, _, canonical, _ = _canonical_errors(dec, ch, tol)
     u_s, _, v_h = np.linalg.svd(canonical, full_matrices=False)
     isometries = u_s @ v_h  # (m, dv, da)
     code_s = dec.code_vectors()[:, ::dec.dim_b]
     data = {"condition_b_residual": residual}
-    return Recovery(channel=_recovery_channel(code_s, isometries), method="universal", data=data)
+    return Recovery(channel=_recovery_channel(code_s, isometries, residual), method="universal", data=data)
 
 
 def verify_recovery(
@@ -184,6 +190,7 @@ def verify_recovery(
       t = tr m + sum |L psi|^2 with the last term in [0, l]; so for x, x' at
       one y, |m/t - m'/t'| <= |r - r'|/t + (tr m'/t') |t - t'|/t
       <= (4 eps + l) / t_min. Marginals of trace <= 1 are within sqrt 2.
+      At dim_b = 1, m/t = 1 - sum |L psi|^2 / t: eps is 0, the bound l/t_min.
 
     Both are at their caps when t_min <= SPECTRUM_CUTOFF. X is one product
     (code† R) @ (E code). T and sum L†L are sum_k (E_k code)† H (E_k code)
@@ -228,7 +235,7 @@ def verify_recovery(
     t_min = float(np.linalg.eigvalsh(t)[0])
     if t_min <= SPECTRUM_CUTOFF:  # some code input is (nearly) annihilated
         return VerificationReport(1.0, 2**0.5, leak)
-    eps = 2 * (c2 * delta2) ** 0.5 + delta2
+    eps = 0.0 if db == 1 else 2 * (c2 * delta2) ** 0.5 + delta2
     return VerificationReport(min(1.0, worst / t_min), min(2**0.5, (4 * eps + leak) / t_min), leak)
 
 

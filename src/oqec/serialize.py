@@ -52,12 +52,13 @@ A channel is read into one (k, dim_out, dim_in) Kraus stack in its storage
 dtype, linalg.storage_dtype of every sparse im value and dense im part:
 every operator is checked, then the stack is allocated once and written,
 so no complex matrix per operator is formed, and the Channel keeps that
-very stack, with no copy, or, when its operators are all sparse, list no
-zero value and Channel._from_sorted takes their cells, into their store (see
-linalg.Cells), with no stack; such a channel is written from its cells, to
-the bytes its stack would give. load_channel_file drops the parsed JSON
-tree of a channel file before that allocation. Frames are read the same
-way; matrix_from_json alone returns complex128.
+very stack, with no copy. Sparse operators that list no zero value and at
+most one cell per row go to Channel._from_cells instead, which keeps their
+store (see linalg.Cells), with no stack, where the density rule admits it;
+such a channel is written from its cells, to the bytes its stack would
+give. load_channel_file drops the parsed JSON tree of a channel file
+before that allocation. Frames are read the same way; matrix_from_json
+alone returns complex128.
 """
 
 from __future__ import annotations
@@ -302,25 +303,23 @@ def _channel_parts(obj: Any, field: str) -> list:
 
 
 def _stacked_channel(parts: list, field: str) -> Channel:
-    """The channel of parts: its cells' store when every operator is sparse,
-    lists no zero (whose sign only a stack keeps), numpy could address the
-    stack and Channel._from_sorted takes them; else that stack, adopted."""
+    """The channel of parts. When every operator is sparse, lists no zero
+    (whose sign only a stack keeps) and at most one cell per row, and numpy
+    could address the stack, Channel._from_cells takes the column and value
+    of each row of the flat stack; else _place writes the stack, adopted."""
     (dout, din), k = parts[0][0], len(parts)
-    ch = None
     if k * dout * din <= np.iinfo(np.intp).max // 16 and all(
         cells is not None and ((re != 0) | (im != 0)).all() for _, cells, re, im in parts
     ):
-        flat = np.concatenate([j * dout * din + p[1] for j, p in enumerate(parts)])
-        order = np.argsort(flat, kind="stable")
-        vals = np.zeros(len(flat), storage_dtype(p[3] for p in parts))
-        _put(vals, slice(None), *(np.concatenate([p[i] for p in parts])[order] for i in (2, 3)))
-        rows, cols = np.divmod(flat[order], din)
-        ch = Channel._from_sorted((k, dout, din), rows, cols, vals)
-    if ch is None:
-        kraus = _place(parts, f"{field}.kraus[0]")
-        parts.clear()  # the parsed values go as soon as the stack holds them
-        ch = Channel(kraus, _adopt=True)
-    return ch
+        rows, cols = np.divmod(np.concatenate([j * dout * din + p[1] for j, p in enumerate(parts)]), din)
+        if np.bincount(rows, minlength=k * dout).max(initial=0) <= 1:
+            at, vals = np.zeros(k * dout, np.intp), np.zeros(k * dout, storage_dtype(p[3] for p in parts))
+            at[rows] = cols
+            _put(vals, rows, *(np.concatenate([p[i] for p in parts]) for i in (2, 3)))
+            return Channel._from_cells((k, dout, din), at, vals)
+    kraus = _place(parts, f"{field}.kraus[0]")
+    parts.clear()  # the parsed values go as soon as the stack holds them
+    return Channel(kraus, _adopt=True)
 
 
 def channel_from_json(obj: Any, field: str = "channel") -> Channel:

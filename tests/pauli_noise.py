@@ -33,9 +33,15 @@ def weight_one_depolarizing(n: int, p: float) -> Channel:
 
 
 def kept_as_cells(stack: np.ndarray) -> Channel | None:
-    """Channel._from_sorted of the row-major nonzero cells of a (k, dim_out,
-    dim_in) stack: the channel kept as its store, or None when a row holds
-    two cells or 64 nnz > size. A zero of either sign is no cell."""
+    """Channel._from_cells of the one nonzero cell of each row of a (k,
+    dim_out, dim_in) stack: the channel kept as its store, or None when a
+    row holds two cells or 64 nnz > size, where _from_cells keeps the stack.
+    A zero of either sign is no cell."""
     flat = np.asarray(stack).reshape(-1, stack.shape[2])
     rows, cols = np.nonzero(flat)
-    return Channel._from_sorted(stack.shape, rows, cols, flat[rows, cols])
+    if np.bincount(rows, minlength=len(flat)).max(initial=0) > 1:
+        return None
+    at, vals = np.zeros(len(flat), np.intp), np.zeros(len(flat), flat.dtype)
+    at[rows], vals[rows] = cols, flat[rows, cols]
+    ch = Channel._from_cells(stack.shape, at, vals)
+    return None if ch._cells is None else ch

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oqec.channels import (
-    PAULI_Z,
     Channel,
     apply,
     depolarizing,
@@ -46,6 +45,7 @@ from oqec.recovery import (
 )
 from oqec.serialize import channel_to_json, decomposition_to_json, dump_json_file
 from oqec.spaces import Decomposition, embed_state
+from approximate_codes import z_leak
 from choi_oracle import choi_distance
 from random_states import random_density_matrix
 from sampled_verification import sampled_verify_recovery
@@ -327,21 +327,13 @@ def test_criterion_9_cli_contract(tmp_path):
     print("[acceptance] criterion 9 (CLI contract): PASS")
 
 
-def _z_leak_instance(eps):
-    """bit_flip_3 noise plus a Z error on qubit 0 at Kraus amplitude eps,
-    kept trace preserving: the instances where the verdicts part ways."""
-    entry = get("bit_flip_3")
-    flips = np.sqrt(1 - eps**2) * entry.noise.kraus
-    return entry.dec, Channel([*flips, eps * kron(PAULI_Z, np.eye(4))])
-
-
 def test_pinsker_bounds_condition_c_by_condition_d():
     """For trace-preserving noise d's gap is I(R_A : R_B E) in bits, so
     Pinsker gives ||rho - sigma||_F <= ||rho - sigma||_1 <= sqrt(2 ln2 gap)
     for c's residual; the 1e-12 absorbs rounding where both are ~0."""
     instances = [_correctable_instance(seed + 800) for seed in range(30)]
     instances += [_generic_instance(seed + 900) for seed in range(30)]
-    instances += [_z_leak_instance(eps) for eps in (1e-2, 1e-4, 1e-6, 1e-8)]
+    instances += [z_leak(eps) for eps in (1e-2, 1e-4, 1e-6, 1e-8)]
     worst = -np.inf
     for dec, ch in instances:
         ps = purify(dec, ch)
@@ -357,7 +349,7 @@ def test_condition_d_resolves_the_smallest_z_leak():
     """At eps = 1e-8 the Z error's weight sits in a ~1e-16 eigenvalue of
     rho'_{R_B E}; d's gap (5.4e-15 to 50 digits) is resolved only when that
     eigenvalue counts in the entropy, and Pinsker then holds with room."""
-    ps = purify(*_z_leak_instance(1e-8))
+    ps = purify(*z_leak(1e-8))
     gap = check_condition_d(ps).witnesses["gap"]
     assert gap >= 1e-15, gap
     assert check_condition_c(ps).residual <= np.sqrt(2 * np.log(2) * gap) / 5

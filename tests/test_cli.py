@@ -672,11 +672,11 @@ def test_bacon_shor_9_noise_is_never_formed_as_a_stack(tmp_path, monkeypatch, ca
     and its 21 MB stack is never formed: the cached property kraus never
     runs its function, which forms a cell channel's stack."""
     built, formed = [], []
-    from_sorted, form = Channel._from_sorted.__func__, Channel.__dict__["kraus"].func
+    from_cells, form = Channel._from_cells.__func__, Channel.__dict__["kraus"].func
 
-    def counting_from_sorted(cls, shape, rows, cols, vals):
-        ch = from_sorted(cls, shape, rows, cols, vals)
-        if ch is not None:
+    def counting_from_cells(cls, shape, cols, vals):
+        ch = from_cells(cls, shape, cols, vals)
+        if ch._cells is not None:
             built.append(tuple(shape))
         return ch
 
@@ -684,7 +684,7 @@ def test_bacon_shor_9_noise_is_never_formed_as_a_stack(tmp_path, monkeypatch, ca
         formed.append(self._shape)
         return form(self)
 
-    monkeypatch.setattr(Channel, "_from_sorted", classmethod(counting_from_sorted))
+    monkeypatch.setattr(Channel, "_from_cells", classmethod(counting_from_cells))
     monkeypatch.setattr(Channel.__dict__["kraus"], "func", counting_form)
     dec = str(tmp_path / "bacon_shor_9.decomposition.json")
     chan = str(tmp_path / "bacon_shor_9.noise.json")

@@ -35,6 +35,7 @@ from oqec.linalg import Cells, dag, gram, haar_unitary, kron, partial_trace, von
 from oqec.recovery import synthesize_schmidt_recovery
 from oqec.spaces import Decomposition
 
+from approximate_codes import z_leak
 from condition_b_oracle import condition_b_oracle, gram_blocks
 from dense_dpi import dense_dpi_trace
 from pauli_noise import weight_one_depolarizing
@@ -107,12 +108,20 @@ def test_norm_in_of_a_dense_product_is_the_same_bits_at_one_and_two_blas_threads
 
 
 def test_purify_v_marginal_is_channel_output():
-    """Tracing out both references and E leaves E applied to the code-average."""
+    """Tracing out both references and E leaves E applied to the code-average:
+    the V marginal, formed here from x as X_V X_V† / (dim_a dim_b norm_in),
+    X_V[v, (e, a, b)] = x[(e, v), (a, b)]. marginal itself refuses V."""
     entry = get("ns_3qubit_collective")
     ps = purify(entry.dec, entry.noise)
+    da, db, dv, de = ps.dims
+    x_v = ps.x.reshape(de, dv, da * db).transpose(1, 0, 2).reshape(dv, -1)
+    rho_v = x_v @ dag(x_v) / (da * db * ps.norm_in)
     code = entry.dec.code_vectors()
     rho_in = code @ dag(code) / entry.dec.dim_code
-    np.testing.assert_allclose(ps.marginal((2,)), apply(entry.noise, rho_in), atol=1e-12)
+    np.testing.assert_allclose(rho_v, apply(entry.noise, rho_in), atol=1e-12)
+    for keep in [(2,), (0, 2), (1, 2, 3), (0, 1, 2, 3)]:
+        with pytest.raises(DimensionError, match="out of range"):
+            ps.marginal(keep)
 
 
 @pytest.mark.parametrize(
@@ -646,16 +655,6 @@ def test_dpi_trace_unitary_step_is_lossless():
     assert vals == pytest.approx([1.0, 1.0], abs=1e-10)
 
 
-PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
-
-
-def _z_leak(eps):
-    """bit_flip_3 noise plus a Z error on qubit 0 at Kraus amplitude eps."""
-    entry = get("bit_flip_3")
-    flips = np.sqrt(1 - eps**2) * entry.noise.kraus
-    return entry.dec, Channel([*flips, eps * kron(PAULI_Z, np.eye(4))])
-
-
 def _entropy_instances():
     """Catalog entries, random instances on either side of dim_v = da db de
     (the joint marginal is the smaller one for few Kraus operators), and the
@@ -667,17 +666,19 @@ def _entropy_instances():
         dv = da * db + dc
         dec = Decomposition(da, db, dc, frame=haar_unitary(dv, rng))
         out.append((dec, random_channel(dv, int(rng.integers(1, 6)), seed=700 + trial)))
-    return out + [_z_leak(1e-3), _z_leak(1e-6)]
+    return out + [z_leak(1e-3), z_leak(1e-6)]
 
 
 def test_condition_d_entropy_v_matches_v_marginal():
     """S(V') = S(R_A R_B E') for the pure psi: entropy_v, read from the
-    joint, equals the entropy of the V marginal on either side of dim_v =
-    dim_a dim_b dim_e, and so does the joint's own entropy."""
+    joint, equals the entropy of the V marginal, the noise applied to the
+    code average P / dim_code, on either side of dim_v = dim_a dim_b dim_e,
+    and so does the joint's own entropy."""
     sides = set()
     for dec, ch in _entropy_instances():
         ps = purify(dec, ch)
-        s_v = von_neumann_entropy(ps.marginal((2,)))
+        code = dec.code_vectors()
+        s_v = von_neumann_entropy(apply(ch, code @ dag(code) / dec.dim_code))
         assert abs(check_condition_d(ps).witnesses["entropy_v"] - s_v) <= 1e-12
         assert abs(von_neumann_entropy(ps.marginal((0, 1, 3))) - s_v) <= 1e-12
         sides.add(dec.dim_v < dec.dim_a * dec.dim_b * len(ch.kraus))

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import oqec.serialize
 from oqec.channels import Channel, random_channel, restricted_flip
 from oqec.codes import catalog, get
 from oqec.conditions import check_condition_b, check_condition_c, purify
@@ -645,22 +644,21 @@ def test_reading_a_channel_file_drops_the_parsed_tree_before_the_stack(tmp_path,
     assert peak - after_parse[0] < 1.5 * ch.kraus.nbytes, (peak - after_parse[0], ch.kraus.nbytes)
 
 
-def test_a_read_channel_keeps_the_stack_the_reader_allocated(tmp_path, monkeypatch):
-    """The reader's fresh stack becomes the channel's kraus as it is, made
-    read-only, and nothing else refers to it. restricted_flip(5, .) lists
-    one cell per row in sparse operators but fills more than 1/64 of its
-    stack, so it is read into the stack, not the cell index."""
-    placed, original = [], oqec.serialize._place
-
-    def place(*args):
-        placed.append(original(*args))
-        return placed[-1]
-
-    monkeypatch.setattr(oqec.serialize, "_place", place)
+def test_a_read_channel_keeps_the_stack_the_reader_allocated(tmp_path):
+    """restricted_flip(5, .) lists one cell per row in sparse operators but
+    fills more than 1/64 of its stack, so it is read into a stack, not a
+    store: both readers give a channel with _cells None whose kraus is the
+    builder's stack, bit for bit, in a fresh array of the reader's that the
+    channel keeps read-only."""
     path = str(tmp_path / "chan.json")
-    dump_json_file(path, channel_to_json(restricted_flip(5, 0.01)))
+    want = restricted_flip(5, 0.01)
+    assert want._cells is None
+    dump_json_file(path, channel_to_json(want))
     for ch in (load_channel_file(path), channel_from_json(load_json_file(path))):
-        assert ch.kraus is placed.pop(0)
+        assert ch._cells is None
+        np.testing.assert_array_equal(ch.kraus, want.kraus)
+        assert ch.kraus.dtype == np.float64
+        assert not np.shares_memory(ch.kraus, want.kraus)
         assert not ch.kraus.flags.writeable
         with pytest.raises(ValueError):
             ch.kraus[0, 0, 0] = 1.0
